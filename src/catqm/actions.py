@@ -172,9 +172,10 @@ class GroupModel:
         return (left._invert(act[0]), right._invert(act[1]))
 
     def from_word(self, w) -> Isometry:
-        if isinstance(w, str):
-            w = W.from_string(w)
-        w = W.check_reduced(w)
+        """Isometry of a word or its string form; an isometry passes through."""
+        if isinstance(w, Isometry):
+            return w
+        w = W.as_word(w)
         act = self._identity_action()
         for x in w:
             act = self._compose(act, self._letter_action(x))
@@ -259,7 +260,7 @@ def _apply_tree(g: Word, p: TreePoint) -> TreePoint:
     return tree_point(v, u[-1], 1.0 - p.t)
 
 
-def orbit_points(space, g: Isometry, x0, n: int, group: GroupModel | None = None) -> list:
+def orbit_points(space, g: Isometry, x0, n: int) -> list:
     """[x0, g x0, ..., g^n x0] by iterated action."""
     if n < 0:
         raise InputError("n must be >= 0")

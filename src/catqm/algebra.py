@@ -12,14 +12,14 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InputError
 from .words import (
     Word,
     IDENTITY,
-    check_reduced,
+    as_word,
     cyclic_reduce,
     inverse as word_inverse,
     multiply as word_multiply,
@@ -57,8 +57,8 @@ def count_overlapping(text: str, pattern: str) -> int:
 def brooks(w, g) -> int:
     """Occurrences of w in the reduced word g minus occurrences of w^-1,
     overlaps allowed."""
-    w = _as_word(w)
-    g = _as_word(g)
+    w = as_word(w)
+    g = as_word(g)
     if not w:
         raise InputError("counting word must be nontrivial")
     s = W.to_string(g)
@@ -67,7 +67,7 @@ def brooks(w, g) -> int:
 
 
 def brooks_qm(w) -> Quasimorphism:
-    w = _as_word(w)
+    w = as_word(w)
     return Quasimorphism(f"brooks({W.to_string(w)})", lambda g: float(brooks(w, g)))
 
 
@@ -79,10 +79,10 @@ def homogeneous_brooks_value(w: Word, g: Word) -> float:
     of the bi-infinite periodic word.  Conjugation invariance is automatic:
     the value depends only on the core up to rotation.
     """
-    w = _as_word(w)
+    w = as_word(w)
     if not w:
         raise InputError("counting word must be nontrivial")
-    core, _ = cyclic_reduce(_as_word(g))
+    core, _ = cyclic_reduce(as_word(g))
     if not core:
         return 0.0
     reps = max(2, math.ceil((len(core) + len(w)) / len(core)))
@@ -102,32 +102,16 @@ def homogeneous_brooks_value(w: Word, g: Word) -> float:
 
 
 def homogeneous_brooks_qm(w) -> Quasimorphism:
-    w = _as_word(w)
+    w = as_word(w)
     return Quasimorphism(f"hom-brooks({W.to_string(w)})",
                          lambda g: homogeneous_brooks_value(w, g),
-                         homogeneous=True)
-
-
-def homogenize_qm(phi: Quasimorphism, n_max: int = 64) -> Quasimorphism:
-    """Numeric homogenization by power averaging: g -> phi(g^n)/n.  The
-    value sits within defect/n_max of the homogeneous representative."""
-    if n_max < 1:
-        raise InputError("n_max must be >= 1")
-    return Quasimorphism(f"{phi.name}/pow{n_max}",
-                         lambda g: phi(word_power(_as_word(g), n_max)) / n_max,
                          homogeneous=True)
 
 
 def word_length_qm() -> Quasimorphism:
     """Word length; a quasimorphism but not homogeneous (conjugation-heavy
     words break it), useful as a negative control."""
-    return Quasimorphism("word-length", lambda g: float(len(_as_word(g))))
-
-
-def _as_word(g) -> Word:
-    if isinstance(g, str):
-        return W.from_string(g)
-    return check_reduced(g)
+    return Quasimorphism("word-length", lambda g: float(len(as_word(g))))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +176,7 @@ class FiniteExtension:
         return GElement(IDENTITY, sigma)
 
     def embed(self, w) -> GElement:
-        return GElement(_as_word(w), 0)
+        return GElement(as_word(w), 0)
 
     def apply_auto(self, sigma: int, w: Word) -> Word:
         return _perm_apply(self.perms[sigma], w)
@@ -216,7 +200,7 @@ class FiniteExtension:
     def conjugate_by_section(self, sigma: int, h: Word) -> Word:
         """section(sigma)^-1 (h, id) section(sigma), landing in the base."""
         s_inv = self._inv[sigma]
-        return self.apply_auto(s_inv, _as_word(h))
+        return self.apply_auto(s_inv, as_word(h))
 
     def generators(self) -> list[GElement]:
         gens = []
@@ -266,7 +250,7 @@ def sigma_act(ext: FiniteExtension, sigma: int, phi: Quasimorphism) -> Quasimorp
     """Pull back along conjugation by the section of sigma:
     (sigma . phi)(h) = phi(section^-1 h section)."""
     return Quasimorphism(f"sigma{sigma}.{phi.name}",
-                         lambda h: phi(ext.conjugate_by_section(sigma, _as_word(h))),
+                         lambda h: phi(ext.conjugate_by_section(sigma, as_word(h))),
                          homogeneous=phi.homogeneous)
 
 
@@ -292,12 +276,11 @@ def check_sigma_invariance(ext: FiniteExtension, phi: Quasimorphism,
     return out
 
 
-def transfer_extend(ext: FiniteExtension, phi: Quasimorphism,
-                    invariance_radius: int = 3) -> Quasimorphism:
+def transfer_extend(ext: FiniteExtension, phi: Quasimorphism) -> Quasimorphism:
     """Extend an invariant quasimorphism to the whole extension by
     g -> phi(g^N)/N; g^N always lands in the base because the quotient has
-    exponent dividing N."""
-    bad = check_sigma_invariance(ext, phi, invariance_radius)
+    exponent dividing N.  Invariance is checked on the radius-3 ball."""
+    bad = check_sigma_invariance(ext, phi, radius=3)
     if bad:
         raise InputError(f"not invariant under the extension action: {bad[0]}")
     N = ext.N
@@ -378,7 +361,7 @@ def homogeneity_suite(phi: Quasimorphism, elements, n_max: int,
     """Check phi(g^n) = n phi(g) and conjugation invariance on samples."""
     out = []
     for g in elements:
-        g = _as_word(g)
+        g = as_word(g)
         base = phi(g)
         for n in range(2, n_max + 1):
             v = phi(word_power(g, n))
@@ -387,7 +370,7 @@ def homogeneity_suite(phi: Quasimorphism, elements, n_max: int,
                             "value": v, "expected": n * base})
                 break
         for h in conjugators:
-            h = _as_word(h)
+            h = as_word(h)
             conj = word_multiply(h, word_multiply(g, word_inverse(h)))
             v = phi(conj)
             if abs(v - base) > tolerance:

@@ -4,7 +4,8 @@
     catqm replay REPORT_PATH
 
 Exit codes: 0 all checked properties held, 1 a property was violated (the
-report carries the witness), 2 configuration or budget error.
+report carries the witness), 2 configuration error or any other catqm error
+(budget, numeric, unsupported); the report then has status ``error``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .errors import CatqmError, ConfigError
+from .errors import CatqmError
 from .runner import (
     EXIT_CONFIG,
     EXIT_OK,

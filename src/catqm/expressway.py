@@ -25,7 +25,7 @@ an admissible path of the same or smaller modified length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -33,10 +33,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
 from .actions import GroupModel, Isometry, act
-from .contraction import CertBudget, ConstantLedger, certify_contracting
+from .contraction import ConstantLedger
 from .errors import BudgetError, ConfigError, InputError
 from .spaces import TreePoint, _arclength_samples, tree_point
-from .words import Word, IDENTITY, inverse as word_inverse, multiply as word_multiply
+from .words import Word, inverse as word_inverse, multiply as word_multiply
 from . import words as W
 
 
@@ -56,9 +56,7 @@ class ExpresswaySystem:
                  enum_radius: int = 5, candidate_cap: int = 20000):
         self.space = space
         self.group = group
-        if isinstance(sigma_word, str):
-            sigma_word = W.from_string(sigma_word)
-        self.sigma_word = W.check_reduced(sigma_word)
+        self.sigma_word = W.as_word(sigma_word)
         if not self.sigma_word:
             raise ConfigError("base word must be nontrivial")
         self.basepoint = space.validate_point(
@@ -92,10 +90,6 @@ class ExpresswaySystem:
         x0 = self.basepoint.anchor
         return word_multiply(word_inverse(x0),
                              word_multiply(self.sigma_word, x0))
-
-    def certify_base(self, budget: CertBudget | None = None):
-        return certify_contracting(self.space, self.sigma_segment,
-                                   self.ledger.B, budget)
 
     def describe(self) -> dict:
         return {
@@ -278,8 +272,7 @@ def modified_length(sys: ExpresswaySystem, a, b) -> ModifiedLengthResult:
 
 def phi_sigma(sys: ExpresswaySystem, g) -> float:
     """lambda(g x0, x0) - lambda(x0, g x0)."""
-    iso = g if isinstance(g, Isometry) else sys.group.from_word(g)
-    gx0 = act(sys.space, iso, sys.basepoint)
+    gx0 = act(sys.space, sys.group.from_word(g), sys.basepoint)
     return (modified_length(sys, gx0, sys.basepoint).value
             - modified_length(sys, sys.basepoint, gx0).value)
 
@@ -327,12 +320,10 @@ def tree_phi_exact(sys: ExpresswaySystem, g: Word) -> float:
     return float(s.count(pattern) - s.count(anti))
 
 
-def phi_evaluator(sys: ExpresswaySystem, exact: bool | None = None
-                  ) -> Callable[[Word], float]:
+def phi_evaluator(sys: ExpresswaySystem) -> Callable[[Word], float]:
     """Word-level evaluator for phi; exact closed form on tree models,
     candidate-graph shortest paths elsewhere."""
-    use_exact = sys.is_exact_tree() if exact is None else exact
-    if use_exact:
+    if sys.is_exact_tree():
         return lambda w: tree_phi_exact(sys, w)
     return lambda w: phi_sigma(sys, w)
 
@@ -407,11 +398,11 @@ class DefectReport:
     pairs_checked: int
 
 
-def defect_estimate(sys: ExpresswaySystem, pairs: Iterable[tuple[Word, Word]],
-                    evaluator: Callable[[Word], float] | None = None) -> DefectReport:
+def defect_estimate(sys: ExpresswaySystem, pairs: Iterable[tuple[Word, Word]]
+                    ) -> DefectReport:
     """max |phi(g g') - phi(g) - phi(g')| over the sampled pairs; a lower
     bound for the true defect that never decreases as the sample grows."""
-    phi = evaluator or phi_evaluator(sys)
+    phi = phi_evaluator(sys)
     cache: dict[Word, float] = {}
 
     def ev(w: Word) -> float:
@@ -432,19 +423,13 @@ def defect_estimate(sys: ExpresswaySystem, pairs: Iterable[tuple[Word, Word]],
 
 
 def homogenize(sys: ExpresswaySystem, g, n_max: int,
-               defect_bound: float | None = None,
-               evaluator: Callable[[Word], float] | None = None
-               ) -> tuple[float, float | None]:
+               defect_bound: float | None = None) -> tuple[float, float | None]:
     """phi(g^n)/n together with the error radius defect/n around the
     homogeneous representative."""
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    if isinstance(g, Isometry):
-        g = g.word
-    elif isinstance(g, str):
-        g = W.from_string(g)
-    phi = evaluator or phi_evaluator(sys)
-    value = phi(W.power(g, n_max)) / n_max
+    g = g.word if isinstance(g, Isometry) else W.as_word(g)
+    value = phi_evaluator(sys)(W.power(g, n_max)) / n_max
     bound = defect_bound if defect_bound is not None else sys.defect_bound
     return value, (None if bound is None else bound / n_max)
 
@@ -456,8 +441,6 @@ def independence_matrix(systems: list[ExpresswaySystem], testers: list,
     at the pivot tolerance."""
     if len(testers) < len(systems):
         raise InputError("need at least as many testers as systems")
-    testers = [W.from_string(t) if isinstance(t, str) else
-               (t.word if isinstance(t, Isometry) else t) for t in testers]
     M = np.array([[homogenize(s, t, n_max)[0] for t in testers]
                   for s in systems])
     rank = int(np.linalg.matrix_rank(M, tol=pivot_tol))

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
-from .actions import GroupModel, Isometry, act, orbit_points
+from .actions import GroupModel, act, orbit_points
 from .contraction import (
     CertBudget,
     ConstantLedger,
@@ -68,7 +67,7 @@ def rank_one_test(space, group: GroupModel, g, x0, B: float, n_max: int,
     1-Lipschitz, a true Hausdorff violation beyond B cannot hide between
     samples that close.
     """
-    iso = g if isinstance(g, Isometry) else group.from_word(g)
+    iso = group.from_word(g)
     if not iso.word:
         raise InputError("isometry must be nontrivial")
     x0 = space.validate_point(x0)
@@ -124,8 +123,7 @@ def independence_test(space, group: GroupModel, g, h, x0, grid_max: int,
     a strictly increasing tail that clears the threshold by grid_max; the
     profile never claims properness beyond the grid.
     """
-    gi = g if isinstance(g, Isometry) else group.from_word(g)
-    hi = h if isinstance(h, Isometry) else group.from_word(h)
+    gi, hi = group.from_word(g), group.from_word(h)
     xs = {m: x0 for m in (0,)}
     ys = {0: x0}
     fwd, bwd = gi, group.inverse(gi)
@@ -206,8 +204,7 @@ def schottky_exponent(space, group: GroupModel, g, h, E: float,
     the displacement tables per tried N."""
     if E <= 0:
         raise InputError("E must be > 0")
-    gi = g if isinstance(g, Isometry) else group.from_word(g)
-    hi = h if isinstance(h, Isometry) else group.from_word(h)
+    gi, hi = group.from_word(g), group.from_word(h)
     tol = getattr(space, "tol", 1e-9)
     patterns = [w for w in W.ball(2, word_len_max) if w]
     tried = {}

@@ -14,17 +14,14 @@ import time
 from dataclasses import dataclass, field, asdict
 
 from . import words as W
-from .actions import GroupModel, act, group_from_json, orbit_points
+from .actions import GroupModel, act, group_from_json
 from .algebra import (
-    brooks,
     brooks_qm,
     check_sigma_invariance,
-    extension_defect,
     homogeneity_suite,
     homogeneous_brooks_qm,
     orbit_average,
     restriction_check,
-    sigma_act,
     swap_extension,
     transfer_extend,
     word_length_qm,
@@ -40,19 +37,16 @@ from .contraction import (
     check_variation,
     projection_diameter_under_ball,
 )
-from .errors import BudgetError, CatqmError, ConfigError, InputError
+from .errors import BudgetError, CatqmError, ConfigError
 from .expressway import (
     ExpresswaySystem,
     LambdaSamples,
     check_lambda_properties,
     check_witness_confinement,
     defect_estimate,
-    enumerate_relevant_expressways,
     homogenize,
     independence_matrix,
     modified_length,
-    phi_evaluator,
-    phi_sigma,
 )
 from .rank_one import (
     half_flat_control,
@@ -68,6 +62,7 @@ from .samplers import (
     ft_quads_tree_exhaustive,
     halfplane_thin_configs,
     halfplane_variation_configs,
+    random_point,
     random_words,
     rng_for,
     tree_dichotomy_configs,
@@ -153,15 +148,14 @@ class ExperimentConfig:
         return CertBudget(center_radius=self.budgets.center_radius,
                           ball_samples=self.budgets.ball_samples)
 
-    def system(self) -> ExpresswaySystem:
+    def system(self, word: W.Word | None = None) -> ExpresswaySystem:
+        """The expressway system of ``word`` (default: the base word)."""
         return ExpresswaySystem(
-            self.space, self.group, self.sigma_word, self.basepoint,
+            self.space, self.group,
+            self.sigma_word if word is None else word, self.basepoint,
             ledger=self.ledger, margin=self.budgets.enum_margin,
             enum_radius=self.budgets.ball_radius,
             candidate_cap=self.budgets.candidate_cap)
-
-    def echo(self) -> dict:
-        return self.raw
 
 
 def config_from_json(data: dict) -> ExperimentConfig:
@@ -229,7 +223,6 @@ def run_axioms(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     violations += [{"check": "ft", **v.data} for v in ft]
 
     rng = rng_for(cfg.seed, "axioms-extra")
-    from .samplers import random_point
     triangle_bad = 0
     idem_bad = 0
     for _ in range(min(200, budgets.sample_count)):
@@ -256,10 +249,10 @@ def run_axioms(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     return section, violations, []
 
 
-def _tree_lemma_suite(cfg: ExperimentConfig) -> tuple[dict, list]:
-    space, ledger = cfg.space, cfg.ledger
-    budget = cfg.cert_budget()
-    radius = min(4, cfg.budgets.ball_radius)
+def _lemma_suite(cfg: ExperimentConfig, triples, dichotomies,
+                 variations) -> tuple[dict, list]:
+    """Tally the contraction lemmas over the given configurations."""
+    space, ledger, tol = cfg.space, cfg.ledger, cfg.tolerance
     counts = {}
     violations = []
 
@@ -270,103 +263,102 @@ def _tree_lemma_suite(cfg: ExperimentConfig) -> tuple[dict, list]:
             violations.append({"lemma": name, "value": outcome.value,
                                "bound": outcome.bound, "witness": outcome.witness})
 
-    for a, b, c in tree_triples_exhaustive(space, radius):
-        tally("thin_triangle", check_thin_triangle(space, a, b, c, ledger, cfg.tolerance))
-        tally("near_collinearity", check_reverse_triangle(space, a, b, c, ledger, cfg.tolerance))
-    for seg, x, y in tree_dichotomy_configs(space, min(3, radius)):
-        tally("dichotomy", check_dichotomy(space, seg, x, y, ledger, cfg.tolerance))
-    for seg_ab, seg_pq in tree_variation_configs(space, min(3, radius)):
-        tally("variation", check_variation(space, seg_ab, seg_pq, ledger, cfg.tolerance))
-    # endpoint stability on a deterministic family
-    stab = {"holds": 0, "violated": 0}
-    base = space.geodesic(vertex(""), vertex("a" * min(5, radius + 2)))
-    for u in W.ball(space.rank, 1):
-        for v in W.ball(space.rank, 1):
-            a2 = vertex(W.to_string(u))
-            b2 = act(space, cfg.group.from_word("a" * min(5, radius + 2)), vertex(W.to_string(v)))
-            cert = check_stability(space, base, a2, b2, D=2.0, ledger=ledger, budget=budget)
-            key = "violated" if cert.refuted else "holds"
-            stab[key] += 1
-            if cert.refuted:
-                violations.append({"lemma": "stability", "witness": cert.to_json(space)})
-    counts["stability"] = {"holds": stab["holds"], "skipped": 0,
-                           "violated": stab["violated"]}
+    for a, b, c in triples:
+        tally("thin_triangle", check_thin_triangle(space, a, b, c, ledger, tol))
+        tally("near_collinearity", check_reverse_triangle(space, a, b, c, ledger, tol))
+    for seg, x, y in dichotomies:
+        tally("dichotomy", check_dichotomy(space, seg, x, y, ledger, tol))
+    for seg_ab, seg_pq in variations:
+        tally("variation", check_variation(space, seg_ab, seg_pq, ledger, tol))
     return counts, violations
 
 
-def _halfplane_lemma_suite(cfg: ExperimentConfig, count: int) -> tuple[dict, list]:
-    space, ledger = cfg.space, cfg.ledger
-    counts = {}
-    violations = []
+def _sigma_certificate(cfg: ExperimentConfig, sys_obj: ExpresswaySystem
+                       ) -> tuple[dict, list, list]:
+    """Contraction certificate of the base segment at scale B; a refutation
+    is a violation and a witness that carries its segment."""
+    space = cfg.space
+    cert = certify_contracting(space, sys_obj.sigma_segment, cfg.B,
+                               cfg.cert_budget())
+    data = cert.to_json(space)
+    if not cert.refuted:
+        return data, [], []
+    return (data, [{"check": "sigma-contraction", "witness": data["witness"]}],
+            [{**data["witness"], "segment": data["segment"]}])
 
-    def tally(name, outcome):
-        bucket = counts.setdefault(name, {"holds": 0, "skipped": 0, "violated": 0})
-        bucket[outcome.status] += 1
-        if outcome.status == "violated":
-            violations.append({"lemma": name, "value": outcome.value,
-                               "bound": outcome.bound, "witness": outcome.witness})
 
-    for a, b, c in halfplane_thin_configs(space, cfg.seed, count):
-        tally("thin_triangle", check_thin_triangle(space, a, b, c, ledger, cfg.tolerance))
-        tally("near_collinearity", check_reverse_triangle(space, a, b, c, ledger, cfg.tolerance))
-    for seg_ab, seg_pq in halfplane_variation_configs(space, cfg.seed, count):
-        tally("variation", check_variation(space, seg_ab, seg_pq, ledger, cfg.tolerance))
+def _half_flat(cfg: ExperimentConfig, sweep: list) -> tuple[list, list, list]:
+    """Flat negative control: every scale in the sweep must refute
+    contraction along an orbit segment of the base word.  The segment is
+    long enough that the widest refuting shadow 2(h-1), h = max B/2 + 2,
+    fits inside it."""
+    space, x0 = cfg.space, cfg.basepoint
+    g = cfg.group.from_word(cfg.sigma_word)
+    step = space.distance(x0, act(space, g, x0))
+    if step <= 0:
+        raise ConfigError("flat control needs a moving generator")
+    k = max(2, math.ceil((2.0 * (max(sweep) / 2.0 + 2.0) + 10.0) / step))
+    seg = space.geodesic(x0, act(space, cfg.group.power(g, k), x0))
+    table = half_flat_control(space, seg, sweep, cfg.cert_budget())
+    ends = [space.point_to_json(seg.start), space.point_to_json(seg.end)]
+    violations = [{"check": "half-flat-control", "B": r.B}
+                  for r in table if not r.refuted]
+    witnesses = [{**r.witness, "segment": ends}
+                 for r in table if r.refuted and r.witness is not None]
+    return [{"B": r.B, "refuted": r.refuted} for r in table], violations, witnesses
+
+
+def _tree_lemma_suite(cfg: ExperimentConfig) -> tuple[dict, list]:
+    space = cfg.space
+    radius = min(4, cfg.budgets.ball_radius)
+    counts, violations = _lemma_suite(
+        cfg, tree_triples_exhaustive(space, radius),
+        tree_dichotomy_configs(space, min(3, radius)),
+        tree_variation_configs(space, min(3, radius)))
+    # endpoint stability on a deterministic family
+    stab = {"holds": 0, "skipped": 0, "violated": 0}
+    far = "a" * min(5, radius + 2)
+    base = space.geodesic(vertex(""), vertex(far))
+    budget = cfg.cert_budget()
+    for u in W.ball(cfg.group.rank, 1):
+        for v in W.ball(cfg.group.rank, 1):
+            b2 = act(space, cfg.group.from_word(far), vertex(v))
+            cert = check_stability(space, base, vertex(u), b2, D=2.0,
+                                   ledger=cfg.ledger, budget=budget)
+            stab["violated" if cert.refuted else "holds"] += 1
+            if cert.refuted:
+                violations.append({"lemma": "stability", "witness": cert.to_json(space)})
+    counts["stability"] = stab
     return counts, violations
 
 
 def run_contract(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     space = cfg.space
-    budget = cfg.cert_budget()
-    witnesses = []
-    violations = []
     section: dict = {"ledger": cfg.ledger.table()}
-
     if space.kind == "tree":
-        sys_obj = cfg.system()
-        cert = certify_contracting(space, sys_obj.sigma_segment, cfg.B, budget)
-        section["sigma_certificate"] = cert.to_json(space)
-        if cert.refuted:
-            violations.append({"check": "sigma-contraction",
-                               "witness": cert.to_json(space)["witness"]})
-            witnesses.append(_attach_segment(cert, space))
-        counts, lemma_violations = _tree_lemma_suite(cfg)
-        section["lemma_suite"] = counts
+        section["sigma_certificate"], violations, witnesses = \
+            _sigma_certificate(cfg, cfg.system())
+        section["lemma_suite"], lemma_violations = _tree_lemma_suite(cfg)
         violations += lemma_violations
     elif space.kind == "half-plane":
-        counts, lemma_violations = _halfplane_lemma_suite(
-            cfg, cfg.budgets.sample_count)
-        section["lemma_suite"] = counts
-        violations += lemma_violations
+        count = cfg.budgets.sample_count
+        section["lemma_suite"], violations = _lemma_suite(
+            cfg, halfplane_thin_configs(space, cfg.seed, count), (),
+            halfplane_variation_configs(space, cfg.seed, count))
+        witnesses = []
     else:
         # flat spaces are the negative control: contraction must refute
-        sweep = [cfg.B, 10.0, 100.0]
-        seg = _flat_axis_segment(cfg, max(sweep))
-        table = half_flat_control(space, seg, sweep, budget)
-        section["half_flat"] = [{"B": r.B, "refuted": r.refuted} for r in table]
-        for r in table:
-            if not r.refuted:
-                violations.append({"check": "half-flat-control", "B": r.B})
-            elif r.witness is not None:
-                witnesses.append({**r.witness,
-                                  "segment": [space.point_to_json(seg.start),
-                                              space.point_to_json(seg.end)]})
+        section["half_flat"], violations, witnesses = _half_flat(
+            cfg, [cfg.B, 10.0, 100.0])
     return section, violations, witnesses
 
 
 def run_qm(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     space = cfg.space
     sys_obj = cfg.system()
-    budget = cfg.cert_budget()
-    violations = []
-    witnesses = []
     section: dict = {"system": sys_obj.describe()}
-
-    cert = sys_obj.certify_base(budget)
-    section["sigma_certificate"] = cert.to_json(space)
-    if cert.refuted:
-        violations.append({"check": "sigma-contraction",
-                           "witness": cert.to_json(space)["witness"]})
-        witnesses.append(_attach_segment(cert, space))
+    section["sigma_certificate"], violations, witnesses = \
+        _sigma_certificate(cfg, sys_obj)
 
     x0 = sys_obj.basepoint
     lam_table = []
@@ -397,18 +389,17 @@ def run_qm(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     # interface properties of the modified length
     rng = rng_for(cfg.seed, "lambda-props")
     if space.kind == "tree":
-        sample_words = random_words(space.rank, cfg.seed, 12, 5)
-        pts = [vertex(W.to_string(w)) for w in sample_words]
+        sample_words = random_words(cfg.group.rank, cfg.seed, 12, 5)
+        pts = [vertex(w) for w in sample_words]
         pairs = tuple((pts[i], pts[i + 1]) for i in range(0, len(pts) - 1, 2))
         moves = tuple((a, b, act(space, cfg.group.from_word((1,)), a),
                        act(space, cfg.group.from_word((2,)), b))
                       for a, b in pairs[:4])
-        gs = tuple(random_words(space.rank, cfg.seed + 1, 4, 3))
+        gs = tuple(random_words(cfg.group.rank, cfg.seed + 1, 4, 3))
         mid = act(space, cfg.group.from_word(W.power(cfg.sigma_word, 2)), x0)
         far = act(space, cfg.group.from_word(W.power(cfg.sigma_word, 4)), x0)
         samples = LambdaSamples(pairs, moves, gs, ((x0, mid, far),))
     else:
-        from .samplers import random_point
         pairs = tuple((random_point(space, rng), random_point(space, rng))
                       for _ in range(6))
         samples = LambdaSamples(pairs, (), (), ())
@@ -417,27 +408,30 @@ def run_qm(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     violations += [{"check": "lambda-property", **v} for v in lam_violations]
 
     # defect, homogenization, independence
-    pairs_iter = defect_pairs_exhaustive(space.rank, cfg.budgets.defect_radius) \
-        if sys_obj.is_exact_tree() else _sampled_pairs(cfg)
+    if sys_obj.is_exact_tree():
+        pairs_iter = defect_pairs_exhaustive(cfg.group.rank, cfg.budgets.defect_radius)
+    else:
+        ws = random_words(cfg.group.rank, cfg.seed, 12, 3)
+        pairs_iter = [(g, h) for g in ws[:6] for h in ws[6:]]
     report = defect_estimate(sys_obj, pairs_iter)
     section["defect"] = {"value": report.value, "pairs": report.pairs_checked,
                          "argmax": None if report.pair is None else
                          [W.to_string(report.pair[0]), W.to_string(report.pair[1])]}
 
+    # The tree closed form is exact at any power.  Elsewhere phi is only good
+    # up to the powers the table above checks: past them the candidate ball
+    # saturates, and long mixed matrix words lose their determinant to
+    # rounding (NumericError).
+    power = min(16, 4 * cfg.budgets.n_max) if sys_obj.is_exact_tree() else cfg.budgets.n_max
     hom_rows = []
-    for word in [cfg.sigma_word] + random_words(space.rank, cfg.seed + 2, 3, 3):
-        value, err = homogenize(sys_obj, word, min(16, 4 * cfg.budgets.n_max),
-                                defect_bound=report.value)
+    for word in [cfg.sigma_word] + random_words(cfg.group.rank, cfg.seed + 2, 3, 3):
+        value, err = homogenize(sys_obj, word, power, defect_bound=report.value)
         hom_rows.append({"g": W.to_string(word), "value": value, "error": err})
     section["homogenized"] = hom_rows
 
     indep_words = cfg.independence_words or [cfg.sigma_word]
     try:
-        systems = [ExpresswaySystem(space, cfg.group, w, x0, ledger=cfg.ledger,
-                                    margin=cfg.budgets.enum_margin,
-                                    enum_radius=cfg.budgets.ball_radius,
-                                    candidate_cap=cfg.budgets.candidate_cap)
-                   for w in indep_words]
+        systems = [cfg.system(w) for w in indep_words]
         testers = [W.power(w, 2) for w in indep_words]
         matrix, rank = independence_matrix(systems, testers, n_max=8)
         section["independence"] = {"words": [W.to_string(w) for w in indep_words],
@@ -450,12 +444,6 @@ def run_qm(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     return section, violations, witnesses
 
 
-def _sampled_pairs(cfg: ExperimentConfig):
-    ws = random_words(cfg.space.rank if hasattr(cfg.space, "rank") else 2,
-                      cfg.seed, 12, 3)
-    return [(g, h) for g in ws[:6] for h in ws[6:]]
-
-
 def run_rank1(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     space = cfg.space
     budget = cfg.cert_budget()
@@ -466,17 +454,8 @@ def run_rank1(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     g = cfg.group.from_word(cfg.sigma_word)
     if space.kind in ("euclidean",) or (space.kind == "product"
                                         and "euclidean" in (space.left.kind, space.right.kind)):
-        sweep = [0.1, cfg.B, 10.0]
-        seg = _flat_axis_segment(cfg, max(sweep))
-        table = half_flat_control(space, seg, sweep, budget)
-        section["half_flat"] = [{"B": r.B, "refuted": r.refuted} for r in table]
-        for r in table:
-            if not r.refuted:
-                violations.append({"check": "half-flat-control", "B": r.B})
-            elif r.witness is not None:
-                witnesses.append({**r.witness,
-                                  "segment": [space.point_to_json(seg.start),
-                                              space.point_to_json(seg.end)]})
+        section["half_flat"], violations, witnesses = _half_flat(
+            cfg, [0.1, cfg.B, 10.0])
         result = rank_one_test(space, cfg.group, g, x0, cfg.B,
                                min(3, cfg.budgets.n_max), budget)
         section["rank_one"] = {"certified": result.certified}
@@ -513,20 +492,6 @@ def run_rank1(cfg: ExperimentConfig) -> tuple[dict, list, list]:
         violations.append({"check": "independence-profile",
                            "values": list(profile.values)})
     return section, violations, witnesses
-
-
-def _flat_axis_segment(cfg: ExperimentConfig, max_B: float):
-    """Orbit segment of the flat control, long enough that the widest
-    refuting shadow 2(h-1) with h = max_B/2 + 2 fits inside it."""
-    space = cfg.space
-    x0 = cfg.basepoint
-    g = cfg.group.from_word(cfg.sigma_word)
-    step = space.distance(x0, act(space, g, x0))
-    if step <= 0:
-        raise ConfigError("flat control needs a moving generator")
-    need = 2.0 * (max_B / 2.0 + 2.0) + 10.0
-    k = max(2, math.ceil(need / step))
-    return space.geodesic(x0, act(space, cfg.group.power(g, k), x0))
 
 
 def _rank_one_scale(cfg: ExperimentConfig) -> float:
@@ -722,13 +687,13 @@ def run(subcommand: str, cfg: ExperimentConfig) -> tuple[dict, int]:
             witnesses += sec_witnesses
         if violations:
             status, code = "violation", EXIT_VIOLATION
-    except (BudgetError, ConfigError, InputError) as exc:
+    except CatqmError as exc:
         status, code = "error", EXIT_CONFIG
         results["error"] = {"type": type(exc).__name__, "message": str(exc)}
     body = {
         "schema": SCHEMA,
         "subcommand": subcommand,
-        "config": cfg.echo(),
+        "config": cfg.raw,
         "results": results,
         "violations": violations,
         "witnesses": witnesses,
@@ -840,10 +805,3 @@ def _replay_one(cfg: ExperimentConfig, witness: dict) -> bool:
         return True
     # unknown kinds fail closed so schema drift is caught
     return False
-
-
-def _attach_segment(cert, space) -> dict:
-    data = cert.to_json(space)
-    witness = data["witness"]
-    witness["segment"] = data["segment"]
-    return witness

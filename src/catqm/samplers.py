@@ -14,8 +14,8 @@ import math
 import random
 from typing import Iterator
 
-from .spaces import TreePoint, tree_point, vertex
-from .words import Word, IDENTITY, multiply as word_multiply
+from .spaces import tree_point, vertex
+from .words import Word, multiply as word_multiply
 from . import words as W
 
 

@@ -125,8 +125,7 @@ def tree_point(anchor: Word, letter: int | None = None, t: float = 0.0) -> TreeP
 
 
 def vertex(word_or_str) -> TreePoint:
-    w = W.from_string(word_or_str) if isinstance(word_or_str, str) else tuple(word_or_str)
-    return tree_point(w)
+    return tree_point(W.as_word(word_or_str))
 
 
 def _exit_options(p: TreePoint) -> list[tuple[Word, float]]:

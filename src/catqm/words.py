@@ -165,3 +165,10 @@ def from_string(s: str) -> Word:
         k = ord(c.lower()) - _ORD_A + 1
         letters.append(k if c.islower() else -k)
     return check_reduced(letters)
+
+
+def as_word(w) -> Word:
+    """A word from its string form or a letter tuple, checked reduced."""
+    if isinstance(w, str):
+        return from_string(w)
+    return check_reduced(w)

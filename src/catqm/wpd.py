@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import GroupModel, Isometry, act
-from .errors import BudgetError, InputError, UnsupportedError
+from .errors import BudgetError, UnsupportedError
 from .spaces import _arclength_samples
 from .words import (
     Word,
@@ -46,7 +46,7 @@ def wpd_count(space, group: GroupModel, g, c: float, M: int, radius: int,
     growth; the report records the enumeration radius so absence claims stay
     interpretable.
     """
-    gi = g if isinstance(g, Isometry) else group.from_word(g)
+    gi = group.from_word(g)
     x0 = space.validate_point(x0 if x0 is not None else space.basepoint())
     tol = getattr(space, "tol", 1e-9)
     far = act(space, group.power(gi, M), x0)
@@ -93,8 +93,7 @@ def equiv_search(space, group: GroupModel, g, h, K: float, power_max: int,
     Scan order is deterministic: gamma through the ball, then the power
     grid.  Cheap endpoint pruning runs before the full sampled check.
     """
-    gi = g if isinstance(g, Isometry) else group.from_word(g)
-    hi = h if isinstance(h, Isometry) else group.from_word(h)
+    gi, hi = group.from_word(g), group.from_word(h)
     x0 = space.validate_point(x0 if x0 is not None else space.basepoint())
     tol = getattr(space, "tol", 1e-9)
     g_ends = [act(space, group.power(gi, m), x0) for m in range(power_max + 1)]
@@ -152,9 +151,7 @@ def _as_word(g) -> Word:
         if not isinstance(g.action, tuple) or (g.action and not isinstance(g.action[0], int)):
             raise UnsupportedError("conjugacy oracle needs a free-group model")
         return g.word
-    if isinstance(g, str):
-        return W.from_string(g)
-    return W.check_reduced(g)
+    return W.as_word(g)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,12 @@ def test_tree_action_examples():
     assert act(TREE, e, vertex("ba")).anchor == W.from_string("ba")
 
 
+def test_from_word_accepts_strings_tuples_and_isometries():
+    g = DIAG.from_word("aa")
+    assert DIAG.from_word((1, 1)) == g
+    assert DIAG.from_word(g) is g
+
+
 def test_tree_action_on_interior_points():
     from catqm.spaces import tree_point
     p = tree_point(W.from_string("a"), 2, 0.25)

@@ -10,7 +10,6 @@ from catqm.algebra import (
     homogeneity_suite,
     homogeneous_brooks_qm,
     homogeneous_brooks_value,
-    homogenize_qm,
     orbit_average,
     restriction_check,
     sigma_act,
@@ -81,13 +80,6 @@ def test_homogeneous_matches_power_limit():
         limit = phi(W.power(g, 96)) / 96
         exact = hom(g)
         assert abs(limit - exact) <= 1.0 / 96 + 1e-9
-
-
-def test_numeric_homogenization_wrapper():
-    phi = homogenize_qm(brooks_qm("aab"), n_max=64)
-    hom = homogeneous_brooks_qm("aab")
-    for g in random_words(2, 12, 8, 3):
-        assert abs(phi(g) - hom(g)) <= 1.0 / 64 + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from catqm import runner
 from catqm.cli import main as cli_main
-from catqm.errors import ConfigError
+from catqm.errors import ConfigError, NumericError
 from catqm.runner import (
     Budgets,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_VIOLATION,
     canonical_body,
     config_from_json,
     load_config,
@@ -68,6 +70,52 @@ def test_qm_report_structure_and_exit():
     assert body["status"] == "ok"
     assert body["results"]["qm"]["phi_table"][0]["phi"] == 1.0
     assert "wall_clock_s" in report["meta"]
+
+
+@pytest.mark.parametrize("path", [TREE_CONFIG, HALFPLANE_CONFIG, EUCLID_CONFIG],
+                         ids=lambda p: p.stem)
+def test_qm_finishes_on_every_shipped_config(path):
+    report, code = run("qm", load_config(str(path)))
+    status = report["body"]["status"]
+    assert status in ("ok", "violation")
+    assert code == {"ok": EXIT_OK, "violation": EXIT_VIOLATION}[status]
+    assert replay(report) is True
+
+
+def test_qm_half_plane_homogenizes_within_the_phi_table_powers():
+    # seed 602 draws "BAA"; its 16th power loses the matrix determinant to
+    # rounding, so homogenizing at power 16 ended in a NumericError
+    cfg = load_config(str(HALFPLANE_CONFIG))
+    cfg.seed = 602
+    report, code = run("qm", cfg)
+    assert report["body"]["status"] == "ok" and code == EXIT_OK
+    rows = report["body"]["results"]["qm"]["homogenized"]
+    assert "BAA" in [r["g"] for r in rows]
+    assert rows[0] == {"g": "a", "value": 1.0, "error": rows[0]["error"]}
+
+
+def test_catqm_errors_end_in_error_status_with_partial_results(monkeypatch):
+    def numeric_failure(cfg):
+        raise NumericError("no convergence")
+
+    monkeypatch.setitem(runner._RUNNERS, "axioms", lambda cfg: ({"done": 1}, [], []))
+    monkeypatch.setitem(runner._RUNNERS, "contract", numeric_failure)
+    report, code = run("all", small_tree_config())
+    body = report["body"]
+    assert code == EXIT_CONFIG
+    assert body["status"] == "error"
+    assert body["results"] == {
+        "axioms": {"done": 1},
+        "error": {"type": "NumericError", "message": "no convergence"}}
+
+
+def test_other_exceptions_propagate(monkeypatch):
+    def bug(cfg):
+        raise RuntimeError("bug")
+
+    monkeypatch.setitem(runner._RUNNERS, "axioms", bug)
+    with pytest.raises(RuntimeError):
+        run("axioms", small_tree_config())
 
 
 def test_determinism_same_seed():

@@ -15,6 +15,16 @@ def test_multiply_examples():
     assert W.multiply((), w("bab")) == w("bab")
 
 
+def test_as_word_coerces_strings_and_tuples():
+    assert W.as_word("aB") == (1, -2)
+    assert W.as_word([1, -2]) == (1, -2)
+    assert W.as_word("e") == W.IDENTITY
+    with pytest.raises(InputError):
+        W.as_word((1, -1))
+    with pytest.raises(InputError):
+        W.as_word("aA")
+
+
 def test_cyclic_reduce():
     assert W.cyclic_reduce(w("abA")) == (w("b"), w("a"))
     assert W.cyclic_reduce(w("aab")) == (w("aab"), ())
