@@ -44,9 +44,16 @@ class Mat2:
         return m
 
     def renormalized(self) -> "Mat2":
-        det = self.det()
+        ad, bc = self.a * self.d, self.b * self.c
+        det = ad - bc
         if det <= 0.0:
-            raise NumericError(f"matrix determinant drifted to {det}")
+            # The true determinant is 1.  With large entries, ad - bc carries
+            # the rounding of every product that built them; within DET_TOL
+            # of |ad|, |bc| it cannot be told from 1, and the Mobius map does
+            # not depend on the scale, so the matrix is kept as it is.
+            if abs(det - 1.0) > DET_TOL * max(abs(ad), abs(bc)):
+                raise NumericError(f"matrix determinant drifted to {det}")
+            return Mat2(self.a, self.b, self.c, self.d, 0)
         s = 1.0 / math.sqrt(det)
         return Mat2(self.a * s, self.b * s, self.c * s, self.d * s, 0)
 

@@ -275,10 +275,12 @@ def projection_diameter_under_ball(space, seg, center, radius: float,
                                    samples: int = 64) -> float:
     """Observed diameter of the projection of a ball onto a segment.
 
-    The ball must be disjoint from the segment.  Sampling is deterministic
-    (low-discrepancy plus the center; exhaustive vertices on the tree), so
-    the value is a reproducible lower bound for the true diameter, measured
-    as the arclength spread of the projection parameters.
+    The ball must be disjoint from the segment.  The points are those of
+    ``space.ball_points``: deterministic low-discrepancy samples plus the
+    center, or on the tree every vertex (plus an edge-point center), whose
+    parameters ``space.ball_parameters`` computes in one batched pass.  The
+    value is a reproducible lower bound for the true diameter, measured as
+    the arclength spread of the projection parameters.
     """
     d_center = space.project(center, seg).distance
     if d_center <= radius:
@@ -289,9 +291,8 @@ def projection_diameter_under_ball(space, seg, center, radius: float,
         raise InputError("radius must be >= 0")
     if radius == 0:
         return 0.0
-    params = [space.project(p, seg).parameter
-              for p in space.ball_points(center, radius, samples)]
-    return max(params) - min(params) if params else 0.0
+    params = space.ball_parameters(center, radius, seg, samples)
+    return float(params.max() - params.min()) if params.size else 0.0
 
 
 def _candidate_centers(space, seg, budget: CertBudget, B: float):

@@ -420,9 +420,11 @@ def run_qm(cfg: ExperimentConfig) -> tuple[dict, list, list]:
 
     # The tree closed form is exact at any power.  Elsewhere phi is only good
     # up to the powers the table above checks: past them the candidate ball
-    # saturates, and long mixed matrix words lose their determinant to
-    # rounding (NumericError).
-    power = min(16, 4 * cfg.budgets.n_max) if sys_obj.is_exact_tree() else cfg.budgets.n_max
+    # saturates.  The independence testers are squares, so off the tree they
+    # homogenize at half that power.
+    exact = sys_obj.is_exact_tree()
+    power = min(16, 4 * cfg.budgets.n_max) if exact else cfg.budgets.n_max
+    tester_power = 8 if exact else max(1, cfg.budgets.n_max // 2)
     hom_rows = []
     for word in [cfg.sigma_word] + random_words(cfg.group.rank, cfg.seed + 2, 3, 3):
         value, err = homogenize(sys_obj, word, power, defect_bound=report.value)
@@ -433,7 +435,7 @@ def run_qm(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     try:
         systems = [cfg.system(w) for w in indep_words]
         testers = [W.power(w, 2) for w in indep_words]
-        matrix, rank = independence_matrix(systems, testers, n_max=8)
+        matrix, rank = independence_matrix(systems, testers, n_max=tester_power)
         section["independence"] = {"words": [W.to_string(w) for w in indep_words],
                                    "matrix": matrix.tolist(), "rank": rank}
         if rank < len(systems):

@@ -2,11 +2,13 @@
 space, and products.
 
 Every space exposes the same small surface: ``distance``, ``geodesic``,
-``project``, deterministic ``ball_points`` sampling, and JSON round-tripping
-of points.  Segments are arclength-parametrized; ``point_at(0)`` is the
-start, ``point_at(length)`` the end, and parameter differences equal
-distances (exactly on the tree and Euclidean space, within tolerance on the
-half-plane).
+``project``, deterministic ``ball_points`` sampling, ``ball_parameters``
+(the projection parameters of those ball points on a segment: batched over
+packed word arrays on the tree, one ``project`` per point elsewhere), and
+JSON round-tripping of points.  Segments are arclength-parametrized;
+``point_at(0)`` is the start, ``point_at(length)`` the end, and parameter
+differences equal distances (exactly on the tree and Euclidean space, within
+tolerance on the half-plane).
 
 Projections onto segments are single-valued here: the tree and all CAT(0)
 model spaces have unique nearest points, and every downstream check is
@@ -75,6 +77,14 @@ class ProjectionResult:
     point: Any
     distance: float
     parameter: float
+
+
+def _sampled_ball_parameters(space, center, radius: float, seg,
+                             samples: int = 64) -> np.ndarray:
+    """Projection parameters of the sampled ball, one ``project`` per point:
+    the ``ball_parameters`` of every space without a batched route."""
+    return np.array([space.project(p, seg).parameter
+                     for p in space.ball_points(center, radius, samples)])
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +312,39 @@ class TreeSpace:
             return pts
         return [center] + pts
 
+    def ball_parameters(self, center: TreePoint, radius: float,
+                        seg: TreeSegment, samples: int = 0) -> np.ndarray:
+        """``project(p, seg).parameter`` for every p in ``ball_points``, in
+        one numpy pass per exit option of the center.
+
+        Left multiplication is an isometry, so the ball vertex w·u is at
+        distance d(u, w⁻¹e) + c_e from the segment end through its exit
+        option (e, c_e); the arithmetic follows ``distance`` and
+        ``project`` operation by operation, so the values agree bit for
+        bit.  A vertex reached through both exit options of an edge-point
+        center appears twice, which leaves max − min unchanged.
+        """
+        length = seg.length
+        start_exits = _exit_options(seg.start)
+        exits = start_exits + _exit_options(seg.end)
+        costs = np.array([c for _, c in exits])
+        out = []
+        for w, cost in _exit_options(center):
+            rem = int(math.floor(radius - cost + 1e-9))
+            if rem < 0:
+                continue
+            ball = _pack_words(W.ball(self.rank, rem))
+            ends = _pack_words([multiply(W.inverse(w), e) for e, _ in exits])
+            # column j: distance from every w·u to a segment end through exits[j]
+            d = _packed_distances(ball, ends) + costs
+            da = d[:, :len(start_exits)].min(axis=1)
+            db = d[:, len(start_exits):].min(axis=1)
+            t = 0.5 * (da - db + length)
+            out.append(np.minimum(np.maximum(t, 0.0), length))
+        if not center.is_vertex:
+            out.append(np.array([self.project(center, seg).parameter]))
+        return np.concatenate(out)
+
     def pairwise_distances(self, points: list[TreePoint]) -> np.ndarray:
         if all(p.is_vertex for p in points):
             return _packed_word_distances([p.anchor for p in points])
@@ -336,25 +379,36 @@ class TreeSpace:
                 "dd_constant": self.dd_constant, "tolerance": self.tol}
 
 
+def _pack_words(ws: list[Word]) -> tuple[np.ndarray, np.ndarray]:
+    """Words as zero-padded int16 letter rows (at least one column) and
+    their lengths: the packed format of the batched word-metric routes."""
+    lens = np.fromiter(map(len, ws), dtype=np.int64, count=len(ws))
+    width = max(int(lens.max(initial=0)), 1)
+    pad = (0,) * width
+    letters = np.array([(w + pad)[:width] for w in ws], dtype=np.int16)
+    return letters.reshape(len(ws), width), lens
+
+
+def _packed_distances(a: tuple[np.ndarray, np.ndarray],
+                      b: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Word-metric distances between the rows of two packed word arrays,
+    |u| + |v| - 2 lcp(u, v), as int64."""
+    (la, na), (lb, nb) = a, b
+    k = min(la.shape[1], lb.shape[1])
+    eq = (la[:, None, :k] == lb[None, :, :k]) & (la[:, None, :k] != 0)
+    lcp = np.cumprod(eq, axis=2, dtype=np.int64).sum(axis=2)
+    return na[:, None] + nb[None, :] - 2 * lcp
+
+
 def _packed_word_distances(ws: list[Word]) -> np.ndarray:
     """All pairwise word-metric distances via packed letter arrays."""
     n = len(ws)
-    if n == 0:
-        return np.zeros((0, 0))
-    maxlen = max((len(w) for w in ws), default=0) or 1
-    arr = np.zeros((n, maxlen), dtype=np.int16)
-    lens = np.empty(n, dtype=np.int64)
-    for i, w in enumerate(ws):
-        lens[i] = len(w)
-        if w:
-            arr[i, :len(w)] = w
+    letters, lens = packed = _pack_words(ws)
     out = np.empty((n, n), dtype=np.float64)
-    chunk = max(1, min(n, 8_000_000 // (n * maxlen + 1)))
+    chunk = max(1, min(n, 8_000_000 // (n * letters.shape[1] + 1)))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        eq = (arr[lo:hi, None, :] == arr[None, :, :]) & (arr[lo:hi, None, :] != 0)
-        lcp = np.cumprod(eq, axis=2, dtype=np.int64).sum(axis=2)
-        out[lo:hi] = lens[lo:hi, None] + lens[None, :] - 2 * lcp
+        out[lo:hi] = _packed_distances((letters[lo:hi], lens[lo:hi]), packed)
     return out
 
 
@@ -468,6 +522,8 @@ class HalfPlaneSpace:
             pts.append(ce + rho * cmath.exp(1j * ang))
         return pts
 
+    ball_parameters = _sampled_ball_parameters
+
     def pairwise_distances(self, points) -> np.ndarray:
         zs = np.asarray([complex(p) for p in points])
         dz = np.abs(zs[:, None] - zs[None, :])
@@ -574,6 +630,8 @@ class EuclideanSpace:
             pts.append(tuple(q))
         return pts
 
+    ball_parameters = _sampled_ball_parameters
+
     def pairwise_distances(self, points) -> np.ndarray:
         arr = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
         diff = arr[:, None, :] - arr[None, :, :]
@@ -672,6 +730,8 @@ class ProductSpace:
             for i in range(take):
                 pts.append((lefts[i % len(lefts)], rights[i % len(rights)]))
         return pts
+
+    ball_parameters = _sampled_ball_parameters
 
     def pairwise_distances(self, points) -> np.ndarray:
         dl = self.left.pairwise_distances([p[0] for p in points])

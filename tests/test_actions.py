@@ -1,10 +1,14 @@
 import math
+import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from catqm import words as W
 from catqm.actions import GroupModel, Mat2, act, orbit_points
-from catqm.errors import InputError
+from catqm.errors import InputError, NumericError
+from catqm.runner import load_config
 from catqm.samplers import random_point, rng_for
 from catqm.spaces import EuclideanSpace, HalfPlaneSpace, ProductSpace, TreeSpace, vertex
 
@@ -98,6 +102,43 @@ def test_determinant_renormalization():
     for _ in range(200):
         prod = DIAG.multiply(prod, g)
         assert abs(prod.action.det() - 1.0) < 1e-9
+
+
+def _exact_image_of_i(generators, word):
+    """Image of i under the exact Fraction product of the word's matrices."""
+    gens = [[[Fraction(x) for x in row] for row in m] for m in generators]
+    a, b, c, d = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+    for x in W.from_string(word):
+        (p, q), (r, s) = gens[abs(x) - 1]
+        if x < 0:
+            p, q, r, s = s, -q, -r, p
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    # (a i + b) / (c i + d) with real and imaginary parts kept exact
+    den = c * c + d * d
+    return complex(float((b * d + a * c) / den), float((a * d - b * c) / den))
+
+
+def test_long_mixed_words_keep_their_mobius_map():
+    # BAA^16 and 40 seeded mixed words of 48-64 letters: their entries reach
+    # ~1e11 and more, so ad - bc carries rounding far larger than 1, of
+    # either sign; the Mobius map does not depend on the matrix scale
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "half_plane.json"))
+    rng = random.Random(48)
+    words = ["BAA" * 16]
+    while len(words) < 41:
+        w = []
+        for _ in range(rng.randint(48, 64)):
+            w.append(rng.choice([x for x in (1, -1, 2, -2) if not w or x != -w[-1]]))
+        words.append(W.to_string(tuple(w)))
+    for word in words:
+        z = act(HP, cfg.group.from_word(word), 1j)
+        exact = _exact_image_of_i(cfg.raw["group"]["generators"], word)
+        assert abs(z - exact) <= 1e-9 * abs(exact), word
+
+
+def test_resolved_nonpositive_determinant_still_raises():
+    with pytest.raises(NumericError):
+        Mat2(1.0, 2.0, 3.0, 4.0).renormalized()
 
 
 def test_translation_and_product_actions():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -21,7 +22,7 @@ from catqm.contraction import (
     phi_thin_triangle,
     projection_diameter_under_ball,
 )
-from catqm.errors import InputError
+from catqm.errors import BudgetError, InputError
 from catqm.samplers import (
     halfplane_thin_configs,
     halfplane_variation_configs,
@@ -29,7 +30,7 @@ from catqm.samplers import (
     tree_triples_exhaustive,
     tree_variation_configs,
 )
-from catqm.spaces import EuclideanSpace, HalfPlaneSpace, TreeSpace, vertex
+from catqm.spaces import EuclideanSpace, HalfPlaneSpace, TreeSpace, tree_point, vertex
 
 TREE = TreeSpace(2)
 HP = HalfPlaneSpace()
@@ -103,6 +104,52 @@ def test_tree_balls_project_to_points():
         for radius in range(1, int(d)):
             diam = projection_diameter_under_ball(TREE, seg, center, radius)
             assert diam == 0.0
+
+
+def _random_tree_point(rng, max_len, edge):
+    letters = (1, -1, 2, -2)
+    n, w = rng.randint(0, max_len), []
+    while len(w) < n:
+        x = rng.choice(letters)
+        if not w or x != -w[-1]:
+            w.append(x)
+    if not edge:
+        return tree_point(tuple(w))
+    x = rng.choice([y for y in letters if not w or y != -w[-1]])
+    return tree_point(tuple(w), x, rng.choice([0.5, 0.25, 1.0 / 3.0, rng.random()]))
+
+
+def _per_point_diameter(space, seg, center, radius):
+    params = [space.project(p, seg).parameter for p in space.ball_points(center, radius)]
+    return max(params) - min(params)
+
+
+def test_tree_batched_shadow_matches_per_point_projections():
+    rng = random.Random(20260)
+    cases = 0
+    for _ in range(400):
+        edges = [rng.random() < 0.5 for _ in range(3)]
+        seg = TREE.geodesic(_random_tree_point(rng, 5, edges[0]),
+                            _random_tree_point(rng, 5, edges[1]))
+        center = _random_tree_point(rng, 7, edges[2])
+        d = TREE.project(center, seg).distance
+        for radius in (d - 1.0, d / 2.0, 0.9 * d):
+            if radius <= 0.0:
+                continue
+            diam = projection_diameter_under_ball(TREE, seg, center, radius)
+            assert diam == _per_point_diameter(TREE, seg, center, radius)
+            if not any(edges):
+                # a ball disjoint from a tree segment projects to one point
+                assert diam == 0.0
+            cases += 1
+    assert cases > 800
+
+
+def test_tree_shadow_keeps_the_ball_radius_cap():
+    seg = TREE.geodesic(vertex(""), vertex("a"))
+    center = vertex("b" * (W.BALL_RADIUS_CAP + 3))
+    with pytest.raises(BudgetError):
+        projection_diameter_under_ball(TREE, seg, center, W.BALL_RADIUS_CAP + 1)
 
 
 def test_zero_radius_ball():

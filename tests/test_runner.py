@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import subprocess
 import sys
@@ -80,6 +81,11 @@ def test_qm_finishes_on_every_shipped_config(path):
     assert status in ("ok", "violation")
     assert code == {"ok": EXIT_OK, "violation": EXIT_VIOLATION}[status]
     assert replay(report) is True
+    if path != TREE_CONFIG:
+        # the tester a^2 at power 8 is a^16, past the saturated candidate
+        # ball, where the matrix read [[0.5]]; at power n_max // 2 it reads
+        # hom(a^2)
+        assert report["body"]["results"]["qm"]["independence"]["matrix"] == [[2.0]]
 
 
 def test_qm_half_plane_homogenizes_within_the_phi_table_powers():
@@ -92,6 +98,18 @@ def test_qm_half_plane_homogenizes_within_the_phi_table_powers():
     rows = report["body"]["results"]["qm"]["homogenized"]
     assert "BAA" in [r["g"] for r in rows]
     assert rows[0] == {"g": "a", "value": 1.0, "error": rows[0]["error"]}
+
+
+# sha256 prefixes of the shipped tree_aab bodies; speed-ups must not move them
+TREE_BODY_DIGESTS = {"contract": "e8af83aa53021702", "rank1": "54180b09add20ca7",
+                     "axioms": "c227c14c269809f4", "qm": "6978f45da72f9453"}
+
+
+@pytest.mark.parametrize("subcommand", sorted(TREE_BODY_DIGESTS))
+def test_tree_bodies_are_pinned(subcommand):
+    report, _ = run(subcommand, load_config(str(TREE_CONFIG)))
+    digest = hashlib.sha256(canonical_body(report).encode("utf-8")).hexdigest()
+    assert digest.startswith(TREE_BODY_DIGESTS[subcommand])
 
 
 def test_catqm_errors_end_in_error_status_with_partial_results(monkeypatch):
