@@ -7,6 +7,11 @@ order-2 letter swap a <-> b, the smallest case where every operation has
 content.  Conjugation by the section element restricts to the letter-swap
 automorphism on the base, which makes the extension's hypotheses hold by
 construction.
+
+Each word is checked once, at each public entry: a counting word when its
+quasimorphism is built (its string forms are kept), an argument when an
+evaluator is called.  The operations built on top (group action, orbit
+average, transfer) pass words down without checking them again.
 """
 
 from __future__ import annotations
@@ -42,36 +47,44 @@ class Quasimorphism:
         return self.evaluator(g)
 
 
-def count_overlapping(text: str, pattern: str) -> int:
-    """Occurrences of pattern in text, overlaps allowed."""
-    if not pattern:
-        raise InputError("empty pattern")
+def _starts_before(text: str, pattern: str, stop: int) -> int:
+    """Occurrences of pattern in text, overlaps allowed, that start before
+    index stop."""
     count = 0
     i = text.find(pattern)
-    while i != -1:
+    while 0 <= i < stop:
         count += 1
         i = text.find(pattern, i + 1)
     return count
 
 
+def _counting_strings(w) -> tuple[str, str]:
+    """The string forms of the counting word w and of w^-1; w is checked."""
+    w = as_word(w)
+    if not w:
+        raise InputError("counting word must be nontrivial")
+    return W.to_string(w), W.to_string(word_inverse(w))
+
+
+def _brooks_count(pattern: str, anti: str, g) -> int:
+    s = W.to_string(as_word(g))
+    return _starts_before(s, pattern, len(s)) - _starts_before(s, anti, len(s))
+
+
 def brooks(w, g) -> int:
     """Occurrences of w in the reduced word g minus occurrences of w^-1,
     overlaps allowed."""
-    w = as_word(w)
-    g = as_word(g)
-    if not w:
-        raise InputError("counting word must be nontrivial")
-    s = W.to_string(g)
-    return (count_overlapping(s, W.to_string(w))
-            - count_overlapping(s, W.to_string(word_inverse(w))))
+    pattern, anti = _counting_strings(w)
+    return _brooks_count(pattern, anti, g)
 
 
 def brooks_qm(w) -> Quasimorphism:
-    w = as_word(w)
-    return Quasimorphism(f"brooks({W.to_string(w)})", lambda g: float(brooks(w, g)))
+    pattern, anti = _counting_strings(w)
+    return Quasimorphism(f"brooks({pattern})",
+                         lambda g: float(_brooks_count(pattern, anti, g)))
 
 
-def homogeneous_brooks_value(w: Word, g: Word) -> float:
+def homogeneous_brooks_qm(w) -> Quasimorphism:
     """Exact homogenization of the counting quasimorphism.
 
     Powers of g eventually repeat the cyclic core, so the per-power limit of
@@ -79,33 +92,19 @@ def homogeneous_brooks_value(w: Word, g: Word) -> float:
     of the bi-infinite periodic word.  Conjugation invariance is automatic:
     the value depends only on the core up to rotation.
     """
-    w = as_word(w)
-    if not w:
-        raise InputError("counting word must be nontrivial")
-    core, _ = cyclic_reduce(as_word(g))
-    if not core:
-        return 0.0
-    reps = max(2, math.ceil((len(core) + len(w)) / len(core)))
-    window = W.to_string(core) * reps
-    period = len(core)
+    pattern, anti = _counting_strings(w)
+    reach = len(pattern)
 
-    def starts_inside_period(pattern: str) -> int:
-        count = 0
-        i = window.find(pattern)
-        while 0 <= i < period:
-            count += 1
-            i = window.find(pattern, i + 1)
-        return count
+    def evaluator(g) -> float:
+        core, _ = cyclic_reduce(as_word(g))
+        if not core:
+            return 0.0
+        period = len(core)
+        window = W.to_string(core) * max(2, math.ceil((period + reach) / period))
+        return float(_starts_before(window, pattern, period)
+                     - _starts_before(window, anti, period))
 
-    return float(starts_inside_period(W.to_string(w))
-                 - starts_inside_period(W.to_string(word_inverse(w))))
-
-
-def homogeneous_brooks_qm(w) -> Quasimorphism:
-    w = as_word(w)
-    return Quasimorphism(f"hom-brooks({W.to_string(w)})",
-                         lambda g: homogeneous_brooks_value(w, g),
-                         homogeneous=True)
+    return Quasimorphism(f"hom-brooks({pattern})", evaluator, homogeneous=True)
 
 
 def word_length_qm() -> Quasimorphism:
@@ -132,10 +131,6 @@ def _perm_inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def _perm_apply(p: Perm, w: Word) -> Word:
-    return tuple((p[x - 1] if x > 0 else -p[-x - 1]) for x in w)
-
-
 @dataclass(frozen=True)
 class GElement:
     """Element of the extension: a base word and a permutation index."""
@@ -151,22 +146,33 @@ class FiniteExtension:
     permutations, with the tautological section."""
 
     def __init__(self, rank: int, perms: list[Perm]):
-        if not perms or tuple(range(1, rank + 1)) != tuple(perms[0]):
+        ident = tuple(range(1, rank + 1))
+        if not perms or ident != tuple(perms[0]):
             raise InputError("perms[0] must be the identity permutation")
         self.rank = rank
         self.perms = [tuple(p) for p in perms]
         self.N = len(perms)
+        for p in self.perms:
+            if tuple(sorted(p)) != ident:
+                raise InputError(f"{p} is not a permutation of 1..{rank}")
         index = {p: i for i, p in enumerate(self.perms)}
         if len(index) != self.N:
             raise InputError("duplicate permutations")
-        self._mul = [[index[_perm_compose(p, q)] for q in self.perms]
-                     for p in self.perms]
+        try:
+            self._mul = [[index[_perm_compose(p, q)] for q in self.perms]
+                         for p in self.perms]
+        except KeyError as exc:
+            raise InputError(f"permutations not closed under composition: "
+                             f"{exc.args[0]} is missing") from None
         self._inv = [index[_perm_inverse(p)] for p in self.perms]
-        # closure check doubles as the section/automorphism invariant:
-        # conjugation by a section element is exactly the letter permutation
+        # conjugation by a section element is exactly its letter map,
+        # k -> p[k-1] and -k -> -p[k-1]
+        self._letter_maps = []
         for p in self.perms:
-            if _perm_compose(p, _perm_inverse(p)) != self.perms[0]:
-                raise InputError("permutation inverse failed")
+            table = {}
+            for k, image in enumerate(p, 1):
+                table[k], table[-k] = image, -image
+            self._letter_maps.append(table.__getitem__)
 
     # -- group operations ---------------------------------------------------
     def identity(self) -> GElement:
@@ -179,7 +185,13 @@ class FiniteExtension:
         return GElement(as_word(w), 0)
 
     def apply_auto(self, sigma: int, w: Word) -> Word:
-        return _perm_apply(self.perms[sigma], w)
+        if sigma == 0:
+            return w
+        try:
+            return tuple(map(self._letter_maps[sigma], w))
+        except KeyError as exc:
+            raise InputError(f"letter {exc.args[0]!r} is not a generator of "
+                             f"rank {self.rank}") from None
 
     def multiply(self, a: GElement, b: GElement) -> GElement:
         return GElement(word_multiply(a.word, self.apply_auto(a.sigma, b.word)),
@@ -192,8 +204,10 @@ class FiniteExtension:
     def power(self, a: GElement, n: int) -> GElement:
         if n < 0:
             return self.power(self.inverse(a), -n)
-        out = self.identity()
-        for _ in range(n):
+        if n == 0:
+            return self.identity()
+        out = a
+        for _ in range(n - 1):
             out = self.multiply(out, a)
         return out
 
@@ -250,7 +264,7 @@ def sigma_act(ext: FiniteExtension, sigma: int, phi: Quasimorphism) -> Quasimorp
     """Pull back along conjugation by the section of sigma:
     (sigma . phi)(h) = phi(section^-1 h section)."""
     return Quasimorphism(f"sigma{sigma}.{phi.name}",
-                         lambda h: phi(ext.conjugate_by_section(sigma, as_word(h))),
+                         lambda h: phi(ext.conjugate_by_section(sigma, h)),
                          homogeneous=phi.homogeneous)
 
 

@@ -8,6 +8,8 @@ the serialization format used in configs and reports.
 
 from __future__ import annotations
 
+from operator import eq, neg
+
 from .errors import BudgetError, InputError
 
 Word = tuple  # tuple of nonzero ints, freely reduced
@@ -33,7 +35,8 @@ def reduce_word(letters) -> Word:
 
 
 def is_reduced(w) -> bool:
-    return all(w[i] != -w[i + 1] for i in range(len(w) - 1)) and 0 not in w
+    """No letter 0 and no letter followed by its inverse."""
+    return 0 not in w and not any(map(eq, w, map(neg, w[1:])))
 
 
 def check_reduced(w) -> Word:
@@ -144,14 +147,19 @@ def word_distance(u: Word, v: Word) -> int:
 
 _ORD_A = ord("a")
 
+# Character of each letter: generator k is chr(ord('a') + k - 1), its inverse
+# the upper case; the same formula gives the letter 0 the character '`'.
+_LETTER_CHARS = {x: (chr(_ORD_A + abs(x) - 1) if x > 0
+                     else chr(_ORD_A + abs(x) - 1).upper())
+                 for x in range(-26, 27)}
+
 
 def to_string(w: Word) -> str:
     """Serialize: generator k -> letter, inverse -> uppercase. Identity: ''."""
-    chars = []
-    for x in w:
-        c = chr(_ORD_A + abs(x) - 1)
-        chars.append(c if x > 0 else c.upper())
-    return "".join(chars)
+    try:
+        return "".join(map(_LETTER_CHARS.__getitem__, w))
+    except KeyError as exc:
+        raise InputError(f"letter {exc.args[0]!r} has no string form") from None
 
 
 def from_string(s: str) -> Word:

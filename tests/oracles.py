@@ -13,6 +13,7 @@ import heapq
 import math
 
 from catqm import words as W
+from catqm.errors import InputError
 from catqm.words import multiply, inverse, word_distance
 
 
@@ -98,3 +99,83 @@ def bfs_projection_oracle(space, x, seg, step: float = 0.5):
 
 def count_occurrences_overlapping(pattern: str, text: str) -> int:
     return sum(1 for i in range(len(text)) if text.startswith(pattern, i))
+
+
+# -- words and the finite-extension quasimorphism chain -----------------------
+# Straightforward formulas: every word is checked and serialized where it is
+# used, every permutation is applied letter by letter.
+
+def is_reduced_oracle(w) -> bool:
+    return all(w[i] != -w[i + 1] for i in range(len(w) - 1)) and 0 not in w
+
+
+def check_reduced_oracle(w) -> tuple:
+    if not is_reduced_oracle(w):
+        raise InputError(f"word is not freely reduced: {w!r}")
+    return tuple(w)
+
+
+def to_string_oracle(w) -> str:
+    chars = []
+    for x in w:
+        c = chr(ord("a") + abs(x) - 1)
+        chars.append(c if x > 0 else c.upper())
+    return "".join(chars)
+
+
+def perm_apply_oracle(p: tuple, w: tuple) -> tuple:
+    return tuple((p[x - 1] if x > 0 else -p[-x - 1]) for x in w)
+
+
+def perm_inverse_oracle(p: tuple) -> tuple:
+    return tuple(p.index(k) + 1 for k in range(1, len(p) + 1))
+
+
+def brooks_oracle(w: tuple, g: tuple) -> int:
+    s = to_string_oracle(check_reduced_oracle(g))
+    return (count_occurrences_overlapping(to_string_oracle(w), s)
+            - count_occurrences_overlapping(to_string_oracle(inverse(w)), s))
+
+
+def homogeneous_brooks_oracle(w: tuple, g: tuple) -> float:
+    """Starts of w minus starts of w^-1 inside one period of the periodic
+    word of g's cyclic core."""
+    w = check_reduced_oracle(w)
+    core, _ = W.cyclic_reduce(check_reduced_oracle(g))
+    if not core:
+        return 0.0
+    reps = max(2, math.ceil((len(core) + len(w)) / len(core)))
+    window = to_string_oracle(core) * reps
+    period = len(core)
+
+    def starts_inside_period(pattern: str) -> int:
+        count = 0
+        i = window.find(pattern)
+        while 0 <= i < period:
+            count += 1
+            i = window.find(pattern, i + 1)
+        return count
+
+    return float(starts_inside_period(to_string_oracle(w))
+                 - starts_inside_period(to_string_oracle(inverse(w))))
+
+
+def extension_multiply_oracle(perms: list, a: tuple, b: tuple) -> tuple:
+    """(u, p)(v, q) = (u p(v), pq) on (word, permutation index) pairs."""
+    (u, s), (v, t) = a, b
+    p, q = perms[s], perms[t]
+    pq = tuple(p[q[i] - 1] for i in range(len(p)))
+    return multiply(u, perm_apply_oracle(p, v)), perms.index(pq)
+
+
+def transfer_average_oracle(perms: list, f, g: tuple) -> float:
+    """phi(g^N)/N for phi the orbit sum of f, with g^N = 1 g ... g and
+    (sigma . f)(h) = f(sigma^-1(h))."""
+    N = len(perms)
+    power = ((), 0)
+    for _ in range(N):
+        power = extension_multiply_oracle(perms, power, g)
+    h, sigma = power
+    assert sigma == 0
+    return sum(f(perm_apply_oracle(perm_inverse_oracle(p), h))
+               for p in perms) / N

@@ -2,6 +2,7 @@ import pytest
 
 from catqm import words as W
 from catqm.algebra import (
+    FiniteExtension,
     GElement,
     brooks,
     brooks_qm,
@@ -9,7 +10,6 @@ from catqm.algebra import (
     extension_defect,
     homogeneity_suite,
     homogeneous_brooks_qm,
-    homogeneous_brooks_value,
     orbit_average,
     restriction_check,
     sigma_act,
@@ -20,7 +20,17 @@ from catqm.algebra import (
 from catqm.errors import InputError
 from catqm.samplers import random_words
 
-from oracles import count_occurrences_overlapping
+from oracles import (
+    brooks_oracle,
+    count_occurrences_overlapping,
+    extension_multiply_oracle,
+    homogeneous_brooks_oracle,
+    perm_apply_oracle,
+    perm_inverse_oracle,
+    transfer_average_oracle,
+)
+
+AAB = W.from_string("aab")
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +106,25 @@ def test_extension_group_law():
     assert ext.conjugate_by_section(1, W.from_string("aab")) == W.from_string("bba")
 
 
+@pytest.mark.parametrize("rank, perms", [
+    (3, [(1, 2, 3), (2, 3, 1)]),     # not closed: (2,3,1)^2 = (3,1,2) missing
+    (2, [(1, 2), (3, 1)]),           # 3 is not a generator of rank 2
+    (2, [(1, 2), (2, 2)]),           # not a permutation
+])
+def test_extension_rejects_invalid_permutation_sets(rank, perms):
+    with pytest.raises(InputError):
+        FiniteExtension(rank, perms)
+
+
+def test_extension_accepts_a_closed_cyclic_group():
+    ext = FiniteExtension(3, [(1, 2, 3), (2, 3, 1), (3, 1, 2)])
+    assert ext._mul == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert ext._inv == [0, 2, 1]
+    assert ext.apply_auto(1, (1, -2, 3)) == (2, -3, 1)
+    with pytest.raises(InputError):
+        ext.apply_auto(1, (4,))
+
+
 def test_extension_ball_growth():
     ext = swap_extension()
     b2 = ext.ball(2)
@@ -157,6 +186,86 @@ def test_extension_defect_value():
     transferred = transfer_extend(
         ext, orbit_average(ext, homogeneous_brooks_qm("aab")))
     assert extension_defect(ext, transferred, 3) == 2.0
+    assert extension_defect(ext, transferred, 4) == 2.0
+
+
+def test_power_matches_repeated_products():
+    ext = swap_extension()
+    for g in ext.ball(3):
+        assert ext.power(g, 0) == ext.identity()
+        out = ext.identity()
+        for n in range(1, 5):
+            out = ext.multiply(out, g)
+            assert ext.power(g, n) == out
+            assert ext.power(g, -n) == ext.inverse(out)
+
+
+# ---------------------------------------------------------------------------
+# the evaluator chain against the straightforward formulas
+# ---------------------------------------------------------------------------
+
+def test_transfer_chain_matches_oracle_on_extension_ball_products():
+    ext = swap_extension()
+    transferred = transfer_extend(
+        ext, orbit_average(ext, homogeneous_brooks_qm("aab")))
+    ball = ext.ball(4)
+    elements = set(ball)
+    for g in ball:
+        for h in ball:
+            product = ext.multiply(g, h)
+            assert (product.word, product.sigma) == extension_multiply_oracle(
+                ext.perms, (g.word, g.sigma), (h.word, h.sigma))
+            elements.add(product)
+    assert len(elements) > len(ball)
+    hom = lambda g: homogeneous_brooks_oracle(AAB, g)
+    for g in elements:
+        expected = transfer_average_oracle(ext.perms, hom, (g.word, g.sigma))
+        assert transferred(g) == expected
+
+
+def test_word_evaluators_match_oracles_on_word_ball():
+    ext = swap_extension()
+    raw, hom = brooks_qm("aab"), homogeneous_brooks_qm("aab")
+    acted = [sigma_act(ext, s, raw) for s in range(ext.N)]
+    avg_raw, avg_hom = orbit_average(ext, raw), orbit_average(ext, hom)
+    for g in W.ball(2, 6):
+        moved = [perm_apply_oracle(perm_inverse_oracle(p), g) for p in ext.perms]
+        assert raw(g) == float(brooks_oracle(AAB, g))
+        assert brooks("aab", list(g)) == brooks_oracle(AAB, g)
+        assert hom(g) == homogeneous_brooks_oracle(AAB, g)
+        assert [f(g) for f in acted] == [float(brooks_oracle(AAB, m)) for m in moved]
+        assert avg_raw(g) == sum(float(brooks_oracle(AAB, m)) for m in moved)
+        assert avg_hom(g) == sum(homogeneous_brooks_oracle(AAB, m) for m in moved)
+
+
+def test_homogeneous_brooks_matches_oracle_for_patterns_longer_than_cores():
+    # cores shorter than the pattern need more than two periods in the window
+    for pattern in ("aaa", "abAB", "aabab"):
+        hom = homogeneous_brooks_qm(pattern)
+        for g in W.ball(2, 5):
+            assert hom(g) == homogeneous_brooks_oracle(W.from_string(pattern), g)
+    assert homogeneous_brooks_qm("aaa")("a") == 1.0
+
+
+@pytest.mark.parametrize("bad", ["aA", (1, -1), (0,), (1, 0, 2), (2, 1, -1), "a1"])
+def test_every_public_evaluator_rejects_malformed_words(bad):
+    ext = swap_extension()
+    avg = orbit_average(ext, homogeneous_brooks_qm("aab"))
+    evaluators = [brooks_qm("aab"), homogeneous_brooks_qm("aab"),
+                  sigma_act(ext, 0, brooks_qm("aab")),
+                  sigma_act(ext, 1, brooks_qm("aab")), avg,
+                  transfer_extend(ext, avg), word_length_qm(),
+                  lambda g: brooks("aab", g), lambda g: brooks(g, "ab")]
+    for evaluate in evaluators:
+        with pytest.raises(InputError):
+            evaluate(bad)
+
+
+def test_counting_words_are_checked_at_construction():
+    for make in (brooks_qm, homogeneous_brooks_qm):
+        for bad in ("", "aA", (0,)):
+            with pytest.raises(InputError):
+                make(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,8 @@ def test_qm_half_plane_homogenizes_within_the_phi_table_powers():
 
 # sha256 prefixes of the shipped tree_aab bodies; speed-ups must not move them
 TREE_BODY_DIGESTS = {"contract": "e8af83aa53021702", "rank1": "54180b09add20ca7",
-                     "axioms": "c227c14c269809f4", "qm": "6978f45da72f9453"}
+                     "axioms": "c227c14c269809f4", "qm": "6978f45da72f9453",
+                     "algebra": "1453283777f5f657"}
 
 
 @pytest.mark.parametrize("subcommand", sorted(TREE_BODY_DIGESTS))

@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 from catqm import words as W
 from catqm.errors import BudgetError, InputError
 
+from oracles import check_reduced_oracle, is_reduced_oracle, to_string_oracle
+
 
 def w(s):
     return W.from_string(s)
@@ -67,6 +69,36 @@ def test_serialization_round_trip():
         W.from_string("a1b")
     with pytest.raises(InputError):
         W.from_string("aA")
+
+
+def _outcome(f, w):
+    try:
+        return f(w)
+    except Exception as exc:   # the exception type is the outcome compared
+        return type(exc)
+
+
+BAD_WORDS = [(0,), (1, 0), (0, 2, 1), (1, -1, 2), (2, 1, -1), (1, 2, -2, 1), ()]
+
+
+def test_word_primitives_match_oracles():
+    cases = W.ball(2, 6) + BAD_WORDS
+    for w in cases + [list(w) for w in cases]:
+        assert W.is_reduced(w) is is_reduced_oracle(w)
+        assert _outcome(W.check_reduced, w) == _outcome(check_reduced_oracle, w)
+        assert W.to_string(w) == to_string_oracle(w)
+    assert _outcome(W.check_reduced, (1, -1)) is InputError
+    assert W.check_reduced([1, 2]) == (1, 2)
+
+
+def test_to_string_every_letter():
+    every = tuple(x for k in range(1, 27) for x in (k, -k))
+    for x in every:
+        assert W.to_string((x,)) == to_string_oracle((x,))
+    assert W.to_string(every) == to_string_oracle(every)
+    for x in (27, -27, 100):
+        with pytest.raises(InputError):
+            W.to_string((1, x))
 
 
 letters = st.sampled_from([1, -1, 2, -2])
