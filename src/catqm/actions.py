@@ -1,9 +1,12 @@
 """Isometric group actions on the model spaces.
 
-An isometry pairs a reduced word with action data: the word itself for the
-tree (left multiplication), a real 2x2 determinant-1 matrix acting by
-fractional-linear maps for the half-plane, a translation vector for
-Euclidean factors, and a pair of factor isometries for products.
+An isometry pairs a reduced word with its action.  Each kind of action is
+one small class that composes, inverts and applies itself and names the
+space kind it acts on: ``WordShift`` (left multiplication on the tree),
+``Mat2`` (a real 2x2 determinant-1 matrix acting by fractional-linear maps
+on the half-plane), ``Translation`` (Euclidean) and ``FactorPair`` (one
+action per factor of a product).  ``act`` is the one place that checks an
+action against the space it is applied to.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ RENORM_EVERY = 16
 DET_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mat2:
     """Real 2x2 matrix with a product counter driving renormalization."""
     a: float
@@ -31,6 +34,8 @@ class Mat2:
     c: float
     d: float
     products: int = 0
+
+    space_kind = "half-plane"
 
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
@@ -61,49 +66,106 @@ class Mat2:
         # inverse of a determinant-1 matrix
         return Mat2(self.d, -self.b, -self.c, self.a, self.products)
 
-    def mobius(self, z: complex) -> complex:
+    def apply(self, z) -> complex:
+        """Mobius image of a half-plane point."""
+        z = complex(z)
         den = self.c * z + self.d
         if den == 0:
             raise NumericError("Mobius image at the pole")
         return (self.a * z + self.b) / den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
+class WordShift:
+    """Left multiplication by a reduced word on the Cayley tree."""
+    word: Word
+
+    space_kind = "tree"
+
+    def compose(self, o: "WordShift") -> "WordShift":
+        return WordShift(word_multiply(self.word, o.word))
+
+    def inverse(self) -> "WordShift":
+        return WordShift(word_inverse(self.word))
+
+    def apply(self, p: TreePoint) -> TreePoint:
+        if p.is_vertex:
+            return tree_point(word_multiply(self.word, p.anchor))
+        parent, child = p.edge()
+        u = word_multiply(self.word, parent)
+        v = word_multiply(self.word, child)
+        if len(v) == len(u) + 1:
+            return tree_point(u, v[-1], p.t)
+        return tree_point(v, u[-1], 1.0 - p.t)
+
+
+@dataclass(frozen=True, slots=True)
+class Translation:
+    """Translation of Euclidean space by a vector."""
+    vector: tuple
+
+    space_kind = "euclidean"
+
+    def compose(self, o: "Translation") -> "Translation":
+        return Translation(tuple(u + v for u, v in zip(self.vector, o.vector)))
+
+    def inverse(self) -> "Translation":
+        return Translation(tuple(-c for c in self.vector))
+
+    def apply(self, x: tuple) -> tuple:
+        return tuple(c + v for c, v in zip(x, self.vector))
+
+
+@dataclass(frozen=True, slots=True)
+class FactorPair:
+    """One action on each factor of a product space."""
+    left: Any
+    right: Any
+
+    space_kind = "product"
+
+    def compose(self, o: "FactorPair") -> "FactorPair":
+        return FactorPair(self.left.compose(o.left), self.right.compose(o.right))
+
+    def inverse(self) -> "FactorPair":
+        return FactorPair(self.left.inverse(), self.right.inverse())
+
+    def apply(self, x: tuple) -> tuple:
+        return (self.left.apply(x[0]), self.right.apply(x[1]))
+
+
+@dataclass(frozen=True, slots=True)
 class Isometry:
     word: Word
-    action: Any   # word | Mat2 | tuple vector | (left, right)
+    action: Any   # WordShift | Mat2 | Translation | FactorPair
 
     def __repr__(self):  # pragma: no cover
         return f"Isometry({W.to_string(self.word) or 'e'})"
 
 
 class GroupModel:
-    """Finitely generated group with isometric action data per generator.
+    """Finitely generated group with the action of each generator.
 
-    Kinds: ``free`` (left multiplication on the tree), ``matrix``
-    (half-plane Mobius action), ``translation`` (Euclidean), ``product``.
-    Words are always reduced free-group words; on non-free kinds distinct
+    Words are always reduced free-group words; off the free group distinct
     words may act identically, which is harmless for enumeration.
     """
 
-    def __init__(self, kind: str, rank: int, gen_actions: list | None = None,
-                 ball_cap: int = W.BALL_RADIUS_CAP):
-        if rank < 1:
+    def __init__(self, identity_action, gen_actions: list, ball_cap: int):
+        if len(gen_actions) < 1:
             raise InputError("rank must be >= 1")
-        self.kind = kind
-        self.rank = rank
+        self.rank = len(gen_actions)
         self.ball_cap = ball_cap
-        if kind == "free":
-            self._gen = {k: None for k in range(1, rank + 1)}
-        else:
-            if gen_actions is None or len(gen_actions) != rank:
-                raise InputError("need one action per generator")
-            self._gen = {k + 1: gen_actions[k] for k in range(rank)}
+        self.identity_action = identity_action
+        # letter k acts by generator k, letter -k by its inverse
+        self._letters = {}
+        for k, a in enumerate(gen_actions, 1):
+            self._letters[k], self._letters[-k] = a, a.inverse()
 
     # -- constructors --------------------------------------------------------
     @staticmethod
     def free(rank: int = 2, ball_cap: int = W.BALL_RADIUS_CAP) -> "GroupModel":
-        return GroupModel("free", rank, ball_cap=ball_cap)
+        return GroupModel(WordShift(IDENTITY),
+                          [WordShift((k,)) for k in range(1, rank + 1)], ball_cap)
 
     @staticmethod
     def matrix(mats: list, ball_cap: int = W.BALL_RADIUS_CAP) -> "GroupModel":
@@ -113,87 +175,48 @@ class GroupModel:
             if abs(mm.det() - 1.0) > 1e-6:
                 raise InputError(f"generator determinant {mm.det()} != 1")
             actions.append(mm.renormalized())
-        return GroupModel("matrix", len(mats), actions, ball_cap=ball_cap)
+        return GroupModel(Mat2(1.0, 0.0, 0.0, 1.0), actions, ball_cap)
 
     @staticmethod
     def translation(vectors: list, ball_cap: int = W.BALL_RADIUS_CAP) -> "GroupModel":
-        return GroupModel("translation", len(vectors),
-                          [tuple(float(c) for c in v) for v in vectors],
-                          ball_cap=ball_cap)
+        actions = [Translation(tuple(float(c) for c in v)) for v in vectors]
+        dim = len(actions[0].vector) if actions else 0
+        return GroupModel(Translation((0.0,) * dim), actions, ball_cap)
 
     @staticmethod
     def product(left: "GroupModel", right: "GroupModel") -> "GroupModel":
         if left.rank != right.rank:
             raise InputError("product factors must share the generator count")
-        return GroupModel("product", left.rank, [(left, right)] * left.rank,
-                          ball_cap=min(left.ball_cap, right.ball_cap))
+        return GroupModel(FactorPair(left.identity_action, right.identity_action),
+                          [FactorPair(left._letters[k], right._letters[k])
+                           for k in range(1, left.rank + 1)],
+                          min(left.ball_cap, right.ball_cap))
 
     # -- isometries ------------------------------------------------------------
     def identity(self) -> Isometry:
-        return Isometry(IDENTITY, self._identity_action())
+        return Isometry(IDENTITY, self.identity_action)
 
-    def _identity_action(self):
-        if self.kind == "free":
-            return IDENTITY
-        if self.kind == "matrix":
-            return Mat2(1.0, 0.0, 0.0, 1.0)
-        if self.kind == "translation":
-            dim = len(next(iter(self._gen.values())))
-            return (0.0,) * dim
-        left, right = next(iter(self._gen.values()))
-        return (left.identity().action, right.identity().action)
-
-    def _letter_action(self, letter: int):
-        k = abs(letter)
-        if k not in self._gen:
-            raise InputError(f"letter {letter} outside rank {self.rank}")
-        if self.kind == "free":
-            return (letter,)
-        if self.kind == "matrix":
-            m = self._gen[k]
-            return m if letter > 0 else m.inverse()
-        if self.kind == "translation":
-            v = self._gen[k]
-            return v if letter > 0 else tuple(-c for c in v)
-        left, right = self._gen[k]
-        return (left._letter_action(letter), right._letter_action(letter))
-
-    def _compose(self, act1, act2):
-        if self.kind == "free":
-            return word_multiply(act1, act2)
-        if self.kind == "matrix":
-            return act1.compose(act2)
-        if self.kind == "translation":
-            return tuple(u + v for u, v in zip(act1, act2))
-        left, right = next(iter(self._gen.values()))
-        return (left._compose(act1[0], act2[0]), right._compose(act1[1], act2[1]))
-
-    def _invert(self, act):
-        if self.kind == "free":
-            return word_inverse(act)
-        if self.kind == "matrix":
-            return act.inverse()
-        if self.kind == "translation":
-            return tuple(-c for c in act)
-        left, right = next(iter(self._gen.values()))
-        return (left._invert(act[0]), right._invert(act[1]))
+    def _letter(self, letter: int):
+        try:
+            return self._letters[letter]
+        except KeyError:
+            raise InputError(f"letter {letter} outside rank {self.rank}") from None
 
     def from_word(self, w) -> Isometry:
         """Isometry of a word or its string form; an isometry passes through."""
         if isinstance(w, Isometry):
             return w
         w = W.as_word(w)
-        act = self._identity_action()
+        a = self.identity_action
         for x in w:
-            act = self._compose(act, self._letter_action(x))
-        return Isometry(w, act)
+            a = a.compose(self._letter(x))
+        return Isometry(w, a)
 
     def multiply(self, g: Isometry, h: Isometry) -> Isometry:
-        return Isometry(word_multiply(g.word, h.word),
-                        self._compose(g.action, h.action))
+        return Isometry(word_multiply(g.word, h.word), g.action.compose(h.action))
 
     def inverse(self, g: Isometry) -> Isometry:
-        return Isometry(word_inverse(g.word), self._invert(g.action))
+        return Isometry(word_inverse(g.word), g.action.inverse())
 
     def power(self, g: Isometry, n: int) -> Isometry:
         if n < 0:
@@ -205,66 +228,33 @@ class GroupModel:
 
     def ball(self, radius: int) -> list[Isometry]:
         """All isometries with word length <= radius, BFS order, actions
-        composed one letter at a time."""
+        composed one letter at a time (on the tree each word is its own
+        action, so none is composed)."""
         ws = W.ball(self.rank, radius, cap=self.ball_cap)
-        if self.kind == "free":
-            return [Isometry(w, w) for w in ws]
-        acts: dict[Word, Any] = {IDENTITY: self._identity_action()}
+        if isinstance(self.identity_action, WordShift):
+            return [Isometry(w, WordShift(w)) for w in ws]
+        acts: dict[Word, Any] = {IDENTITY: self.identity_action}
         out = []
         for w in ws:
             if w not in acts:
-                acts[w] = self._compose(acts[w[:-1]], self._letter_action(w[-1]))
+                acts[w] = acts[w[:-1]].compose(self._letter(w[-1]))
             out.append(Isometry(w, acts[w]))
         return out
 
-    def describe(self) -> dict:
-        base = {"kind": self.kind, "rank": self.rank}
-        if self.kind == "matrix":
-            base["generators"] = [[[m.a, m.b], [m.c, m.d]]
-                                  for m in self._gen.values()]
-        elif self.kind == "translation":
-            base["generators"] = [list(v) for v in self._gen.values()]
-        elif self.kind == "product":
-            left, right = next(iter(self._gen.values()))
-            base["left"] = left.describe()
-            base["right"] = right.describe()
-        return base
-
 
 def act(space, g: Isometry, x):
-    """Apply an isometry to a point; kinds must match the space."""
-    return _apply(space, g.action, x)
+    """Apply an isometry to a point; the action must act on the space."""
+    if not _acts_on(g.action, space):
+        raise InputError(f"a {type(g.action).__name__} action does not act "
+                         f"on {space.kind} points")
+    return g.action.apply(x)
 
 
-def _apply(space, action, x):
-    kind = space.kind
-    if kind == "tree":
-        if not isinstance(action, tuple) or (action and not isinstance(action[0], int)):
-            raise InputError("tree points need a word action")
-        return _apply_tree(action, x)
-    if kind == "half-plane":
-        if not isinstance(action, Mat2):
-            raise InputError("half-plane points need a matrix action")
-        return action.mobius(complex(x))
-    if kind == "euclidean":
-        if not isinstance(action, tuple) or (action and isinstance(action[0], int)):
-            raise InputError("euclidean points need a translation action")
-        return tuple(c + v for c, v in zip(x, action))
-    if kind == "product":
-        return (_apply(space.left, action[0], x[0]),
-                _apply(space.right, action[1], x[1]))
-    raise InputError(f"unknown space kind {kind}")
-
-
-def _apply_tree(g: Word, p: TreePoint) -> TreePoint:
-    if p.is_vertex:
-        return tree_point(word_multiply(g, p.anchor))
-    parent, child = p.edge()
-    u = word_multiply(g, parent)
-    v = word_multiply(g, child)
-    if len(v) == len(u) + 1:
-        return tree_point(u, v[-1], p.t)
-    return tree_point(v, u[-1], 1.0 - p.t)
+def _acts_on(action, space) -> bool:
+    if action.space_kind != space.kind:
+        return False
+    return not isinstance(action, FactorPair) or (
+        _acts_on(action.left, space.left) and _acts_on(action.right, space.right))
 
 
 def orbit_points(space, g: Isometry, x0, n: int) -> list:

@@ -26,6 +26,8 @@ from .spaces import _arclength_samples
 
 CERTIFIED = "certified-at-budget"
 REFUTED = "refuted"
+# certification balls keep at least this gap to the segment
+MIN_GAP = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +265,6 @@ class CertBudget:
     center_count: int = 24
     ball_samples: int = 64
     probe_heights: tuple = ()
-    min_gap: float = 1.0
-
-    def scaled(self, f: float) -> "CertBudget":
-        return CertBudget(self.center_radius, max(1, int(self.center_count * f)),
-                          max(8, int(self.ball_samples * f)),
-                          self.probe_heights, self.min_gap)
 
 
 def projection_diameter_under_ball(space, seg, center, radius: float,
@@ -337,13 +333,13 @@ def certify_contracting(space, seg, B: float, budget: CertBudget | None = None
     budget = budget or CertBudget()
     max_diam = 0.0
     checked = 0
-    tol = getattr(space, "tol", 1e-9)
+    tol = space.tol
     for center in _candidate_centers(space, seg, budget, B):
         d = space.project(center, seg).distance
-        if d <= budget.min_gap:
+        if d <= MIN_GAP:
             continue
-        radii = {d - budget.min_gap}
-        if d > 2.0 * budget.min_gap:
+        radii = {d - MIN_GAP}
+        if d > 2.0 * MIN_GAP:
             radii.add(d / 2.0)
         # widest disjoint ball first: it has the widest shadow, and the
         # stored witness then matches the gap-1 closed form
@@ -366,7 +362,7 @@ def contraction_scale(space, seg, budget: CertBudget | None = None) -> float:
     """Smallest B the budget cannot refute: max observed diameter plus a
     hair; a convenient search helper for numeric spaces."""
     cert = certify_contracting(space, seg, B=float("inf"), budget=budget)
-    return cert.max_diameter + getattr(space, "tol", 1e-9)
+    return cert.max_diameter + space.tol
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +393,7 @@ def _projection_hits(space, b, seg, c, C: float) -> bool:
     representative slack C: our single-valued projection must land within C
     of b."""
     p = space.project(c, seg)
-    return space.distance(p.point, b) <= C + getattr(space, "tol", 1e-9)
+    return space.distance(p.point, b) <= C + space.tol
 
 
 def check_thin_triangle(space, a, b, c, ledger: ConstantLedger,
@@ -489,7 +485,7 @@ def check_stability(space, seg_ab, a2, b2, D: float, ledger: ConstantLedger,
     not let the budget refute contraction at the stability scale."""
     da = space.distance(seg_ab.start, a2)
     db = space.distance(seg_ab.end, b2)
-    if max(da, db) > D + getattr(space, "tol", 1e-9):
+    if max(da, db) > D + space.tol:
         raise InputError(f"endpoint displacement {max(da, db)} exceeds D={D}")
     target = ledger.stability(D)
     return certify_contracting(space, space.geodesic(a2, b2), target, budget)

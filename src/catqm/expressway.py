@@ -32,7 +32,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
-from .actions import GroupModel, Isometry, act
+from .actions import GroupModel, Isometry, WordShift, act
 from .contraction import ConstantLedger
 from .errors import BudgetError, ConfigError, InputError
 from .spaces import TreePoint, _arclength_samples, tree_point
@@ -81,7 +81,7 @@ class ExpresswaySystem:
 
     # -- structural helpers -------------------------------------------------
     def is_exact_tree(self) -> bool:
-        return (self.space.kind == "tree" and self.group.kind == "free"
+        return (isinstance(self.group.identity_action, WordShift)
                 and isinstance(self.basepoint, TreePoint)
                 and self.basepoint.is_vertex)
 
@@ -135,12 +135,11 @@ def enumerate_relevant_expressways(sys: ExpresswaySystem, a, b) -> list[Translat
 def _tree_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translate]:
     space = sys.space
     x0inv = word_inverse(sys.basepoint.anchor)
-    chain = seg.chain if seg.chain else sum(
-        (list(p.edge()) for p in (seg.start,)), [])
+    chain = seg.chain or seg.start.edge()
     radius = int(math.ceil(margin)) + 1
     shell = W.ball(space.rank, radius)
     sigma_edge = sys.sigma_edge_word()
-    tol = getattr(space, "tol", 1e-9)
+    tol = space.tol
     seen: set = set()
     picked = []
     for v in chain:
@@ -165,7 +164,7 @@ def _tree_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translat
 
 def _ball_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translate]:
     space = sys.space
-    tol = getattr(space, "tol", 1e-9)
+    tol = space.tol
     out = []
     for iso in sys.group.ball(sys.enum_radius):
         cached = sys._translate_cache.get(iso.word)
@@ -347,7 +346,7 @@ def check_lambda_properties(sys: ExpresswaySystem, samples: LambdaSamples,
     invariant, equal to distance when no candidate fits, and coarsely
     additive along geodesics (slack 2 D + 1)."""
     space = sys.space
-    eps = (getattr(space, "tol", 1e-9) if tolerance is None else tolerance)
+    eps = space.tol if tolerance is None else tolerance
     violations = []
 
     def note(kind, data):
@@ -463,4 +462,4 @@ def check_witness_confinement(sys: ExpresswaySystem, result: ModifiedLengthResul
                 dev = space.project(piece.point_at(s), seg).distance
                 worst = max(worst, dev)
         prev = stepdata.point
-    return worst <= bound + getattr(space, "tol", 1e-9), worst
+    return worst <= bound + space.tol, worst

@@ -11,7 +11,7 @@ projections are as wide as desired.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .actions import GroupModel, act, orbit_points
 from .contraction import (
@@ -71,7 +71,7 @@ def rank_one_test(space, group: GroupModel, g, x0, B: float, n_max: int,
     if not iso.word:
         raise InputError("isometry must be nontrivial")
     x0 = space.validate_point(x0)
-    tol = getattr(space, "tol", 1e-9)
+    tol = space.tol
     orbit = orbit_points(space, iso, x0, n_max)
     evidence = []
     floor = math.inf
@@ -205,7 +205,7 @@ def schottky_exponent(space, group: GroupModel, g, h, E: float,
     if E <= 0:
         raise InputError("E must be > 0")
     gi, hi = group.from_word(g), group.from_word(h)
-    tol = getattr(space, "tol", 1e-9)
+    tol = space.tol
     patterns = [w for w in W.ball(2, word_len_max) if w]
     tried = {}
     for N in range(2, n_cap + 1, 2):
@@ -241,12 +241,8 @@ def half_flat_control(space, seg, B_sweep, budget: CertBudget | None = None
     refuted with a replayable witness ball."""
     out = []
     for B in B_sweep:
-        probe = CertBudget(
-            center_radius=(budget.center_radius if budget else 5.0),
-            center_count=(budget.center_count if budget else 24),
-            ball_samples=(budget.ball_samples if budget else 64),
-            probe_heights=(B / 2.0 + 2.0, B + 2.0),
-        )
+        probe = replace(budget or CertBudget(),
+                        probe_heights=(B / 2.0 + 2.0, B + 2.0))
         cert = certify_contracting(space, seg, B, probe)
         out.append(HalfFlatRefutation(
             B, cert.refuted,

@@ -221,9 +221,6 @@ class TreeSegment:
             return tree_point(parent, self.end.letter, v)
         return tree_point(parent, self.end.letter, 1.0 - v)
 
-    def reversed(self) -> "TreeSegment":
-        return TreeSegment(self.space, self.end, self.start)
-
 
 class TreeSpace:
     """Cayley tree of the free group of the given rank, word metric.
@@ -374,10 +371,6 @@ class TreeSpace:
         (letter,) = W.from_string(data["edge"])
         return tree_point(anchor, letter, data["t"])
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "rank": self.rank,
-                "dd_constant": self.dd_constant, "tolerance": self.tol}
-
 
 def _pack_words(ws: list[Word]) -> tuple[np.ndarray, np.ndarray]:
     """Words as zero-padded int16 letter rows (at least one column) and
@@ -460,9 +453,6 @@ class HalfPlaneSegment:
         theta = 2.0 * math.atan(math.exp(u))
         return self._c + self._r * cmath.exp(1j * theta)
 
-    def reversed(self) -> "HalfPlaneSegment":
-        return HalfPlaneSegment(self.space, self.end, self.start)
-
 
 class HalfPlaneSpace:
     """Upper half-plane with the hyperbolic metric; points are complex with
@@ -539,10 +529,6 @@ class HalfPlaneSpace:
     def point_from_json(self, data):
         return complex(data[0], data[1])
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "dd_constant": self.dd_constant,
-                "tolerance": self.tol}
-
 
 # ---------------------------------------------------------------------------
 # Euclidean space (plane or line)
@@ -562,9 +548,6 @@ class EuclideanSegment:
             return self.start
         t = min(max(s / self.length, 0.0), 1.0)
         return tuple(a + t * (b - a) for a, b in zip(self.start, self.end))
-
-    def reversed(self) -> "EuclideanSegment":
-        return EuclideanSegment(self.space, self.end, self.start)
 
 
 class EuclideanSpace:
@@ -646,10 +629,6 @@ class EuclideanSpace:
     def point_from_json(self, data):
         return tuple(float(c) for c in data)
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim,
-                "dd_constant": self.dd_constant, "tolerance": self.tol}
-
 
 # ---------------------------------------------------------------------------
 # Products
@@ -675,9 +654,6 @@ class ProductSegment:
         t = min(max(s / self.length, 0.0), 1.0)
         return (self._sl.point_at(t * self._sl.length),
                 self._sr.point_at(t * self._sr.length))
-
-    def reversed(self) -> "ProductSegment":
-        return ProductSegment(self.space, self.end, self.start)
 
 
 class ProductSpace:
@@ -747,11 +723,6 @@ class ProductSpace:
     def point_from_json(self, data):
         return (self.left.point_from_json(data[0]),
                 self.right.point_from_json(data[1]))
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "left": self.left.describe(),
-                "right": self.right.describe(),
-                "dd_constant": self.dd_constant, "tolerance": self.tol}
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import GroupModel, Isometry, act
+from .actions import GroupModel, Isometry, WordShift, act
 from .errors import BudgetError, UnsupportedError
 from .spaces import _arclength_samples
 from .words import (
     Word,
     conjugacy_test,
     inverse as word_inverse,
-    is_cyclically_reduced,
     multiply as word_multiply,
     power as word_power,
 )
@@ -48,7 +47,7 @@ def wpd_count(space, group: GroupModel, g, c: float, M: int, radius: int,
     """
     gi = group.from_word(g)
     x0 = space.validate_point(x0 if x0 is not None else space.basepoint())
-    tol = getattr(space, "tol", 1e-9)
+    tol = space.tol
     far = act(space, group.power(gi, M), x0)
     matching = []
     for iso in group.ball(radius):
@@ -95,7 +94,7 @@ def equiv_search(space, group: GroupModel, g, h, K: float, power_max: int,
     """
     gi, hi = group.from_word(g), group.from_word(h)
     x0 = space.validate_point(x0 if x0 is not None else space.basepoint())
-    tol = getattr(space, "tol", 1e-9)
+    tol = space.tol
     g_ends = [act(space, group.power(gi, m), x0) for m in range(power_max + 1)]
     h_ends = [act(space, group.power(hi, n), x0) for n in range(power_max + 1)]
     g_segs = {m: space.geodesic(x0, g_ends[m]) for m in range(1, power_max + 1)}
@@ -148,7 +147,7 @@ def conjugate_power_test(g, h, power_max: int) -> tuple[int, int] | None:
 
 def _as_word(g) -> Word:
     if isinstance(g, Isometry):
-        if not isinstance(g.action, tuple) or (g.action and not isinstance(g.action[0], int)):
+        if not isinstance(g.action, WordShift):
             raise UnsupportedError("conjugacy oracle needs a free-group model")
         return g.word
     return W.as_word(g)
@@ -190,7 +189,7 @@ def build_family(g1, g2, count: int, N: int = 2, power_max: int = 6,
                 word_multiply(word_inverse(a), word_power(word_inverse(b), i)))
         else:
             cand = word_multiply(a, word_power(b, i))
-        cand, _ = (cand, None) if is_cyclically_reduced(cand) else (W.cyclic_reduce(cand)[0], None)
+        cand = W.cyclic_reduce(cand)[0]
         if not cand:
             continue
         ok = conjugate_power_test(cand, word_inverse(cand), power_max) is None

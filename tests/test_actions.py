@@ -77,9 +77,11 @@ def test_actions_are_isometric():
 
 def test_action_is_homomorphism():
     rng = rng_for(23, "hom")
-    for space, group in ((TREE, FREE), (HP, DIAG)):
+    shifts = GroupModel.translation([[1.0, 0.5], [-0.25, 2.0]])
+    pairs = GroupModel.product(DIAG, GroupModel.translation([[1.5]]))
+    for space, group in ((TREE, FREE), (HP, DIAG), (EuclideanSpace(2), shifts),
+                         (ProductSpace(HP, LINE), pairs)):
         for _ in range(20):
-            u = GroupModel.free(1)  # unused; keep rng advancing uniform
             g = group.ball(2)[rng.randrange(len(group.ball(2)))]
             h = group.ball(2)[rng.randrange(len(group.ball(2)))]
             x = random_point(space, rng)
@@ -155,6 +157,23 @@ def test_kind_mismatch_rejected():
     g = DIAG.from_word("a")
     with pytest.raises(InputError):
         act(TREE, g, vertex(""))
+
+
+def test_free_isometries_are_rejected_on_euclidean_points():
+    # the identity's empty word must not pass for a translation
+    for word in ("", "ab"):
+        with pytest.raises(InputError):
+            act(EuclideanSpace(2), FREE.from_word(word), (1.0, 2.0))
+
+
+def test_free_isometries_are_rejected_on_product_points():
+    for word in ("", "ab"):
+        with pytest.raises(InputError):
+            act(ProductSpace(HP, LINE), FREE.from_word(word), (1j, (0.0,)))
+    # factor actions must match the factors, in order
+    g = GroupModel.product(DIAG, GroupModel.translation([[1.0]])).from_word("a")
+    with pytest.raises(InputError):
+        act(ProductSpace(LINE, HP), g, ((0.0,), 1j))
 
 
 def test_matrix_generator_must_be_unimodular():

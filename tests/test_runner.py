@@ -100,17 +100,40 @@ def test_qm_half_plane_homogenizes_within_the_phi_table_powers():
     assert rows[0] == {"g": "a", "value": 1.0, "error": rows[0]["error"]}
 
 
-# sha256 prefixes of the shipped tree_aab bodies; speed-ups must not move them
-TREE_BODY_DIGESTS = {"contract": "e8af83aa53021702", "rank1": "54180b09add20ca7",
-                     "axioms": "c227c14c269809f4", "qm": "6978f45da72f9453",
-                     "algebra": "1453283777f5f657"}
+# sha256 prefixes of the shipped bodies of every (config, subcommand) cell;
+# speed-ups and refactors must not move them
+BODY_DIGESTS = {
+    "tree_aab": {"axioms": "c227c14c269809f4", "contract": "e8af83aa53021702",
+                 "qm": "6978f45da72f9453", "rank1": "54180b09add20ca7",
+                 "schottky": "d96b5a9daa7dd2de", "wpd": "35d3aa2e28f6582a",
+                 "equiv": "4839ccbae3faadb0", "algebra": "1453283777f5f657"},
+    "half_plane": {"axioms": "fc6e87b9c5f07d45", "contract": "58df55816eb66236",
+                   "qm": "994e8f22dff8f822", "rank1": "2705bc6ea5110087",
+                   "schottky": "5d08fe875d2ed97b", "wpd": "06a3a8081fe94773",
+                   "equiv": "b072c1567c623e62", "algebra": "88003144f6847510"},
+    "euclidean_control": {"axioms": "b1fb0105b8aa9dc8", "contract": "5beac8c609dfa193",
+                          "qm": "c01ac5f99ec50e6b", "rank1": "c5896e8b0740336c",
+                          "schottky": "8a9d574a9be7c94e", "wpd": "ea3c53a3483483ce",
+                          "equiv": "efda1e1d6dccec6b", "algebra": "742526805c9de1bb"},
+}
 
 
-@pytest.mark.parametrize("subcommand", sorted(TREE_BODY_DIGESTS))
-def test_tree_bodies_are_pinned(subcommand):
-    report, _ = run(subcommand, load_config(str(TREE_CONFIG)))
+def _assert_body_pinned(config, subcommand):
+    report, _ = run(subcommand, load_config(str(REPO / "configs" / f"{config}.json")))
     digest = hashlib.sha256(canonical_body(report).encode("utf-8")).hexdigest()
-    assert digest.startswith(TREE_BODY_DIGESTS[subcommand])
+    assert digest.startswith(BODY_DIGESTS[config][subcommand])
+
+
+@pytest.mark.parametrize("subcommand", sorted(BODY_DIGESTS["tree_aab"]))
+def test_tree_bodies_are_pinned(subcommand):
+    _assert_body_pinned("tree_aab", subcommand)
+
+
+@pytest.mark.parametrize("config,subcommand", [
+    (config, sub) for config in ("half_plane", "euclidean_control")
+    for sub in sorted(BODY_DIGESTS[config])])
+def test_off_tree_bodies_are_pinned(config, subcommand):
+    _assert_body_pinned(config, subcommand)
 
 
 def test_catqm_errors_end_in_error_status_with_partial_results(monkeypatch):

@@ -156,7 +156,7 @@ def test_projection_idempotent_and_reversal_stable():
             assert space.distance(p1.point, p2.point) < 1e-6
             # projections found from the two orientations agree within the
             # projection-set diameter bound
-            pr = space.project(x, seg.reversed())
+            pr = space.project(x, space.geodesic(seg.end, seg.start))
             assert space.distance(p1.point, pr.point) < max(space.dd_constant, 1e-6)
 
 
@@ -285,3 +285,22 @@ def test_tree_segment_distance_matches_scan():
         scan = min(TREE.project(s1.point_at(s1.length * i / n), s2).distance
                    for i in range(n + 1))
         assert exact == pytest.approx(scan, abs=1e-9)
+
+
+# The surface every model space offers.  Each class defines it in its own
+# class dict: there is no base class to inherit from, and the benchmark's
+# tracer wraps only the methods a space class defines itself.
+SPACE_METHODS = ("distance", "geodesic", "project", "segment_distance",
+                 "ball_points", "ball_parameters", "pairwise_distances",
+                 "point_key", "point_to_json", "point_from_json",
+                 "validate_point", "basepoint")
+
+
+@pytest.mark.parametrize("space", [TREE, HP, EU, ProductSpace(HP, LINE)],
+                         ids=lambda s: type(s).__name__)
+def test_every_space_defines_the_shared_surface(space):
+    own = vars(type(space))
+    assert isinstance(own.get("kind"), str)
+    assert [m for m in SPACE_METHODS if not callable(own.get(m))] == []
+    # set in __init__, so they live on the instance
+    assert {"tol", "dd_constant"} <= vars(space).keys()
