@@ -113,6 +113,9 @@ class Translation:
         return Translation(tuple(-c for c in self.vector))
 
     def apply(self, x: tuple) -> tuple:
+        if len(x) != len(self.vector):
+            raise InputError(f"point {x!r} has dim {len(x)}, "
+                             f"translation has dim {len(self.vector)}")
         return tuple(c + v for c, v in zip(x, self.vector))
 
 
@@ -181,6 +184,8 @@ class GroupModel:
     def translation(vectors: list, ball_cap: int = W.BALL_RADIUS_CAP) -> "GroupModel":
         actions = [Translation(tuple(float(c) for c in v)) for v in vectors]
         dim = len(actions[0].vector) if actions else 0
+        if any(len(t.vector) != dim for t in actions):
+            raise InputError("translation generators must share one dimension")
         return GroupModel(Translation((0.0,) * dim), actions, ball_cap)
 
     @staticmethod

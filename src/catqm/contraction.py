@@ -268,7 +268,8 @@ class CertBudget:
 
 
 def projection_diameter_under_ball(space, seg, center, radius: float,
-                                   samples: int = 64) -> float:
+                                   samples: int = 64, *,
+                                   center_distance: float | None = None) -> float:
     """Observed diameter of the projection of a ball onto a segment.
 
     The ball must be disjoint from the segment.  The points are those of
@@ -276,9 +277,12 @@ def projection_diameter_under_ball(space, seg, center, radius: float,
     center, or on the tree every vertex (plus an edge-point center), whose
     parameters ``space.ball_parameters`` computes in one batched pass.  The
     value is a reproducible lower bound for the true diameter, measured as
-    the arclength spread of the projection parameters.
+    the arclength spread of the projection parameters.  A caller that has
+    already projected the center passes its distance to the segment as
+    ``center_distance``; otherwise the center is projected here.
     """
-    d_center = space.project(center, seg).distance
+    d_center = (space.project(center, seg).distance if center_distance is None
+                else center_distance)
     if d_center <= radius:
         raise InputError(
             f"ball (radius {radius}) is not disjoint from the segment "
@@ -347,7 +351,8 @@ def certify_contracting(space, seg, B: float, budget: CertBudget | None = None
             if radius <= 0:
                 continue
             diam = projection_diameter_under_ball(space, seg, center, radius,
-                                                  budget.ball_samples)
+                                                  budget.ball_samples,
+                                                  center_distance=d)
             checked += 1
             max_diam = max(max_diam, diam)
             if diam >= B - tol:

@@ -3,12 +3,20 @@ space, and products.
 
 Every space exposes the same small surface: ``distance``, ``geodesic``,
 ``project``, deterministic ``ball_points`` sampling, ``ball_parameters``
-(the projection parameters of those ball points on a segment: batched over
-packed word arrays on the tree, one ``project`` per point elsewhere), and
-JSON round-tripping of points.  Segments are arclength-parametrized;
+(the projection parameters of those ball points on a segment), and JSON
+round-tripping of points.  Segments are arclength-parametrized;
 ``point_at(0)`` is the start, ``point_at(length)`` the end, and parameter
 differences equal distances (exactly on the tree and Euclidean space, within
 tolerance on the half-plane).
+
+Projections are closed forms on the tree (Gromov products), the half-plane
+(a Möbius map sends the geodesic to the imaginary axis) and Euclidean space
+(a clamped dot product), and ``ball_parameters`` evaluates the same formulas
+as numpy over the whole sampled ball.  Euclidean ``segment_distance`` is
+closed form too.  Golden-section search is kept where no closed form is
+used: projections and ball shadows on products, and the one-dimensional
+minimization over closed-form projections in half-plane
+``segment_distance``.
 
 Projections onto segments are single-valued here: the tree and all CAT(0)
 model spaces have unique nearest points, and every downstream check is
@@ -82,7 +90,7 @@ class ProjectionResult:
 def _sampled_ball_parameters(space, center, radius: float, seg,
                              samples: int = 64) -> np.ndarray:
     """Projection parameters of the sampled ball, one ``project`` per point:
-    the ``ball_parameters`` of every space without a batched route."""
+    the ``ball_parameters`` of products, which have no closed form."""
     return np.array([space.project(p, seg).parameter
                      for p in space.ball_points(center, radius, samples)])
 
@@ -443,6 +451,20 @@ class HalfPlaneSegment:
         theta = math.atan2(z.imag, z.real - self._c)
         return math.log(math.tan(0.5 * theta))
 
+    def _foot_u(self, z, log=math.log):
+        """The coordinate u of the foot of z (a complex, or a complex array
+        with ``log=np.log``) on the segment's whole geodesic.
+
+        A vertical geodesic's foot is x + i|z - x|.  For an arc of centre c
+        and radius r, T(z) = (z - (c - r)) / ((c + r) - z) is an isometry
+        sending the arc point with angle θ to i cot(θ/2), so the foot of z
+        has u = log tan(θ/2) = -log|T(z)|, written with w = z - c.
+        """
+        if self._vertical:
+            return log(abs(z - self._x))
+        w = z - self._c
+        return log(abs(self._r - w) / abs(self._r + w))
+
     def point_at(self, s: float) -> complex:
         if s < -1e-9 or s > self.length + 1e-9:
             raise InputError(f"parameter {s} outside [0, {self.length}]")
@@ -482,7 +504,15 @@ class HalfPlaneSpace:
         return HalfPlaneSegment(self, self.validate_point(a), self.validate_point(b))
 
     def project(self, x, seg: HalfPlaneSegment) -> ProjectionResult:
-        return _convex_project(self, x, seg)
+        z = self.validate_point(x)
+        if seg.length == 0.0:
+            return ProjectionResult(seg.start, _hp_distance(z, seg.start), 0.0)
+        t = min(max(seg._sign * (seg._foot_u(z) - seg._u0), 0.0), seg.length)
+        point = seg.point_at(t)
+        d = _hp_distance(z, point)
+        if math.isnan(d):
+            raise NumericError("projection produced NaN")
+        return ProjectionResult(point, d, t)
 
     def segment_distance(self, s1, s2) -> float:
         return _convex_segment_distance(self, s1, s2)
@@ -512,7 +542,15 @@ class HalfPlaneSpace:
             pts.append(ce + rho * cmath.exp(1j * ang))
         return pts
 
-    ball_parameters = _sampled_ball_parameters
+    def ball_parameters(self, center, radius: float, seg: HalfPlaneSegment,
+                        samples: int = 64) -> np.ndarray:
+        """``project(p, seg).parameter`` for every p in ``ball_points``: the
+        closed form of ``project`` as one numpy pass."""
+        zs = np.array(self.ball_points(center, radius, samples))
+        if not (np.isfinite(zs).all() and (zs.imag > 0.0).all()):
+            raise InputError(f"ball of radius {radius} leaves the upper half-plane")
+        u = seg._foot_u(zs, np.log)
+        return np.clip(seg._sign * (u - seg._u0), 0.0, seg.length)
 
     def pairwise_distances(self, points) -> np.ndarray:
         zs = np.asarray([complex(p) for p in points])
@@ -533,6 +571,10 @@ class HalfPlaneSpace:
 # ---------------------------------------------------------------------------
 # Euclidean space (plane or line)
 # ---------------------------------------------------------------------------
+
+def _dot(u, v) -> float:
+    return sum(a * b for a, b in zip(u, v))
+
 
 class EuclideanSegment:
     def __init__(self, space: "EuclideanSpace", a: tuple, b: tuple):
@@ -582,10 +624,36 @@ class EuclideanSpace:
         return EuclideanSegment(self, self.validate_point(a), self.validate_point(b))
 
     def project(self, x, seg: EuclideanSegment) -> ProjectionResult:
-        return _convex_project(self, x, seg)
+        x = self.validate_point(x)
+        if seg.length == 0.0:
+            return ProjectionResult(seg.start, math.dist(x, seg.start), 0.0)
+        t = sum((c - a) * (b - a)
+                for c, a, b in zip(x, seg.start, seg.end)) / seg.length
+        t = min(max(t, 0.0), seg.length)
+        point = seg.point_at(t)
+        return ProjectionResult(point, math.dist(x, point), t)
 
     def segment_distance(self, s1, s2) -> float:
-        return _convex_segment_distance(self, s1, s2)
+        """|p(s) - q(t)|² is a convex quadratic on the parameter rectangle,
+        so its minimum is the interior critical point, when there is one
+        inside, or lies on an edge, where it is an endpoint-to-segment
+        distance."""
+        best = min(self.project(p, s).distance for p, s in (
+            (s1.start, s2), (s1.end, s2), (s2.start, s1), (s2.end, s1)))
+        u = [b - a for a, b in zip(s1.start, s1.end)]
+        v = [b - a for a, b in zip(s2.start, s2.end)]
+        w = [a - b for a, b in zip(s1.start, s2.start)]
+        uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
+        det = uu * vv - uv * uv
+        # (nearly) parallel or degenerate segments reach their minimum on an edge
+        if det > 1e-12 * uu * vv:
+            uw, vw = _dot(u, w), _dot(v, w)
+            s = (uv * vw - vv * uw) / det
+            t = (uu * vw - uv * uw) / det
+            if 0.0 <= s <= 1.0 and 0.0 <= t <= 1.0:
+                best = min(best, math.dist(s1.point_at(s * s1.length),
+                                           s2.point_at(t * s2.length)))
+        return best
 
     def ball_points(self, center, radius: float, samples: int = 64) -> list[tuple]:
         center = self.validate_point(center)
@@ -613,7 +681,18 @@ class EuclideanSpace:
             pts.append(tuple(q))
         return pts
 
-    ball_parameters = _sampled_ball_parameters
+    def ball_parameters(self, center, radius: float, seg: EuclideanSegment,
+                        samples: int = 64) -> np.ndarray:
+        """``project(p, seg).parameter`` for every p in ``ball_points``: the
+        clamped dot product as one numpy pass."""
+        pts = np.array(self.ball_points(center, radius, samples))
+        if not np.isfinite(pts).all():
+            raise InputError(f"non-finite point in the ball of radius {radius}")
+        if seg.length == 0.0:
+            return np.zeros(len(pts))
+        a = np.array(seg.start)
+        t = ((pts - a) * (np.array(seg.end) - a)).sum(axis=1) / seg.length
+        return np.clip(t, 0.0, seg.length)
 
     def pairwise_distances(self, points) -> np.ndarray:
         arr = np.asarray(points, dtype=np.float64).reshape(len(points), -1)

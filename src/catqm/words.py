@@ -148,10 +148,10 @@ def word_distance(u: Word, v: Word) -> int:
 _ORD_A = ord("a")
 
 # Character of each letter: generator k is chr(ord('a') + k - 1), its inverse
-# the upper case; the same formula gives the letter 0 the character '`'.
+# the upper case.  The letter 0 is no generator and has no key.
 _LETTER_CHARS = {x: (chr(_ORD_A + abs(x) - 1) if x > 0
                      else chr(_ORD_A + abs(x) - 1).upper())
-                 for x in range(-26, 27)}
+                 for x in range(-26, 27) if x != 0}
 
 
 def to_string(w: Word) -> str:

@@ -179,3 +179,14 @@ def test_free_isometries_are_rejected_on_product_points():
 def test_matrix_generator_must_be_unimodular():
     with pytest.raises(InputError):
         GroupModel.matrix([[[2.0, 0.0], [0.0, 2.0]]])
+
+
+def test_translation_rejects_points_of_another_dimension():
+    g = GroupModel.translation([[1.0]]).from_word("a")
+    with pytest.raises(InputError):
+        act(EuclideanSpace(2), g, (0.0, 0.0))
+
+
+def test_translation_generators_share_one_dimension():
+    with pytest.raises(InputError):
+        GroupModel.translation([[1.0], [1.0, 2.0]])

@@ -161,6 +161,11 @@ def test_disjointness_required():
     seg = EU.geodesic((0.0, 0.0), (4.0, 0.0))
     with pytest.raises(InputError):
         projection_diameter_under_ball(EU, seg, (2.0, 1.0), 2.0)
+    # a known center distance replaces the projection of the center
+    with pytest.raises(InputError):
+        projection_diameter_under_ball(EU, seg, (2.0, 5.0), 2.0, center_distance=1.5)
+    assert (projection_diameter_under_ball(EU, seg, (2.0, 5.0), 2.0, center_distance=5.0)
+            == projection_diameter_under_ball(EU, seg, (2.0, 5.0), 2.0))
 
 
 def test_tree_segment_certified():

@@ -108,13 +108,13 @@ BODY_DIGESTS = {
                  "schottky": "d96b5a9daa7dd2de", "wpd": "35d3aa2e28f6582a",
                  "equiv": "4839ccbae3faadb0", "algebra": "1453283777f5f657"},
     "half_plane": {"axioms": "fc6e87b9c5f07d45", "contract": "58df55816eb66236",
-                   "qm": "994e8f22dff8f822", "rank1": "2705bc6ea5110087",
+                   "qm": "27a5a7270ecbc68f", "rank1": "e41915bc117e7f50",
                    "schottky": "5d08fe875d2ed97b", "wpd": "06a3a8081fe94773",
-                   "equiv": "b072c1567c623e62", "algebra": "88003144f6847510"},
-    "euclidean_control": {"axioms": "b1fb0105b8aa9dc8", "contract": "5beac8c609dfa193",
-                          "qm": "c01ac5f99ec50e6b", "rank1": "c5896e8b0740336c",
+                   "equiv": "03581ca998f6fee0", "algebra": "88003144f6847510"},
+    "euclidean_control": {"axioms": "b1fb0105b8aa9dc8", "contract": "83c169746f433bcd",
+                          "qm": "c8b9617d6165e66e", "rank1": "ccd31b32c8a52e90",
                           "schottky": "8a9d574a9be7c94e", "wpd": "ea3c53a3483483ce",
-                          "equiv": "efda1e1d6dccec6b", "algebra": "742526805c9de1bb"},
+                          "equiv": "02fde7e443507d1c", "algebra": "742526805c9de1bb"},
 }
 
 

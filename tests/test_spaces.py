@@ -18,6 +18,8 @@ from catqm.spaces import (
     HalfPlaneSpace,
     ProductSpace,
     TreeSpace,
+    _convex_project,
+    _convex_segment_distance,
     check_dd,
     check_ft,
     tree_point,
@@ -158,6 +160,73 @@ def test_projection_idempotent_and_reversal_stable():
             # projection-set diameter bound
             pr = space.project(x, space.geodesic(seg.end, seg.start))
             assert space.distance(p1.point, pr.point) < max(space.dd_constant, 1e-6)
+
+
+def _closed_form_cases(space, seed, count):
+    """Seeded (segment, point) cases: each segment is a piece [s0, s1] of a
+    longer geodesic, so points on the segment and past either end lie on its
+    geodesic; every tenth segment has length 0 and on the half-plane every
+    fourth is vertical."""
+    rng = rng_for(seed, "closed-form")
+    out = []
+    for i in range(count):
+        a, b = random_point(space, rng), random_point(space, rng)
+        if space is HP and i % 4 == 0:
+            b = complex(a.real, b.imag)
+        line = space.geodesic(a, b)
+        s0, s1 = sorted(rng.uniform(0.0, line.length) for _ in range(2))
+        if i % 10 == 0:
+            s1 = s0
+        seg = space.geodesic(line.point_at(s0), line.point_at(s1))
+        where = (rng.uniform(s0, s1), rng.uniform(0.0, s0),
+                 rng.uniform(s1, line.length), None, None)[i % 5]
+        x = random_point(space, rng) if where is None else line.point_at(where)
+        out.append((seg, x))
+    return out
+
+
+@pytest.mark.parametrize("space", [HP, EU], ids=lambda s: s.kind)
+def test_closed_form_projections_match_golden_section(space):
+    cases = _closed_form_cases(space, 61, 2000)
+    assert any(seg.length == 0.0 for seg, _ in cases)
+    if space is HP:
+        assert {seg._vertical for seg, _ in cases} == {True, False}
+    for seg, x in cases:
+        pr = space.project(x, seg)
+        gs = _convex_project(space, x, seg)
+        # golden section only resolves the minimum of d(x, .) where it is
+        # flatter than rounding, which widens with the distance in the plane
+        assert abs(pr.parameter - gs.parameter) <= 1e-7 * max(1.0, seg.length, pr.distance)
+        assert abs(pr.distance - gs.distance) <= 1e-9
+        # nearest point, with no oracle: nothing on a grid of the segment is closer
+        grid = min(space.distance(x, seg.point_at(seg.length * k / 200))
+                   for k in range(201))
+        assert grid >= pr.distance - 1e-12
+
+
+@pytest.mark.parametrize("space", [HP, EU], ids=lambda s: s.kind)
+def test_ball_parameters_match_per_point_projections(space):
+    for seg, center in _closed_form_cases(space, 62, 200):
+        d = space.project(center, seg).distance
+        radius = 0.75 * d if d > 0.0 else 0.5
+        params = space.ball_parameters(center, radius, seg, 64)
+        per_point = [space.project(p, seg).parameter
+                     for p in space.ball_points(center, radius, 64)]
+        assert params.shape == (len(per_point),)
+        assert max(abs(params - per_point)) <= 1e-12
+
+
+def test_euclidean_segment_distance_matches_golden_section():
+    cases = _closed_form_cases(EU, 63, 2000)
+    for (s1, _), (s2, _) in zip(cases, cases[1:] + cases[:1]):
+        exact = EU.segment_distance(s1, s2)
+        assert abs(exact - _convex_segment_distance(EU, s1, s2)) <= 1e-7
+        assert exact == pytest.approx(EU.segment_distance(s2, s1), abs=1e-12)
+    # crossing segments meet; parallel ones are apart by their offset
+    assert EU.segment_distance(EU.geodesic((-1.0, 0.0), (1.0, 0.0)),
+                               EU.geodesic((0.0, -1.0), (0.0, 1.0))) == 0.0
+    assert EU.segment_distance(EU.geodesic((0.0, 0.0), (4.0, 0.0)),
+                               EU.geodesic((1.0, 2.0), (3.0, 2.0))) == 2.0
 
 
 def test_product_projection_is_not_factorwise():

@@ -86,7 +86,11 @@ def test_word_primitives_match_oracles():
     for w in cases + [list(w) for w in cases]:
         assert W.is_reduced(w) is is_reduced_oracle(w)
         assert _outcome(W.check_reduced, w) == _outcome(check_reduced_oracle, w)
-        assert W.to_string(w) == to_string_oracle(w)
+        if 0 in w:
+            # the old formula printed the letter 0 as '`'; it is no generator
+            assert _outcome(W.to_string, w) is InputError
+        else:
+            assert W.to_string(w) == to_string_oracle(w)
     assert _outcome(W.check_reduced, (1, -1)) is InputError
     assert W.check_reduced([1, 2]) == (1, 2)
 
@@ -96,7 +100,7 @@ def test_to_string_every_letter():
     for x in every:
         assert W.to_string((x,)) == to_string_oracle((x,))
     assert W.to_string(every) == to_string_oracle(every)
-    for x in (27, -27, 100):
+    for x in (0, 27, -27, 100):
         with pytest.raises(InputError):
             W.to_string((1, x))
 
