@@ -12,6 +12,16 @@ Each word is checked once, at each public entry: a counting word when its
 quasimorphism is built (its string forms are kept), an argument when an
 evaluator is called.  The operations built on top (group action, orbit
 average, transfer) pass words down without checking them again.
+
+The defect certificate ``extension_defect`` is the supremum of
+|phi(gh) - phi(g) - phi(h)| over all pairs of an extension ball.  When phi
+claims homogeneity (``Quasimorphism.homogeneous``) it is a class function
+with phi(g^-1) = -phi(g), so the defect takes one value on each orbit of
+(g, h) -> (h, g), (h^-1, g^-1), (g^-1, h^-1) and phi(gh) depends only on the
+conjugacy class of gh: the certificate visits one pair per orbit and
+evaluates phi once per conjugacy class of base words.  Otherwise it visits
+every pair and evaluates phi once per element.  Either way the supremum is
+the one over the whole grid.
 """
 
 from __future__ import annotations
@@ -20,11 +30,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import InputError
 from .words import (
     Word,
     IDENTITY,
     as_word,
+    conjugacy_key,
     cyclic_reduce,
     inverse as word_inverse,
     multiply as word_multiply,
@@ -165,6 +178,7 @@ class FiniteExtension:
             raise InputError(f"permutations not closed under composition: "
                              f"{exc.args[0]} is missing") from None
         self._inv = [index[_perm_inverse(p)] for p in self.perms]
+        self._letters = frozenset(range(-rank, rank + 1)) - {0}
         # conjugation by a section element is exactly its letter map,
         # k -> p[k-1] and -k -> -p[k-1]
         self._letter_maps = []
@@ -182,10 +196,12 @@ class FiniteExtension:
         return GElement(IDENTITY, sigma)
 
     def embed(self, w) -> GElement:
-        return GElement(as_word(w), 0)
+        return GElement(self.apply_auto(0, as_word(w)), 0)
 
     def apply_auto(self, sigma: int, w: Word) -> Word:
-        if sigma == 0:
+        """The letter map of perms[sigma] on w; every letter of w must be a
+        generator of this rank or its inverse."""
+        if sigma == 0 and self._letters.issuperset(w):
             return w
         try:
             return tuple(map(self._letter_maps[sigma], w))
@@ -340,33 +356,77 @@ def restriction_check(ext: FiniteExtension, transferred: Quasimorphism,
     return RestrictionReport(checked, gap, defects, growth)
 
 
-def extension_defect(ext: FiniteExtension, phi: Quasimorphism, radius: int) -> float:
-    """Exhaustive sampled defect of phi over pairs from the extension ball.
+def _orbit_representatives(ext: FiniteExtension, elements: list) -> tuple:
+    """Index pairs (i, j), one per orbit of the pairs of ``elements`` under
+    (g, h) -> (h, g), (h^-1, g^-1), (g^-1, h^-1): the lexicographically
+    least pair of each orbit.  ``elements`` must be closed under inverses."""
+    index = {g: i for i, g in enumerate(elements)}
+    inv = np.array([index[ext.inverse(g)] for g in elements])
+    first, second = np.triu_indices(len(elements))
+    # (i, j) with i <= j already beats (j, i); the other two pairs of its
+    # orbit swap into each other, the lesser of them being (lo, hi)
+    lo = np.minimum(inv[first], inv[second])
+    hi = np.maximum(inv[first], inv[second])
+    keep = (first < lo) | ((first == lo) & (second <= hi))
+    return first[keep], second[keep]
 
-    The pair grid is quadratic in the ball, so the inner loop works on
-    precomputed twisted right factors and caches values per product.
+
+def _class_key(w: Word, sigma: int) -> tuple:
+    """Cache key of (w, sigma) for a class function: the conjugacy class of
+    a base element, the exact element otherwise."""
+    return (conjugacy_key(w), 0) if sigma == 0 else (w, sigma)
+
+
+def _element_key(w: Word, sigma: int) -> tuple:
+    return w, sigma
+
+
+def extension_defect(ext: FiniteExtension, phi: Quasimorphism, radius: int) -> float:
+    """Defect of phi over all pairs of the extension ball: the supremum of
+    |phi(gh) - phi(g) - phi(h)|, exactly, not sampled.
+
+    When ``phi.homogeneous`` is set, phi is a class function with
+    phi(g^-1) = -phi(g).  Then phi(hg) = phi(gh), so the defect D satisfies
+    D(g, h) = D(h, g) = D(h^-1, g^-1) = D(g^-1, h^-1), and the BFS ball is
+    closed under inverses: one pair per orbit of these maps reaches every
+    value of the full grid, and the supremum over the representatives is
+    the supremum over the grid.  Values are cached by conjugacy class for a
+    product in the base (``words.conjugacy_key``), by element otherwise.
+    Without the flag, every pair is visited and values are cached by
+    element.
+
+    The loop works on precomputed twisted right factors; every cache lives
+    for one call.
     """
     elements = ext.ball(radius)
+    n = len(elements)
     words_ = [g.word for g in elements]
     sigmas = [g.sigma for g in elements]
-    vals = [phi(g) for g in elements]
-    cache = {(w, s): v for w, s, v in zip(words_, sigmas, vals)}
+    if phi.homogeneous:
+        first, second = _orbit_representatives(ext, elements)
+        key = _class_key
+    else:
+        first, second = np.indices((n, n)).reshape(2, -1)
+        key = _element_key
+    cache = {}
+
+    def value(w: Word, sigma: int) -> float:
+        k = key(w, sigma)
+        v = cache.get(k)
+        if v is None:
+            v = cache[k] = phi(GElement(w, sigma))
+        return v
+
+    vals = [value(w, s) for w, s in zip(words_, sigmas)]
     views = [[ext.apply_auto(s, w) for w in words_] for s in range(ext.N)]
+    mul = ext._mul
     worst = 0.0
-    n = len(elements)
-    for i in range(n):
-        gw, gs, vg = words_[i], sigmas[i], vals[i]
-        view = views[gs]
-        mulrow = ext._mul[gs]
-        for j in range(n):
-            key = (word_multiply(gw, view[j]), mulrow[sigmas[j]])
-            vp = cache.get(key)
-            if vp is None:
-                vp = phi(GElement(*key))
-                cache[key] = vp
-            d = abs(vp - vg - vals[j])
-            if d > worst:
-                worst = d
+    for i, j in zip(first.tolist(), second.tolist()):
+        gs = sigmas[i]
+        d = abs(value(word_multiply(words_[i], views[gs][j]), mul[gs][sigmas[j]])
+                - vals[i] - vals[j])
+        if d > worst:
+            worst = d
     return worst
 
 

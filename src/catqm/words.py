@@ -21,19 +21,6 @@ IDENTITY: Word = ()
 BALL_RADIUS_CAP = 12
 
 
-def reduce_word(letters) -> Word:
-    """Freely reduce a letter sequence."""
-    out = []
-    for x in letters:
-        if x == 0:
-            raise InputError("letter 0 is not a generator")
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
 def is_reduced(w) -> bool:
     """No letter 0 and no letter followed by its inverse."""
     return 0 not in w and not any(map(eq, w, map(neg, w[1:])))
@@ -70,10 +57,6 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     return tuple(w[lo:hi]), tuple(w[:lo])
 
 
-def is_cyclically_reduced(w: Word) -> bool:
-    return len(w) < 2 or w[0] != -w[-1]
-
-
 def conjugacy_test(u: Word, v: Word) -> bool:
     """Free-group conjugacy: cyclic cores must be rotations of one another."""
     cu, _ = cyclic_reduce(check_reduced(u))
@@ -85,6 +68,18 @@ def conjugacy_test(u: Word, v: Word) -> bool:
     doubled = cv + cv
     n = len(cu)
     return any(doubled[i:i + n] == cu for i in range(n))
+
+
+def conjugacy_key(w: Word) -> Word:
+    """Canonical form of the conjugacy class of the reduced word w: the
+    least rotation of its cyclic core, ``()`` for the identity.  Two reduced
+    words are conjugate exactly when their keys are equal."""
+    core, _ = cyclic_reduce(w)
+    if not core:
+        return IDENTITY
+    # the least rotation starts with the least letter
+    least = min(core)
+    return min(core[i:] + core[:i] for i, x in enumerate(core) if x == least)
 
 
 def power(w: Word, n: int) -> Word:
@@ -122,14 +117,6 @@ def ball(rank: int, radius: int, cap: int = BALL_RADIUS_CAP) -> list[Word]:
         out.extend(nxt)
         frontier = nxt
     return out
-
-
-def ball_size(rank: int, radius: int) -> int:
-    """1 + 2k * ((2k-1)^r - 1) / (2k - 2) for rank k >= 2; 2r+1 for rank 1."""
-    if rank == 1:
-        return 2 * radius + 1
-    q = 2 * rank - 1
-    return 1 + 2 * rank * (q**radius - 1) // (q - 1)
 
 
 def common_prefix_length(u: Word, v: Word) -> int:

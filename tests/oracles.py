@@ -13,6 +13,7 @@ import heapq
 import math
 
 from catqm import words as W
+from catqm.algebra import GElement
 from catqm.errors import InputError
 from catqm.words import multiply, inverse, word_distance
 
@@ -105,6 +106,31 @@ def count_occurrences_overlapping(pattern: str, text: str) -> int:
 # Straightforward formulas: every word is checked and serialized where it is
 # used, every permutation is applied letter by letter.
 
+def reduce_word(letters) -> tuple:
+    """Freely reduce a letter sequence."""
+    out = []
+    for x in letters:
+        if x == 0:
+            raise InputError("letter 0 is not a generator")
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def is_cyclically_reduced(w: tuple) -> bool:
+    return len(w) < 2 or w[0] != -w[-1]
+
+
+def ball_size(rank: int, radius: int) -> int:
+    """1 + 2k * ((2k-1)^r - 1) / (2k - 2) for rank k >= 2; 2r+1 for rank 1."""
+    if rank == 1:
+        return 2 * radius + 1
+    q = 2 * rank - 1
+    return 1 + 2 * rank * (q**radius - 1) // (q - 1)
+
+
 def is_reduced_oracle(w) -> bool:
     return all(w[i] != -w[i + 1] for i in range(len(w) - 1)) and 0 not in w
 
@@ -179,3 +205,28 @@ def transfer_average_oracle(perms: list, f, g: tuple) -> float:
     assert sigma == 0
     return sum(f(perm_apply_oracle(perm_inverse_oracle(p), h))
                for p in perms) / N
+
+
+def extension_defect_oracle(ext, phi, radius: int) -> float:
+    """Defect of phi over every pair of the extension ball, each product
+    evaluated once per element (no symmetry, no class cache)."""
+    elements = ext.ball(radius)
+    words_ = [g.word for g in elements]
+    sigmas = [g.sigma for g in elements]
+    vals = [phi(g) for g in elements]
+    cache = {(w, s): v for w, s, v in zip(words_, sigmas, vals)}
+    views = [[ext.apply_auto(s, w) for w in words_] for s in range(ext.N)]
+    worst = 0.0
+    n = len(elements)
+    for i in range(n):
+        gw, gs, vg = words_[i], sigmas[i], vals[i]
+        view = views[gs]
+        mulrow = ext._mul[gs]
+        for j in range(n):
+            key = (multiply(gw, view[j]), mulrow[sigmas[j]])
+            vp = cache.get(key)
+            if vp is None:
+                vp = phi(GElement(*key))
+                cache[key] = vp
+            worst = max(worst, abs(vp - vg - vals[j]))
+    return worst

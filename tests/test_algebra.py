@@ -4,6 +4,8 @@ from catqm import words as W
 from catqm.algebra import (
     FiniteExtension,
     GElement,
+    Quasimorphism,
+    _orbit_representatives,
     brooks,
     brooks_qm,
     check_sigma_invariance,
@@ -23,6 +25,7 @@ from catqm.samplers import random_words
 from oracles import (
     brooks_oracle,
     count_occurrences_overlapping,
+    extension_defect_oracle,
     extension_multiply_oracle,
     homogeneous_brooks_oracle,
     perm_apply_oracle,
@@ -187,6 +190,66 @@ def test_extension_defect_value():
         ext, orbit_average(ext, homogeneous_brooks_qm("aab")))
     assert extension_defect(ext, transferred, 3) == 2.0
     assert extension_defect(ext, transferred, 4) == 2.0
+
+
+@pytest.mark.parametrize("radius", [3, 4, 5])
+def test_extension_defect_matches_full_grid_oracle(radius):
+    ext = swap_extension()
+    transferred = transfer_extend(
+        ext, orbit_average(ext, homogeneous_brooks_qm("aab")))
+    assert transferred.homogeneous
+    assert extension_defect(ext, transferred, radius) == \
+        extension_defect_oracle(ext, transferred, radius) == 2.0
+
+
+def test_orbit_step_needs_homogeneity():
+    # a bounded, non-homogeneous phi: D(A, A) = 2 while D(a, a) = 0, so one
+    # pair per symmetry orbit would miss the defect
+    ext = swap_extension()
+    marked = GElement((-1,), 0)
+    phi = Quasimorphism("indicator", lambda g: 1.0 if g == marked else 0.0)
+    assert extension_defect(ext, phi, 2) == extension_defect_oracle(ext, phi, 2) == 2.0
+
+
+def test_class_cache_needs_homogeneity():
+    # the transfer of a non-homogeneous average is no class function, so a
+    # value cached by conjugacy class would stand in for other elements
+    ext = swap_extension()
+    phi = transfer_extend(ext, orbit_average(ext, brooks_qm("aab")))
+    assert not phi.homogeneous
+    assert extension_defect(ext, phi, 4) == extension_defect_oracle(ext, phi, 4) == 1.5
+
+
+def test_orbit_representatives_cover_each_orbit_once():
+    ext = swap_extension()
+    ball = ext.ball(3)
+    index = {g: i for i, g in enumerate(ball)}
+    inv = [index[ext.inverse(g)] for g in ball]
+
+    def orbit(i, j):
+        return {(i, j), (j, i), (inv[j], inv[i]), (inv[i], inv[j])}
+
+    first, second = _orbit_representatives(ext, ball)
+    reps = list(zip(first.tolist(), second.tolist()))
+    assert all(pair == min(orbit(*pair)) for pair in reps)
+    # the orbits of the representatives are disjoint and cover the grid
+    covered = [pair for rep in reps for pair in orbit(*rep)]
+    assert len(covered) == len(set(covered)) == len(ball) ** 2
+
+
+def test_extension_rejects_letters_beyond_rank():
+    ext = swap_extension()
+    for bad in [(3,), (1, -3), (2, 5)]:
+        for call in (ext.embed, lambda w: ext.apply_auto(0, w),
+                     lambda w: ext.apply_auto(1, w),
+                     lambda w: ext.conjugate_by_section(0, w),
+                     lambda w: ext.conjugate_by_section(1, w),
+                     sigma_act(ext, 0, brooks_qm("aab"))):
+            with pytest.raises(InputError):
+                call(bad)
+    with pytest.raises(InputError):
+        ext.embed("c")
+    assert ext.apply_auto(0, (1, -2)) == (1, -2)
 
 
 def test_power_matches_repeated_products():

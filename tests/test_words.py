@@ -4,7 +4,13 @@ from hypothesis import given, strategies as st
 from catqm import words as W
 from catqm.errors import BudgetError, InputError
 
-from oracles import check_reduced_oracle, is_reduced_oracle, to_string_oracle
+from oracles import (
+    ball_size,
+    check_reduced_oracle,
+    is_reduced_oracle,
+    reduce_word,
+    to_string_oracle,
+)
 
 
 def w(s):
@@ -40,12 +46,27 @@ def test_conjugacy_examples():
     assert W.conjugacy_test(w("babA"), W.multiply(W.multiply(w("ba"), w("babA")), w("AB")))
 
 
+def test_conjugacy_key_separates_exactly_the_conjugacy_classes():
+    sample = W.ball(2, 3)
+    conjugators = (w("a"), w("B"), w("ab"), w("Bab"))
+    words_ = sample + [W.multiply(W.multiply(g, u), W.inverse(g))
+                       for u in sample for g in conjugators]
+    keys = {u: W.conjugacy_key(u) for u in words_}
+    for u in words_:
+        for v in words_:
+            assert (keys[u] == keys[v]) is W.conjugacy_test(u, v)
+    assert W.conjugacy_key(()) == ()
+    assert W.conjugacy_key(w("abA")) == w("b")
+    assert W.conjugacy_key(w("bab")) == w("abb")
+    assert W.conjugacy_key(w("bAbA")) == w("AbAb")
+
+
 def test_ball_sizes():
     assert sorted(W.ball(2, 1)) == sorted([(), (1,), (-1,), (2,), (-2,)])
     assert len(W.ball(2, 2)) == 17
     assert len(W.ball(1, 3)) == 7
     for r in range(6):
-        assert len(W.ball(2, r)) == W.ball_size(2, r)
+        assert len(W.ball(2, r)) == ball_size(2, r)
 
 
 def test_ball_deterministic_and_reduced():
@@ -106,7 +127,7 @@ def test_to_string_every_letter():
 
 
 letters = st.sampled_from([1, -1, 2, -2])
-raw_words = st.lists(letters, max_size=12).map(W.reduce_word)
+raw_words = st.lists(letters, max_size=12).map(reduce_word)
 
 
 @given(raw_words, raw_words, raw_words)
