@@ -48,12 +48,10 @@ from . import words as W
 
 @dataclass(frozen=True)
 class Quasimorphism:
-    """An evaluator with provenance: name, optional claimed defect bound,
-    and whether it claims homogeneity (evaluator(e) = 0 and
-    phi(g^n) = n phi(g))."""
+    """An evaluator with provenance: name, and whether it claims
+    homogeneity (evaluator(e) = 0 and phi(g^n) = n phi(g))."""
     name: str
     evaluator: Callable
-    claimed_defect: float | None = None
     homogeneous: bool = False
 
     def __call__(self, g):
@@ -79,22 +77,17 @@ def _counting_strings(w) -> tuple[str, str]:
     return W.to_string(w), W.to_string(word_inverse(w))
 
 
-def _brooks_count(pattern: str, anti: str, g) -> int:
-    s = W.to_string(as_word(g))
-    return _starts_before(s, pattern, len(s)) - _starts_before(s, anti, len(s))
-
-
-def brooks(w, g) -> int:
+def brooks_qm(w) -> Quasimorphism:
     """Occurrences of w in the reduced word g minus occurrences of w^-1,
     overlaps allowed."""
     pattern, anti = _counting_strings(w)
-    return _brooks_count(pattern, anti, g)
 
+    def evaluator(g) -> float:
+        s = W.to_string(as_word(g))
+        return float(_starts_before(s, pattern, len(s))
+                     - _starts_before(s, anti, len(s)))
 
-def brooks_qm(w) -> Quasimorphism:
-    pattern, anti = _counting_strings(w)
-    return Quasimorphism(f"brooks({pattern})",
-                         lambda g: float(_brooks_count(pattern, anti, g)))
+    return Quasimorphism(f"brooks({pattern})", evaluator)
 
 
 def homogeneous_brooks_qm(w) -> Quasimorphism:

@@ -363,13 +363,6 @@ def certify_contracting(space, seg, B: float, budget: CertBudget | None = None
                                   max_diam, checked, None)
 
 
-def contraction_scale(space, seg, budget: CertBudget | None = None) -> float:
-    """Smallest B the budget cannot refute: max observed diameter plus a
-    hair; a convenient search helper for numeric spaces."""
-    cert = certify_contracting(space, seg, B=float("inf"), budget=budget)
-    return cert.max_diameter + space.tol
-
-
 # ---------------------------------------------------------------------------
 # Lemma checkers
 # ---------------------------------------------------------------------------

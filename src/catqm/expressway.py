@@ -32,7 +32,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
-from .actions import GroupModel, Isometry, WordShift, act
+from .actions import GroupModel, WordShift, act
 from .contraction import ConstantLedger
 from .errors import BudgetError, ConfigError, InputError
 from .spaces import TreePoint, _arclength_samples, tree_point
@@ -293,19 +293,6 @@ def phi_sigma(sys: ExpresswaySystem, g) -> float:
 # fixed-length patterns.  The test suite cross-validates this against the
 # candidate graph and an exhaustive regional shortest-path oracle.
 
-def tree_lambda_exact(sys: ExpresswaySystem, u: Word, v: Word) -> float:
-    """Exact modified length between tree vertices u.x0 and v.x0 expressed
-    through group elements; u = identity queries from the basepoint."""
-    if not sys.is_exact_tree():
-        raise InputError("exact evaluation needs a free group on its tree")
-    x0 = sys.basepoint.anchor
-    a = word_multiply(u, x0)
-    b = word_multiply(v, x0)
-    geo = W.to_string(word_multiply(word_inverse(a), b))
-    pattern = W.to_string(sys.sigma_edge_word())
-    return float(len(geo) - geo.count(pattern))
-
-
 def tree_phi_exact(sys: ExpresswaySystem, g: Word) -> float:
     """Exact phi on tree models: forward minus backward greedy-disjoint
     occurrence counts of the base letter sequence in the geodesic word."""
@@ -355,13 +342,12 @@ def check_lambda_properties(sys: ExpresswaySystem, samples: LambdaSamples,
     lam = lambda x, y: modified_length(sys, x, y).value
 
     for a, b in samples.pairs:
-        value = lam(a, b)
-        d = space.distance(a, b)
+        result = modified_length(sys, a, b)
+        value, d = result.value, space.distance(a, b)
         if value > d + eps:
             note("upper_bound", {"lambda": value, "distance": d})
-        if not enumerate_relevant_expressways(sys, a, b):
-            if abs(value - d) > eps:
-                note("distance_when_empty", {"lambda": value, "distance": d})
+        if result.candidates == 0 and abs(value - d) > eps:
+            note("distance_when_empty", {"lambda": value, "distance": d})
 
     for a, b, a2, b2 in samples.endpoint_moves:
         lhs = abs(lam(a, b) - lam(a2, b2))
@@ -427,7 +413,7 @@ def homogenize(sys: ExpresswaySystem, g, n_max: int,
     homogeneous representative."""
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    g = g.word if isinstance(g, Isometry) else W.as_word(g)
+    g = W.as_word(g)
     value = phi_evaluator(sys)(W.power(g, n_max)) / n_max
     bound = defect_bound if defect_bound is not None else sys.defect_bound
     return value, (None if bound is None else bound / n_max)

@@ -123,21 +123,14 @@ def independence_test(space, group: GroupModel, g, h, x0, grid_max: int,
     a strictly increasing tail that clears the threshold by grid_max; the
     profile never claims properness beyond the grid.
     """
-    gi, hi = group.from_word(g), group.from_word(h)
-    xs = {m: x0 for m in (0,)}
-    ys = {0: x0}
-    fwd, bwd = gi, group.inverse(gi)
-    cur_f = cur_b = x0
-    for m in range(1, grid_max + 1):
-        cur_f = act(space, fwd, cur_f)
-        cur_b = act(space, bwd, cur_b)
-        xs[m], xs[-m] = cur_f, cur_b
-    fwd, bwd = hi, group.inverse(hi)
-    cur_f = cur_b = x0
-    for n in range(1, grid_max + 1):
-        cur_f = act(space, fwd, cur_f)
-        cur_b = act(space, bwd, cur_b)
-        ys[n], ys[-n] = cur_f, cur_b
+    def orbit(word) -> dict:
+        """{m: word^m x0} for |m| <= grid_max."""
+        iso = group.from_word(word)
+        back = orbit_points(space, group.inverse(iso), x0, grid_max)
+        return {**{-m: p for m, p in enumerate(back)},
+                **dict(enumerate(orbit_points(space, iso, x0, grid_max)))}
+
+    xs, ys = orbit(g), orbit(h)
     values = [0.0]
     for R in range(1, grid_max + 1):
         best = math.inf

@@ -8,6 +8,7 @@ refutation or found witness is stored self-contained under ``witnesses`` so
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -57,7 +58,6 @@ from .rank_one import (
 from .samplers import (
     dd_triples_random,
     dd_triples_tree_exhaustive,
-    defect_pairs_exhaustive,
     ft_quads_random,
     ft_quads_tree_exhaustive,
     halfplane_thin_configs,
@@ -409,7 +409,8 @@ def run_qm(cfg: ExperimentConfig) -> tuple[dict, list, list]:
 
     # defect, homogenization, independence
     if sys_obj.is_exact_tree():
-        pairs_iter = defect_pairs_exhaustive(cfg.group.rank, cfg.budgets.defect_radius)
+        pairs_iter = itertools.product(
+            W.ball(cfg.group.rank, cfg.budgets.defect_radius), repeat=2)
     else:
         ws = random_words(cfg.group.rank, cfg.seed, 12, 3)
         pairs_iter = [(g, h) for g in ws[:6] for h in ws[6:]]

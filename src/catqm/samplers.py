@@ -32,18 +32,23 @@ def rng_for(seed: int, purpose: str) -> random.Random:
 # Random points per space kind
 # ---------------------------------------------------------------------------
 
+def _random_reduced(rng: random.Random, rank: int, length: int) -> Word:
+    """A reduced word of the given length, one letter draw at a time,
+    redrawing any letter that would cancel."""
+    alphabet = [*range(1, rank + 1), *range(-1, -rank - 1, -1)]
+    letters: list[int] = []
+    while len(letters) < length:
+        x = rng.choice(alphabet)
+        if letters and letters[-1] == -x:
+            continue
+        letters.append(x)
+    return tuple(letters)
+
+
 def random_point(space, rng: random.Random):
     kind = space.kind
     if kind == "tree":
-        length = rng.randrange(0, 6)
-        letters = []
-        while len(letters) < length:
-            x = rng.choice([k for k in range(1, space.rank + 1)]
-                           + [-k for k in range(1, space.rank + 1)])
-            if letters and letters[-1] == -x:
-                continue
-            letters.append(x)
-        return tree_point(tuple(letters))
+        return tree_point(_random_reduced(rng, space.rank, rng.randrange(0, 6)))
     if kind == "half-plane":
         return complex(rng.uniform(-3.0, 3.0), math.exp(rng.uniform(-1.5, 1.5)))
     if kind == "euclidean":
@@ -204,26 +209,11 @@ def halfplane_variation_configs(space, seed: int, count: int) -> Iterator[tuple]
         made += 1
 
 
-def defect_pairs_exhaustive(rank: int, radius: int) -> Iterator[tuple[Word, Word]]:
-    ws = W.ball(rank, radius)
-    for g in ws:
-        for h in ws:
-            yield g, h
-
-
 def random_words(rank: int, seed: int, count: int, max_len: int) -> list[Word]:
     rng = rng_for(seed, "words")
     out = []
     while len(out) < count:
-        length = rng.randrange(1, max_len + 1)
-        letters: list[int] = []
-        while len(letters) < length:
-            x = rng.choice([k for k in range(1, rank + 1)]
-                           + [-k for k in range(1, rank + 1)])
-            if letters and letters[-1] == -x:
-                continue
-            letters.append(x)
-        w = tuple(letters)
+        w = _random_reduced(rng, rank, rng.randrange(1, max_len + 1))
         if w not in out:
             out.append(w)
     return out

@@ -10,13 +10,16 @@ differences equal distances (exactly on the tree and Euclidean space, within
 tolerance on the half-plane).
 
 Projections are closed forms on the tree (Gromov products), the half-plane
-(a Möbius map sends the geodesic to the imaginary axis) and Euclidean space
-(a clamped dot product), and ``ball_parameters`` evaluates the same formulas
-as numpy over the whole sampled ball.  Euclidean ``segment_distance`` is
-closed form too.  Golden-section search is kept where no closed form is
-used: projections and ball shadows on products, and the one-dimensional
-minimization over closed-form projections in half-plane
-``segment_distance``.
+and Euclidean space (a clamped dot product), and ``ball_parameters``
+evaluates the same formulas as numpy over the whole sampled ball.
+Euclidean ``segment_distance`` is closed form too.  Golden-section search is
+kept where no closed form is used: projections and ball shadows on
+products, and the one-dimensional minimization over closed-form projections
+in half-plane ``segment_distance``.
+
+A half-plane segment, vertical line or arc alike, is one Möbius normal
+form: the isometry T(z) = (z - p) / (1 - k z) that sends its geodesic to the
+imaginary axis, so both ``project`` and ``point_at`` are one formula.
 
 Projections onto segments are single-valued here: the tree and all CAT(0)
 model spaces have unique nearest points, and every downstream check is
@@ -424,56 +427,46 @@ def _hp_distance(z: complex, w: complex) -> float:
 
 
 class HalfPlaneSegment:
-    """Geodesic of the upper half-plane: a vertical ray piece or an arc of a
-    semicircle centered on the real axis, parametrized by arclength."""
+    """Geodesic of the upper half-plane, parametrized by arclength.
+
+    The isometry T(z) = (z - p) / (1 - k z) sends the whole geodesic to the
+    imaginary axis: p is one ideal endpoint and k = 1/q for the other, the
+    one farther from 0, so k = 0 exactly on a vertical line.  The point at
+    parameter s is T⁻¹(i e^u) with u = u0 ± s.
+    """
 
     def __init__(self, space: "HalfPlaneSpace", a: complex, b: complex):
         self.space = space
         self.start = a
         self.end = b
-        scale = max(1.0, abs(a), abs(b))
-        if abs(a.real - b.real) <= 1e-12 * scale:
-            self._vertical = True
-            self._x = 0.5 * (a.real + b.real)
-            u0, u1 = math.log(a.imag), math.log(b.imag)
+        # The centre c = n / d and radius multiplied through by d, so a
+        # vertical line (d = 0) is no special case: q = den / d is the
+        # endpoint farther from 0, and p = pq / q cancels no digits.
+        n = abs(a) ** 2 - abs(b) ** 2
+        d = 2.0 * (a.real - b.real)
+        den = n + math.copysign(math.hypot(a.real * d - n, a.imag * d), n)
+        if den == 0.0:  # a == b
+            self._p, self._k = a.real, 0.0
         else:
-            self._vertical = False
-            c = (abs(a) ** 2 - abs(b) ** 2) / (2.0 * (a.real - b.real))
-            self._c = c
-            self._r = abs(a - c)
-            u0 = self._u(a)
-            u1 = self._u(b)
+            self._p = (2.0 * a.real * n - abs(a) ** 2 * d) / den
+            self._k = d / den
+        u0, u1 = self._foot_u(a), self._foot_u(b)
         self._u0 = u0
         self._sign = 1.0 if u1 >= u0 else -1.0
         self.length = abs(u1 - u0)
 
-    def _u(self, z: complex) -> float:
-        theta = math.atan2(z.imag, z.real - self._c)
-        return math.log(math.tan(0.5 * theta))
-
     def _foot_u(self, z, log=math.log):
         """The coordinate u of the foot of z (a complex, or a complex array
-        with ``log=np.log``) on the segment's whole geodesic.
-
-        A vertical geodesic's foot is x + i|z - x|.  For an arc of centre c
-        and radius r, T(z) = (z - (c - r)) / ((c + r) - z) is an isometry
-        sending the arc point with angle θ to i cot(θ/2), so the foot of z
-        has u = log tan(θ/2) = -log|T(z)|, written with w = z - c.
-        """
-        if self._vertical:
-            return log(abs(z - self._x))
-        w = z - self._c
-        return log(abs(self._r - w) / abs(self._r + w))
+        with ``log=np.log``) on the segment's whole geodesic: the foot of w
+        on the imaginary axis is i|w|, so u = log|T(z)|."""
+        return log(abs(z - self._p) / abs(1.0 - self._k * z))
 
     def point_at(self, s: float) -> complex:
         if s < -1e-9 or s > self.length + 1e-9:
             raise InputError(f"parameter {s} outside [0, {self.length}]")
         s = min(max(s, 0.0), self.length)
-        u = self._u0 + self._sign * s
-        if self._vertical:
-            return complex(self._x, math.exp(u))
-        theta = 2.0 * math.atan(math.exp(u))
-        return self._c + self._r * cmath.exp(1j * theta)
+        w = complex(0.0, math.exp(self._u0 + self._sign * s))
+        return (w + self._p) / (1.0 + self._k * w)
 
 
 class HalfPlaneSpace:

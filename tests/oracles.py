@@ -4,7 +4,9 @@ These deliberately avoid the package's candidate-graph machinery: the
 modified-length oracle runs plain Dijkstra over actual tree vertices with
 unit tree edges plus one directed shortcut edge per translate inside the
 search region, and the projection oracle is brute-force minimization over
-enumerated candidates.
+enumerated candidates.  Two helpers only the tests need sit here as well:
+the closed-form tree modified length ``tree_lambda_exact`` and the search
+helper ``contraction_scale`` over the package's certificate.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 
 from catqm import words as W
 from catqm.algebra import GElement
+from catqm.contraction import certify_contracting
 from catqm.errors import InputError
 from catqm.words import multiply, inverse, word_distance
 
@@ -83,6 +86,25 @@ def tree_phi_oracle(sigma: tuple, g: tuple, rank: int = 2) -> float:
     back, _ = tree_lambda_oracle(sigma, g, W.IDENTITY, rank)
     fwd, _ = tree_lambda_oracle(sigma, W.IDENTITY, g, rank)
     return back - fwd
+
+
+def tree_lambda_exact(sys, u: tuple, v: tuple) -> float:
+    """Closed-form modified length between tree vertices u.x0 and v.x0: the
+    tree distance minus the greedy count of disjoint forward occurrences of
+    the base letter sequence in the geodesic word (see the exact tree
+    evaluation notes in ``catqm.expressway``)."""
+    if not sys.is_exact_tree():
+        raise InputError("exact evaluation needs a free group on its tree")
+    x0 = sys.basepoint.anchor
+    geo = W.to_string(multiply(inverse(multiply(u, x0)), multiply(v, x0)))
+    return float(len(geo) - geo.count(W.to_string(sys.sigma_edge_word())))
+
+
+def contraction_scale(space, seg, budget=None) -> float:
+    """Smallest B the budget cannot refute: the largest observed projection
+    diameter plus the space tolerance."""
+    cert = certify_contracting(space, seg, B=float("inf"), budget=budget)
+    return cert.max_diameter + space.tol
 
 
 def bfs_projection_oracle(space, x, seg, step: float = 0.5):

@@ -6,7 +6,6 @@ from catqm.algebra import (
     GElement,
     Quasimorphism,
     _orbit_representatives,
-    brooks,
     brooks_qm,
     check_sigma_invariance,
     extension_defect,
@@ -41,23 +40,23 @@ AAB = W.from_string("aab")
 # ---------------------------------------------------------------------------
 
 def test_brooks_examples():
-    assert brooks("aab", "aabaab") == 2
-    assert brooks("aab", "BAA") == -1
-    assert brooks("aab", "") == 0
+    assert brooks_qm("aab")("aabaab") == 2
+    assert brooks_qm("aab")("BAA") == -1
+    assert brooks_qm("aab")("") == 0
     with pytest.raises(InputError):
-        brooks("", "ab")
+        brooks_qm("")("ab")
 
 
 def test_brooks_overlapping_counts():
     # aa occurs twice in aaa (overlapping)
-    assert brooks("aa", "aaa") == 2
+    assert brooks_qm("aa")("aaa") == 2
     s = "aabaabaab"
-    assert brooks("aabaab", s) == count_occurrences_overlapping("aabaab", s)
+    assert brooks_qm("aabaab")(s) == count_occurrences_overlapping("aabaab", s)
 
 
 def test_brooks_antisymmetry():
     for g in random_words(2, 4, 30, 6):
-        assert brooks("aab", W.inverse(g)) == -brooks("aab", g)
+        assert brooks_qm("aab")(W.inverse(g)) == -brooks_qm("aab")(g)
 
 
 def test_brooks_defect_frozen():
@@ -65,10 +64,11 @@ def test_brooks_defect_frozen():
     # over exhaustive pairs of length <= 4 equals 1
     worst = 0
     ws = W.ball(2, 4)
-    vals = {g: brooks("aab", g) for g in ws}
+    phi = brooks_qm("aab")
+    vals = {g: phi(g) for g in ws}
     for g in ws:
         for h in ws:
-            d = abs(brooks("aab", W.multiply(g, h)) - vals[g] - vals[h])
+            d = abs(phi(W.multiply(g, h)) - vals[g] - vals[h])
             worst = max(worst, d)
     assert worst == 1
 
@@ -141,7 +141,7 @@ def test_sigma_act_examples():
     ext = swap_extension()
     phi = brooks_qm("aab")
     acted = sigma_act(ext, 1, phi)
-    assert acted(W.from_string("aab")) == brooks("aab", "bba")  # = 0
+    assert acted(W.from_string("aab")) == brooks_qm("aab")("bba")  # = 0
     ident = sigma_act(ext, 0, phi)
     for g in random_words(2, 13, 6, 4):
         assert ident(g) == phi(g)
@@ -294,7 +294,7 @@ def test_word_evaluators_match_oracles_on_word_ball():
     for g in W.ball(2, 6):
         moved = [perm_apply_oracle(perm_inverse_oracle(p), g) for p in ext.perms]
         assert raw(g) == float(brooks_oracle(AAB, g))
-        assert brooks("aab", list(g)) == brooks_oracle(AAB, g)
+        assert brooks_qm("aab")(list(g)) == brooks_oracle(AAB, g)
         assert hom(g) == homogeneous_brooks_oracle(AAB, g)
         assert [f(g) for f in acted] == [float(brooks_oracle(AAB, m)) for m in moved]
         assert avg_raw(g) == sum(float(brooks_oracle(AAB, m)) for m in moved)
@@ -318,7 +318,7 @@ def test_every_public_evaluator_rejects_malformed_words(bad):
                   sigma_act(ext, 0, brooks_qm("aab")),
                   sigma_act(ext, 1, brooks_qm("aab")), avg,
                   transfer_extend(ext, avg), word_length_qm(),
-                  lambda g: brooks("aab", g), lambda g: brooks(g, "ab")]
+                  lambda g: brooks_qm("aab")(g), lambda g: brooks_qm(g)("ab")]
     for evaluate in evaluators:
         with pytest.raises(InputError):
             evaluate(bad)

@@ -15,7 +15,6 @@ from catqm.contraction import (
     check_stability,
     check_thin_triangle,
     check_variation,
-    contraction_scale,
     phi_projection_transfer,
     phi_subsegment,
     phi_table,
@@ -31,6 +30,8 @@ from catqm.samplers import (
     tree_variation_configs,
 )
 from catqm.spaces import EuclideanSpace, HalfPlaneSpace, TreeSpace, tree_point, vertex
+
+from oracles import contraction_scale
 
 TREE = TreeSpace(2)
 HP = HalfPlaneSpace()

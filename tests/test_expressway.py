@@ -18,13 +18,12 @@ from catqm.expressway import (
     modified_length,
     phi_evaluator,
     phi_sigma,
-    tree_lambda_exact,
     tree_phi_exact,
 )
 from catqm.samplers import random_words
 from catqm.spaces import HalfPlaneSpace, TreeSpace, vertex
 
-from oracles import tree_lambda_oracle, tree_phi_oracle
+from oracles import tree_lambda_exact, tree_lambda_oracle, tree_phi_oracle
 
 TREE = TreeSpace(2)
 FREE = GroupModel.free(2)

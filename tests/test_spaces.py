@@ -81,6 +81,17 @@ def test_halfplane_arc_geodesic():
         assert abs(abs(z) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("dre", [1e-4, 1e-7, 1e-9, 1e-11])
+def test_halfplane_nearly_vertical_geodesic_keeps_its_digits(dre):
+    # an arc through two points whose real parts nearly agree has a huge
+    # centre and radius; its endpoints and length must not cancel away
+    a, b = 0.3 + 1j, 0.3 + dre + 5j
+    seg = HP.geodesic(a, b)
+    assert abs(seg.point_at(0) - a) <= 1e-12
+    assert abs(seg.point_at(seg.length) - b) <= 1e-12
+    assert abs(seg.length - HP.distance(a, b)) <= 1e-12
+
+
 def test_segment_is_isometric_embedding():
     cases = [
         (TREE, vertex("bA"), vertex("aab")),
@@ -190,7 +201,7 @@ def test_closed_form_projections_match_golden_section(space):
     cases = _closed_form_cases(space, 61, 2000)
     assert any(seg.length == 0.0 for seg, _ in cases)
     if space is HP:
-        assert {seg._vertical for seg, _ in cases} == {True, False}
+        assert {seg._k == 0.0 for seg, _ in cases} == {True, False}
     for seg, x in cases:
         pr = space.project(x, seg)
         gs = _convex_project(space, x, seg)
