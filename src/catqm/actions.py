@@ -153,11 +153,10 @@ class GroupModel:
     words may act identically, which is harmless for enumeration.
     """
 
-    def __init__(self, identity_action, gen_actions: list, ball_cap: int):
+    def __init__(self, identity_action, gen_actions: list):
         if len(gen_actions) < 1:
             raise InputError("rank must be >= 1")
         self.rank = len(gen_actions)
-        self.ball_cap = ball_cap
         self.identity_action = identity_action
         # letter k acts by generator k, letter -k by its inverse
         self._letters = {}
@@ -166,27 +165,27 @@ class GroupModel:
 
     # -- constructors --------------------------------------------------------
     @staticmethod
-    def free(rank: int = 2, ball_cap: int = W.BALL_RADIUS_CAP) -> "GroupModel":
+    def free(rank: int = 2) -> "GroupModel":
         return GroupModel(WordShift(IDENTITY),
-                          [WordShift((k,)) for k in range(1, rank + 1)], ball_cap)
+                          [WordShift((k,)) for k in range(1, rank + 1)])
 
     @staticmethod
-    def matrix(mats: list, ball_cap: int = W.BALL_RADIUS_CAP) -> "GroupModel":
+    def matrix(mats: list) -> "GroupModel":
         actions = []
         for m in mats:
             mm = Mat2(float(m[0][0]), float(m[0][1]), float(m[1][0]), float(m[1][1]))
             if abs(mm.det() - 1.0) > 1e-6:
                 raise InputError(f"generator determinant {mm.det()} != 1")
             actions.append(mm.renormalized())
-        return GroupModel(Mat2(1.0, 0.0, 0.0, 1.0), actions, ball_cap)
+        return GroupModel(Mat2(1.0, 0.0, 0.0, 1.0), actions)
 
     @staticmethod
-    def translation(vectors: list, ball_cap: int = W.BALL_RADIUS_CAP) -> "GroupModel":
+    def translation(vectors: list) -> "GroupModel":
         actions = [Translation(tuple(float(c) for c in v)) for v in vectors]
         dim = len(actions[0].vector) if actions else 0
         if any(len(t.vector) != dim for t in actions):
             raise InputError("translation generators must share one dimension")
-        return GroupModel(Translation((0.0,) * dim), actions, ball_cap)
+        return GroupModel(Translation((0.0,) * dim), actions)
 
     @staticmethod
     def product(left: "GroupModel", right: "GroupModel") -> "GroupModel":
@@ -194,8 +193,7 @@ class GroupModel:
             raise InputError("product factors must share the generator count")
         return GroupModel(FactorPair(left.identity_action, right.identity_action),
                           [FactorPair(left._letters[k], right._letters[k])
-                           for k in range(1, left.rank + 1)],
-                          min(left.ball_cap, right.ball_cap))
+                           for k in range(1, left.rank + 1)])
 
     # -- isometries ------------------------------------------------------------
     def identity(self) -> Isometry:
@@ -234,8 +232,8 @@ class GroupModel:
     def ball(self, radius: int) -> list[Isometry]:
         """All isometries with word length <= radius, BFS order, actions
         composed one letter at a time (on the tree each word is its own
-        action, so none is composed)."""
-        ws = W.ball(self.rank, radius, cap=self.ball_cap)
+        action, so none is composed).  The radius cap is ``words.ball``'s."""
+        ws = W.ball(self.rank, radius)
         if isinstance(self.identity_action, WordShift):
             return [Isometry(w, WordShift(w)) for w in ws]
         acts: dict[Word, Any] = {IDENTITY: self.identity_action}
@@ -277,14 +275,11 @@ def orbit_points(space, g: Isometry, x0, n: int) -> list:
 def group_from_json(data: dict) -> GroupModel:
     kind = data.get("kind")
     if kind == "free":
-        return GroupModel.free(data.get("rank", 2),
-                               ball_cap=data.get("ball_cap", W.BALL_RADIUS_CAP))
+        return GroupModel.free(data.get("rank", 2))
     if kind == "matrix":
-        return GroupModel.matrix(data["generators"],
-                                 ball_cap=data.get("ball_cap", W.BALL_RADIUS_CAP))
+        return GroupModel.matrix(data["generators"])
     if kind == "translation":
-        return GroupModel.translation(data["generators"],
-                                      ball_cap=data.get("ball_cap", W.BALL_RADIUS_CAP))
+        return GroupModel.translation(data["generators"])
     if kind == "product":
         return GroupModel.product(group_from_json(data["left"]),
                                   group_from_json(data["right"]))

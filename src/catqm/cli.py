@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import CatqmError
 from .runner import (
@@ -60,6 +61,7 @@ def main(argv=None) -> int:
             cfg.raw = {**cfg.raw, "seed": args.seed}
         if args.budget_scale is not None:
             cfg.budgets = cfg.budgets.scaled(args.budget_scale)
+            cfg.raw = {**cfg.raw, "budgets": asdict(cfg.budgets)}
     except (CatqmError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

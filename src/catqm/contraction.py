@@ -12,7 +12,10 @@ by an explicit formula that discharges the corresponding proof step.  Where
 a proof only shows some bound exists, the formula here follows the proof's
 inequality chain with conservative slack; all uses are upper bounds, so
 over-estimates are safe.  Every entry is monotone nondecreasing in each
-argument.
+argument.  Each constant has one owner, its ``phi_*`` formula: the lemma
+checkers evaluate the formulas at the ledger's (B, C), and
+``ConstantLedger`` holds only the base pair and the downstream constants
+fixed once per experiment, with ``table()`` for reports.
 """
 
 from __future__ import annotations
@@ -131,9 +134,10 @@ def phi_chain(B: float, C: float) -> float:
 
 @dataclass(frozen=True)
 class ConstantLedger:
-    """All derived constants for a base pair (C, B), with the downstream
-    values D (confinement), S (stability at D), S' (subsegments of S), and
-    T (dichotomy at S' plus D) fixed once per experiment."""
+    """A base pair (C, B) with the downstream values B' (subsegments of B),
+    D (confinement), S (stability at D), S' (subsegments of S), and T
+    (dichotomy at S' plus D) fixed once per experiment.  ``table()`` lists
+    every derived constant, each from its ``phi_*`` formula."""
     C: float
     B: float
     B_prime: float = field(init=False)
@@ -151,61 +155,24 @@ class ConstantLedger:
         object.__setattr__(self, "S_prime", phi_subsegment(self.S, self.C))
         object.__setattr__(self, "T", phi_dichotomy(self.S_prime, self.C) + self.D)
 
-    # per-lemma values at the ledger's own (B, C)
-    def subsegment(self) -> float:
-        return phi_subsegment(self.B, self.C)
-
-    def thin_triangle(self) -> float:
-        return phi_thin_triangle(self.B, self.C)
-
-    def near_collinearity(self) -> float:
-        return phi_near_collinearity(self.B, self.C)
-
-    def projection_transfer(self, D: float) -> float:
-        return phi_projection_transfer(self.B, self.C, D)
-
-    def stability(self, D: float) -> float:
-        return phi_stability(self.B, self.C, D)
-
-    def variation(self) -> float:
-        return phi_variation(self.B, self.C)
-
-    def detour(self) -> float:
-        return phi_detour(self.B_prime, self.C)
-
-    def dichotomy(self) -> float:
-        return phi_dichotomy(self.B, self.C)
-
-    def adjacent_projections(self) -> float:
-        return phi_adjacent_projections(self.B, self.C)
-
-    def confinement(self) -> float:
-        return self.D
-
-    def chain(self) -> float:
-        return phi_chain(self.B, self.C)
-
     def table(self) -> dict:
+        B, C = self.B, self.C
         return {
-            "C": self.C, "B": self.B,
-            "subsegment": self.subsegment(),
-            "thin_triangle": self.thin_triangle(),
-            "near_collinearity": self.near_collinearity(),
-            "projection_transfer_at_D": self.projection_transfer(self.D),
+            "C": C, "B": B,
+            "subsegment": self.B_prime,
+            "thin_triangle": phi_thin_triangle(B, C),
+            "near_collinearity": phi_near_collinearity(B, C),
+            "projection_transfer_at_D": phi_projection_transfer(B, C, self.D),
             "stability_at_D": self.S,
-            "variation": self.variation(),
-            "detour": self.detour(),
-            "dichotomy": self.dichotomy(),
-            "adjacent_projections": self.adjacent_projections(),
+            "variation": phi_variation(B, C),
+            "detour": phi_detour(self.B_prime, C),
+            "dichotomy": phi_dichotomy(B, C),
+            "adjacent_projections": phi_adjacent_projections(B, C),
             "confinement": self.D,
-            "chain": self.chain(),
+            "chain": phi_chain(B, C),
             "B_prime": self.B_prime,
             "D": self.D, "S": self.S, "S_prime": self.S_prime, "T": self.T,
         }
-
-
-def phi_table(C: float, B: float) -> ConstantLedger:
-    return ConstantLedger(C=C, B=B)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +370,8 @@ def check_thin_triangle(space, a, b, c, ledger: ConstantLedger,
     seg_ab = space.geodesic(a, b)
     if not _projection_hits(space, b, seg_ab, c, ledger.C):
         return LemmaOutcome("thin_triangle", SKIPPED, reason="projection hypothesis")
-    bound = ledger.thin_triangle() + ledger.C   # C slack for the representative
+    # C slack for the representative
+    bound = phi_thin_triangle(ledger.B, ledger.C) + ledger.C
     value = space.project(b, space.geodesic(a, c)).distance
     status = HOLDS if value < bound + eps else VIOLATED
     return LemmaOutcome("thin_triangle", status, value, bound,
@@ -421,7 +389,7 @@ def check_reverse_triangle(space, a, b, c, ledger: ConstantLedger,
     ab = space.distance(a, b)
     bc = space.distance(b, c)
     ac = space.distance(a, c)
-    defect = ledger.near_collinearity() + ledger.C
+    defect = phi_near_collinearity(ledger.B, ledger.C) + ledger.C
     upper_ok = ac <= ab + bc + eps
     lower_ok = ac >= ab + bc - defect - eps
     status = HOLDS if (upper_ok and lower_ok) else VIOLATED
@@ -440,7 +408,7 @@ def check_dichotomy(space, seg_uv, x, y, ledger: ConstantLedger,
         return LemmaOutcome("dichotomy", SKIPPED, reason="x projection hypothesis")
     if not _projection_hits(space, v, seg_uv, y, ledger.C):
         return LemmaOutcome("dichotomy", SKIPPED, reason="y projection hypothesis")
-    bound = ledger.dichotomy() + 2.0 * ledger.C
+    bound = phi_dichotomy(ledger.B, ledger.C) + 2.0 * ledger.C
     uv = space.distance(u, v)
     if uv < bound + eps:
         return LemmaOutcome("dichotomy", HOLDS, uv, bound)
@@ -467,7 +435,7 @@ def check_variation(space, seg_ab, seg_pq, ledger: ConstantLedger,
             return LemmaOutcome("variation", SKIPPED,
                                 reason="distance not minimized at the start")
     value = d_at(seg_ab.end) - d0
-    bound = (1.0 - ledger.B / d0) * seg_ab.length - ledger.variation()
+    bound = (1.0 - ledger.B / d0) * seg_ab.length - phi_variation(ledger.B, ledger.C)
     status = HOLDS if value >= bound - eps else VIOLATED
     return LemmaOutcome("variation", status, value, bound,
                         witness={"a": space.point_to_json(seg_ab.start),
@@ -485,7 +453,7 @@ def check_stability(space, seg_ab, a2, b2, D: float, ledger: ConstantLedger,
     db = space.distance(seg_ab.end, b2)
     if max(da, db) > D + space.tol:
         raise InputError(f"endpoint displacement {max(da, db)} exceeds D={D}")
-    target = ledger.stability(D)
+    target = phi_stability(ledger.B, ledger.C, D)
     return certify_contracting(space, space.geodesic(a2, b2), target, budget)
 
 

@@ -49,10 +49,14 @@ class Translate:
 
 
 class ExpresswaySystem:
-    """An oriented base segment, its group translates, and query budgets."""
+    """An oriented base segment, its group translates, and query budgets.
 
-    def __init__(self, space, group: GroupModel, sigma_word, basepoint=None,
-                 ledger: ConstantLedger | None = None, margin: float = 2.0,
+    The constant ledger is required: its confinement constant D caps the
+    candidate margin and bounds witness paths.
+    """
+
+    def __init__(self, space, group: GroupModel, sigma_word, basepoint=None, *,
+                 ledger: ConstantLedger, margin: float = 2.0,
                  enum_radius: int = 5, candidate_cap: int = 20000):
         self.space = space
         self.group = group
@@ -61,7 +65,7 @@ class ExpresswaySystem:
             raise ConfigError("base word must be nontrivial")
         self.basepoint = space.validate_point(
             basepoint if basepoint is not None else space.basepoint())
-        self.ledger = ledger or ConstantLedger(C=space.dd_constant or 1.0, B=1.0)
+        self.ledger = ledger
         self.margin = margin
         self.enum_radius = enum_radius
         self.candidate_cap = candidate_cap
@@ -76,7 +80,6 @@ class ExpresswaySystem:
         # scale configurations rarely satisfy it, so it is reported, not
         # enforced
         self.meets_length_hypothesis = self.L > self.ledger.D
-        self.defect_bound: float | None = None
         self._translate_cache: dict = {}
 
     # -- structural helpers -------------------------------------------------
@@ -341,9 +344,11 @@ def check_lambda_properties(sys: ExpresswaySystem, samples: LambdaSamples,
 
     lam = lambda x, y: modified_length(sys, x, y).value
 
+    pair_values = []
     for a, b in samples.pairs:
         result = modified_length(sys, a, b)
         value, d = result.value, space.distance(a, b)
+        pair_values.append(value)
         if value > d + eps:
             note("upper_bound", {"lambda": value, "distance": d})
         if result.candidates == 0 and abs(value - d) > eps:
@@ -357,9 +362,9 @@ def check_lambda_properties(sys: ExpresswaySystem, samples: LambdaSamples,
 
     for g in samples.group_elements:
         iso = sys.group.from_word(g)
-        for a, b in samples.pairs:
+        for (a, b), v1 in zip(samples.pairs, pair_values):
             ga, gb = act(space, iso, a), act(space, iso, b)
-            v1, v2 = lam(a, b), lam(ga, gb)
+            v2 = lam(ga, gb)
             if abs(v1 - v2) > eps:
                 note("invariance", {"g": W.to_string(g), "lambda": v1,
                                     "translated": v2})
@@ -386,7 +391,8 @@ class DefectReport:
 def defect_estimate(sys: ExpresswaySystem, pairs: Iterable[tuple[Word, Word]]
                     ) -> DefectReport:
     """max |phi(g g') - phi(g) - phi(g')| over the sampled pairs; a lower
-    bound for the true defect that never decreases as the sample grows."""
+    bound for the true defect that never decreases as the sample grows.
+    A caller passes the value to ``homogenize`` as its ``defect_bound``."""
     phi = phi_evaluator(sys)
     cache: dict[Word, float] = {}
 
@@ -403,20 +409,18 @@ def defect_estimate(sys: ExpresswaySystem, pairs: Iterable[tuple[Word, Word]]
         d = abs(ev(word_multiply(g, h)) - ev(g) - ev(h))
         if d > best:
             best, arg = d, (g, h)
-    sys.defect_bound = max(sys.defect_bound or 0.0, best)
     return DefectReport(best, arg, count)
 
 
 def homogenize(sys: ExpresswaySystem, g, n_max: int,
                defect_bound: float | None = None) -> tuple[float, float | None]:
-    """phi(g^n)/n together with the error radius defect/n around the
-    homogeneous representative."""
+    """phi(g^n)/n together with the error radius defect_bound/n around the
+    homogeneous representative (None without a bound)."""
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     g = W.as_word(g)
     value = phi_evaluator(sys)(W.power(g, n_max)) / n_max
-    bound = defect_bound if defect_bound is not None else sys.defect_bound
-    return value, (None if bound is None else bound / n_max)
+    return value, (None if defect_bound is None else defect_bound / n_max)
 
 
 def independence_matrix(systems: list[ExpresswaySystem], testers: list,

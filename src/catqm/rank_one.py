@@ -1,5 +1,5 @@
 """Rank-1 behavior of isometries: orbit/geodesic comparison, independence
-profiles, chains of contracting segments, and ping-pong exponents.
+profiles, ping-pong exponents, and the flat negative control.
 
 An isometry behaves rank-1 at scale B (up to budget) when, for every tested
 power n, some geodesic from the basepoint to the n-th orbit point is
@@ -14,12 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .actions import GroupModel, act, orbit_points
-from .contraction import (
-    CertBudget,
-    ConstantLedger,
-    ContractionCertificate,
-    certify_contracting,
-)
+from .contraction import CertBudget, ContractionCertificate, certify_contracting
 from .errors import BudgetError, InputError
 from .spaces import _arclength_samples
 from . import words as W
@@ -142,43 +137,6 @@ def independence_test(space, group: GroupModel, g, h, x0, grid_max: int,
     tail = all(values[i] < values[i + 1] for i in range(max(1, grid_max // 2), grid_max))
     passed = tail and values[-1] > threshold
     return IndependenceProfile(tuple(values), grid_max, threshold, tail, passed)
-
-
-@dataclass(frozen=True)
-class ChainOutcome:
-    skipped: bool
-    reason: str | None
-    neighborhood_bound: float | None
-    certificate: ContractionCertificate | None
-
-
-def chain_check(space, points: list, B: float, ledger: ConstantLedger,
-                budget: CertBudget | None = None, step: float = 0.5) -> ChainOutcome:
-    """Chains of contracting segments with large gaps between next-nearest
-    pieces produce a contracting geodesic that shadows the chain.
-
-    Each consecutive segment must certify at scale B and the gap hypothesis
-    d([x_i, x_i+1], [x_i+2, x_i+3]) > chain constant must hold; otherwise
-    the configuration is skipped, not counted as a violation.
-    """
-    if len(points) < 2:
-        raise InputError("need at least two chain points")
-    segs = [space.geodesic(points[i], points[i + 1]) for i in range(len(points) - 1)]
-    for seg in segs:
-        if certify_contracting(space, seg, B, budget).refuted:
-            return ChainOutcome(True, "piece fails contraction", None, None)
-    bound = ledger.chain()
-    for i in range(len(segs) - 2):
-        if space.segment_distance(segs[i], segs[i + 2]) <= bound:
-            return ChainOutcome(True, "gap hypothesis unmet", None, None)
-    whole = space.geodesic(points[0], points[-1])
-    worst = 0.0
-    for s in _arclength_samples(whole.length, step):
-        pt = whole.point_at(s)
-        d = min(space.project(pt, seg).distance for seg in segs)
-        worst = max(worst, d)
-    cert = certify_contracting(space, whole, bound, budget)
-    return ChainOutcome(False, None, worst, cert)
 
 
 @dataclass(frozen=True)

@@ -219,8 +219,7 @@ def run_axioms(cfg: ExperimentConfig) -> tuple[dict, list, list]:
         ft_sampler = ft_quads_random(space, cfg.seed, budgets.sample_count)
     dd = check_dd(space, dd_sampler, cfg.C, cfg.tolerance)
     ft = check_ft(space, ft_sampler, cfg.C, cfg.tolerance)
-    violations = [{"check": "dd", **v.data} for v in dd]
-    violations += [{"check": "ft", **v.data} for v in ft]
+    violations = dd + ft
 
     rng = rng_for(cfg.seed, "axioms-extra")
     triangle_bad = 0

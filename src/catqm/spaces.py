@@ -823,16 +823,11 @@ def _convex_segment_distance(space, s1, s2) -> float:
     return space.project(s1.point_at(t), s2).distance
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
-    axiom: str
-    data: dict
-
-
-def check_dd(space, sampler, C: float, tolerance: float | None = None) -> list[AxiomViolation]:
+def check_dd(space, sampler, C: float, tolerance: float | None = None) -> list[dict]:
     """Projections coarsely decrease distances: for sampled (segment, x, x')
     the projections p, p' must satisfy |p - p'| < |x - x'| + C (+ tolerance).
-    Returns the violations, each carrying its witness triple."""
+    Returns the violations as report entries (``"check": "dd"``), each
+    carrying its witness triple."""
     eps = space.tol if tolerance is None else tolerance
     out = []
     for seg, x, x2 in sampler:
@@ -841,18 +836,20 @@ def check_dd(space, sampler, C: float, tolerance: float | None = None) -> list[A
         lhs = space.distance(p.point, p2.point)
         rhs = space.distance(x, x2) + C
         if lhs >= rhs + eps:
-            out.append(AxiomViolation("dd", {
+            out.append({
+                "check": "dd",
                 "segment": [space.point_to_json(seg.start), space.point_to_json(seg.end)],
                 "x": space.point_to_json(x), "x2": space.point_to_json(x2),
-                "projection_gap": lhs, "allowed": rhs}))
+                "projection_gap": lhs, "allowed": rhs})
     return out
 
 
 def check_ft(space, sampler, C: float, tolerance: float | None = None,
-             step: float = 0.5) -> list[AxiomViolation]:
+             step: float = 0.5) -> list[dict]:
     """Fellow traveling: for sampled (a, b, a', b') with endpoint displacement
     D, every sampled point of [a', b'] must lie within C + D (+ tolerance)
-    of [a, b]."""
+    of [a, b].  Returns the violations as report entries
+    (``"check": "ft"``)."""
     eps = space.tol if tolerance is None else tolerance
     out = []
     for a, b, a2, b2 in sampler:
@@ -863,11 +860,12 @@ def check_ft(space, sampler, C: float, tolerance: float | None = None,
             pt = moved.point_at(s)
             d = space.project(pt, base).distance
             if d >= C + D + eps:
-                out.append(AxiomViolation("ft", {
+                out.append({
+                    "check": "ft",
                     "a": space.point_to_json(a), "b": space.point_to_json(b),
                     "a2": space.point_to_json(a2), "b2": space.point_to_json(b2),
                     "point": space.point_to_json(pt),
-                    "deviation": d, "allowed": C + D}))
+                    "deviation": d, "allowed": C + D})
                 break
     return out
 

@@ -4,20 +4,23 @@ These deliberately avoid the package's candidate-graph machinery: the
 modified-length oracle runs plain Dijkstra over actual tree vertices with
 unit tree edges plus one directed shortcut edge per translate inside the
 search region, and the projection oracle is brute-force minimization over
-enumerated candidates.  Two helpers only the tests need sit here as well:
-the closed-form tree modified length ``tree_lambda_exact`` and the search
-helper ``contraction_scale`` over the package's certificate.
+enumerated candidates.  Three helpers only the tests need sit here as
+well: the closed-form tree modified length ``tree_lambda_exact``, the search
+helper ``contraction_scale`` over the package's certificate, and the
+contracting-chain check ``chain_check``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import dataclass
 
 from catqm import words as W
 from catqm.algebra import GElement
-from catqm.contraction import certify_contracting
+from catqm.contraction import ContractionCertificate, certify_contracting, phi_chain
 from catqm.errors import InputError
+from catqm.spaces import _arclength_samples
 from catqm.words import multiply, inverse, word_distance
 
 
@@ -105,6 +108,44 @@ def contraction_scale(space, seg, budget=None) -> float:
     diameter plus the space tolerance."""
     cert = certify_contracting(space, seg, B=float("inf"), budget=budget)
     return cert.max_diameter + space.tol
+
+
+@dataclass(frozen=True)
+class ChainOutcome:
+    skipped: bool
+    reason: str | None
+    neighborhood_bound: float | None
+    certificate: ContractionCertificate | None
+
+
+def chain_check(space, points: list, B: float, ledger, budget=None,
+                step: float = 0.5) -> ChainOutcome:
+    """Chains of contracting segments with large gaps between next-nearest
+    pieces produce a contracting geodesic that shadows the chain.
+
+    Each consecutive segment must certify at scale B and the gap hypothesis
+    d([x_i, x_i+1], [x_i+2, x_i+3]) > chain constant (``phi_chain`` at the
+    ledger's (B, C)) must hold; otherwise the configuration is skipped, not
+    counted as a violation.
+    """
+    if len(points) < 2:
+        raise InputError("need at least two chain points")
+    segs = [space.geodesic(points[i], points[i + 1]) for i in range(len(points) - 1)]
+    for seg in segs:
+        if certify_contracting(space, seg, B, budget).refuted:
+            return ChainOutcome(True, "piece fails contraction", None, None)
+    bound = phi_chain(ledger.B, ledger.C)
+    for i in range(len(segs) - 2):
+        if space.segment_distance(segs[i], segs[i + 2]) <= bound:
+            return ChainOutcome(True, "gap hypothesis unmet", None, None)
+    whole = space.geodesic(points[0], points[-1])
+    worst = 0.0
+    for s in _arclength_samples(whole.length, step):
+        pt = whole.point_at(s)
+        d = min(space.project(pt, seg).distance for seg in segs)
+        worst = max(worst, d)
+    cert = certify_contracting(space, whole, bound, budget)
+    return ChainOutcome(False, None, worst, cert)
 
 
 def bfs_projection_oracle(space, x, seg, step: float = 0.5):

@@ -24,13 +24,13 @@ from catqm.algebra import (
 )
 from catqm.contraction import (
     CertBudget,
+    ConstantLedger,
     certify_contracting,
     check_dichotomy,
     check_reverse_triangle,
     check_stability,
     check_thin_triangle,
     check_variation,
-    phi_table,
     projection_diameter_under_ball,
 )
 from catqm.expressway import (
@@ -64,7 +64,7 @@ from oracles import tree_phi_oracle
 
 TREE = TreeSpace(2)
 FREE = GroupModel.free(2)
-LEDGER = phi_table(1.0, 1.0)
+LEDGER = ConstantLedger(1.0, 1.0)
 SIGMA = W.from_string("aab")
 
 # frozen after the exhaustive oracle run over all pairs |g|, |g'| <= 5:
@@ -189,7 +189,7 @@ def test_criterion_3_lemma_suites():
     # seeded half-plane families at the uniform hyperbolic contraction
     # scale (any disjoint ball shadows under 2)
     HP = HalfPlaneSpace()
-    led_hp = phi_table(1.0, 2.0)
+    led_hp = ConstantLedger(1.0, 2.0)
     count = 0
     for a, b, c in halfplane_thin_configs(HP, 2024, 500):
         feed("hp-thin", check_thin_triangle(HP, a, b, c, led_hp, tolerance=1e-6))

@@ -361,12 +361,12 @@ def test_cross_validation_with_shortcut_potential():
     # the geometric potential and the counting quasimorphism agree in sign
     # on powers of the base word
     from catqm.actions import GroupModel
-    from catqm.contraction import phi_table
+    from catqm.contraction import ConstantLedger
     from catqm.expressway import ExpresswaySystem, tree_phi_exact
     from catqm.spaces import TreeSpace
 
     sys_t = ExpresswaySystem(TreeSpace(2), GroupModel.free(2), "aab",
-                             ledger=phi_table(1.0, 1.0))
+                             ledger=ConstantLedger(1.0, 1.0))
     hom = homogeneous_brooks_qm("aab")
     for n in range(1, 6):
         for word in (W.power(W.from_string("aab"), n),

@@ -15,10 +15,17 @@ from catqm.contraction import (
     check_stability,
     check_thin_triangle,
     check_variation,
+    phi_adjacent_projections,
+    phi_chain,
+    phi_confinement,
+    phi_detour,
+    phi_dichotomy,
+    phi_near_collinearity,
     phi_projection_transfer,
+    phi_stability,
     phi_subsegment,
-    phi_table,
     phi_thin_triangle,
+    phi_variation,
     projection_diameter_under_ball,
 )
 from catqm.errors import BudgetError, InputError
@@ -37,7 +44,7 @@ TREE = TreeSpace(2)
 HP = HalfPlaneSpace()
 EU = EuclideanSpace(2)
 
-LEDGER = phi_table(1.0, 1.0)
+LEDGER = ConstantLedger(1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -51,13 +58,37 @@ def test_ledger_pinned_values():
 
 
 def test_ledger_structure():
-    led = phi_table(1.0, 1.0)
+    led = ConstantLedger(1.0, 1.0)
     assert led.B_prime == led.B + 4 * led.C + 3
     assert led.T == pytest.approx(
         5 * phi_subsegment(led.S_prime, led.C) + 2 * led.C + 1 + led.D)
     table = led.table()
     assert table["thin_triangle"] == 5.0
     assert table["D"] == led.D and table["S"] == led.S
+
+
+def test_ledger_table_entries_come_from_their_formulas():
+    for C, B in [(1.0, 1.0), (0.5, 2.0), (2.0, 4.0)]:
+        led = ConstantLedger(C, B)
+        assert led.table() == {
+            "C": C, "B": B,
+            "subsegment": phi_subsegment(B, C),
+            "thin_triangle": phi_thin_triangle(B, C),
+            "near_collinearity": phi_near_collinearity(B, C),
+            "projection_transfer_at_D": phi_projection_transfer(B, C, led.D),
+            "stability_at_D": phi_stability(B, C, led.D),
+            "variation": phi_variation(B, C),
+            "detour": phi_detour(phi_subsegment(B, C), C),
+            "dichotomy": phi_dichotomy(B, C),
+            "adjacent_projections": phi_adjacent_projections(B, C),
+            "confinement": phi_confinement(B, C),
+            "chain": phi_chain(B, C),
+            "B_prime": phi_subsegment(B, C),
+            "D": phi_confinement(B, C),
+            "S": phi_stability(B, C, led.D),
+            "S_prime": phi_subsegment(led.S, C),
+            "T": phi_dichotomy(led.S_prime, C) + led.D,
+        }
 
 
 def test_ledger_monotone_in_each_argument():
@@ -67,23 +98,22 @@ def test_ledger_monotone_in_each_argument():
     for name in names:
         for c1 in grid:
             for b1 in grid:
-                v0 = getattr(phi_table(c1, b1), name)()
+                v0 = ConstantLedger(c1, b1).table()[name]
                 for c2 in grid:
                     for b2 in grid:
                         if c2 >= c1 and b2 >= b1:
-                            assert getattr(phi_table(c2, b2), name)() >= v0 - 1e-12
+                            assert ConstantLedger(c2, b2).table()[name] >= v0 - 1e-12
     # the D-argument entries are monotone in D as well
     for D1, D2 in [(1.0, 2.0), (2.0, 5.0)]:
-        led = phi_table(1.0, 1.0)
-        assert led.projection_transfer(D2) >= led.projection_transfer(D1)
-        assert led.stability(D2) >= led.stability(D1)
+        assert phi_projection_transfer(1.0, 1.0, D2) >= phi_projection_transfer(1.0, 1.0, D1)
+        assert phi_stability(1.0, 1.0, D2) >= phi_stability(1.0, 1.0, D1)
 
 
 def test_ledger_rejects_nonpositive():
     with pytest.raises(InputError):
-        phi_table(0.0, 1.0)
+        ConstantLedger(0.0, 1.0)
     with pytest.raises(InputError):
-        phi_table(1.0, -2.0)
+        ConstantLedger(1.0, -2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +324,7 @@ def test_halfplane_thin_and_reverse_seeded():
     for a, b, c in halfplane_thin_configs(HP, 5, 120):
         seg = HP.geodesic(a, b)
         scale = contraction_scale(HP, seg, budget)
-        led = phi_table(1.0, max(1.0, scale))
+        led = ConstantLedger(1.0, max(1.0, scale))
         out1 = check_thin_triangle(HP, a, b, c, led, tolerance=1e-6)
         out2 = check_reverse_triangle(HP, a, b, c, led, tolerance=1e-6)
         assert out1.ok and out2.ok
@@ -307,7 +337,7 @@ def test_halfplane_variation_seeded():
     held = 0
     for seg_ab, seg_pq in halfplane_variation_configs(HP, 5, 60):
         scale = contraction_scale(HP, seg_ab, budget)
-        led = phi_table(1.0, max(1.0, scale))
+        led = ConstantLedger(1.0, max(1.0, scale))
         out = check_variation(HP, seg_ab, seg_pq, led, tolerance=1e-6)
         assert out.ok
         held += out.status == "holds"

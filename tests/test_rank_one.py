@@ -4,10 +4,9 @@ import pytest
 
 from catqm import words as W
 from catqm.actions import GroupModel, act
-from catqm.contraction import CertBudget, phi_table
+from catqm.contraction import CertBudget, ConstantLedger
 from catqm.errors import BudgetError
 from catqm.rank_one import (
-    chain_check,
     half_flat_control,
     independence_test,
     rank_one_test,
@@ -15,13 +14,15 @@ from catqm.rank_one import (
 )
 from catqm.spaces import EuclideanSpace, HalfPlaneSpace, ProductSpace, TreeSpace, vertex
 
+from oracles import chain_check
+
 TREE = TreeSpace(2)
 HP = HalfPlaneSpace()
 EU = EuclideanSpace(2)
 FREE = GroupModel.free(2)
 DIAG_ROT = GroupModel.matrix([[[2.0, 0.0], [0.0, 0.5]],
                               [[1.25, -0.75], [-0.75, 1.25]]])
-LEDGER = phi_table(1.0, 1.0)
+LEDGER = ConstantLedger(1.0, 1.0)
 BUDGET = CertBudget(center_radius=3, center_count=12, ball_samples=32)
 
 
@@ -114,7 +115,7 @@ def test_chain_check_tree():
     for iso in (g1, g2, g1):
         cur = act(TREE, iso, cur)
         pts.append(cur)
-    small_ledger = phi_table(1.0, 1.0)
+    small_ledger = ConstantLedger(1.0, 1.0)
     out = chain_check(TREE, pts, B=2.0, ledger=small_ledger, budget=BUDGET)
     # the honest chain constant is enormous, so the gap hypothesis fails at
     # desk scale and the configuration is skipped, not violated

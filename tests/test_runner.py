@@ -235,6 +235,21 @@ def test_cli_budget_scale(tmp_path):
     assert code == 0
 
 
+def test_cli_budget_scale_echoes_the_budgets_it_ran_with(tmp_path):
+    out = tmp_path / "scaled.json"
+    assert cli_main(["wpd", "--config", str(TREE_CONFIG),
+                     "--budget-scale", "0.5", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    echo = report["body"]["config"]["budgets"]
+    assert Budgets(**echo) == load_config(str(TREE_CONFIG)).budgets.scaled(0.5)
+    assert echo["ball_radius"] == 2 and echo["wpd_c"] == 1.0
+    assert report["body"]["results"]["wpd"]["count_small"]["c"] == 1.0
+    # the echoed config reproduces the body, and its witnesses replay
+    again, _ = run("wpd", config_from_json(report["body"]["config"]))
+    assert canonical_body(again) == canonical_body(report)
+    assert replay(str(out)) is True
+
+
 def test_euclidean_axioms_exit_zero():
     cfg = load_config(str(EUCLID_CONFIG))
     cfg.C = 0.0

@@ -150,11 +150,11 @@ def test_build_family_budget():
 
 
 def test_family_systems_have_full_rank():
-    from catqm.contraction import phi_table
+    from catqm.contraction import ConstantLedger
     from catqm.expressway import ExpresswaySystem, independence_matrix
 
     fam = build_family("aab", "bba", count=2, N=2, power_max=4)
-    ledger = phi_table(1.0, 1.0)
+    ledger = ConstantLedger(1.0, 1.0)
     systems = []
     testers = []
     for i, f in enumerate(fam.members, start=1):
