@@ -5,7 +5,10 @@ A segment is contracting at scale B when every metric ball disjoint from it
 projects onto it with diameter below B.  That is a statement over all balls,
 so what we produce is budgeted evidence: a certificate records the maximal
 projection diameter observed over a deterministic family of balls, and a
-refutation stores a replayable witness ball.
+refutation stores a replayable witness ball.  ``certify_contracting`` lists
+the whole family first and reads the diameters from
+``space.ball_diameters``, which the tree evaluates in one batched pass and
+the other spaces lazily, ball by ball.
 
 The ledger carries every constant the lemma suite needs, each instantiated
 by an explicit formula that discharges the corresponding proof step.  Where
@@ -235,21 +238,17 @@ class CertBudget:
 
 
 def projection_diameter_under_ball(space, seg, center, radius: float,
-                                   samples: int = 64, *,
-                                   center_distance: float | None = None) -> float:
+                                   samples: int = 64) -> float:
     """Observed diameter of the projection of a ball onto a segment.
 
     The ball must be disjoint from the segment.  The points are those of
     ``space.ball_points``: deterministic low-discrepancy samples plus the
-    center, or on the tree every vertex (plus an edge-point center), whose
-    parameters ``space.ball_parameters`` computes in one batched pass.  The
+    center, or on the tree every vertex (plus an edge-point center).  The
     value is a reproducible lower bound for the true diameter, measured as
-    the arclength spread of the projection parameters.  A caller that has
-    already projected the center passes its distance to the segment as
-    ``center_distance``; otherwise the center is projected here.
+    the arclength spread of the projection parameters: the one-ball call
+    of ``space.ball_diameters``.
     """
-    d_center = (space.project(center, seg).distance if center_distance is None
-                else center_distance)
+    d_center = space.project(center, seg).distance
     if d_center <= radius:
         raise InputError(
             f"ball (radius {radius}) is not disjoint from the segment "
@@ -258,8 +257,8 @@ def projection_diameter_under_ball(space, seg, center, radius: float,
         raise InputError("radius must be >= 0")
     if radius == 0:
         return 0.0
-    params = space.ball_parameters(center, radius, seg, samples)
-    return float(params.max() - params.min()) if params.size else 0.0
+    (diameter,) = space.ball_diameters(seg, [(center, radius)], samples)
+    return diameter
 
 
 def _candidate_centers(space, seg, budget: CertBudget, B: float):
@@ -302,30 +301,27 @@ def certify_contracting(space, seg, B: float, budget: CertBudget | None = None
     if B <= 0:
         raise InputError("B must be > 0")
     budget = budget or CertBudget()
-    max_diam = 0.0
-    checked = 0
-    tol = space.tol
+    balls = []
     for center in _candidate_centers(space, seg, budget, B):
         d = space.project(center, seg).distance
         if d <= MIN_GAP:
             continue
-        radii = {d - MIN_GAP}
-        if d > 2.0 * MIN_GAP:
-            radii.add(d / 2.0)
         # widest disjoint ball first: it has the widest shadow, and the
         # stored witness then matches the gap-1 closed form
-        for radius in sorted(radii, reverse=True):
-            if radius <= 0:
-                continue
-            diam = projection_diameter_under_ball(space, seg, center, radius,
-                                                  budget.ball_samples,
-                                                  center_distance=d)
-            checked += 1
-            max_diam = max(max_diam, diam)
-            if diam >= B - tol:
-                witness = BallWitness(center, radius, diam, budget.ball_samples)
-                return ContractionCertificate(
-                    (seg.start, seg.end), B, REFUTED, max_diam, checked, witness)
+        balls.append((center, d - MIN_GAP))
+        if d > 2.0 * MIN_GAP:
+            balls.append((center, d / 2.0))
+    max_diam = 0.0
+    checked = 0
+    tol = space.tol
+    diameters = space.ball_diameters(seg, balls, budget.ball_samples)
+    for (center, radius), diam in zip(balls, diameters):
+        checked += 1
+        max_diam = max(max_diam, diam)
+        if diam >= B - tol:
+            witness = BallWitness(center, radius, diam, budget.ball_samples)
+            return ContractionCertificate(
+                (seg.start, seg.end), B, REFUTED, max_diam, checked, witness)
     return ContractionCertificate((seg.start, seg.end), B, CERTIFIED,
                                   max_diam, checked, None)
 

@@ -14,6 +14,8 @@ import math
 import time
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 from . import words as W
 from .actions import GroupModel, act, group_from_json
 from .algebra import (
@@ -36,6 +38,10 @@ from .contraction import (
     check_stability,
     check_thin_triangle,
     check_variation,
+    phi_dichotomy,
+    phi_near_collinearity,
+    phi_thin_triangle,
+    phi_variation,
     projection_diameter_under_ball,
 )
 from .errors import BudgetError, CatqmError, ConfigError
@@ -65,11 +71,8 @@ from .samplers import (
     random_point,
     random_words,
     rng_for,
-    tree_dichotomy_configs,
-    tree_triples_exhaustive,
-    tree_variation_configs,
 )
-from .spaces import space_from_json, check_dd, check_ft, vertex
+from .spaces import space_from_json, check_dd, check_ft, tree_point, vertex
 from .wpd import (
     build_family,
     conjugate_power_test,
@@ -248,10 +251,14 @@ def run_axioms(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     return section, violations, []
 
 
-def _lemma_suite(cfg: ExperimentConfig, triples, dichotomies,
+def _lemma_violation(name: str, outcome) -> dict:
+    return {"lemma": name, "value": outcome.value, "bound": outcome.bound,
+            "witness": outcome.witness}
+
+
+def _lemma_suite(space, ledger, tol: float, triples, dichotomies,
                  variations) -> tuple[dict, list]:
     """Tally the contraction lemmas over the given configurations."""
-    space, ledger, tol = cfg.space, cfg.ledger, cfg.tolerance
     counts = {}
     violations = []
 
@@ -259,8 +266,7 @@ def _lemma_suite(cfg: ExperimentConfig, triples, dichotomies,
         bucket = counts.setdefault(name, {"holds": 0, "skipped": 0, "violated": 0})
         bucket[outcome.status] += 1
         if outcome.status == "violated":
-            violations.append({"lemma": name, "value": outcome.value,
-                               "bound": outcome.bound, "witness": outcome.witness})
+            violations.append(_lemma_violation(name, outcome))
 
     for a, b, c in triples:
         tally("thin_triangle", check_thin_triangle(space, a, b, c, ledger, tol))
@@ -269,6 +275,140 @@ def _lemma_suite(cfg: ExperimentConfig, triples, dichotomies,
         tally("dichotomy", check_dichotomy(space, seg, x, y, ledger, tol))
     for seg_ab, seg_pq in variations:
         tally("variation", check_variation(space, seg_ab, seg_pq, ledger, tol))
+    return counts, violations
+
+
+def _tree_lemma_tallies(space, ledger, tol: float, radius: int
+                        ) -> tuple[dict, list]:
+    """``_lemma_suite`` over the exhaustive tree families, a fixed at the
+    identity: triples (e, b, c) of ``W.ball(rank, radius)`` with b ≠ e, and
+    at radius ``min(3, radius)`` the dichotomy configurations (x not
+    starting with v[0], y = v·t with t not starting with v[-1]⁻¹) and the
+    variation pairs (|b| ≥ 2, p[0] ≠ b[0], q a proper extension of p).
+
+    Every point of these families is a vertex of the ball, so all the
+    geometry comes from its integer distance matrix D, exactly in binary
+    floats: the projection parameter of x on [a, b] is
+    (D[a,x] + D[a,b] − D[b,x]) / 2 clamped to [0, D[a,b]], and the
+    distance of x to [a, b] is (D[a,x] + D[b,x] − D[a,b]) / 2.  Hypotheses
+    and conclusions are numpy masks with the checkers' comparisons
+    (``space.tol`` in the hypotheses, ``tol`` in the conclusions), so the
+    tallies equal the per-configuration route.  Only the rows that violate,
+    and the dichotomy rows that reach ``segment_distance``, go through the
+    checkers, in the order ``_lemma_suite`` visits them, so the violation
+    entries are the same too.
+    """
+    B, C = ledger.B, ledger.C
+    hit = C + space.tol      # _projection_hits: the foot is this close
+    words = W.ball(space.rank, radius)
+    index = {w: i for i, w in enumerate(words)}
+    pts = [tree_point(w) for w in words]
+    D = space.pairwise_distances(pts)
+    e = pts[0]
+    counts: dict = {}
+    violations: list = []
+
+    def foot(a, b, x):   # projection parameter of x on [a, b]
+        return np.clip(0.5 * (D[a, x] + D[a, b] - D[b, x]), 0.0, D[a, b])
+
+    def gap(a, b, x):    # distance from x to [a, b]
+        return 0.5 * (D[a, x] + D[b, x] - D[a, b])
+
+    def tally(name, skipped, violated):
+        counts[name] = {"holds": int(skipped.size - skipped.sum() - violated.sum()),
+                        "skipped": int(skipped.sum()), "violated": int(violated.sum())}
+
+    # triangles (e, b, c), b ≠ e
+    n = len(words)
+    b, c = np.repeat(np.arange(1, n), n), np.tile(np.arange(n), n - 1)
+    ab, bc, ac = D[0, b], D[b, c], D[0, c]
+    skipped = ~(ab - foot(0, b, c) <= hit)
+    thin_bad = ~skipped & ~(gap(0, c, b) < phi_thin_triangle(B, C) + C + tol)
+    near_bad = ~skipped & ~((ac <= ab + bc + tol) & (
+        ac >= ab + bc - (phi_near_collinearity(B, C) + C) - tol))
+    tally("thin_triangle", skipped, thin_bad)
+    tally("near_collinearity", skipped, near_bad)
+    for r in np.nonzero(thin_bad | near_bad)[0]:
+        for name, bad, check in (("thin_triangle", thin_bad, check_thin_triangle),
+                                 ("near_collinearity", near_bad, check_reverse_triangle)):
+            if bad[r]:
+                violations.append(_lemma_violation(
+                    name, check(space, e, pts[b[r]], pts[c[r]], ledger, tol)))
+
+    depth = min(3, radius)
+    upto = [[w for w in words if len(w) <= k] for k in range(depth + 1)]
+    small = upto[depth]
+    # dichotomy: segment [e, v], x behind e, y = v·t behind v
+    rows = [(index[v], index[x], index[v + t])
+            for v in small[1:]
+            for x in small if not x or x[0] != v[0]
+            for t in upto[depth - len(v)] if not t or t[0] != -v[-1]]
+    if rows:
+        v, x, y = np.array(rows).T
+        skipped = ~(foot(0, v, x) <= hit) | ~(D[0, v] - foot(0, v, y) <= hit)
+        # short segments hold outright; the others need segment_distance
+        far = np.nonzero(~skipped & ~(D[0, v] < phi_dichotomy(B, C) + 2.0 * C + tol))[0]
+        outcomes = [check_dichotomy(space, space.geodesic(e, pts[v[r]]),
+                                    pts[x[r]], pts[y[r]], ledger, tol) for r in far]
+        bad = np.zeros(len(rows), dtype=bool)
+        bad[far] = [o.status == "violated" for o in outcomes]
+        tally("dichotomy", skipped, bad)
+        violations += [_lemma_violation("dichotomy", o) for o in outcomes
+                       if o.status == "violated"]
+
+    # variation: [e, b] against [p, q], q a proper extension of p
+    extensions: dict = {}
+    for q in small:
+        for k in range(1, len(q)):
+            extensions.setdefault(q[:k], []).append(index[q])
+    rows = [(index[b], index[p], q)
+            for b in small if len(b) >= 2
+            for p in small[1:] if p[0] != b[0]
+            for q in extensions.get(p, ())]
+    if rows:
+        b, p, q = np.array(rows).T
+        d0 = gap(p, q, 0)
+        # the vertices of [e, b], padded with b.  check_variation also
+        # samples the edge midpoints.  Along an edge the distance to a tree
+        # segment is affine, so a midpoint's value is the mean of its ends'
+        # and falls below d0 - tol only if one of the ends does: the
+        # vertices decide the hypothesis.
+        chain = np.array([[index[words[i][:k]] for i in b] for k in range(depth + 1)])
+        skipped = (d0 < 1.0) | (gap(p, q, chain) < d0 - tol).any(axis=0)
+        live = ~skipped
+        bound = (1.0 - B / d0[live]) * D[0, b[live]] - phi_variation(B, C)
+        bad = np.zeros(len(rows), dtype=bool)
+        bad[live] = ~(gap(p, q, b)[live] - d0[live] >= bound - tol)
+        tally("variation", skipped, bad)
+        violations += [_lemma_violation("variation", check_variation(
+            space, space.geodesic(e, pts[b[r]]),
+            space.geodesic(pts[p[r]], pts[q[r]]), ledger, tol))
+            for r in np.nonzero(bad)[0]]
+    return counts, violations
+
+
+def _tree_lemma_suite(cfg: ExperimentConfig) -> tuple[dict, list]:
+    """The tree lemma tallies at radius ``min(4, ball_radius)``, plus
+    endpoint stability: 25 perturbations of [e, a^k] certified at the
+    stability scale."""
+    space = cfg.space
+    radius = min(4, cfg.budgets.ball_radius)
+    counts, violations = _tree_lemma_tallies(space, cfg.ledger, cfg.tolerance,
+                                             radius)
+    # endpoint stability on a deterministic family
+    stab = {"holds": 0, "skipped": 0, "violated": 0}
+    far = "a" * min(5, radius + 2)
+    base = space.geodesic(vertex(""), vertex(far))
+    budget = cfg.cert_budget()
+    for u in W.ball(cfg.group.rank, 1):
+        for v in W.ball(cfg.group.rank, 1):
+            b2 = act(space, cfg.group.from_word(far), vertex(v))
+            cert = check_stability(space, base, vertex(u), b2, D=2.0,
+                                   ledger=cfg.ledger, budget=budget)
+            stab["violated" if cert.refuted else "holds"] += 1
+            if cert.refuted:
+                violations.append({"lemma": "stability", "witness": cert.to_json(space)})
+    counts["stability"] = stab
     return counts, violations
 
 
@@ -307,30 +447,6 @@ def _half_flat(cfg: ExperimentConfig, sweep: list) -> tuple[list, list, list]:
     return [{"B": r.B, "refuted": r.refuted} for r in table], violations, witnesses
 
 
-def _tree_lemma_suite(cfg: ExperimentConfig) -> tuple[dict, list]:
-    space = cfg.space
-    radius = min(4, cfg.budgets.ball_radius)
-    counts, violations = _lemma_suite(
-        cfg, tree_triples_exhaustive(space, radius),
-        tree_dichotomy_configs(space, min(3, radius)),
-        tree_variation_configs(space, min(3, radius)))
-    # endpoint stability on a deterministic family
-    stab = {"holds": 0, "skipped": 0, "violated": 0}
-    far = "a" * min(5, radius + 2)
-    base = space.geodesic(vertex(""), vertex(far))
-    budget = cfg.cert_budget()
-    for u in W.ball(cfg.group.rank, 1):
-        for v in W.ball(cfg.group.rank, 1):
-            b2 = act(space, cfg.group.from_word(far), vertex(v))
-            cert = check_stability(space, base, vertex(u), b2, D=2.0,
-                                   ledger=cfg.ledger, budget=budget)
-            stab["violated" if cert.refuted else "holds"] += 1
-            if cert.refuted:
-                violations.append({"lemma": "stability", "witness": cert.to_json(space)})
-    counts["stability"] = stab
-    return counts, violations
-
-
 def run_contract(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     space = cfg.space
     section: dict = {"ledger": cfg.ledger.table()}
@@ -342,7 +458,7 @@ def run_contract(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     elif space.kind == "half-plane":
         count = cfg.budgets.sample_count
         section["lemma_suite"], violations = _lemma_suite(
-            cfg, halfplane_thin_configs(space, cfg.seed, count), (),
+            space, cfg.ledger, cfg.tolerance, halfplane_thin_configs(space, cfg.seed, count), (),
             halfplane_variation_configs(space, cfg.seed, count))
         witnesses = []
     else:

@@ -119,54 +119,6 @@ def ft_quads_tree_exhaustive(space, seg_radius: int, D: int = 1) -> Iterator:
 # Lemma-suite configuration families
 # ---------------------------------------------------------------------------
 
-def tree_triples_exhaustive(space, radius: int) -> Iterator[tuple]:
-    """(a, b, c) families for the triangle lemmas, a fixed at the identity."""
-    e = vertex("")
-    ws = W.ball(space.rank, radius)
-    for bw in ws:
-        if not bw:
-            continue
-        b = tree_point(bw)
-        for cw in ws:
-            yield e, b, tree_point(cw)
-
-
-def tree_dichotomy_configs(space, radius: int) -> Iterator[tuple]:
-    """(segment [e, v], x, y) with x shadowed behind e and y behind v, the
-    projection-to-endpoint hypotheses baked into the enumeration."""
-    for vw in W.ball(space.rank, radius):
-        if not vw:
-            continue
-        v = tree_point(vw)
-        seg = space.geodesic(vertex(""), v)
-        behind_e = [tree_point(x) for x in W.ball(space.rank, radius)
-                    if not x or x[0] != vw[0]]
-        tails = [t for t in W.ball(space.rank, radius - len(vw))
-                 if not t or t[0] != -vw[-1]]
-        behind_v = [tree_point(word_multiply(vw, t)) for t in tails]
-        for x in behind_e:
-            for y in behind_v:
-                yield seg, x, y
-
-
-def tree_variation_configs(space, radius: int) -> Iterator[tuple]:
-    """(contracting segment, far segment) pairs; hypothesis filtering stays
-    in the checker so skipped configurations are visible."""
-    ws = W.ball(space.rank, radius)
-    e = vertex("")
-    for bw in ws:
-        if len(bw) < 2:
-            continue
-        seg_ab = space.geodesic(e, tree_point(bw))
-        for pw in ws:
-            if not pw or pw[0] == bw[0]:
-                continue
-            for qw in ws:
-                if len(qw) <= len(pw) or qw[:len(pw)] != pw:
-                    continue
-                yield seg_ab, space.geodesic(tree_point(pw), tree_point(qw))
-
-
 def halfplane_thin_configs(space, seed: int, count: int) -> Iterator[tuple]:
     """(a, b, c) with b the projection of c onto a random geodesic through
     a, built so the hypothesis holds by construction."""

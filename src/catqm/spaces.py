@@ -3,15 +3,20 @@ space, and products.
 
 Every space exposes the same small surface: ``distance``, ``geodesic``,
 ``project``, deterministic ``ball_points`` sampling, ``ball_parameters``
-(the projection parameters of those ball points on a segment), and JSON
-round-tripping of points.  Segments are arclength-parametrized;
-``point_at(0)`` is the start, ``point_at(length)`` the end, and parameter
-differences equal distances (exactly on the tree and Euclidean space, within
-tolerance on the half-plane).
+(the projection parameters of those ball points on a segment),
+``ball_diameters`` (the spread of those parameters for each ball of a
+list, in order), and JSON round-tripping of points.  Segments are
+arclength-parametrized; ``point_at(0)`` is the start, ``point_at(length)``
+the end, and parameter differences equal distances (exactly on the tree and
+Euclidean space, within tolerance on the half-plane).
 
 Projections are closed forms on the tree (Gromov products), the half-plane
 and Euclidean space (a clamped dot product), and ``ball_parameters``
-evaluates the same formulas as numpy over the whole sampled ball.
+evaluates the same formulas as numpy over the whole sampled ball.  The tree
+evaluates ``ball_diameters`` for every ball of a certificate at once, one
+pass over packed word arrays (``words.pack``) per word-ball radius; the
+other spaces go ball by ball, so a caller that stops at a refuting ball
+skips the rest.
 Euclidean ``segment_distance`` is closed form too.  Golden-section search is
 kept where no closed form is used: projections and ball shadows on
 products, and the one-dimensional minimization over closed-form projections
@@ -41,7 +46,10 @@ from .words import (
     Word,
     check_reduced,
     common_prefix_length,
+    distance_matrix,
     multiply,
+    pack,
+    packed_distances,
     word_distance,
 )
 from . import words as W
@@ -98,6 +106,16 @@ def _sampled_ball_parameters(space, center, radius: float, seg,
                      for p in space.ball_points(center, radius, samples)])
 
 
+def _ball_diameters_lazily(space, seg, balls, samples: int = 64):
+    """max − min of ``ball_parameters`` for each (center, radius) in
+    ``balls``, in order, one ball per step: a caller that stops at an early
+    refutation leaves the later balls unevaluated.  The ``ball_diameters``
+    of every space but the tree."""
+    for center, radius in balls:
+        params = space.ball_parameters(center, radius, seg, samples)
+        yield float(params.max() - params.min())
+
+
 # ---------------------------------------------------------------------------
 # Tree
 # ---------------------------------------------------------------------------
@@ -147,6 +165,13 @@ def tree_point(anchor: Word, letter: int | None = None, t: float = 0.0) -> TreeP
 
 def vertex(word_or_str) -> TreePoint:
     return tree_point(W.as_word(word_or_str))
+
+
+# Entries per batch of the tree's ball-shadow arrays: large enough that the
+# numpy calls amortize, small enough (32 kB of float64) that batching a
+# whole certificate leaves the process's peak memory where the per-ball
+# route had it.
+_SHADOW_CHUNK = 1 << 12
 
 
 def _exit_options(p: TreePoint) -> list[tuple[Word, float]]:
@@ -320,42 +345,78 @@ class TreeSpace:
             return pts
         return [center] + pts
 
-    def ball_parameters(self, center: TreePoint, radius: float,
-                        seg: TreeSegment, samples: int = 0) -> np.ndarray:
-        """``project(p, seg).parameter`` for every p in ``ball_points``, in
-        one numpy pass per exit option of the center.
+    def _ball_shadows(self, seg: TreeSegment, balls):
+        """Projection parameters of the vertices of every ball in ``balls``,
+        a list of (center, radius), in one numpy pass per word-ball radius.
 
-        Left multiplication is an isometry, so the ball vertex w·u is at
-        distance d(u, w⁻¹e) + c_e from the segment end through its exit
-        option (e, c_e); the arithmetic follows ``distance`` and
-        ``project`` operation by operation, so the values agree bit for
-        bit.  A vertex reached through both exit options of an edge-point
-        center appears twice, which leaves max − min unchanged.
+        Yields ``(owners, t)``.  Column j of ``t`` holds the parameters of
+        the vertices w·u, u in ``W.ball(rank, rem)``, reached through one
+        exit option (w, c_w) of the center of ``balls[owners[j]]``, with
+        rem = ⌊radius − c_w⌋.  Left multiplication is an isometry, so w·u is
+        at distance d(u, w⁻¹e) + c_e from the segment end through its exit
+        option (e, c_e); the arithmetic follows ``distance`` and ``project``
+        operation by operation, so the values agree bit for bit.  A vertex
+        reached through both exit options of an edge-point center appears
+        twice, which leaves max − min unchanged.  ``W.ball`` keeps its
+        radius cap.
         """
         length = seg.length
         start_exits = _exit_options(seg.start)
         exits = start_exits + _exit_options(seg.end)
         costs = np.array([c for _, c in exits])
-        out = []
-        for w, cost in _exit_options(center):
-            rem = int(math.floor(radius - cost + 1e-9))
-            if rem < 0:
-                continue
-            ball = _pack_words(W.ball(self.rank, rem))
-            ends = _pack_words([multiply(W.inverse(w), e) for e, _ in exits])
-            # column j: distance from every w·u to a segment end through exits[j]
-            d = _packed_distances(ball, ends) + costs
-            da = d[:, :len(start_exits)].min(axis=1)
-            db = d[:, len(start_exits):].min(axis=1)
-            t = 0.5 * (da - db + length)
-            out.append(np.minimum(np.maximum(t, 0.0), length))
+        by_rem: dict[int, list] = {}
+        for i, (center, radius) in enumerate(balls):
+            for w, cost in _exit_options(center):
+                rem = int(math.floor(radius - cost + 1e-9))
+                if rem >= 0:
+                    by_rem.setdefault(rem, []).append((i, W.inverse(w)))
+        for rem, members in by_rem.items():
+            ball = pack(W.ball(self.rank, rem))
+            n = len(ball[1])
+            # members in chunks that keep the (vertex, member, exit) arrays
+            # near _SHADOW_CHUNK entries, so peak memory stays flat
+            step = max(1, _SHADOW_CHUNK // (n * len(exits)))
+            for lo in range(0, len(members), step):
+                part = members[lo:lo + step]
+                ends = pack([multiply(w_inv, e) for _, w_inv in part
+                             for e, _ in exits])
+                # entry (u, j, k): distance from the vertex w·u of member j
+                # to a segment end through exits[k]
+                d = packed_distances(ball, ends).reshape(
+                    n, len(part), len(exits)) + costs
+                da = d[:, :, :len(start_exits)].min(axis=2)
+                db = d[:, :, len(start_exits):].min(axis=2)
+                t = 0.5 * (da - db + length)
+                yield [i for i, _ in part], np.minimum(np.maximum(t, 0.0), length)
+
+    def ball_parameters(self, center: TreePoint, radius: float,
+                        seg: TreeSegment, samples: int = 0) -> np.ndarray:
+        """``project(p, seg).parameter`` for every p in ``ball_points``
+        (vertices reached through both exit options of an edge-point
+        center twice): the one-ball case of ``_ball_shadows``."""
+        out = [t.ravel() for _, t in self._ball_shadows(seg, [(center, radius)])]
         if not center.is_vertex:
             out.append(np.array([self.project(center, seg).parameter]))
         return np.concatenate(out)
 
+    def ball_diameters(self, seg: TreeSegment, balls, samples: int = 0) -> list[float]:
+        """max − min of ``ball_parameters`` for each (center, radius) in
+        ``balls``, in order, from one ``_ball_shadows`` pass over all of
+        them."""
+        lo = np.full(len(balls), np.inf)
+        hi = np.full(len(balls), -np.inf)
+        for owners, t in self._ball_shadows(seg, balls):
+            np.minimum.at(lo, owners, t.min(axis=0))
+            np.maximum.at(hi, owners, t.max(axis=0))
+        for i, (center, _) in enumerate(balls):
+            if not center.is_vertex:
+                p = self.project(center, seg).parameter
+                lo[i], hi[i] = min(lo[i], p), max(hi[i], p)
+        return (hi - lo).tolist()
+
     def pairwise_distances(self, points: list[TreePoint]) -> np.ndarray:
         if all(p.is_vertex for p in points):
-            return _packed_word_distances([p.anchor for p in points])
+            return distance_matrix([p.anchor for p in points])
         n = len(points)
         out = np.zeros((n, n))
         for i in range(n):
@@ -381,39 +442,6 @@ class TreeSpace:
             return tree_point(anchor)
         (letter,) = W.from_string(data["edge"])
         return tree_point(anchor, letter, data["t"])
-
-
-def _pack_words(ws: list[Word]) -> tuple[np.ndarray, np.ndarray]:
-    """Words as zero-padded int16 letter rows (at least one column) and
-    their lengths: the packed format of the batched word-metric routes."""
-    lens = np.fromiter(map(len, ws), dtype=np.int64, count=len(ws))
-    width = max(int(lens.max(initial=0)), 1)
-    pad = (0,) * width
-    letters = np.array([(w + pad)[:width] for w in ws], dtype=np.int16)
-    return letters.reshape(len(ws), width), lens
-
-
-def _packed_distances(a: tuple[np.ndarray, np.ndarray],
-                      b: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Word-metric distances between the rows of two packed word arrays,
-    |u| + |v| - 2 lcp(u, v), as int64."""
-    (la, na), (lb, nb) = a, b
-    k = min(la.shape[1], lb.shape[1])
-    eq = (la[:, None, :k] == lb[None, :, :k]) & (la[:, None, :k] != 0)
-    lcp = np.cumprod(eq, axis=2, dtype=np.int64).sum(axis=2)
-    return na[:, None] + nb[None, :] - 2 * lcp
-
-
-def _packed_word_distances(ws: list[Word]) -> np.ndarray:
-    """All pairwise word-metric distances via packed letter arrays."""
-    n = len(ws)
-    letters, lens = packed = _pack_words(ws)
-    out = np.empty((n, n), dtype=np.float64)
-    chunk = max(1, min(n, 8_000_000 // (n * letters.shape[1] + 1)))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        out[lo:hi] = _packed_distances((letters[lo:hi], lens[lo:hi]), packed)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +572,8 @@ class HalfPlaneSpace:
             raise InputError(f"ball of radius {radius} leaves the upper half-plane")
         u = seg._foot_u(zs, np.log)
         return np.clip(seg._sign * (u - seg._u0), 0.0, seg.length)
+
+    ball_diameters = _ball_diameters_lazily
 
     def pairwise_distances(self, points) -> np.ndarray:
         zs = np.asarray([complex(p) for p in points])
@@ -687,6 +717,8 @@ class EuclideanSpace:
         t = ((pts - a) * (np.array(seg.end) - a)).sum(axis=1) / seg.length
         return np.clip(t, 0.0, seg.length)
 
+    ball_diameters = _ball_diameters_lazily
+
     def pairwise_distances(self, points) -> np.ndarray:
         arr = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
         diff = arr[:, None, :] - arr[None, :, :]
@@ -780,6 +812,7 @@ class ProductSpace:
         return pts
 
     ball_parameters = _sampled_ball_parameters
+    ball_diameters = _ball_diameters_lazily
 
     def pairwise_distances(self, points) -> np.ndarray:
         dl = self.left.pairwise_distances([p[0] for p in points])

@@ -4,11 +4,18 @@ A word is a tuple of nonzero ints: ``k`` is the k-th generator (1-based),
 ``-k`` its inverse.  The empty tuple is the identity.  String form uses
 ``a, b, c, ...`` for generators and ``A, B, C, ...`` for inverses; this is
 the serialization format used in configs and reports.
+
+The packed format serves the batched word-metric routes: words as
+zero-padded int16 letter rows with their lengths (``pack``), so that
+distances between whole lists of words are one numpy pass
+(``packed_distances``, ``distance_matrix``).
 """
 
 from __future__ import annotations
 
 from operator import eq, neg
+
+import numpy as np
 
 from .errors import BudgetError, InputError
 
@@ -150,9 +157,8 @@ def to_string(w: Word) -> str:
 
 
 def from_string(s: str) -> Word:
-    """Parse the a/A serialization; 'e' or '' is the identity."""
-    if s in ("", "e"):
-        return IDENTITY
+    """Parse the a/A serialization; '' is the identity ('e' is the fifth
+    generator)."""
     letters = []
     for c in s:
         if not c.isalpha():
@@ -167,3 +173,40 @@ def as_word(w) -> Word:
     if isinstance(w, str):
         return from_string(w)
     return check_reduced(w)
+
+
+# ---------------------------------------------------------------------------
+# Packed word arrays
+# ---------------------------------------------------------------------------
+
+def pack(ws: list[Word]) -> tuple[np.ndarray, np.ndarray]:
+    """Words as zero-padded int16 letter rows (at least one column) and
+    their lengths: the packed format of the batched word-metric routes."""
+    lens = np.fromiter(map(len, ws), dtype=np.int64, count=len(ws))
+    width = max(int(lens.max(initial=0)), 1)
+    pad = (0,) * width
+    letters = np.array([(w + pad)[:width] for w in ws], dtype=np.int16)
+    return letters.reshape(len(ws), width), lens
+
+
+def packed_distances(a: tuple[np.ndarray, np.ndarray],
+                     b: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Word-metric distances between the rows of two packed word arrays,
+    |u| + |v| - 2 lcp(u, v), as int64."""
+    (la, na), (lb, nb) = a, b
+    k = min(la.shape[1], lb.shape[1])
+    eq = (la[:, None, :k] == lb[None, :, :k]) & (la[:, None, :k] != 0)
+    lcp = np.logical_and.accumulate(eq, axis=2).sum(axis=2)
+    return na[:, None] + nb[None, :] - 2 * lcp
+
+
+def distance_matrix(ws: list[Word]) -> np.ndarray:
+    """All pairwise word-metric distances via packed letter arrays."""
+    n = len(ws)
+    letters, lens = packed = pack(ws)
+    out = np.empty((n, n), dtype=np.float64)
+    chunk = max(1, min(n, 8_000_000 // (n * letters.shape[1] + 1)))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        out[lo:hi] = packed_distances((letters[lo:hi], lens[lo:hi]), packed)
+    return out

@@ -4,10 +4,15 @@ These deliberately avoid the package's candidate-graph machinery: the
 modified-length oracle runs plain Dijkstra over actual tree vertices with
 unit tree edges plus one directed shortcut edge per translate inside the
 search region, and the projection oracle is brute-force minimization over
-enumerated candidates.  Three helpers only the tests need sit here as
-well: the closed-form tree modified length ``tree_lambda_exact``, the search
-helper ``contraction_scale`` over the package's certificate, and the
-contracting-chain check ``chain_check``.
+enumerated candidates.  The per-ball certificate loop
+``certify_contracting_per_ball`` is the reference for the batched ball
+diameters, and the exhaustive tree lemma families
+(``tree_triples_exhaustive``, ``tree_dichotomy_configs``,
+``tree_variation_configs``) feed the per-configuration checkers, the
+reference for the runner's distance-matrix tallies.  Three helpers only the
+tests need sit here as well: the closed-form tree modified length
+``tree_lambda_exact``, the search helper ``contraction_scale`` over the
+package's certificate, and the contracting-chain check ``chain_check``.
 """
 
 from __future__ import annotations
@@ -15,12 +20,24 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from catqm import words as W
 from catqm.algebra import GElement
-from catqm.contraction import ContractionCertificate, certify_contracting, phi_chain
+from catqm.contraction import (
+    CERTIFIED,
+    MIN_GAP,
+    REFUTED,
+    BallWitness,
+    CertBudget,
+    ContractionCertificate,
+    _candidate_centers,
+    certify_contracting,
+    phi_chain,
+    projection_diameter_under_ball,
+)
 from catqm.errors import InputError
-from catqm.spaces import _arclength_samples
+from catqm.spaces import _arclength_samples, tree_point, vertex
 from catqm.words import multiply, inverse, word_distance
 
 
@@ -108,6 +125,82 @@ def contraction_scale(space, seg, budget=None) -> float:
     diameter plus the space tolerance."""
     cert = certify_contracting(space, seg, B=float("inf"), budget=budget)
     return cert.max_diameter + space.tol
+
+
+def certify_contracting_per_ball(space, seg, B: float, budget=None
+                                 ) -> ContractionCertificate:
+    """``certify_contracting`` one ball at a time: each ball's diameter from
+    its own ``projection_diameter_under_ball`` call, the loop stopping at
+    the first refuting ball."""
+    budget = budget or CertBudget()
+    max_diam = 0.0
+    checked = 0
+    for center in _candidate_centers(space, seg, budget, B):
+        d = space.project(center, seg).distance
+        if d <= MIN_GAP:
+            continue
+        radii = {d - MIN_GAP}
+        if d > 2.0 * MIN_GAP:
+            radii.add(d / 2.0)
+        for radius in sorted(radii, reverse=True):
+            diam = projection_diameter_under_ball(space, seg, center, radius,
+                                                  budget.ball_samples)
+            checked += 1
+            max_diam = max(max_diam, diam)
+            if diam >= B - space.tol:
+                witness = BallWitness(center, radius, diam, budget.ball_samples)
+                return ContractionCertificate(
+                    (seg.start, seg.end), B, REFUTED, max_diam, checked, witness)
+    return ContractionCertificate((seg.start, seg.end), B, CERTIFIED,
+                                  max_diam, checked, None)
+
+
+def tree_triples_exhaustive(space, radius: int) -> Iterator[tuple]:
+    """(a, b, c) families for the triangle lemmas, a fixed at the identity."""
+    e = vertex("")
+    ws = W.ball(space.rank, radius)
+    for bw in ws:
+        if not bw:
+            continue
+        b = tree_point(bw)
+        for cw in ws:
+            yield e, b, tree_point(cw)
+
+
+def tree_dichotomy_configs(space, radius: int) -> Iterator[tuple]:
+    """(segment [e, v], x, y) with x shadowed behind e and y behind v, the
+    projection-to-endpoint hypotheses baked into the enumeration."""
+    for vw in W.ball(space.rank, radius):
+        if not vw:
+            continue
+        v = tree_point(vw)
+        seg = space.geodesic(vertex(""), v)
+        behind_e = [tree_point(x) for x in W.ball(space.rank, radius)
+                    if not x or x[0] != vw[0]]
+        tails = [t for t in W.ball(space.rank, radius - len(vw))
+                 if not t or t[0] != -vw[-1]]
+        behind_v = [tree_point(multiply(vw, t)) for t in tails]
+        for x in behind_e:
+            for y in behind_v:
+                yield seg, x, y
+
+
+def tree_variation_configs(space, radius: int) -> Iterator[tuple]:
+    """(contracting segment, far segment) pairs; hypothesis filtering stays
+    in the checker so skipped configurations are visible."""
+    ws = W.ball(space.rank, radius)
+    e = vertex("")
+    for bw in ws:
+        if len(bw) < 2:
+            continue
+        seg_ab = space.geodesic(e, tree_point(bw))
+        for pw in ws:
+            if not pw or pw[0] == bw[0]:
+                continue
+            for qw in ws:
+                if len(qw) <= len(pw) or qw[:len(pw)] != pw:
+                    continue
+                yield seg_ab, space.geodesic(tree_point(pw), tree_point(qw))
 
 
 @dataclass(frozen=True)

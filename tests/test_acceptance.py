@@ -47,9 +47,6 @@ from catqm.samplers import (
     halfplane_thin_configs,
     halfplane_variation_configs,
     random_words,
-    tree_dichotomy_configs,
-    tree_triples_exhaustive,
-    tree_variation_configs,
 )
 from catqm.spaces import (
     EuclideanSpace,
@@ -60,7 +57,12 @@ from catqm.spaces import (
 )
 from catqm.wpd import wpd_count
 
-from oracles import tree_phi_oracle
+from oracles import (
+    tree_dichotomy_configs,
+    tree_phi_oracle,
+    tree_triples_exhaustive,
+    tree_variation_configs,
+)
 
 TREE = TreeSpace(2)
 FREE = GroupModel.free(2)

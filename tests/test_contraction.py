@@ -8,6 +8,7 @@ from catqm.contraction import (
     CERTIFIED,
     REFUTED,
     CertBudget,
+    _candidate_centers,
     ConstantLedger,
     certify_contracting,
     check_dichotomy,
@@ -32,13 +33,16 @@ from catqm.errors import BudgetError, InputError
 from catqm.samplers import (
     halfplane_thin_configs,
     halfplane_variation_configs,
+)
+from catqm.spaces import EuclideanSpace, HalfPlaneSpace, TreeSpace, tree_point, vertex
+
+from oracles import (
+    certify_contracting_per_ball,
+    contraction_scale,
     tree_dichotomy_configs,
     tree_triples_exhaustive,
     tree_variation_configs,
 )
-from catqm.spaces import EuclideanSpace, HalfPlaneSpace, TreeSpace, tree_point, vertex
-
-from oracles import contraction_scale
 
 TREE = TreeSpace(2)
 HP = HalfPlaneSpace()
@@ -192,11 +196,6 @@ def test_disjointness_required():
     seg = EU.geodesic((0.0, 0.0), (4.0, 0.0))
     with pytest.raises(InputError):
         projection_diameter_under_ball(EU, seg, (2.0, 1.0), 2.0)
-    # a known center distance replaces the projection of the center
-    with pytest.raises(InputError):
-        projection_diameter_under_ball(EU, seg, (2.0, 5.0), 2.0, center_distance=1.5)
-    assert (projection_diameter_under_ball(EU, seg, (2.0, 5.0), 2.0, center_distance=5.0)
-            == projection_diameter_under_ball(EU, seg, (2.0, 5.0), 2.0))
 
 
 def test_tree_segment_certified():
@@ -217,6 +216,83 @@ def test_euclidean_segment_refuted_with_replayable_witness():
     assert again == pytest.approx(w.diameter, rel=1e-9)
     d_center = EU.project(w.center, seg).distance
     assert w.diameter == pytest.approx(2 * (d_center - 1.0), rel=0.05)
+
+
+def _stability_segments():
+    """The 25 endpoint perturbations of [e, a^5] that the tree lemma suite
+    certifies, as geodesics."""
+    far = W.from_string("aaaaa")
+    return [TREE.geodesic(tree_point(u), tree_point(W.multiply(far, v)))
+            for u in W.ball(2, 1) for v in W.ball(2, 1)]
+
+
+def test_batched_certificates_equal_the_per_ball_loop():
+    budget = CertBudget(center_radius=4.0, ball_samples=64)
+    target = phi_stability(1.0, 1.0, 2.0)
+    for seg in _stability_segments():
+        assert (certify_contracting(TREE, seg, target, budget)
+                == certify_contracting_per_ball(TREE, seg, target, budget))
+    # refuting scales: same balls_checked, max_diameter and witness
+    seg = TREE.geodesic(vertex(""), vertex("aab"))
+    for B in (1.0, 0.5, 1e-9):
+        cert = certify_contracting(TREE, seg, B, budget)
+        assert cert == certify_contracting_per_ball(TREE, seg, B, budget)
+    assert cert.refuted and cert.balls_checked == 1
+
+
+def test_batched_certificates_with_edge_point_ends():
+    rng = random.Random(20261)
+    budget = CertBudget(center_radius=3.0)
+    statuses = set()
+    for _ in range(12):
+        seg = TREE.geodesic(_random_tree_point(rng, 4, True),
+                            _random_tree_point(rng, 4, True))
+        for B in (1e-9, 0.5, 1.0, 2.0):
+            cert = certify_contracting(TREE, seg, B, budget)
+            assert cert == certify_contracting_per_ball(TREE, seg, B, budget)
+            statuses.add(cert.status)
+    assert statuses == {CERTIFIED, REFUTED}
+
+
+def _ball_count(space, seg, budget, B):
+    """Balls in a certificate's family: radius d - 1 for each center at
+    distance d > 1, and radius d / 2 as well when d > 2."""
+    ds = [space.project(c, seg).distance
+          for c in _candidate_centers(space, seg, budget, B)]
+    return sum((d > 1.0) + (d > 2.0) for d in ds)
+
+
+def test_tree_ball_diameters_batch_equals_one_ball_calls():
+    rng = random.Random(20262)
+    for _ in range(60):
+        seg = TREE.geodesic(_random_tree_point(rng, 4, rng.random() < 0.5),
+                            _random_tree_point(rng, 4, rng.random() < 0.5))
+        balls = []
+        for _ in range(8):
+            center = _random_tree_point(rng, 6, rng.random() < 0.5)
+            d = TREE.project(center, seg).distance
+            if d > 0.0:
+                balls += [(center, r) for r in (d - 1.0, d / 2.0, 0.9 * d) if r > 0.0]
+        assert TREE.ball_diameters(seg, balls) == [
+            projection_diameter_under_ball(TREE, seg, c, r) for c, r in balls]
+        assert TREE.ball_diameters(seg, balls) == [
+            _per_point_diameter(TREE, seg, c, r) for c, r in balls]
+
+
+def test_off_tree_certificates_stop_at_the_refuting_ball(monkeypatch):
+    seg = EU.geodesic((-200.0, 0.0), (200.0, 0.0))
+    budget = CertBudget(center_radius=4)
+    cert = certify_contracting(EU, seg, 10.0, budget)
+    assert cert == certify_contracting_per_ball(EU, seg, 10.0, budget)
+    seen = []
+    shadow = EU.ball_parameters
+    monkeypatch.setattr(EU, "ball_parameters",
+                        lambda *args: seen.append(args) or shadow(*args))
+    assert certify_contracting(EU, seg, 10.0, budget) == cert
+    assert len(seen) == cert.balls_checked < _ball_count(EU, seg, budget, 10.0)
+    hp_seg = HP.geodesic(1j, 1j * math.exp(4.0))
+    assert (certify_contracting(HP, hp_seg, 5.0, budget)
+            == certify_contracting_per_ball(HP, hp_seg, 5.0, budget))
 
 
 def test_halfplane_axis_contracting_at_small_scale():

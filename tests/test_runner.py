@@ -4,10 +4,12 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from catqm import runner
+from catqm import words as W
 from catqm.cli import main as cli_main
 from catqm.errors import ConfigError, NumericError
 from catqm.runner import (
@@ -20,6 +22,12 @@ from catqm.runner import (
     load_config,
     replay,
     run,
+)
+
+from oracles import (
+    tree_dichotomy_configs,
+    tree_triples_exhaustive,
+    tree_variation_configs,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -262,3 +270,53 @@ def test_console_script_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "replay" in proc.stdout
+
+
+# -- tree lemma tallies: distance-matrix masks against the per-config checkers
+
+# Ledgers small or negative enough that rows violate, hypotheses flip and
+# conclusions land on their tolerance boundaries: (B, C) = (-1, 1) puts the
+# thin-triangle bound and the near-collinearity defect exactly on the values
+# 0 and 2, (-6, 0.5) sends every dichotomy row through segment_distance and
+# refutes it, (-0.25, 0) splits the variation rows and puts some on their
+# bound, and a C just under 1 flips the projection hypotheses that sit at
+# distance 1.  Only B and C are read, so the ledger's own positivity check
+# does not apply.
+FORCING_LEDGERS = [(-1.0, 0.0), (-1.0, 1.0), (-1.5, 1.0), (-6.0, 0.5),
+                   (-0.25, 0.0), (-0.75, 1.0 - 5e-10), (-5.0, 0.5)]
+
+
+def _per_config_tallies(space, ledger, tol, radius):
+    small = min(3, radius)
+    return runner._lemma_suite(space, ledger, tol,
+                               tree_triples_exhaustive(space, radius),
+                               tree_dichotomy_configs(space, small),
+                               tree_variation_configs(space, small))
+
+
+@pytest.mark.parametrize("radius", [3, 4])
+def test_tree_lemma_tallies_match_the_per_config_route(radius):
+    cfg = load_config(str(TREE_CONFIG))
+    got = runner._tree_lemma_tallies(cfg.space, cfg.ledger, cfg.tolerance, radius)
+    assert got == _per_config_tallies(cfg.space, cfg.ledger, cfg.tolerance, radius)
+    counts, violations = got
+    assert violations == []
+    n = len(W.ball(2, radius))
+    assert sum(counts["thin_triangle"].values()) == (n - 1) * n
+
+
+def test_tree_lemma_tallies_match_where_rows_violate():
+    space = load_config(str(TREE_CONFIG)).space
+    seen = {}
+    for B, C in FORCING_LEDGERS:
+        ledger = SimpleNamespace(B=B, C=C)
+        for tol in (1e-6, 0.0):
+            got = runner._tree_lemma_tallies(space, ledger, tol, 3)
+            assert got == _per_config_tallies(space, ledger, tol, 3), (B, C, tol)
+            for name, bucket in got[0].items():
+                for status, n in bucket.items():
+                    seen[name, status] = seen.get((name, status), 0) + n
+    # every lemma both holds and is violated somewhere
+    for name in ("thin_triangle", "near_collinearity", "dichotomy", "variation"):
+        assert seen[name, "violated"] > 0 and seen[name, "holds"] > 0, name
+    assert seen["thin_triangle", "skipped"] > 0

@@ -371,7 +371,8 @@ def test_tree_segment_distance_matches_scan():
 # class dict: there is no base class to inherit from, and the benchmark's
 # tracer wraps only the methods a space class defines itself.
 SPACE_METHODS = ("distance", "geodesic", "project", "segment_distance",
-                 "ball_points", "ball_parameters", "pairwise_distances",
+                 "ball_points", "ball_parameters", "ball_diameters",
+                 "pairwise_distances",
                  "point_key", "point_to_json", "point_from_json",
                  "validate_point", "basepoint")
 

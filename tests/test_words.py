@@ -26,11 +26,18 @@ def test_multiply_examples():
 def test_as_word_coerces_strings_and_tuples():
     assert W.as_word("aB") == (1, -2)
     assert W.as_word([1, -2]) == (1, -2)
-    assert W.as_word("e") == W.IDENTITY
     with pytest.raises(InputError):
         W.as_word((1, -1))
     with pytest.raises(InputError):
         W.as_word("aA")
+
+
+def test_only_the_empty_string_spells_the_identity():
+    # "e" is the fifth generator: in rank >= 5 it must survive a round trip
+    for word in ((5,), (-5,), (1, 5, 2)):
+        assert W.from_string(W.to_string(word)) == word
+    assert W.as_word("e") == (5,)
+    assert W.as_word("") == W.IDENTITY
 
 
 def test_cyclic_reduce():
