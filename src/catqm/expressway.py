@@ -80,7 +80,7 @@ class ExpresswaySystem:
         # scale configurations rarely satisfy it, so it is reported, not
         # enforced
         self.meets_length_hypothesis = self.L > self.ledger.D
-        self._translate_cache: dict = {}
+        self._ball_translates: list[Translate] | None = None
 
     # -- structural helpers -------------------------------------------------
     def is_exact_tree(self) -> bool:
@@ -167,22 +167,16 @@ def _tree_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translat
 
 def _ball_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translate]:
     space = sys.space
-    tol = space.tol
-    out = []
-    for iso in sys.group.ball(sys.enum_radius):
-        cached = sys._translate_cache.get(iso.word)
-        if cached is None:
-            start = act(space, iso, sys.basepoint)
-            end = act(space, sys.group.multiply(iso, sys._sigma_iso), sys.basepoint)
-            cached = (start, end)
-            sys._translate_cache[iso.word] = cached
-        start, end = cached
-        if space.project(start, seg).distance > margin + tol:
-            continue
-        if space.project(end, seg).distance > margin + tol:
-            continue
-        out.append(Translate(iso.word, start, end))
-    return out
+    if sys._ball_translates is None:
+        # the translates of sigma by the group ball, built once per system
+        sys._ball_translates = [
+            Translate(iso.word, act(space, iso, sys.basepoint),
+                      act(space, sys.group.multiply(iso, sys._sigma_iso), sys.basepoint))
+            for iso in sys.group.ball(sys.enum_radius)]
+    reach = margin + space.tol
+    return [t for t in sys._ball_translates
+            if not (space.project(t.start, seg).distance > reach
+                    or space.project(t.end, seg).distance > reach)]
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .contraction import (
     phi_variation,
     projection_diameter_under_ball,
 )
-from .errors import BudgetError, CatqmError, ConfigError
+from .errors import BudgetError, CatqmError, ConfigError, InputError
 from .expressway import (
     ExpresswaySystem,
     LambdaSamples,
@@ -169,7 +169,7 @@ def config_from_json(data: dict) -> ExperimentConfig:
         group = group_from_json(data["group"])
         sigma = W.from_string(data["sigma_word"])
         if "basepoint" in data and data["basepoint"] != "default":
-            basepoint = space.point_from_json(data["basepoint"])
+            basepoint = space.validate_point(space.point_from_json(data["basepoint"]))
         else:
             basepoint = space.basepoint()
         constants = data.get("constants", {})
@@ -185,7 +185,7 @@ def config_from_json(data: dict) -> ExperimentConfig:
                                 for w in data.get("independence_words", [])],
             companion_word=None if companion is None else W.from_string(companion),
             raw=data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InputError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
 
@@ -309,10 +309,10 @@ def _tree_lemma_tallies(space, ledger, tol: float, radius: int
     violations: list = []
 
     def foot(a, b, x):   # projection parameter of x on [a, b]
-        return np.clip(0.5 * (D[a, x] + D[a, b] - D[b, x]), 0.0, D[a, b])
+        return W.gromov_foot(D[a, x], D[b, x], D[a, b])
 
     def gap(a, b, x):    # distance from x to [a, b]
-        return 0.5 * (D[a, x] + D[b, x] - D[a, b])
+        return W.gromov_gap(D[a, x], D[b, x], D[a, b])
 
     def tally(name, skipped, violated):
         counts[name] = {"holds": int(skipped.size - skipped.sum() - violated.sum()),
@@ -915,6 +915,10 @@ def _replay_one(cfg: ExperimentConfig, witness: dict) -> bool:
         g = cfg.group.from_word(witness["g"])
         x0 = space.point_from_json(witness["x0"])
         far = act(space, cfg.group.power(g, witness["M"]), x0)
+        # the identity moves nothing, so it matches whenever c >= 0
+        if (witness["count"] != len(witness["matching"])
+                or (witness["c"] >= 0 and "" not in witness["matching"])):
+            return False
         for wstr in witness["matching"]:
             iso = cfg.group.from_word(wstr)
             if (space.distance(x0, act(space, iso, x0)) > witness["c"] + tol

@@ -10,13 +10,15 @@ arclength-parametrized; ``point_at(0)`` is the start, ``point_at(length)``
 the end, and parameter differences equal distances (exactly on the tree and
 Euclidean space, within tolerance on the half-plane).
 
-Projections are closed forms on the tree (Gromov products), the half-plane
-and Euclidean space (a clamped dot product), and ``ball_parameters``
-evaluates the same formulas as numpy over the whole sampled ball.  The tree
-evaluates ``ball_diameters`` for every ball of a certificate at once, one
-pass over packed word arrays (``words.pack``) per word-ball radius; the
-other spaces go ball by ball, so a caller that stops at a refuting ball
-skips the rest.
+Projections are closed forms on the tree (Gromov products, ``words.gromov_foot``
+and ``words.gromov_gap``), the half-plane and Euclidean space (a clamped dot
+product), and ``ball_parameters`` evaluates the same formulas as numpy over
+the whole sampled ball.  Each tree rule has one owner: ``_route`` (the exit
+options that join two points), ``_along`` (the walk of ``point_at``) and
+``_ball_exits`` (the word balls of a metric ball).  The tree evaluates
+``ball_diameters`` for every ball of a certificate at once, one pass over
+packed word arrays (``words.pack``) per word-ball radius; the other spaces go
+ball by ball, so a caller that stops at a refuting ball skips the rest.
 Euclidean ``segment_distance`` is closed form too.  Golden-section search is
 kept where no closed form is used: projections and ball shadows on
 products, and the one-dimensional minimization over closed-form projections
@@ -172,6 +174,7 @@ def vertex(word_or_str) -> TreePoint:
 # whole certificate leaves the process's peak memory where the per-ball
 # route had it.
 _SHADOW_CHUNK = 1 << 12
+_SNAP = 1e-12   # segment parameters this close to a vertex land on it
 
 
 def _exit_options(p: TreePoint) -> list[tuple[Word, float]]:
@@ -180,6 +183,38 @@ def _exit_options(p: TreePoint) -> list[tuple[Word, float]]:
         return [(p.anchor, 0.0)]
     parent, child = p.edge()
     return [(parent, p.t), (child, 1.0 - p.t)]
+
+
+def _route(a: TreePoint, b: TreePoint) -> tuple[float, Word, float, Word, float]:
+    """Shortest exit-option route from a to b: (length, ea, ca, eb, cb)."""
+    best = None
+    for ea, ca in _exit_options(a):
+        for eb, cb in _exit_options(b):
+            total = ca + word_distance(ea, eb) + cb
+            if best is None or total < best[0]:
+                best = (total, ea, ca, eb, cb)
+    return best
+
+
+def _ball_exits(p: TreePoint, radius: float) -> list[tuple[Word, int]]:
+    """(w, rem) for each exit option (w, c) of p with rem = ⌊radius − c⌋ ≥ 0:
+    the vertices within radius of p are the w·u, u in ``W.ball(rank, rem)``."""
+    return [(w, rem) for w, cost in _exit_options(p)
+            if (rem := int(math.floor(radius - cost + 1e-9))) >= 0]
+
+
+def _along(v: Word, w: Word, r: float) -> TreePoint:
+    """The point at distance r from vertex v toward its neighbour w."""
+    if r < _SNAP:
+        return tree_point(v)
+    if len(w) > len(v):
+        return tree_point(v, w[-1], r)
+    return tree_point(w, v[-1], 1.0 - r)
+
+
+def _other_end(p: TreePoint, v: Word) -> Word:
+    """The end of the edge (parent, child) carrying p that is not v."""
+    return p.edge()[v == p.anchor]
 
 
 def _vertex_chain(u: Word, v: Word) -> list[Word]:
@@ -197,30 +232,20 @@ class TreeSegment:
         self.space = space
         self.start = a
         self.end = b
-        if (not a.is_vertex and not b.is_vertex
-                and a.anchor == b.anchor and a.letter == b.letter):
+        if a.letter is not None and a.letter == b.letter and a.anchor == b.anchor:
             # both interior to the same edge
             self._same_edge = True
             self.chain: tuple[Word, ...] = ()
             self.lead = 0.0
-            self.tail = 0.0
             self.length = abs(a.t - b.t)
             return
         self._same_edge = False
-        best = None
-        for ea, ca in _exit_options(a):
-            for eb, cb in _exit_options(b):
-                total = ca + word_distance(ea, eb) + cb
-                if best is None or total < best[0]:
-                    best = (total, ea, ca, eb, cb)
-        total, ea, ca, eb, cb = best
+        total, ea, self.lead, eb, _ = _route(a, b)
         self.chain = tuple(_vertex_chain(ea, eb))
-        self.lead = ca
-        self.tail = cb
         self.length = float(total)
 
     def point_at(self, s: float) -> TreePoint:
-        eps = 1e-12
+        eps = _SNAP
         if s < -eps or s > self.length + eps:
             raise InputError(f"parameter {s} outside [0, {self.length}]")
         s = min(max(s, 0.0), self.length)
@@ -228,34 +253,15 @@ class TreeSegment:
             a = self.start
             t = a.t + (s if self.end.t >= a.t else -s)
             return tree_point(a.anchor, a.letter, t)
+        # from the chain vertex nearest s: first edge, chain or last edge
+        # (at a vertex end u - k < eps, so its edge goes unused)
+        chain, k, u = self.chain, len(self.chain) - 1, s - self.lead
         if s <= self.lead + eps and self.lead > 0:
-            # within the partial starting edge
-            parent, _child = self.start.edge()
-            rem = self.lead - s   # distance from the first chain vertex
-            if rem < eps:
-                return tree_point(self.chain[0])
-            if self.chain[0] == parent:
-                return tree_point(parent, self.start.letter, rem)
-            return tree_point(parent, self.start.letter, 1.0 - rem)
-        u = s - self.lead
-        k = len(self.chain) - 1
-        if u <= k + eps:
+            return _along(chain[0], _other_end(self.start, chain[0]), self.lead - s)
+        if u + eps < k:
             i = int(math.floor(u + eps))
-            i = min(i, k)
-            frac = u - i
-            if frac < eps:
-                return tree_point(self.chain[i])
-            lo, hi = self.chain[i], self.chain[i + 1]
-            if len(hi) > len(lo):
-                return tree_point(lo, hi[-1], frac)
-            return tree_point(hi, lo[-1], 1.0 - frac)
-        v = u - k   # into the partial ending edge
-        parent, _child = self.end.edge()
-        if v < eps:
-            return tree_point(self.chain[-1])
-        if self.chain[-1] == parent:
-            return tree_point(parent, self.end.letter, v)
-        return tree_point(parent, self.end.letter, 1.0 - v)
+            return _along(chain[i], chain[i + 1], u - i)
+        return _along(chain[k], _other_end(self.end, chain[k]), u - k)
 
 
 class TreeSpace:
@@ -299,12 +305,9 @@ class TreeSpace:
     def distance(self, x: TreePoint, y: TreePoint) -> float:
         if x.is_vertex and y.is_vertex:
             return float(word_distance(x.anchor, y.anchor))
-        if (not x.is_vertex and not y.is_vertex
-                and x.anchor == y.anchor and x.letter == y.letter):
+        if x.letter is not None and x.letter == y.letter and x.anchor == y.anchor:
             return abs(x.t - y.t)
-        return min(cx + word_distance(ex, ey) + cy
-                   for ex, cx in _exit_options(x)
-                   for ey, cy in _exit_options(y))
+        return _route(x, y)[0]
 
     def geodesic(self, a: TreePoint, b: TreePoint) -> TreeSegment:
         return TreeSegment(self, self.validate_point(a), self.validate_point(b))
@@ -322,18 +325,13 @@ class TreeSpace:
         # so the endpoint values pin the minimum exactly.
         fa = self.project(s1.start, s2).distance
         fb = self.project(s1.end, s2).distance
-        return max(0.0, 0.5 * (fa + fb - s1.length))
+        return max(0.0, W.gromov_gap(fa, fb, s1.length))
 
     # -- sampling ----------------------------------------------------------
     def vertices_within(self, p: TreePoint, radius: float) -> list[TreePoint]:
         """All tree vertices within the given radius of p (exhaustive)."""
-        out: dict[Word, None] = {}
-        for anchor_word, cost in _exit_options(p):
-            rem = int(math.floor(radius - cost + 1e-9))
-            if rem < 0:
-                continue
-            for u in W.ball(self.rank, rem):
-                out.setdefault(multiply(anchor_word, u))
+        out = dict.fromkeys(multiply(w, u) for w, rem in _ball_exits(p, radius)
+                            for u in W.ball(self.rank, rem))
         return [tree_point(w) for w in sorted(out, key=lambda w: (len(w), w))]
 
     def ball_points(self, center: TreePoint, radius: float,
@@ -341,35 +339,30 @@ class TreeSpace:
         """Ball sampling is exhaustive over vertices; the tree needs nothing
         finer because projections are determined at vertices."""
         pts = self.vertices_within(center, radius)
-        if center.is_vertex:
-            return pts
-        return [center] + pts
+        return pts if center.is_vertex else [center] + pts
 
     def _ball_shadows(self, seg: TreeSegment, balls):
         """Projection parameters of the vertices of every ball in ``balls``,
         a list of (center, radius), in one numpy pass per word-ball radius.
 
         Yields ``(owners, t)``.  Column j of ``t`` holds the parameters of
-        the vertices w·u, u in ``W.ball(rank, rem)``, reached through one
-        exit option (w, c_w) of the center of ``balls[owners[j]]``, with
-        rem = ⌊radius − c_w⌋.  Left multiplication is an isometry, so w·u is
-        at distance d(u, w⁻¹e) + c_e from the segment end through its exit
-        option (e, c_e); the arithmetic follows ``distance`` and ``project``
-        operation by operation, so the values agree bit for bit.  A vertex
-        reached through both exit options of an edge-point center appears
-        twice, which leaves max − min unchanged.  ``W.ball`` keeps its
-        radius cap.
+        the vertices w·u, u in ``W.ball(rank, rem)``, of one ``_ball_exits``
+        entry (w, rem) of the center of ``balls[owners[j]]``.  Left
+        multiplication is an isometry, so w·u is at distance d(u, w⁻¹e) + c_e
+        from the segment end through its exit option (e, c_e); the arithmetic
+        follows ``distance`` and ``project`` operation by operation, so the
+        values agree bit for bit.  A vertex reached through both exit options
+        of an edge-point center appears twice, which leaves max − min
+        unchanged.  The last chunk holds the parameters of the edge-point
+        centers themselves, one row.  ``W.ball`` keeps its radius cap.
         """
-        length = seg.length
         start_exits = _exit_options(seg.start)
         exits = start_exits + _exit_options(seg.end)
         costs = np.array([c for _, c in exits])
         by_rem: dict[int, list] = {}
         for i, (center, radius) in enumerate(balls):
-            for w, cost in _exit_options(center):
-                rem = int(math.floor(radius - cost + 1e-9))
-                if rem >= 0:
-                    by_rem.setdefault(rem, []).append((i, W.inverse(w)))
+            for w, rem in _ball_exits(center, radius):
+                by_rem.setdefault(rem, []).append((i, W.inverse(w)))
         for rem, members in by_rem.items():
             ball = pack(W.ball(self.rank, rem))
             n = len(ball[1])
@@ -386,18 +379,19 @@ class TreeSpace:
                     n, len(part), len(exits)) + costs
                 da = d[:, :, :len(start_exits)].min(axis=2)
                 db = d[:, :, len(start_exits):].min(axis=2)
-                t = 0.5 * (da - db + length)
-                yield [i for i, _ in part], np.minimum(np.maximum(t, 0.0), length)
+                yield [i for i, _ in part], W.gromov_foot(da, db, seg.length)
+        centers = [i for i, (c, _) in enumerate(balls) if not c.is_vertex]
+        if centers:
+            yield centers, np.array([[self.project(balls[i][0], seg).parameter
+                                      for i in centers]])
 
     def ball_parameters(self, center: TreePoint, radius: float,
                         seg: TreeSegment, samples: int = 0) -> np.ndarray:
         """``project(p, seg).parameter`` for every p in ``ball_points``
         (vertices reached through both exit options of an edge-point
         center twice): the one-ball case of ``_ball_shadows``."""
-        out = [t.ravel() for _, t in self._ball_shadows(seg, [(center, radius)])]
-        if not center.is_vertex:
-            out.append(np.array([self.project(center, seg).parameter]))
-        return np.concatenate(out)
+        return np.concatenate([t.ravel() for _, t in
+                               self._ball_shadows(seg, [(center, radius)])])
 
     def ball_diameters(self, seg: TreeSegment, balls, samples: int = 0) -> list[float]:
         """max − min of ``ball_parameters`` for each (center, radius) in
@@ -408,10 +402,6 @@ class TreeSpace:
         for owners, t in self._ball_shadows(seg, balls):
             np.minimum.at(lo, owners, t.min(axis=0))
             np.maximum.at(hi, owners, t.max(axis=0))
-        for i, (center, _) in enumerate(balls):
-            if not center.is_vertex:
-                p = self.project(center, seg).parameter
-                lo[i], hi[i] = min(lo[i], p), max(hi[i], p)
         return (hi - lo).tolist()
 
     def pairwise_distances(self, points: list[TreePoint]) -> np.ndarray:

@@ -8,7 +8,8 @@ the serialization format used in configs and reports.
 The packed format serves the batched word-metric routes: words as
 zero-padded int16 letter rows with their lengths (``pack``), so that
 distances between whole lists of words are one numpy pass
-(``packed_distances``, ``distance_matrix``).
+(``packed_distances``, ``distance_matrix``).  Tree segments [a, b] read
+off those distances as Gromov products (``gromov_foot``, ``gromov_gap``).
 """
 
 from __future__ import annotations
@@ -142,10 +143,12 @@ def word_distance(u: Word, v: Word) -> int:
 _ORD_A = ord("a")
 
 # Character of each letter: generator k is chr(ord('a') + k - 1), its inverse
-# the upper case.  The letter 0 is no generator and has no key.
+# the upper case.  The letter 0 is no generator and has no key.  One alphabet
+# serves both directions: parsing reads the inverse map.
 _LETTER_CHARS = {x: (chr(_ORD_A + abs(x) - 1) if x > 0
                      else chr(_ORD_A + abs(x) - 1).upper())
                  for x in range(-26, 27) if x != 0}
+_CHAR_LETTERS = {c: x for x, c in _LETTER_CHARS.items()}
 
 
 def to_string(w: Word) -> str:
@@ -159,12 +162,10 @@ def to_string(w: Word) -> str:
 def from_string(s: str) -> Word:
     """Parse the a/A serialization; '' is the identity ('e' is the fifth
     generator)."""
-    letters = []
-    for c in s:
-        if not c.isalpha():
-            raise InputError(f"bad word character {c!r}")
-        k = ord(c.lower()) - _ORD_A + 1
-        letters.append(k if c.islower() else -k)
+    try:
+        letters = list(map(_CHAR_LETTERS.__getitem__, s))
+    except KeyError as exc:
+        raise InputError(f"bad word character {exc.args[0]!r}") from None
     return check_reduced(letters)
 
 
@@ -210,3 +211,13 @@ def distance_matrix(ws: list[Word]) -> np.ndarray:
         hi = min(n, lo + chunk)
         out[lo:hi] = packed_distances((letters[lo:hi], lens[lo:hi]), packed)
     return out
+
+
+def gromov_foot(dax, dbx, dab):
+    """Projection parameter of x on the tree segment [a, b], for arrays."""
+    return np.minimum(np.maximum(0.5 * (dax - dbx + dab), 0.0), dab)
+
+
+def gromov_gap(dax, dbx, dab):
+    """Distance from x to the tree segment [a, b]."""
+    return 0.5 * (dax + dbx - dab)

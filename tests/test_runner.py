@@ -188,16 +188,75 @@ def test_replay_round_trip(tmp_path):
     assert replay(str(path)) is True
 
 
-def test_replay_detects_corruption(tmp_path):
-    report, _ = run("qm", small_tree_config())
+def _bump(field):
+    def corrupt(witness):
+        witness[field] += 0.25
+    return corrupt
+
+
+def _bump_first_displacement(witness):
+    witness["table"][min(witness["table"])][1] += 0.25
+
+
+def _list_a_far_mover(witness):
+    # "aaa" moves the basepoint of tree_aab by 3 > c = 2
+    witness["matching"].append("aaa")
+    witness["count"] += 1
+
+
+# (kind, config, subcommand, corruption): one cell that emits each kind
+CORRUPTIONS = [
+    ("contraction-refutation", EUCLID_CONFIG, "contract", _bump("diameter")),
+    ("lambda-witness", None, "qm", _bump("value")),
+    ("equiv-witness", TREE_CONFIG, "equiv", _bump("hausdorff")),
+    ("schottky-displacements", TREE_CONFIG, "schottky", _bump_first_displacement),
+    ("wpd-matches", TREE_CONFIG, "wpd", _list_a_far_mover),
+]
+
+
+@pytest.mark.parametrize("kind,config,subcommand,corrupt", CORRUPTIONS,
+                         ids=[c[0] for c in CORRUPTIONS])
+def test_replay_detects_corruption(tmp_path, kind, config, subcommand, corrupt):
+    cfg = small_tree_config() if config is None else load_config(str(config))
+    report, _ = run(subcommand, cfg)
+    assert replay(report) is True
     bad = copy.deepcopy(report)
-    for witness in bad["body"]["witnesses"]:
-        if witness.get("kind") == "lambda-witness":
-            witness["value"] += 0.25
-            break
+    corrupt(next(w for w in bad["body"]["witnesses"] if w.get("kind") == kind))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     assert replay(str(path)) is False
+
+
+@pytest.mark.parametrize("edit", [
+    lambda w: w.update(count=w["count"] + 5),
+    lambda w: w.update(matching=[], count=0),
+    lambda w: w.update(matching=[]),
+], ids=["count", "emptied", "emptied-count-kept"])
+def test_replay_checks_the_wpd_match_count(edit):
+    # replay once read only the listed words, so a wrong count or an empty
+    # list replayed True; the identity matches for every c >= 0
+    report, _ = run("wpd", load_config(str(TREE_CONFIG)))
+    (witness,) = report["body"]["witnesses"]
+    assert witness["matching"] == [""] and witness["count"] == 1
+    edit(witness)
+    assert replay(report) is False
+
+
+@pytest.mark.parametrize("path,basepoint", [
+    (EUCLID_CONFIG, [float("nan"), 0.0]),
+    (HALFPLANE_CONFIG, [0.0, -1.0]),
+], ids=["euclidean-nan", "half-plane-below-axis"])
+def test_config_basepoint_is_validated(tmp_path, path, basepoint):
+    # a NaN basepoint once ended contract in a ValueError traceback, and a
+    # basepoint below the real axis passed schottky with status ok
+    data = json.loads(path.read_text())
+    data["basepoint"] = basepoint
+    with pytest.raises(ConfigError):
+        config_from_json(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for sub in ("contract", "schottky"):
+        assert cli_main([sub, "--config", str(bad)]) == EXIT_CONFIG
 
 
 def test_replay_empty_witness_list_vacuous():

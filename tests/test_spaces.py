@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +126,75 @@ def test_tree_same_edge_segment():
     seg = TREE.geodesic(a, b)
     assert seg.length == pytest.approx(0.5)
     assert TREE.distance(seg.point_at(0.25), tree_point((), 1, 0.5)) == pytest.approx(0.0)
+
+
+def _seeded_tree_point(rng, t):
+    """A point on a random edge at offset t (from the edge's shorter end)
+    of a random anchor of length at most 3."""
+    anchor = ()
+    for _ in range(rng.randrange(4)):
+        anchor += (rng.choice([x for x in (1, -1, 2, -2)
+                               if not anchor or x != -anchor[-1]]),)
+    letter = rng.choice([x for x in (1, -1, 2, -2) if not anchor or x != -anchor[-1]])
+    return tree_point(anchor, letter, t)
+
+
+def _walk_case(seg, s):
+    if seg._same_edge:
+        return "same edge"
+    if s < seg.lead:
+        return "first edge"
+    return "chain" if s <= seg.lead + len(seg.chain) - 1 else "last edge"
+
+
+def test_tree_point_at_walks_each_case_isometrically():
+    rng = random.Random(2611)
+    seen = set()
+    for _ in range(400):
+        a, b = (_seeded_tree_point(rng, rng.choice([0.3, 0.7, rng.random()]))
+                for _ in range(2))
+        if rng.random() < 0.1:   # a second point on a's edge
+            b = tree_point(a.anchor, a.letter, rng.random())
+        seg = TREE.geodesic(a, b)
+        assert TREE.point_key(seg.point_at(0)) == TREE.point_key(a)
+        assert TREE.point_key(seg.point_at(seg.length)) == TREE.point_key(b)
+        for s in [seg.length * k / 13 for k in range(14)]:
+            seen.add(_walk_case(seg, s))
+            p = seg.point_at(s)
+            assert abs(TREE.distance(a, p) - s) <= 1e-12
+            assert abs(TREE.distance(p, b) - (seg.length - s)) <= 1e-12
+    assert seen == {"first edge", "chain", "last edge", "same edge"}
+
+
+def test_tree_point_at_just_past_the_last_chain_vertex():
+    # u - k = 1e-12 passed the chain test u <= k + eps but not the vertex
+    # snap, so the chain walk read chain[k + 1] and raised IndexError
+    seg = TREE.geodesic(tree_point((), 1, 0.3), tree_point((2, 2), 2, 0.7))
+    s = seg.lead + len(seg.chain) - 1 + 1e-12
+    p = seg.point_at(s)
+    assert abs(TREE.distance(seg.start, p) - s) <= 1e-12
+    assert abs(TREE.distance(p, seg.end) - (seg.length - s)) <= 1e-12
+
+
+def test_tree_ball_on_its_floor_boundary():
+    # radius = k + cost puts the vertices at distance exactly the radius on
+    # the floor ⌊radius − cost⌋ = k; the per-point ball and the batched
+    # shadows must both keep them
+    rng = random.Random(2612)
+    for _ in range(40):
+        center = _seeded_tree_point(rng, rng.choice([0.3, 0.7, rng.random()]))
+        seg = TREE.geodesic(*(_seeded_tree_point(rng, 0.3) for _ in range(2)))
+        for k in (0, 1, 2):
+            for cost in (center.t, 1.0 - center.t):
+                radius = k + cost
+                pts = TREE.vertices_within(center, radius)
+                assert max(TREE.distance(center, p) for p in pts) == pytest.approx(radius)
+                params = TREE.ball_parameters(center, radius, seg)
+                per_point = {TREE.project(p, seg).parameter
+                             for p in TREE.ball_points(center, radius)}
+                assert set(params.tolist()) == per_point
+                assert TREE.ball_diameters(seg, [(center, radius)]) == [
+                    max(per_point) - min(per_point)]
 
 
 # ---------------------------------------------------------------------------

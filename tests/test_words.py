@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -97,6 +98,23 @@ def test_serialization_round_trip():
         W.from_string("a1b")
     with pytest.raises(InputError):
         W.from_string("aA")
+
+
+@pytest.mark.parametrize("s", ["é", "aΩ", "ß", "1", " ", "a-b"])
+def test_from_string_reads_only_the_letters_to_string_writes(s):
+    # str.isalpha once let "é" through as letter 137 and "Ω" as -873
+    with pytest.raises(InputError):
+        W.from_string(s)
+    alphabet = "".join(W.to_string((x,)) for x in range(-26, 27) if x)
+    assert W.to_string(W.from_string(alphabet[::2])) == alphabet[::2]
+
+
+def test_gromov_products_of_a_tree_segment():
+    # x = "ba" against [e, "aa"]: the foot is e, at distance 2
+    dax, dbx, dab = np.array([2.0, 1.0]), np.array([4.0, 1.0]), np.array([2.0, 2.0])
+    assert W.gromov_foot(dax, dbx, dab).tolist() == [0.0, 1.0]
+    assert W.gromov_gap(dax, dbx, dab).tolist() == [2.0, 0.0]
+    assert W.gromov_gap(3.0, 2.0, 1.0) == 2.0
 
 
 def _outcome(f, w):
