@@ -261,31 +261,28 @@ def projection_diameter_under_ball(space, seg, center, radius: float,
     return diameter
 
 
-def _candidate_centers(space, seg, budget: CertBudget, B: float):
-    """Deterministic center family: spread around the segment, plus probes
-    pushed to prescribed distances (including a B-dependent height so that
-    flat counterexamples surface)."""
+def _candidate_centers(space, seg, budget: CertBudget, B: float) -> list[tuple]:
+    """Deterministic center family, as (center, distance to the segment)
+    pairs: spread around the segment, plus probes pushed to prescribed
+    distances (including a B-dependent height so that flat counterexamples
+    surface)."""
     length = seg.length
     anchors = [seg.point_at(s) for s in _arclength_samples(length, max(length / 4.0, 1.0))]
-    centers = []
     if space.kind == "tree":
-        seen = set()
-        for a in anchors:
-            for v in space.vertices_within(a, budget.center_radius):
-                key = space.point_key(v)
-                if key not in seen:
-                    seen.add(key)
-                    centers.append(v)
-        return centers
+        centers = {v.anchor: v for a in anchors
+                   for v in space.vertices_within(a, budget.center_radius)}
+        _, dists = space.vertex_projections(seg, list(centers))
+        return list(zip(centers.values(), dists.tolist()))
     heights = list(budget.probe_heights) or [budget.center_radius]
     if math.isfinite(B):
         heights.append(B / 2.0 + 2.0)
     mid = seg.point_at(length / 2.0)
     per = max(4, budget.center_count // max(1, len(heights)))
+    centers = []
     for h in heights:
-        best = sorted(space.ball_points(mid, h, per * 4),
-                      key=lambda p: -space.project(p, seg).distance)
-        centers.extend(best[:per])
+        scored = [(p, space.project(p, seg).distance)
+                  for p in space.ball_points(mid, h, per * 4)]
+        centers.extend(sorted(scored, key=lambda pd: -pd[1])[:per])
     return centers
 
 
@@ -302,8 +299,7 @@ def certify_contracting(space, seg, B: float, budget: CertBudget | None = None
         raise InputError("B must be > 0")
     budget = budget or CertBudget()
     balls = []
-    for center in _candidate_centers(space, seg, budget, B):
-        d = space.project(center, seg).distance
+    for center, d in _candidate_centers(space, seg, budget, B):
         if d <= MIN_GAP:
             continue
         # widest disjoint ball first: it has the widest shadow, and the

@@ -142,27 +142,17 @@ def _tree_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translat
     radius = int(math.ceil(margin)) + 1
     shell = W.ball(space.rank, radius)
     sigma_edge = sys.sigma_edge_word()
-    tol = space.tol
-    seen: set = set()
-    picked = []
-    for v in chain:
-        for u in shell:
-            start_w = word_multiply(v, u)
-            if start_w in seen:
-                continue
-            seen.add(start_w)
-            start = tree_point(start_w)
-            ps = space.project(start, seg)
-            if ps.distance > margin + tol:
-                continue
-            end_w = word_multiply(start_w, sigma_edge)
-            end = tree_point(end_w)
-            if space.project(end, seg).distance > margin + tol:
-                continue
-            g = word_multiply(start_w, x0inv)
-            picked.append((ps.parameter, start_w, Translate(g, start, end)))
-    picked.sort(key=lambda item: (item[0], item[1]))
-    return [t for _, _, t in picked]
+    reach = margin + space.tol
+    starts = list(dict.fromkeys(word_multiply(v, u) for v in chain for u in shell))
+    params, dists = space.vertex_projections(seg, starts)
+    near = [(t, w) for t, w, d in zip(params.tolist(), starts, dists.tolist())
+            if not d > reach]
+    ends = [word_multiply(w, sigma_edge) for _, w in near]
+    _, dists = space.vertex_projections(seg, ends)
+    picked = sorted((t, w, end) for (t, w), end, d in zip(near, ends, dists.tolist())
+                    if not d > reach)
+    return [Translate(word_multiply(w, x0inv), tree_point(w), tree_point(end))
+            for _, w, end in picked]
 
 
 def _ball_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translate]:

@@ -63,9 +63,7 @@ from .rank_one import (
 )
 from .samplers import (
     dd_triples_random,
-    dd_triples_tree_exhaustive,
     ft_quads_random,
-    ft_quads_tree_exhaustive,
     halfplane_thin_configs,
     halfplane_variation_configs,
     random_point,
@@ -211,17 +209,55 @@ def _companion(cfg: ExperimentConfig) -> W.Word:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _tree_axiom_violations(space, C: float, tolerance: float | None,
+                           ft_radius: int) -> tuple[list, list]:
+    """``check_dd`` over every ([e, v], x, x') with |v| ≤ 3 and |x|, |x'| ≤ 2,
+    and ``check_ft`` over every (e, v, a', v·u) with |v| ≤ ``ft_radius`` and
+    |a'|, |u| ≤ 1: the identity anchoring loses nothing, since both checks
+    are invariant under the group action.  One ``vertex_projections`` call
+    per segment decides each configuration.  The feet on a vertex-ended
+    segment are chain vertices, so |p − p'| is |t − t'| exactly; along
+    [a', b'] the distance to [e, v] is convex, so its largest sample sits
+    at an endpoint.  Only the violating rows go through the checkers, in
+    the order the configurations are listed, so the entries are the
+    per-configuration ones."""
+    eps = space.tol if tolerance is None else tolerance
+    e = vertex("")
+    near = W.ball(space.rank, 2)
+    rhs = W.distance_matrix(near) + C
+    rows = []
+    for v in W.ball(space.rank, 3):
+        seg = space.geodesic(e, tree_point(v))
+        t, _ = space.vertex_projections(seg, near)
+        bad = np.abs(t[:, None] - t[None, :]) >= rhs + eps
+        rows += [(seg, tree_point(near[i]), tree_point(near[j]))
+                 for i, j in zip(*np.nonzero(bad))]
+    dd = check_dd(space, rows, C, tolerance)
+    moves = W.ball(space.rank, 1)
+    lens = np.array([len(u) for u in moves], dtype=float)
+    allowed = C + np.maximum(lens[:, None], lens[None, :])
+    rows = []
+    for v in W.ball(space.rank, ft_radius):
+        ends = [W.multiply(v, u) for u in moves]
+        _, gap = space.vertex_projections(space.geodesic(e, tree_point(v)),
+                                          moves + ends)
+        bad = np.maximum(gap[:len(moves), None], gap[None, len(moves):]) >= allowed + eps
+        rows += [(e, tree_point(v), tree_point(moves[i]), tree_point(ends[j]))
+                 for i, j in zip(*np.nonzero(bad))]
+    return dd, check_ft(space, rows, C, tolerance)
+
+
 def run_axioms(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     space = cfg.space
     budgets = cfg.budgets
     if space.kind == "tree":
-        dd_sampler = dd_triples_tree_exhaustive(space, 3, 2)
-        ft_sampler = ft_quads_tree_exhaustive(space, min(4, budgets.ball_radius))
+        dd, ft = _tree_axiom_violations(space, cfg.C, cfg.tolerance,
+                                        min(4, budgets.ball_radius))
     else:
-        dd_sampler = dd_triples_random(space, cfg.seed, budgets.sample_count)
-        ft_sampler = ft_quads_random(space, cfg.seed, budgets.sample_count)
-    dd = check_dd(space, dd_sampler, cfg.C, cfg.tolerance)
-    ft = check_ft(space, ft_sampler, cfg.C, cfg.tolerance)
+        dd = check_dd(space, dd_triples_random(space, cfg.seed, budgets.sample_count),
+                      cfg.C, cfg.tolerance)
+        ft = check_ft(space, ft_quads_random(space, cfg.seed, budgets.sample_count),
+                      cfg.C, cfg.tolerance)
     violations = dd + ft
 
     rng = rng_for(cfg.seed, "axioms-extra")
@@ -912,18 +948,12 @@ def _replay_one(cfg: ExperimentConfig, witness: dict) -> bool:
                 return False
         return True
     if kind == "wpd-matches":
-        g = cfg.group.from_word(witness["g"])
-        x0 = space.point_from_json(witness["x0"])
-        far = act(space, cfg.group.power(g, witness["M"]), x0)
-        # the identity moves nothing, so it matches whenever c >= 0
-        if (witness["count"] != len(witness["matching"])
-                or (witness["c"] >= 0 and "" not in witness["matching"])):
-            return False
-        for wstr in witness["matching"]:
-            iso = cfg.group.from_word(wstr)
-            if (space.distance(x0, act(space, iso, x0)) > witness["c"] + tol
-                    or space.distance(far, act(space, iso, far)) > witness["c"] + tol):
-                return False
-        return True
+        # the count again from the witness's own fields, so a listed word
+        # that moves too far and an omitted match both fail
+        again = wpd_count(space, cfg.group, witness["g"], witness["c"], witness["M"],
+                          witness["radius"], space.point_from_json(witness["x0"])
+                          ).to_json()
+        return (again["matching"] == witness["matching"]
+                and again["count"] == witness["count"])
     # unknown kinds fail closed so schema drift is caught
     return False

@@ -2,9 +2,6 @@
 
 All randomness flows from a single integer seed through hashed child seeds,
 so every suite is reproducible and every violation can be regenerated.
-Tree suites are exhaustive where the configuration family is finite; the
-exhaustive families fix the first point at the identity vertex, which loses
-nothing because every check is invariant under the group action.
 """
 
 from __future__ import annotations
@@ -14,9 +11,8 @@ import math
 import random
 from typing import Iterator
 
-from .spaces import tree_point, vertex
-from .words import Word, multiply as word_multiply
-from . import words as W
+from .spaces import tree_point
+from .words import Word
 
 
 def child_seed(seed: int, purpose: str) -> int:
@@ -79,18 +75,6 @@ def dd_triples_random(space, seed: int, count: int) -> Iterator:
         made += 1
 
 
-def dd_triples_tree_exhaustive(space, seg_radius: int, point_radius: int) -> Iterator:
-    """Every (segment from the identity, x, x') configuration; the identity
-    anchoring is the invariance reduction."""
-    e = vertex("")
-    pts = [tree_point(w) for w in W.ball(space.rank, point_radius)]
-    for v in W.ball(space.rank, seg_radius):
-        seg = space.geodesic(e, tree_point(v))
-        for x in pts:
-            for x2 in pts:
-                yield seg, x, x2
-
-
 def ft_quads_random(space, seed: int, count: int, D: float = 1.0) -> Iterator:
     rng = rng_for(seed, "ft")
     made = 0
@@ -102,17 +86,6 @@ def ft_quads_random(space, seed: int, count: int, D: float = 1.0) -> Iterator:
         b2 = perturbed_point(space, rng, b, D * rng.uniform(0.2, 1.0))
         yield a, b, a2, b2
         made += 1
-
-
-def ft_quads_tree_exhaustive(space, seg_radius: int, D: int = 1) -> Iterator:
-    e = vertex("")
-    moves = [tree_point(w) for w in W.ball(space.rank, D)]
-    for v in W.ball(space.rank, seg_radius):
-        b = tree_point(v)
-        for a2 in moves:
-            for u in W.ball(space.rank, D):
-                b2 = tree_point(word_multiply(v, u))
-                yield e, b, a2, b2
 
 
 # ---------------------------------------------------------------------------

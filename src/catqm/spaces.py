@@ -19,10 +19,14 @@ options that join two points), ``_along`` (the walk of ``point_at``) and
 ``ball_diameters`` for every ball of a certificate at once, one pass over
 packed word arrays (``words.pack``) per word-ball radius; the other spaces go
 ball by ball, so a caller that stops at a refuting ball skips the rest.
-Euclidean ``segment_distance`` is closed form too.  Golden-section search is
-kept where no closed form is used: projections and ball shadows on
-products, and the one-dimensional minimization over closed-form projections
-in half-plane ``segment_distance``.
+``TreeSpace.vertex_projections`` projects a whole list of vertices onto one
+segment in the same way; with it the exhaustive tree axioms read ``check_ft``
+off the ends of each moved segment, since along a geodesic the distance to a
+convex set is convex and its largest sample sits at an endpoint.  Euclidean
+``segment_distance`` is closed form too.  Golden-section search is kept
+where no closed form is used: projections and ball shadows on products, and
+the one-dimensional minimization over closed-form projections in half-plane
+``segment_distance``.
 
 A half-plane segment, vertical line or arc alike, is one Möbius normal
 form: the isometry T(z) = (z - p) / (1 - k z) that sends its geodesic to the
@@ -319,6 +323,31 @@ class TreeSpace:
         t = min(max(t, 0.0), seg.length)
         point = seg.point_at(t)
         return ProjectionResult(point, self.distance(x, point), t)
+
+    def vertex_projections(self, seg: TreeSegment, words) -> tuple[np.ndarray, np.ndarray]:
+        """``project(tree_point(w), seg)`` parameter and distance for every
+        word, as two arrays that agree with it bit for bit.  The parameter
+        is the Gromov foot of the distances to the ends.  Between vertices
+        every distance is an integer, so the Gromov gap is exact; otherwise
+        the distance is measured, as ``project`` does, to the point
+        ``point_at`` gives each distinct parameter (a segment end or a
+        chain vertex)."""
+        xs = pack(words)
+
+        def reach(points):   # word-to-point distances, as ``distance`` sums them
+            exits = [(o * 2)[:2] for o in map(_exit_options, points)]  # a vertex's twice
+            d = packed_distances(xs, pack([w for o in exits for w, _ in o]))
+            d = d + [c for o in exits for _, c in o]
+            return d.reshape(len(d), len(exits), 2).min(axis=2)
+
+        ends = reach([seg.start, seg.end])
+        t = W.gromov_foot(ends[:, 0], ends[:, 1], seg.length)
+        if seg.start.is_vertex and seg.end.is_vertex:
+            return t, W.gromov_gap(ends[:, 0], ends[:, 1], seg.length)
+        ts = t.tolist()
+        feet = {s: k for k, s in enumerate(dict.fromkeys(ts))}
+        d = reach([seg.point_at(s) for s in feet])
+        return t, d[np.arange(len(ts)), [feet[s] for s in ts]]
 
     def segment_distance(self, s1: TreeSegment, s2: TreeSegment) -> float:
         # d(., s2) is convex with unit slopes along s1 off the minimum set,

@@ -14,6 +14,7 @@ off those distances as Gromov products (``gromov_foot``, ``gromov_gap``).
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import eq, neg
 
 import numpy as np
@@ -186,7 +187,9 @@ def pack(ws: list[Word]) -> tuple[np.ndarray, np.ndarray]:
     lens = np.fromiter(map(len, ws), dtype=np.int64, count=len(ws))
     width = max(int(lens.max(initial=0)), 1)
     pad = (0,) * width
-    letters = np.array([(w + pad)[:width] for w in ws], dtype=np.int16)
+    # row by row, with no list of padded rows held at once
+    letters = np.fromiter(chain.from_iterable((w + pad)[:width] for w in ws),
+                          dtype=np.int16, count=len(ws) * width)
     return letters.reshape(len(ws), width), lens
 
 

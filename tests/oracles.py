@@ -6,10 +6,13 @@ unit tree edges plus one directed shortcut edge per translate inside the
 search region, and the projection oracle is brute-force minimization over
 enumerated candidates.  The per-ball certificate loop
 ``certify_contracting_per_ball`` is the reference for the batched ball
-diameters, and the exhaustive tree lemma families
-(``tree_triples_exhaustive``, ``tree_dichotomy_configs``,
+diameters, ``tree_candidates_per_translate`` for the batched tree
+expressway candidates, and the exhaustive tree families
+(``dd_triples_tree_exhaustive``, ``ft_quads_tree_exhaustive``,
+``tree_triples_exhaustive``, ``tree_dichotomy_configs``,
 ``tree_variation_configs``) feed the per-configuration checkers, the
-reference for the runner's distance-matrix tallies.  Three helpers only the
+reference for the runner's batched axiom routes and distance-matrix
+tallies.  Three helpers only the
 tests need sit here as well: the closed-form tree modified length
 ``tree_lambda_exact``, the search helper ``contraction_scale`` over the
 package's certificate, and the contracting-chain check ``chain_check``.
@@ -37,6 +40,7 @@ from catqm.contraction import (
     projection_diameter_under_ball,
 )
 from catqm.errors import InputError
+from catqm.expressway import Translate
 from catqm.spaces import _arclength_samples, tree_point, vertex
 from catqm.words import multiply, inverse, word_distance
 
@@ -135,7 +139,7 @@ def certify_contracting_per_ball(space, seg, B: float, budget=None
     budget = budget or CertBudget()
     max_diam = 0.0
     checked = 0
-    for center in _candidate_centers(space, seg, budget, B):
+    for center, _ in _candidate_centers(space, seg, budget, B):
         d = space.project(center, seg).distance
         if d <= MIN_GAP:
             continue
@@ -153,6 +157,60 @@ def certify_contracting_per_ball(space, seg, B: float, budget=None
                     (seg.start, seg.end), B, REFUTED, max_diam, checked, witness)
     return ContractionCertificate((seg.start, seg.end), B, CERTIFIED,
                                   max_diam, checked, None)
+
+
+def dd_triples_tree_exhaustive(space, seg_radius: int, point_radius: int) -> Iterator:
+    """Every (segment from the identity, x, x') configuration; the identity
+    anchoring is the invariance reduction."""
+    e = vertex("")
+    pts = [tree_point(w) for w in W.ball(space.rank, point_radius)]
+    for v in W.ball(space.rank, seg_radius):
+        seg = space.geodesic(e, tree_point(v))
+        for x in pts:
+            for x2 in pts:
+                yield seg, x, x2
+
+
+def ft_quads_tree_exhaustive(space, seg_radius: int, D: int = 1) -> Iterator:
+    """Every (e, b, a', b') with |b| <= seg_radius and a', b' within D of
+    e, b."""
+    e = vertex("")
+    moves = [tree_point(w) for w in W.ball(space.rank, D)]
+    for v in W.ball(space.rank, seg_radius):
+        b = tree_point(v)
+        for a2 in moves:
+            for u in W.ball(space.rank, D):
+                b2 = tree_point(multiply(v, u))
+                yield e, b, a2, b2
+
+
+def tree_candidates_per_translate(sys, seg, margin: float) -> list:
+    """``expressway._tree_candidates`` one translate at a time: each start
+    word of chain x shell and its sigma-translate end projected by its own
+    ``project`` call, sorted by (parameter, start word)."""
+    space = sys.space
+    x0inv = inverse(sys.basepoint.anchor)
+    shell = W.ball(space.rank, int(math.ceil(margin)) + 1)
+    sigma_edge = sys.sigma_edge_word()
+    seen: set = set()
+    picked = []
+    for v in seg.chain or seg.start.edge():
+        for u in shell:
+            start_w = multiply(v, u)
+            if start_w in seen:
+                continue
+            seen.add(start_w)
+            start = tree_point(start_w)
+            ps = space.project(start, seg)
+            if ps.distance > margin + space.tol:
+                continue
+            end = tree_point(multiply(start_w, sigma_edge))
+            if space.project(end, seg).distance > margin + space.tol:
+                continue
+            picked.append((ps.parameter, start_w,
+                           Translate(multiply(start_w, x0inv), start, end)))
+    picked.sort(key=lambda item: (item[0], item[1]))
+    return [t for _, _, t in picked]
 
 
 def tree_triples_exhaustive(space, radius: int) -> Iterator[tuple]:

@@ -258,7 +258,7 @@ def _ball_count(space, seg, budget, B):
     """Balls in a certificate's family: radius d - 1 for each center at
     distance d > 1, and radius d / 2 as well when d > 2."""
     ds = [space.project(c, seg).distance
-          for c in _candidate_centers(space, seg, budget, B)]
+          for c, _ in _candidate_centers(space, seg, budget, B)]
     return sum((d > 1.0) + (d > 2.0) for d in ds)
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from catqm.contraction import ConstantLedger
 from catqm.errors import BudgetError, ConfigError
 from catqm.expressway import (
     ExpresswaySystem,
+    _tree_candidates,
     LambdaSamples,
     check_lambda_properties,
     check_witness_confinement,
@@ -21,9 +23,14 @@ from catqm.expressway import (
     tree_phi_exact,
 )
 from catqm.samplers import random_words
-from catqm.spaces import HalfPlaneSpace, TreeSpace, vertex
+from catqm.spaces import HalfPlaneSpace, TreeSpace, tree_point, vertex
 
-from oracles import tree_lambda_exact, tree_lambda_oracle, tree_phi_oracle
+from oracles import (
+    tree_candidates_per_translate,
+    tree_lambda_exact,
+    tree_lambda_oracle,
+    tree_phi_oracle,
+)
 
 TREE = TreeSpace(2)
 FREE = GroupModel.free(2)
@@ -61,6 +68,34 @@ def test_enumeration_cap():
     with pytest.raises(BudgetError) as err:
         enumerate_relevant_expressways(sys_t, vertex(""), vertex("aabaab"))
     assert len(err.value.partial) == 2
+
+
+def _random_tree_point(rng, edge):
+    w = ()
+    for _ in range(rng.randrange(5)):
+        w += (rng.choice([x for x in (1, -1, 2, -2) if not w or x != -w[-1]]),)
+    if not edge:
+        return tree_point(w)
+    letter = rng.choice([x for x in (1, -1, 2, -2) if not w or x != -w[-1]])
+    return tree_point(w, letter, rng.choice([0.5, 0.3, rng.random()]))
+
+
+def test_tree_candidates_match_the_per_translate_loop():
+    rng = random.Random(2614)
+    systems = [tree_system(), ExpresswaySystem(TREE, FREE, "aab", vertex("b"),
+                                               ledger=LEDGER)]
+    sizes = set()
+    for i in range(60):
+        a = _random_tree_point(rng, rng.random() < 0.5)
+        b = (tree_point(a.anchor, a.letter, rng.random()) if i % 10 == 0 and a.letter
+             else _random_tree_point(rng, rng.random() < 0.5))
+        seg = TREE.geodesic(a, b)
+        for sys_t in systems:
+            for margin in (0.5, 1.0, 2.0):
+                got = _tree_candidates(sys_t, seg, margin)
+                assert got == tree_candidates_per_translate(sys_t, seg, margin)
+                sizes.add(len(got) > 0)
+    assert sizes == {True, False}
 
 
 def test_short_base_segment_rejected():

@@ -24,7 +24,11 @@ from catqm.runner import (
     run,
 )
 
+from catqm.spaces import check_dd, check_ft
+
 from oracles import (
+    dd_triples_tree_exhaustive,
+    ft_quads_tree_exhaustive,
     tree_dichotomy_configs,
     tree_triples_exhaustive,
     tree_variation_configs,
@@ -204,18 +208,28 @@ def _list_a_far_mover(witness):
     witness["count"] += 1
 
 
-# (kind, config, subcommand, corruption): one cell that emits each kind
+def _omit_a_match(witness):
+    # "BAba" is one of the 9 elements that move the Euclidean basepoint and
+    # its far orbit point by at most c; listing the other 8 is incomplete
+    witness["matching"].remove("BAba")
+    witness["count"] -= 1
+
+
+# (id, kind, config, subcommand, corruption): one cell that emits each kind
 CORRUPTIONS = [
-    ("contraction-refutation", EUCLID_CONFIG, "contract", _bump("diameter")),
-    ("lambda-witness", None, "qm", _bump("value")),
-    ("equiv-witness", TREE_CONFIG, "equiv", _bump("hausdorff")),
-    ("schottky-displacements", TREE_CONFIG, "schottky", _bump_first_displacement),
-    ("wpd-matches", TREE_CONFIG, "wpd", _list_a_far_mover),
+    ("contraction-refutation", "contraction-refutation", EUCLID_CONFIG, "contract",
+     _bump("diameter")),
+    ("lambda-witness", "lambda-witness", None, "qm", _bump("value")),
+    ("equiv-witness", "equiv-witness", TREE_CONFIG, "equiv", _bump("hausdorff")),
+    ("schottky-displacements", "schottky-displacements", TREE_CONFIG, "schottky",
+     _bump_first_displacement),
+    ("wpd-matches", "wpd-matches", TREE_CONFIG, "wpd", _list_a_far_mover),
+    ("wpd-matches-omitted", "wpd-matches", EUCLID_CONFIG, "wpd", _omit_a_match),
 ]
 
 
-@pytest.mark.parametrize("kind,config,subcommand,corrupt", CORRUPTIONS,
-                         ids=[c[0] for c in CORRUPTIONS])
+@pytest.mark.parametrize("kind,config,subcommand,corrupt",
+                         [c[1:] for c in CORRUPTIONS], ids=[c[0] for c in CORRUPTIONS])
 def test_replay_detects_corruption(tmp_path, kind, config, subcommand, corrupt):
     cfg = small_tree_config() if config is None else load_config(str(config))
     report, _ = run(subcommand, cfg)
@@ -379,3 +393,17 @@ def test_tree_lemma_tallies_match_where_rows_violate():
     for name in ("thin_triangle", "near_collinearity", "dichotomy", "variation"):
         assert seen[name, "violated"] > 0 and seen[name, "holds"] > 0, name
     assert seen["thin_triangle", "skipped"] > 0
+
+
+# -- tree axioms: vertex projections against the per-config checkers
+
+# C = 1 violates nothing; with tolerance 0, C = 0, -1 and -2 give 1,197,
+# 3,701 and 8,513 dd violations and 3,545, 4,025 and 4,025 ft violations,
+# so both masks decide rows on each side of their bound.
+@pytest.mark.parametrize("tolerance", [None, 0.0], ids=["space-tol", "tol-0"])
+@pytest.mark.parametrize("C", [1.0, 0.0, -0.5, -1.0, -2.0])
+def test_tree_axioms_match_the_per_config_checkers(C, tolerance):
+    space = load_config(str(TREE_CONFIG)).space
+    dd, ft = runner._tree_axiom_violations(space, C, tolerance, 4)
+    assert dd == check_dd(space, dd_triples_tree_exhaustive(space, 3, 2), C, tolerance)
+    assert ft == check_ft(space, ft_quads_tree_exhaustive(space, 4), C, tolerance)

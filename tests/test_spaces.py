@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,9 +9,7 @@ from catqm import words as W
 from catqm.errors import InputError
 from catqm.samplers import (
     dd_triples_random,
-    dd_triples_tree_exhaustive,
     ft_quads_random,
-    ft_quads_tree_exhaustive,
     random_point,
     rng_for,
 )
@@ -27,7 +26,11 @@ from catqm.spaces import (
     vertex,
 )
 
-from oracles import bfs_projection_oracle
+from oracles import (
+    bfs_projection_oracle,
+    dd_triples_tree_exhaustive,
+    ft_quads_tree_exhaustive,
+)
 
 TREE = TreeSpace(2)
 HP = HalfPlaneSpace()
@@ -209,6 +212,36 @@ def test_tree_projection_example():
     # exhaustive scan agrees
     d, p, s = bfs_projection_oracle(TREE, vertex("ba"), seg)
     assert d == pr.distance
+
+
+def test_tree_vertex_projections_match_project_bit_for_bit():
+    rng = random.Random(2613)
+    words = W.ball(2, 4)
+    ends = {"vertex", "edge point", "same edge"}
+    seen, clamped, gap_differs = set(), set(), 0
+    for i in range(240):
+        kind = sorted(ends)[i % 3]
+        a, b = (_seeded_tree_point(rng, rng.choice([0.3, 0.7, rng.random()]))
+                for _ in range(2))
+        if kind == "vertex":
+            a, b = tree_point(a.anchor), tree_point(b.anchor)
+        elif kind == "same edge":
+            b = tree_point(a.anchor, a.letter, rng.random())
+        seg = TREE.geodesic(a, b)
+        seen.add("same edge" if seg._same_edge else kind)
+        t, d = TREE.vertex_projections(seg, words)
+        for w, ti, di in zip(words, t.tolist(), d.tolist()):
+            pr = TREE.project(tree_point(w), seg)
+            assert (ti.hex(), di.hex()) == (pr.parameter.hex(), pr.distance.hex())
+            if 0.0 < seg.length and ti in (0.0, seg.length):
+                clamped.add(ti == 0.0)
+        # the plain Gromov gap rounds differently on edge-point ends, so the
+        # distances have to be measured to the feet as project measures them
+        da, db = (np.array([TREE.distance(tree_point(w), p) for w in words])
+                  for p in (seg.start, seg.end))
+        gap_differs += int((W.gromov_gap(da, db, seg.length) != d).any())
+    assert seen == ends and clamped == {True, False} and gap_differs > 0
+    assert TREE.vertex_projections(seg, [])[0].shape == (0,)
 
 
 def test_halfplane_projection_onto_axis():
