@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import InputError
-from .spaces import _arclength_samples
+from .spaces import SAMPLE_STEP, _arclength_samples
 
 CERTIFIED = "certified-at-budget"
 REFUTED = "refuted"
@@ -413,7 +413,7 @@ def check_dichotomy(space, seg_uv, x, y, ledger: ConstantLedger,
 
 
 def check_variation(space, seg_ab, seg_pq, ledger: ConstantLedger,
-                    tolerance: float | None = None, step: float = 0.5) -> LemmaOutcome:
+                    tolerance: float | None = None) -> LemmaOutcome:
     """Distance to [p, q] grows along a contracting [a, b] at rate
     1 - B/d up to the variation constant, when the distance is minimized at
     the start with value d >= 1 (hypothesis verified by sampling)."""
@@ -422,7 +422,7 @@ def check_variation(space, seg_ab, seg_pq, ledger: ConstantLedger,
     d0 = d_at(seg_ab.start)
     if d0 < 1.0:
         return LemmaOutcome("variation", SKIPPED, reason="minimal distance below 1")
-    for s in _arclength_samples(seg_ab.length, step):
+    for s in _arclength_samples(seg_ab.length, SAMPLE_STEP):
         if d_at(seg_ab.point_at(s)) < d0 - eps:
             return LemmaOutcome("variation", SKIPPED,
                                 reason="distance not minimized at the start")

@@ -35,7 +35,7 @@ from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 from .actions import GroupModel, WordShift, act
 from .contraction import ConstantLedger
 from .errors import BudgetError, ConfigError, InputError
-from .spaces import TreePoint, _arclength_samples, tree_point
+from .spaces import SAMPLE_STEP, TreePoint, _arclength_samples, tree_point
 from .words import Word, inverse as word_inverse, multiply as word_multiply
 from . import words as W
 
@@ -81,18 +81,21 @@ class ExpresswaySystem:
         # enforced
         self.meets_length_hypothesis = self.L > self.ledger.D
         self._ball_translates: list[Translate] | None = None
+        # exact tree models: the letter sequence of sigma read from the
+        # basepoint, and the strings of it and its inverse that phi counts
+        self.sigma_edge_word: Word | None = None
+        if self.is_exact_tree():
+            x0 = self.basepoint.anchor
+            self.sigma_edge_word = word_multiply(word_inverse(x0),
+                                                 word_multiply(self.sigma_word, x0))
+            self._patterns = (W.to_string(self.sigma_edge_word),
+                              W.to_string(word_inverse(self.sigma_edge_word)))
 
     # -- structural helpers -------------------------------------------------
     def is_exact_tree(self) -> bool:
         return (isinstance(self.group.identity_action, WordShift)
                 and isinstance(self.basepoint, TreePoint)
                 and self.basepoint.is_vertex)
-
-    def sigma_edge_word(self) -> Word:
-        """Letter sequence of sigma read from the basepoint (tree models)."""
-        x0 = self.basepoint.anchor
-        return word_multiply(word_inverse(x0),
-                             word_multiply(self.sigma_word, x0))
 
     def describe(self) -> dict:
         return {
@@ -141,13 +144,12 @@ def _tree_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translat
     chain = seg.chain or seg.start.edge()
     radius = int(math.ceil(margin)) + 1
     shell = W.ball(space.rank, radius)
-    sigma_edge = sys.sigma_edge_word()
     reach = margin + space.tol
     starts = list(dict.fromkeys(word_multiply(v, u) for v in chain for u in shell))
     params, dists = space.vertex_projections(seg, starts)
     near = [(t, w) for t, w, d in zip(params.tolist(), starts, dists.tolist())
             if not d > reach]
-    ends = [word_multiply(w, sigma_edge) for _, w in near]
+    ends = [word_multiply(w, sys.sigma_edge_word) for _, w in near]
     _, dists = space.vertex_projections(seg, ends)
     picked = sorted((t, w, end) for (t, w), end, d in zip(near, ends, dists.tolist())
                     if not d > reach)
@@ -288,8 +290,7 @@ def tree_phi_exact(sys: ExpresswaySystem, g: Word) -> float:
     x0 = sys.basepoint.anchor
     u = word_multiply(word_inverse(x0), word_multiply(g, x0))
     s = W.to_string(u)
-    pattern = W.to_string(sys.sigma_edge_word())
-    anti = W.to_string(word_inverse(sys.sigma_edge_word()))
+    pattern, anti = sys._patterns
     return float(s.count(pattern) - s.count(anti))
 
 
@@ -421,7 +422,7 @@ def independence_matrix(systems: list[ExpresswaySystem], testers: list,
 
 
 def check_witness_confinement(sys: ExpresswaySystem, result: ModifiedLengthResult,
-                              a, b, step: float = 0.5) -> tuple[bool, float]:
+                              a, b) -> tuple[bool, float]:
     """Every point of the witness path must stay inside the ledger's
     confinement neighborhood of [a, b]; returns (ok, max deviation)."""
     space = sys.space
@@ -432,7 +433,7 @@ def check_witness_confinement(sys: ExpresswaySystem, result: ModifiedLengthResul
     for stepdata in result.path:
         if prev is not None:
             piece = space.geodesic(prev, stepdata.point)
-            for s in _arclength_samples(piece.length, step):
+            for s in _arclength_samples(piece.length, SAMPLE_STEP):
                 dev = space.project(piece.point_at(s), seg).distance
                 worst = max(worst, dev)
         prev = stepdata.point

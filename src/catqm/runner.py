@@ -3,7 +3,10 @@
 Reports separate a deterministic ``body`` from volatile ``meta`` (wall
 clock): identical config and seed produce byte-identical body JSON.  Every
 refutation or found witness is stored self-contained under ``witnesses`` so
-``replay`` can re-evaluate it against nothing but the config echo.
+``replay`` can re-evaluate it against nothing but the config echo: each
+witness kind has one replay, which re-runs the function that produced the
+witness from the witness's own fields and compares the results.  Unknown
+kinds fail closed.
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ from .wpd import (
     build_family,
     conjugate_power_test,
     equiv_search,
-    sampled_hausdorff,
     wpd_count,
 )
 
@@ -144,6 +146,11 @@ class ExperimentConfig:
     @property
     def ledger(self) -> ConstantLedger:
         return ConstantLedger(C=self.C, B=self.B)
+
+    @property
+    def search_radius(self) -> int:
+        """Group-ball radius of the wpd and equiv searches."""
+        return min(self.budgets.ball_radius + 1, 6)
 
     def cert_budget(self) -> CertBudget:
         return CertBudget(center_radius=self.budgets.center_radius,
@@ -692,7 +699,7 @@ def run_wpd(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     target = max(12.0, 3.0 * cfg.budgets.wpd_c)
     while space.distance(x0, act(space, cfg.group.power(g, M), x0)) < target and M < 64:
         M += 1
-    radius = min(cfg.budgets.ball_radius + 1, 6)
+    radius = cfg.search_radius
     zero = wpd_count(space, cfg.group, g, 0.0, M, radius, x0)
     section["count_c0"] = zero.to_json()
     if zero.count != 1 or zero.matching != (W.IDENTITY,):
@@ -719,11 +726,9 @@ def run_equiv(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     conj = W.multiply(W.multiply((1,), g), (-1,))
     K = cfg.budgets.equiv_k
     power_max = cfg.budgets.power_max
-    radius = min(cfg.budgets.ball_radius + 1, 6)
 
-    found = equiv_search(space, cfg.group, cfg.group.from_word(g),
-                         cfg.group.from_word(conj), K, power_max, radius,
-                         cfg.basepoint)
+    found = equiv_search(space, cfg.group, g, conj, K, power_max,
+                         cfg.search_radius, cfg.basepoint)
     section["conjugate_search"] = None if found is None else found.to_json()
     if found is None:
         violations.append({"check": "equiv-conjugate",
@@ -732,9 +737,8 @@ def run_equiv(cfg: ExperimentConfig) -> tuple[dict, list, list]:
         witnesses.append(found.to_json() | {
             "g": W.to_string(g), "h": W.to_string(conj), "K": K})
 
-    reversed_found = equiv_search(space, cfg.group, cfg.group.from_word(g),
-                                  cfg.group.from_word(W.inverse(g)), K,
-                                  power_max, radius, cfg.basepoint)
+    reversed_found = equiv_search(space, cfg.group, g, W.inverse(g), K,
+                                  power_max, cfg.search_radius, cfg.basepoint)
     section["inverse_search"] = (None if reversed_found is None
                                  else reversed_found.to_json())
     if reversed_found is not None:
@@ -885,75 +889,64 @@ def replay(report_or_path) -> bool:
     return True
 
 
-def _replay_one(cfg: ExperimentConfig, witness: dict) -> bool:
+def _replay_contraction(cfg: ExperimentConfig, w: dict, tol: float) -> bool:
     space = cfg.space
-    kind = witness.get("kind")
-    tol = max(cfg.tolerance, 1e-6)
-    if kind == "contraction-refutation":
-        seg = space.geodesic(space.point_from_json(witness["segment"][0]),
-                             space.point_from_json(witness["segment"][1]))
-        center = space.point_from_json(witness["center"])
-        diam = projection_diameter_under_ball(space, seg, center,
-                                              witness["radius"],
-                                              witness["samples"])
-        return abs(diam - witness["diameter"]) <= tol * max(1.0, witness["diameter"])
-    if kind == "lambda-witness":
-        sys_obj = cfg.system()
-        total = 0.0
-        n_exp = 0
-        prev = None
-        for step in witness["path"]:
-            pt = space.point_from_json(step["point"])
-            if prev is not None:
-                if step["edge"] == "expressway":
-                    g = cfg.group.from_word(step["translate"])
-                    start = act(space, g, sys_obj.basepoint)
-                    end = act(space, cfg.group.multiply(g, sys_obj._sigma_iso),
-                              sys_obj.basepoint)
-                    if (space.distance(start, prev) > tol
-                            or space.distance(end, pt) > tol):
-                        return False
-                    total += sys_obj.L - 1.0
-                    n_exp += 1
-                else:
-                    total += space.distance(prev, pt)
-            prev = pt
-        return (abs(total - witness["value"]) <= tol
-                and n_exp == witness["expressways"])
-    if kind == "equiv-witness":
-        g = cfg.group.from_word(witness["g"])
-        h = cfg.group.from_word(witness["h"])
-        gamma = cfg.group.from_word(witness["gamma"])
-        x0 = cfg.basepoint
-        seg1 = space.geodesic(x0, act(space, cfg.group.power(g, witness["m"]), x0))
-        hx = act(space, cfg.group.power(h, witness["n"]), x0)
-        seg2 = space.geodesic(act(space, gamma, x0),
-                              act(space, gamma, hx))
-        d = sampled_hausdorff(space, seg1, seg2)
-        return abs(d - witness["hausdorff"]) <= tol and d <= witness["K"] + tol
-    if kind == "schottky-displacements":
-        g = cfg.group.from_word(witness["g"])
-        h = cfg.group.from_word(witness["h"])
-        N = witness["N"]
-        basis = {1: cfg.group.power(g, N), 2: cfg.group.power(h, N)}
-        basis[-1] = cfg.group.inverse(basis[1])
-        basis[-2] = cfg.group.inverse(basis[2])
-        x0 = cfg.basepoint
-        for wstr, (length, disp) in witness["table"].items():
-            iso = cfg.group.identity()
-            for ch in W.from_string(wstr):
-                iso = cfg.group.multiply(iso, basis[ch])
-            actual = space.distance(x0, act(space, iso, x0))
-            if abs(actual - disp) > tol or actual < length * witness["E"] - tol:
-                return False
-        return True
-    if kind == "wpd-matches":
-        # the count again from the witness's own fields, so a listed word
-        # that moves too far and an omitted match both fail
-        again = wpd_count(space, cfg.group, witness["g"], witness["c"], witness["M"],
-                          witness["radius"], space.point_from_json(witness["x0"])
-                          ).to_json()
-        return (again["matching"] == witness["matching"]
-                and again["count"] == witness["count"])
+    seg = space.geodesic(*map(space.point_from_json, w["segment"]))
+    diam = projection_diameter_under_ball(space, seg, space.point_from_json(w["center"]),
+                                          w["radius"], w["samples"])
+    return abs(diam - w["diameter"]) <= tol * max(1.0, w["diameter"])
+
+
+def _replay_lambda(cfg: ExperimentConfig, w: dict, tol: float) -> bool:
+    space = cfg.space
+    again = modified_length(cfg.system(), space.point_from_json(w["a"]),
+                            space.point_from_json(w["b"]))
+    step = lambda s: (s["edge"], s["translate"],
+                      space.point_key(space.point_from_json(s["point"])))
+    return (abs(again.value - w["value"]) <= tol and again.expressways == w["expressways"]
+            and list(map(step, again.to_json(space)["path"])) == list(map(step, w["path"])))
+
+
+def _replay_equiv(cfg: ExperimentConfig, w: dict, tol: float) -> bool:
+    found = equiv_search(cfg.space, cfg.group, w["g"], w["h"], w["K"],
+                         cfg.budgets.power_max, cfg.search_radius, cfg.basepoint)
+    return (found is not None
+            and (W.to_string(found.gamma), found.m, found.n) == (w["gamma"], w["m"], w["n"])
+            and abs(found.hausdorff - w["hausdorff"]) <= tol)
+
+
+def _replay_schottky(cfg: ExperimentConfig, w: dict, tol: float) -> bool:
+    try:
+        again = schottky_exponent(cfg.space, cfg.group, w["g"], w["h"], w["E"],
+                                  cfg.budgets.word_len_max, cfg.basepoint, n_cap=w["N"])
+    except BudgetError:
+        return False
+    table = again.displacements
+    return (again.N == w["N"] and table.keys() == w["table"].keys()
+            and all(table[k][0] == length and abs(table[k][1] - disp) <= tol
+                    for k, (length, disp) in w["table"].items()))
+
+
+def _replay_wpd(cfg: ExperimentConfig, w: dict, tol: float) -> bool:
+    # the whole count again, so a listed word that moves too far and an
+    # omitted match both fail
+    again = wpd_count(cfg.space, cfg.group, w["g"], w["c"], w["M"], w["radius"],
+                      cfg.space.point_from_json(w["x0"])).to_json()
+    return again["matching"] == w["matching"] and again["count"] == w["count"]
+
+
+# One replay per witness kind: each re-runs the producer of its witness from
+# the witness's own fields and the config echo, and compares the results.
+_REPLAYS = {
+    "contraction-refutation": _replay_contraction,
+    "lambda-witness": _replay_lambda,
+    "equiv-witness": _replay_equiv,
+    "schottky-displacements": _replay_schottky,
+    "wpd-matches": _replay_wpd,
+}
+
+
+def _replay_one(cfg: ExperimentConfig, witness: dict) -> bool:
     # unknown kinds fail closed so schema drift is caught
-    return False
+    check = _REPLAYS.get(witness.get("kind"))
+    return check is not None and check(cfg, witness, max(cfg.tolerance, 1e-6))

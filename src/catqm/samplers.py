@@ -75,15 +75,16 @@ def dd_triples_random(space, seed: int, count: int) -> Iterator:
         made += 1
 
 
-def ft_quads_random(space, seed: int, count: int, D: float = 1.0) -> Iterator:
+def ft_quads_random(space, seed: int, count: int) -> Iterator:
+    """(a, b, a', b'), a' and b' drawn from balls of radius in [0.2, 1) about a, b."""
     rng = rng_for(seed, "ft")
     made = 0
     while made < count:
         a, b = random_point(space, rng), random_point(space, rng)
         if space.distance(a, b) < 0.25:
             continue
-        a2 = perturbed_point(space, rng, a, D * rng.uniform(0.2, 1.0))
-        b2 = perturbed_point(space, rng, b, D * rng.uniform(0.2, 1.0))
+        a2 = perturbed_point(space, rng, a, rng.uniform(0.2, 1.0))
+        b2 = perturbed_point(space, rng, b, rng.uniform(0.2, 1.0))
         yield a, b, a2, b2
         made += 1
 

@@ -62,14 +62,18 @@ from . import words as W
 
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+GOLDEN_MAX_ITER = 200
+# arclength spacing of the sampled checks: fellow traveling, the variation
+# hypothesis, sampled Hausdorff distances and witness confinement
+SAMPLE_STEP = 0.5
 
 
 def golden_section(f: Callable[[float], float], lo: float, hi: float,
-                   tol: float = 1e-9, max_iter: int = 200) -> float:
+                   tol: float = 1e-9) -> float:
     """Bracketed golden-section minimum of a convex function on [lo, hi].
 
-    Derivative-free and robust near flat minima; the iteration cap protects
-    against pathological callables.
+    Derivative-free and robust near flat minima; the iteration cap
+    ``GOLDEN_MAX_ITER`` protects against pathological callables.
     """
     if hi < lo:
         raise InputError("empty bracket")
@@ -81,7 +85,7 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float,
     fc, fd = f(c), f(d)
     if math.isnan(fc) or math.isnan(fd):
         raise NumericError("objective returned NaN")
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if b - a <= tol:
             break
         if fc < fd:
@@ -389,9 +393,13 @@ class TreeSpace:
         exits = start_exits + _exit_options(seg.end)
         costs = np.array([c for _, c in exits])
         by_rem: dict[int, list] = {}
+        ends_of: dict[Word, list] = {}   # w -> the w⁻¹e, once per distinct w
         for i, (center, radius) in enumerate(balls):
             for w, rem in _ball_exits(center, radius):
-                by_rem.setdefault(rem, []).append((i, W.inverse(w)))
+                if w not in ends_of:
+                    w_inv = W.inverse(w)
+                    ends_of[w] = [multiply(w_inv, e) for e, _ in exits]
+                by_rem.setdefault(rem, []).append((i, ends_of[w]))
         for rem, members in by_rem.items():
             ball = pack(W.ball(self.rank, rem))
             n = len(ball[1])
@@ -400,8 +408,7 @@ class TreeSpace:
             step = max(1, _SHADOW_CHUNK // (n * len(exits)))
             for lo in range(0, len(members), step):
                 part = members[lo:lo + step]
-                ends = pack([multiply(w_inv, e) for _, w_inv in part
-                             for e, _ in exits])
+                ends = pack([e for _, row in part for e in row])
                 # entry (u, j, k): distance from the vertex w·u of member j
                 # to a segment end through exits[k]
                 d = packed_distances(ball, ends).reshape(
@@ -896,8 +903,7 @@ def check_dd(space, sampler, C: float, tolerance: float | None = None) -> list[d
     return out
 
 
-def check_ft(space, sampler, C: float, tolerance: float | None = None,
-             step: float = 0.5) -> list[dict]:
+def check_ft(space, sampler, C: float, tolerance: float | None = None) -> list[dict]:
     """Fellow traveling: for sampled (a, b, a', b') with endpoint displacement
     D, every sampled point of [a', b'] must lie within C + D (+ tolerance)
     of [a, b].  Returns the violations as report entries
@@ -908,7 +914,7 @@ def check_ft(space, sampler, C: float, tolerance: float | None = None,
         D = max(space.distance(a, a2), space.distance(b, b2))
         base = space.geodesic(a, b)
         moved = space.geodesic(a2, b2)
-        for s in _arclength_samples(moved.length, step):
+        for s in _arclength_samples(moved.length, SAMPLE_STEP):
             pt = moved.point_at(s)
             d = space.project(pt, base).distance
             if d >= C + D + eps:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .actions import GroupModel, Isometry, WordShift, act
 from .errors import BudgetError, UnsupportedError
-from .spaces import _arclength_samples
+from .spaces import SAMPLE_STEP, _arclength_samples
 from .words import (
     Word,
     conjugacy_test,
@@ -71,11 +71,11 @@ class EquivWitness:
                 "m": self.m, "n": self.n, "hausdorff": self.hausdorff}
 
 
-def sampled_hausdorff(space, seg1, seg2, step: float = 0.5) -> float:
+def sampled_hausdorff(space, seg1, seg2) -> float:
     """Symmetric sampled Hausdorff distance between two segments."""
     worst = 0.0
     for seg, other in ((seg1, seg2), (seg2, seg1)):
-        for s in _arclength_samples(seg.length, step):
+        for s in _arclength_samples(seg.length, SAMPLE_STEP):
             worst = max(worst, space.project(seg.point_at(s), other).distance)
     return worst
 
@@ -158,38 +158,33 @@ class FamilyReport:
     members: tuple               # words
     exponent: int                # Schottky power N used in the patterns
     checked_power_max: int
-    commutator: bool
 
     def to_json(self) -> dict:
+        # every member is a commutator pattern; the field stays in reports
         return {"members": [W.to_string(w) for w in self.members],
                 "exponent": self.exponent,
                 "checked_power_max": self.checked_power_max,
-                "commutator": self.commutator}
+                "commutator": True}
 
 
 def build_family(g1, g2, count: int, N: int = 2, power_max: int = 6,
-                 commutator: bool = True, max_tries: int = 64) -> FamilyReport:
+                 max_tries: int = 64) -> FamilyReport:
     """Cyclically reduced words over g1^N, g2^N that are pairwise
     non-conjugate in all positive powers, including against inverses.
 
-    Patterns with distinct exponent blocks are generated and the conjugacy
-    oracle is the gate; with the commutator flag each member has zero
-    exponent sums.  Budget error if the patterns run out before ``count``
-    members pass.
+    The patterns are the commutators a b^i a^-1 b^-i of a = g1^N, b = g2^N,
+    so each member has zero exponent sums, and the conjugacy oracle is the
+    gate.  Budget error if the patterns run out before ``count`` members
+    pass.
     """
     g1 = _as_word(g1)
     g2 = _as_word(g2)
     a, b = word_power(g1, N), word_power(g2, N)
     members: list[Word] = []
     for i in range(1, max_tries + 1):
-        if commutator:
-            # a^1 b^i a^-1 b^-i: zero exponent sums by construction
-            cand = word_multiply(
-                word_multiply(a, word_power(b, i)),
-                word_multiply(word_inverse(a), word_power(word_inverse(b), i)))
-        else:
-            cand = word_multiply(a, word_power(b, i))
-        cand = W.cyclic_reduce(cand)[0]
+        cand = W.cyclic_reduce(word_multiply(
+            word_multiply(a, word_power(b, i)),
+            word_multiply(word_inverse(a), word_power(word_inverse(b), i))))[0]
         if not cand:
             continue
         ok = conjugate_power_test(cand, word_inverse(cand), power_max) is None
@@ -201,6 +196,6 @@ def build_family(g1, g2, count: int, N: int = 2, power_max: int = 6,
         if ok:
             members.append(cand)
             if len(members) == count:
-                return FamilyReport(tuple(members), N, power_max, commutator)
+                return FamilyReport(tuple(members), N, power_max)
     raise BudgetError(f"only {len(members)} of {count} members found",
                       partial=tuple(members))

@@ -121,7 +121,7 @@ def tree_lambda_exact(sys, u: tuple, v: tuple) -> float:
         raise InputError("exact evaluation needs a free group on its tree")
     x0 = sys.basepoint.anchor
     geo = W.to_string(multiply(inverse(multiply(u, x0)), multiply(v, x0)))
-    return float(len(geo) - geo.count(W.to_string(sys.sigma_edge_word())))
+    return float(len(geo) - geo.count(W.to_string(sys.sigma_edge_word)))
 
 
 def contraction_scale(space, seg, budget=None) -> float:
@@ -191,7 +191,7 @@ def tree_candidates_per_translate(sys, seg, margin: float) -> list:
     space = sys.space
     x0inv = inverse(sys.basepoint.anchor)
     shell = W.ball(space.rank, int(math.ceil(margin)) + 1)
-    sigma_edge = sys.sigma_edge_word()
+    sigma_edge = sys.sigma_edge_word
     seen: set = set()
     picked = []
     for v in seg.chain or seg.start.edge():

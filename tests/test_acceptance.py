@@ -227,7 +227,7 @@ def test_criterion_4_witness_confinement():
     worst = 0.0
     for n, fwd, bwd, x0, gx0 in witnesses:
         for res, a, b in ((fwd, x0, gx0), (bwd, gx0, x0)):
-            ok, dev = check_witness_confinement(sys_t, res, a, b, step=0.5)
+            ok, dev = check_witness_confinement(sys_t, res, a, b)
             worst = max(worst, dev)
             assert ok
     announce(4, worst <= LEDGER.D,

@@ -134,6 +134,7 @@ def _assert_body_pinned(config, subcommand):
     report, _ = run(subcommand, load_config(str(REPO / "configs" / f"{config}.json")))
     digest = hashlib.sha256(canonical_body(report).encode("utf-8")).hexdigest()
     assert digest.startswith(BODY_DIGESTS[config][subcommand])
+    assert replay(report) is True
 
 
 @pytest.mark.parametrize("subcommand", sorted(BODY_DIGESTS["tree_aab"]))
@@ -215,6 +216,28 @@ def _omit_a_match(witness):
     witness["count"] -= 1
 
 
+def _empty_the_table(witness):
+    witness["table"] = {}
+
+
+def _truncate_the_path(witness):
+    # the remaining step costs 0 and uses no expressway, so a replay that
+    # only re-adds the listed steps accepts it
+    witness.update(path=witness["path"][:1], value=0.0, expressways=0)
+
+
+def _relabel_the_expressway(witness):
+    # value and expressway count kept: only the path itself is wrong
+    step = next(s for s in witness["path"] if s["edge"] == "expressway")
+    step.update(edge="free", translate=None)
+
+
+def _claim_an_unpersistent_match(witness):
+    # [x0, aab x0] and AA [x0, aaabA x0] are 2-close, but the match does not
+    # persist at (2, 2), so equiv_search never returns it
+    witness.update(gamma="AA", m=1, n=1, hausdorff=2.0)
+
+
 # (id, kind, config, subcommand, corruption): one cell that emits each kind
 CORRUPTIONS = [
     ("contraction-refutation", "contraction-refutation", EUCLID_CONFIG, "contract",
@@ -225,6 +248,12 @@ CORRUPTIONS = [
      _bump_first_displacement),
     ("wpd-matches", "wpd-matches", TREE_CONFIG, "wpd", _list_a_far_mover),
     ("wpd-matches-omitted", "wpd-matches", EUCLID_CONFIG, "wpd", _omit_a_match),
+    ("schottky-emptied", "schottky-displacements", TREE_CONFIG, "schottky",
+     _empty_the_table),
+    ("lambda-truncated", "lambda-witness", TREE_CONFIG, "qm", _truncate_the_path),
+    ("lambda-relabelled", "lambda-witness", TREE_CONFIG, "qm", _relabel_the_expressway),
+    ("equiv-not-persistent", "equiv-witness", TREE_CONFIG, "equiv",
+     _claim_an_unpersistent_match),
 ]
 
 
@@ -271,6 +300,17 @@ def test_config_basepoint_is_validated(tmp_path, path, basepoint):
     bad.write_text(json.dumps(data))
     for sub in ("contract", "schottky"):
         assert cli_main([sub, "--config", str(bad)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("witness", [
+    {"kind": "lemma", "lemma": "thin_triangle", "value": 1.0, "bound": 0.5},
+    {"lemma": "thin_triangle", "value": 1.0, "bound": 0.5},
+], ids=["lemma-kind", "no-kind"])
+def test_replay_fails_closed_on_unknown_kinds(witness):
+    report, _ = run("wpd", load_config(str(TREE_CONFIG)))
+    assert replay(report) is True
+    report["body"]["witnesses"].append(witness)
+    assert replay(report) is False
 
 
 def test_replay_empty_witness_list_vacuous():

@@ -132,7 +132,7 @@ def test_build_family_of_two():
 
 
 def test_build_family_commutator_flag():
-    fam = build_family("aab", "bba", count=2, N=2, power_max=4, commutator=True)
+    fam = build_family("aab", "bba", count=2, N=2, power_max=4)
     for f in fam.members:
         sums = [sum(1 for x in f if x == k) - sum(1 for x in f if x == -k)
                 for k in (1, 2)]
