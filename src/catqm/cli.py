@@ -5,7 +5,7 @@
 
 Exit codes: 0 all checked properties held, 1 a property was violated (the
 report carries the witness), 2 configuration error or any other catqm error
-(budget, numeric, unsupported); the report then has status ``error``.
+(input, budget, numeric); the report then has status ``error``.
 """
 
 from __future__ import annotations

@@ -28,10 +28,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import InputError
-from .spaces import SAMPLE_STEP, _arclength_samples
+from .spaces import _arclength_samples
 
 CERTIFIED = "certified-at-budget"
 REFUTED = "refuted"
+# arclength spacing of the variation hypothesis: it asks for a minimum along
+# the segment, which the ends do not decide
+SAMPLE_STEP = 0.5
 # certification balls keep at least this gap to the segment
 MIN_GAP = 1.0
 

@@ -27,7 +27,3 @@ class BudgetError(CatqmError):
 
 class NumericError(CatqmError):
     """A numeric routine failed to converge within its iteration budget."""
-
-
-class UnsupportedError(CatqmError):
-    """Operation is only defined for some model kinds (e.g. free groups)."""

@@ -35,7 +35,7 @@ from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 from .actions import GroupModel, WordShift, act
 from .contraction import ConstantLedger
 from .errors import BudgetError, ConfigError, InputError
-from .spaces import SAMPLE_STEP, TreePoint, _arclength_samples, tree_point
+from .spaces import TreePoint, tree_point
 from .words import Word, inverse as word_inverse, multiply as word_multiply
 from . import words as W
 
@@ -424,17 +424,14 @@ def independence_matrix(systems: list[ExpresswaySystem], testers: list,
 def check_witness_confinement(sys: ExpresswaySystem, result: ModifiedLengthResult,
                               a, b) -> tuple[bool, float]:
     """Every point of the witness path must stay inside the ledger's
-    confinement neighborhood of [a, b]; returns (ok, max deviation)."""
+    confinement neighborhood of [a, b]; returns (ok, max deviation).  Each
+    piece is read at its two ends, where its distance to [a, b] peaks (see
+    ``spaces.check_ft``)."""
     space = sys.space
     seg = space.geodesic(a, b)
-    bound = sys.ledger.D
     worst = 0.0
-    prev = None
-    for stepdata in result.path:
-        if prev is not None:
-            piece = space.geodesic(prev, stepdata.point)
-            for s in _arclength_samples(piece.length, SAMPLE_STEP):
-                dev = space.project(piece.point_at(s), seg).distance
-                worst = max(worst, dev)
-        prev = stepdata.point
-    return worst <= bound + space.tol, worst
+    for prev, step in zip(result.path, result.path[1:]):
+        piece = space.geodesic(prev.point, step.point)
+        for end in (piece.point_at(0.0), piece.point_at(piece.length)):
+            worst = max(worst, space.project(end, seg).distance)
+    return worst <= sys.ledger.D + space.tol, worst

@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -112,20 +113,28 @@ class Budgets:
     family_count: int = 2
 
     def validate(self):
-        for name, value in asdict(self).items():
-            if value <= 0:
-                raise ConfigError(f"budget {name} must be positive, got {value}")
+        """Each int field must be a positive integer and each float field a
+        positive finite number; bools are neither."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = int if f.type == "int" else (int, float)
+            if (isinstance(value, bool) or not isinstance(value, kinds)
+                    or not 0 < value <= sys.float_info.max):
+                raise ConfigError(f"budget {f.name} must be a positive finite "
+                                  f"{f.type}, got {value!r}")
 
     def scaled(self, factor: float) -> "Budgets":
-        if factor <= 0:
-            raise ConfigError("budget scale must be positive")
-        data = asdict(self)
-        for name, value in data.items():
-            if isinstance(value, int):
-                data[name] = max(1, int(round(value * factor)))
-            else:
-                data[name] = value * factor
-        return Budgets(**data)
+        """Every budget times ``factor``, int fields rounded (at least 1)."""
+        if not 0 < factor < math.inf:
+            raise ConfigError(f"budget scale must be positive and finite, got {factor}")
+        data = {}
+        for f in fields(self):
+            value = getattr(self, f.name) * factor
+            data[f.name] = (max(1, round(value))
+                            if f.type == "int" and value < math.inf else value)
+        out = Budgets(**data)
+        out.validate()
+        return out
 
 
 @dataclass
@@ -167,7 +176,7 @@ class ExperimentConfig:
 
 
 def config_from_json(data: dict) -> ExperimentConfig:
-    if data.get("schema") != CONFIG_SCHEMA:
+    if not isinstance(data, dict) or data.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(f"config schema must be {CONFIG_SCHEMA!r}")
     try:
         space = space_from_json(data["space"])
@@ -223,9 +232,9 @@ def _tree_axiom_violations(space, C: float, tolerance: float | None,
     |a'|, |u| ≤ 1: the identity anchoring loses nothing, since both checks
     are invariant under the group action.  One ``vertex_projections`` call
     per segment decides each configuration.  The feet on a vertex-ended
-    segment are chain vertices, so |p − p'| is |t − t'| exactly; along
-    [a', b'] the distance to [e, v] is convex, so its largest sample sits
-    at an endpoint.  Only the violating rows go through the checkers, in
+    segment are chain vertices, so |p − p'| is |t − t'| exactly, and the
+    ft deviation is the larger gap of a' and v·u, the two ends that
+    ``check_ft`` reads.  Only the violating rows go through the checkers, in
     the order the configurations are listed, so the entries are the
     per-configuration ones."""
     eps = space.tol if tolerance is None else tolerance
@@ -879,14 +888,14 @@ def replay(report_or_path) -> bool:
             report = json.load(fh)
     else:
         report = report_or_path
-    body = report.get("body", report)
-    if body.get("schema") != SCHEMA:
+    body = report.get("body", report) if isinstance(report, dict) else report
+    if not isinstance(body, dict) or body.get("schema") != SCHEMA:
         raise ConfigError(f"report schema must be {SCHEMA!r}")
-    cfg = config_from_json(body["config"])
-    for witness in body.get("witnesses", []):
-        if not _replay_one(cfg, witness):
-            return False
-    return True
+    cfg = config_from_json(body.get("config"))
+    witnesses = body.get("witnesses", [])
+    if not isinstance(witnesses, list):
+        raise ConfigError("report witnesses must be a list")
+    return all(_replay_one(cfg, witness) for witness in witnesses)
 
 
 def _replay_contraction(cfg: ExperimentConfig, w: dict, tol: float) -> bool:
@@ -947,6 +956,12 @@ _REPLAYS = {
 
 
 def _replay_one(cfg: ExperimentConfig, witness: dict) -> bool:
-    # unknown kinds fail closed so schema drift is caught
-    check = _REPLAYS.get(witness.get("kind"))
-    return check is not None and check(cfg, witness, max(cfg.tolerance, 1e-6))
+    # unknown kinds, and witnesses that lack a field their replay reads or
+    # hold one of the wrong type, fail closed so schema drift is caught
+    if not isinstance(witness, dict):
+        return False
+    try:
+        check = _REPLAYS.get(witness.get("kind"))
+        return check is not None and check(cfg, witness, max(cfg.tolerance, 1e-6))
+    except (KeyError, TypeError, ValueError, InputError):
+        return False

@@ -20,9 +20,8 @@ options that join two points), ``_along`` (the walk of ``point_at``) and
 packed word arrays (``words.pack``) per word-ball radius; the other spaces go
 ball by ball, so a caller that stops at a refuting ball skips the rest.
 ``TreeSpace.vertex_projections`` projects a whole list of vertices onto one
-segment in the same way; with it the exhaustive tree axioms read ``check_ft``
-off the ends of each moved segment, since along a geodesic the distance to a
-convex set is convex and its largest sample sits at an endpoint.  Euclidean
+segment in the same way; with it the exhaustive tree axioms decide
+``check_ft`` from the same two ends that ``check_ft`` reads.  Euclidean
 ``segment_distance`` is closed form too.  Golden-section search is kept
 where no closed form is used: projections and ball shadows on products, and
 the one-dimensional minimization over closed-form projections in half-plane
@@ -63,9 +62,6 @@ from . import words as W
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 GOLDEN_MAX_ITER = 200
-# arclength spacing of the sampled checks: fellow traveling, the variation
-# hypothesis, sampled Hausdorff distances and witness confinement
-SAMPLE_STEP = 0.5
 
 
 def golden_section(f: Callable[[float], float], lo: float, hi: float,
@@ -905,17 +901,22 @@ def check_dd(space, sampler, C: float, tolerance: float | None = None) -> list[d
 
 def check_ft(space, sampler, C: float, tolerance: float | None = None) -> list[dict]:
     """Fellow traveling: for sampled (a, b, a', b') with endpoint displacement
-    D, every sampled point of [a', b'] must lie within C + D (+ tolerance)
-    of [a, b].  Returns the violations as report entries
-    (``"check": "ft"``)."""
+    D, every point of [a', b'] must lie within C + D (+ tolerance) of [a, b].
+    Returns the violations as report entries (``"check": "ft"``), each naming
+    the first end that violates as its ``point``.
+
+    Only a' and b' are read.  Every model space here is CAT(0), where the
+    distance to a convex set is convex along each geodesic (Bridson and
+    Haefliger, II.2.5), so on [a', b'] the distance to [a, b] peaks at an
+    end.  ``wpd.sampled_hausdorff`` and
+    ``expressway.check_witness_confinement`` read their segments' ends by
+    the same rule."""
     eps = space.tol if tolerance is None else tolerance
     out = []
     for a, b, a2, b2 in sampler:
         D = max(space.distance(a, a2), space.distance(b, b2))
         base = space.geodesic(a, b)
-        moved = space.geodesic(a2, b2)
-        for s in _arclength_samples(moved.length, SAMPLE_STEP):
-            pt = moved.point_at(s)
+        for pt in (a2, b2):
             d = space.project(pt, base).distance
             if d >= C + D + eps:
                 out.append({

@@ -67,16 +67,8 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 
 
 def conjugacy_test(u: Word, v: Word) -> bool:
-    """Free-group conjugacy: cyclic cores must be rotations of one another."""
-    cu, _ = cyclic_reduce(check_reduced(u))
-    cv, _ = cyclic_reduce(check_reduced(v))
-    if len(cu) != len(cv):
-        return False
-    if not cu:
-        return True
-    doubled = cv + cv
-    n = len(cu)
-    return any(doubled[i:i + n] == cu for i in range(n))
+    """Free-group conjugacy of two reduced words: equal conjugacy keys."""
+    return conjugacy_key(check_reduced(u)) == conjugacy_key(check_reduced(v))
 
 
 def conjugacy_key(w: Word) -> Word:

@@ -7,12 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import GroupModel, Isometry, WordShift, act
-from .errors import BudgetError, UnsupportedError
-from .spaces import SAMPLE_STEP, _arclength_samples
+from .actions import GroupModel, act
+from .errors import BudgetError
 from .words import (
     Word,
-    conjugacy_test,
+    conjugacy_key,
     inverse as word_inverse,
     multiply as word_multiply,
     power as word_power,
@@ -72,25 +71,27 @@ class EquivWitness:
 
 
 def sampled_hausdorff(space, seg1, seg2) -> float:
-    """Symmetric sampled Hausdorff distance between two segments."""
-    worst = 0.0
-    for seg, other in ((seg1, seg2), (seg2, seg1)):
-        for s in _arclength_samples(seg.length, SAMPLE_STEP):
-            worst = max(worst, space.project(seg.point_at(s), other).distance)
-    return worst
+    """Symmetric Hausdorff distance between two segments: the largest
+    distance from an end of either to the other, since the distance to a
+    segment peaks at an end (see ``spaces.check_ft``).  The name stays for
+    the benchmark's per-layer call count, which reads it."""
+    return max(space.project(pt, other).distance
+               for seg, other in ((seg1, seg2), (seg2, seg1))
+               for pt in (seg.start, seg.end))
 
 
 def equiv_search(space, group: GroupModel, g, h, K: float, power_max: int,
                  radius: int, x0=None) -> EquivWitness | None:
     """First (gamma, m, n) making [x0, g^m x0] and gamma [x0, h^n x0]
-    K-Hausdorff equivalent at sampling scale, or None at budget.
+    K-Hausdorff equivalent, or None at budget.
 
     The equivalence being probed demands matches at arbitrarily large
     powers, so a single small-power coincidence (any two short segments
     near each other are K-close) is not accepted: the same gamma must keep
     matching along the power ray (k m, k n) as far as the budget reaches.
     Scan order is deterministic: gamma through the ball, then the power
-    grid.  Cheap endpoint pruning runs before the full sampled check.
+    grid.  The moved segment's own ends are pruned first, so most
+    candidates stop after one or two projections.
     """
     gi, hi = group.from_word(g), group.from_word(h)
     x0 = space.validate_point(x0 if x0 is not None else space.basepoint())
@@ -99,7 +100,7 @@ def equiv_search(space, group: GroupModel, g, h, K: float, power_max: int,
     h_ends = [act(space, group.power(hi, n), x0) for n in range(power_max + 1)]
     g_segs = {m: space.geodesic(x0, g_ends[m]) for m in range(1, power_max + 1)}
 
-    def matches(iso, seg, moved) -> float | None:
+    def matches(seg, moved) -> float | None:
         if space.project(moved.start, seg).distance > K + tol:
             return None
         if space.project(moved.end, seg).distance > K + tol:
@@ -113,13 +114,13 @@ def equiv_search(space, group: GroupModel, g, h, K: float, power_max: int,
                       for n in range(1, power_max + 1)}
         for n in range(1, power_max + 1):
             for m in range(1, power_max + 1):
-                d = matches(iso, g_segs[m], moved_segs[n])
+                d = matches(g_segs[m], moved_segs[n])
                 if d is None:
                     continue
                 persistent = True
                 k = 2
                 while k * max(m, n) <= power_max:
-                    if matches(iso, g_segs[k * m], moved_segs[k * n]) is None:
+                    if matches(g_segs[k * m], moved_segs[k * n]) is None:
                         persistent = False
                         break
                     k += 1
@@ -131,26 +132,16 @@ def equiv_search(space, group: GroupModel, g, h, K: float, power_max: int,
 def conjugate_power_test(g, h, power_max: int) -> tuple[int, int] | None:
     """Scan 1 <= m, n <= power_max for conjugate positive powers.
 
-    Free-group words only.  For free groups scanning the diagonal up to
-    cyclic-core alignment would suffice, but the full grid is cheap and
-    robust against mistaken length bookkeeping.
+    Free-group words only.  Each power's conjugacy key is computed once,
+    and the grid is scanned m-major, so the first (m, n) is returned.
     """
-    g = _as_word(g)
-    h = _as_word(h)
+    g, h = W.as_word(g), W.as_word(h)
+    h_keys = [conjugacy_key(word_power(h, n)) for n in range(1, power_max + 1)]
     for m in range(1, power_max + 1):
-        gm = word_power(g, m)
-        for n in range(1, power_max + 1):
-            if conjugacy_test(gm, word_power(h, n)):
-                return (m, n)
+        key = conjugacy_key(word_power(g, m))
+        if key in h_keys:
+            return (m, h_keys.index(key) + 1)
     return None
-
-
-def _as_word(g) -> Word:
-    if isinstance(g, Isometry):
-        if not isinstance(g.action, WordShift):
-            raise UnsupportedError("conjugacy oracle needs a free-group model")
-        return g.word
-    return W.as_word(g)
 
 
 @dataclass(frozen=True)
@@ -177,8 +168,7 @@ def build_family(g1, g2, count: int, N: int = 2, power_max: int = 6,
     gate.  Budget error if the patterns run out before ``count`` members
     pass.
     """
-    g1 = _as_word(g1)
-    g2 = _as_word(g2)
+    g1, g2 = W.as_word(g1), W.as_word(g2)
     a, b = word_power(g1, N), word_power(g2, N)
     members: list[Word] = []
     for i in range(1, max_tries + 1):

@@ -12,8 +12,11 @@ expressway candidates, and the exhaustive tree families
 ``tree_triples_exhaustive``, ``tree_dichotomy_configs``,
 ``tree_variation_configs``) feed the per-configuration checkers, the
 reference for the runner's batched axiom routes and distance-matrix
-tallies.  Three helpers only the
-tests need sit here as well: the closed-form tree modified length
+tallies.  ``check_ft_per_sample``, ``sampled_hausdorff_per_sample`` and
+``witness_confinement_per_sample`` walk every segment where the package
+reads its two ends, and ``conjugacy_rotation_oracle`` matches cyclic cores
+by rotation where the package compares conjugacy keys.  Three helpers only
+the tests need sit here as well: the closed-form tree modified length
 ``tree_lambda_exact``, the search helper ``contraction_scale`` over the
 package's certificate, and the contracting-chain check ``chain_check``.
 """
@@ -31,6 +34,7 @@ from catqm.contraction import (
     CERTIFIED,
     MIN_GAP,
     REFUTED,
+    SAMPLE_STEP,
     BallWitness,
     CertBudget,
     ContractionCertificate,
@@ -312,6 +316,56 @@ def bfs_projection_oracle(space, x, seg, step: float = 0.5):
     return best
 
 
+# -- per-sample references of the segment-ends routes -------------------------
+# Each walks its segments every SAMPLE_STEP of arclength where the package
+# reads only the two ends.
+
+def check_ft_per_sample(space, sampler, C: float, tolerance: float | None = None
+                        ) -> list[dict]:
+    """``spaces.check_ft`` over samples of the geodesic [a', b']; a flagged
+    quad reports its first violating sample."""
+    eps = space.tol if tolerance is None else tolerance
+    out = []
+    for a, b, a2, b2 in sampler:
+        D = max(space.distance(a, a2), space.distance(b, b2))
+        base = space.geodesic(a, b)
+        moved = space.geodesic(a2, b2)
+        for s in _arclength_samples(moved.length, SAMPLE_STEP):
+            pt = moved.point_at(s)
+            d = space.project(pt, base).distance
+            if d >= C + D + eps:
+                out.append({
+                    "check": "ft",
+                    "a": space.point_to_json(a), "b": space.point_to_json(b),
+                    "a2": space.point_to_json(a2), "b2": space.point_to_json(b2),
+                    "point": space.point_to_json(pt),
+                    "deviation": d, "allowed": C + D})
+                break
+    return out
+
+
+def sampled_hausdorff_per_sample(space, seg1, seg2) -> float:
+    worst = 0.0
+    for seg, other in ((seg1, seg2), (seg2, seg1)):
+        for s in _arclength_samples(seg.length, SAMPLE_STEP):
+            worst = max(worst, space.project(seg.point_at(s), other).distance)
+    return worst
+
+
+def witness_confinement_per_sample(sys, result, a, b) -> tuple[bool, float]:
+    space = sys.space
+    seg = space.geodesic(a, b)
+    worst = 0.0
+    prev = None
+    for stepdata in result.path:
+        if prev is not None:
+            piece = space.geodesic(prev, stepdata.point)
+            for s in _arclength_samples(piece.length, SAMPLE_STEP):
+                worst = max(worst, space.project(piece.point_at(s), seg).distance)
+        prev = stepdata.point
+    return worst <= sys.ledger.D + space.tol, worst
+
+
 def count_occurrences_overlapping(pattern: str, text: str) -> int:
     return sum(1 for i in range(len(text)) if text.startswith(pattern, i))
 
@@ -331,6 +385,15 @@ def reduce_word(letters) -> tuple:
         else:
             out.append(x)
     return tuple(out)
+
+
+def conjugacy_rotation_oracle(u: tuple, v: tuple) -> bool:
+    """Free-group conjugacy: the cyclic cores are rotations of one another."""
+    cu, _ = W.cyclic_reduce(check_reduced_oracle(u))
+    cv, _ = W.cyclic_reduce(check_reduced_oracle(v))
+    doubled = cv + cv
+    return len(cu) == len(cv) and any(doubled[i:i + len(cu)] == cu
+                                      for i in range(max(1, len(cu))))
 
 
 def is_cyclically_reduced(w: tuple) -> bool:

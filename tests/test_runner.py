@@ -63,11 +63,51 @@ def test_budget_validation():
         Budgets().scaled(-1)
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "1e308"])
+def test_cli_budget_scale_must_be_finite(scale):
+    # nan ended in a ValueError traceback, inf and 1e308 in an OverflowError
+    assert cli_main(["wpd", "--config", str(TREE_CONFIG),
+                     "--budget-scale", scale]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("name,value", [
+    ("n_max", float("inf")),
+    ("equiv_k", float("nan")),
+    ("center_radius", float("inf")),
+    ("n_max", 2.5),
+    ("n_max", 3.0),
+    ("n_max", True),
+    ("equiv_k", True),
+    ("equiv_k", "2"),
+])
+def test_budgets_must_be_finite_numbers_of_their_type(tmp_path, name, value):
+    # "n_max": Infinity ended qm in a TypeError traceback, and "equiv_k": NaN
+    # let equiv report that conjugate orbits do not match
+    data = json.loads(TREE_CONFIG.read_text())
+    data["budgets"][name] = value
+    with pytest.raises(ConfigError):
+        config_from_json(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli_main(["equiv", "--config", str(bad)]) == EXIT_CONFIG
+
+
+def test_budgets_scale_by_their_declared_type():
+    scaled = Budgets(center_radius=3, n_max=3).scaled(0.5)
+    assert scaled.center_radius == 1.5
+    assert scaled.n_max == 2       # round half to even, as before
+    assert Budgets(n_max=3).scaled(0.1).n_max == 1
+    with pytest.raises(ConfigError):
+        Budgets().scaled(1e308)
+
+
 def test_malformed_config_rejected():
     with pytest.raises(ConfigError):
         config_from_json({"schema": "nope"})
     with pytest.raises(ConfigError):
         config_from_json({"schema": "catqm-config/1"})   # missing fields
+    with pytest.raises(ConfigError):
+        config_from_json(["schema", "catqm-config/1"])
 
 
 def test_unknown_subcommand():
@@ -311,6 +351,35 @@ def test_replay_fails_closed_on_unknown_kinds(witness):
     assert replay(report) is True
     report["body"]["witnesses"].append(witness)
     assert replay(report) is False
+
+
+@pytest.mark.parametrize("edit", [
+    lambda w: {k: v for k, v in w.items() if k != "x0"},
+    lambda w: {**w, "kind": ["wpd-matches"]},
+    lambda w: {**w, "radius": "6"},
+    lambda w: "wpd-matches",
+], ids=["missing-field", "kind-is-a-list", "field-of-the-wrong-type", "not-an-object"])
+def test_replay_fails_closed_on_malformed_witnesses(edit):
+    # each ended in a traceback with exit 1, the code of a mismatch
+    report, _ = run("wpd", load_config(str(TREE_CONFIG)))
+    witnesses = report["body"]["witnesses"]
+    witnesses[0] = edit(witnesses[0])
+    assert replay(report) is False
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r["body"].pop("config"),
+    lambda r: r["body"].update(witnesses=5),
+    lambda r: r.update(body=[r["body"]]),
+], ids=["no-config", "witnesses-not-a-list", "body-not-an-object"])
+def test_malformed_report_is_a_replay_error(tmp_path, edit):
+    report, _ = run("wpd", load_config(str(TREE_CONFIG)))
+    edit(report)
+    with pytest.raises(ConfigError):
+        replay(report)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert cli_main(["replay", str(path)]) == EXIT_CONFIG
 
 
 def test_replay_empty_witness_list_vacuous():

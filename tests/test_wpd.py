@@ -2,7 +2,8 @@ import pytest
 
 from catqm import words as W
 from catqm.actions import GroupModel, act
-from catqm.errors import BudgetError, UnsupportedError
+from catqm.errors import BudgetError
+from catqm import wpd
 from catqm.spaces import TreeSpace, vertex
 from catqm.wpd import (
     build_family,
@@ -12,7 +13,7 @@ from catqm.wpd import (
     wpd_count,
 )
 
-from oracles import is_cyclically_reduced
+from oracles import conjugacy_rotation_oracle, is_cyclically_reduced
 
 TREE = TreeSpace(2)
 FREE = GroupModel.free(2)
@@ -110,10 +111,29 @@ def test_conjugate_power_respects_conjugation():
     assert conjugate_power_test(g, conj, 3) == (1, 1)
 
 
-def test_conjugate_power_needs_free_model():
-    mat = GroupModel.matrix([[[2.0, 0.0], [0.0, 0.5]]])
-    with pytest.raises(UnsupportedError):
-        conjugate_power_test(mat.from_word("a"), mat.from_word("a"), 2)
+def test_conjugate_power_matches_the_rotation_grid():
+    # the first (m, n), m-major, whose powers the rotation oracle calls conjugate
+    def grid(g, h, power_max):
+        return next(((m, n) for m in range(1, power_max + 1)
+                     for n in range(1, power_max + 1)
+                     if conjugacy_rotation_oracle(W.power(g, m), W.power(h, n))), None)
+
+    sample = [u for u in W.ball(2, 3) if u] + [W.from_string("aabaab")]
+    for g in sample[::3]:
+        for h in sample[::4]:
+            assert conjugate_power_test(g, h, 3) == grid(g, h, 3)
+
+
+def test_conjugate_power_keys_each_power_once(monkeypatch):
+    calls = []
+
+    def key(w):
+        calls.append(w)
+        return W.conjugacy_key(w)
+
+    monkeypatch.setattr(wpd, "conjugacy_key", key)
+    assert conjugate_power_test("aab", "BAA", 6) is None
+    assert len(calls) == 2 * 6
 
 
 # ---------------------------------------------------------------------------
