@@ -14,14 +14,20 @@ evaluator is called.  The operations built on top (group action, orbit
 average, transfer) pass words down without checking them again.
 
 The defect certificate ``extension_defect`` is the supremum of
-|phi(gh) - phi(g) - phi(h)| over all pairs of an extension ball.  When phi
-claims homogeneity (``Quasimorphism.homogeneous``) it is a class function
-with phi(g^-1) = -phi(g), so the defect takes one value on each orbit of
-(g, h) -> (h, g), (h^-1, g^-1), (g^-1, h^-1) and phi(gh) depends only on the
-conjugacy class of gh: the certificate visits one pair per orbit and
-evaluates phi once per conjugacy class of base words.  Otherwise it visits
-every pair and evaluates phi once per element.  Either way the supremum is
-the one over the whole grid.
+|phi(gh) - phi(g) - phi(h)| over all pairs of an extension ball, computed
+in whole-array passes over packed words (``words.pack``).  The pairs'
+products come from ``words.packed_products``, with each right factor
+twisted by the left factor's letter map (a row of
+``FiniteExtension.letter_table``), in chunks of pairs; ``np.unique`` over
+their int64 codes (``words.packed_codes``) gives the distinct elements.
+When phi claims homogeneity (``Quasimorphism.homogeneous``) it is a class
+function, odd, and phi(g) = phi(g^N)/N with g^N in the base, so the
+defect takes one value on each orbit of (g, h) -> (h, g), (h^-1, g^-1),
+(g^-1, h^-1), and phi is evaluated once per free-group conjugacy class of
+g^N up to inversion (``words.packed_class_codes``): the certificate visits
+one pair per orbit and shares each value, with its sign, over the class.
+Otherwise it visits every pair and evaluates phi once per element.  Either
+way phi stays a black box, and the supremum is the one over the whole grid.
 """
 
 from __future__ import annotations
@@ -32,12 +38,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .words import (
     Word,
     IDENTITY,
     as_word,
-    conjugacy_key,
     cyclic_reduce,
     inverse as word_inverse,
     multiply as word_multiply,
@@ -49,7 +54,12 @@ from . import words as W
 @dataclass(frozen=True)
 class Quasimorphism:
     """An evaluator with provenance: name, and whether it claims
-    homogeneity (evaluator(e) = 0 and phi(g^n) = n phi(g))."""
+    homogeneity (evaluator(e) = 0 and phi(g^n) = n phi(g)).
+
+    A homogeneous quasimorphism is a class function with phi(g^-1) =
+    -phi(g), and on a finite extension of index N it satisfies phi(g) =
+    phi(g^N)/N.  ``extension_defect`` relies on these three identities, and
+    shares one evaluation between elements they relate."""
     name: str
     evaluator: Callable
     homogeneous: bool = False
@@ -173,13 +183,14 @@ class FiniteExtension:
         self._inv = [index[_perm_inverse(p)] for p in self.perms]
         self._letters = frozenset(range(-rank, rank + 1)) - {0}
         # conjugation by a section element is exactly its letter map,
-        # k -> p[k-1] and -k -> -p[k-1]
-        self._letter_maps = []
-        for p in self.perms:
-            table = {}
-            for k, image in enumerate(p, 1):
-                table[k], table[-k] = image, -image
-            self._letter_maps.append(table.__getitem__)
+        # k -> p[k-1] and -k -> -p[k-1]; row sigma of letter_table maps the
+        # packed letter x (column x + rank, 0 for padding) the same way
+        images = np.array(self.perms, dtype=np.int16)
+        self.letter_table = np.concatenate(
+            [-images[:, ::-1], np.zeros((self.N, 1), np.int16), images], axis=1)
+        self._letter_maps = [
+            {x: y for x, y in zip(range(-rank, rank + 1), row) if x}.__getitem__
+            for row in self.letter_table.tolist()]
 
     # -- group operations ---------------------------------------------------
     def identity(self) -> GElement:
@@ -349,78 +360,120 @@ def restriction_check(ext: FiniteExtension, transferred: Quasimorphism,
     return RestrictionReport(checked, gap, defects, growth)
 
 
+# Rows per packed pass, of orbit pairs or of distinct elements: large enough
+# that the numpy calls amortize, small enough that a pass's arrays stay near
+# a megabyte, so the certificate's peak memory does not grow with the ball.
+_PAIR_CHUNK = 1 << 12
+
+
+def _chunks(n: int):
+    return (slice(lo, lo + _PAIR_CHUNK) for lo in range(0, n, _PAIR_CHUNK))
+
+
 def _orbit_representatives(ext: FiniteExtension, elements: list) -> tuple:
     """Index pairs (i, j), one per orbit of the pairs of ``elements`` under
     (g, h) -> (h, g), (h^-1, g^-1), (g^-1, h^-1): the lexicographically
-    least pair of each orbit.  ``elements`` must be closed under inverses."""
+    least pair of each orbit, in row-major order.  ``elements`` must be
+    closed under inverses."""
     index = {g: i for i, g in enumerate(elements)}
     inv = np.array([index[ext.inverse(g)] for g in elements])
-    first, second = np.triu_indices(len(elements))
-    # (i, j) with i <= j already beats (j, i); the other two pairs of its
-    # orbit swap into each other, the lesser of them being (lo, hi)
-    lo = np.minimum(inv[first], inv[second])
-    hi = np.maximum(inv[first], inv[second])
-    keep = (first < lo) | ((first == lo) & (second <= hi))
-    return first[keep], second[keep]
+    n = len(elements)
+    j = np.arange(n)
+    first, second = [], []
+    # blocks of rows of the grid, so that no n^2 array is held at once
+    step = max(1, _PAIR_CHUNK // n)
+    for top in range(0, n, step):
+        i = np.arange(top, min(n, top + step))[:, None]
+        # (i, j) with i <= j already beats (j, i); the other two pairs of its
+        # orbit swap into each other, the lesser of them being (lo, hi)
+        lo = np.minimum(inv[i], inv[j])
+        hi = np.maximum(inv[i], inv[j])
+        rows, cols = np.nonzero((i <= j) & ((i < lo) | ((i == lo) & (j <= hi))))
+        first.append(rows + top)
+        second.append(cols)
+    return np.concatenate(first), np.concatenate(second)
 
 
-def _class_key(w: Word, sigma: int) -> tuple:
-    """Cache key of (w, sigma) for a class function: the conjugacy class of
-    a base element, the exact element otherwise."""
-    return (conjugacy_key(w), 0) if sigma == 0 else (w, sigma)
+def _twisted_products(ext: FiniteExtension, left, right, sigmas):
+    """The words u sigma(v) of the extension products (u, sigma)(v, tau), row
+    by row for packed u and v, with ``sigmas`` giving each row's sigma."""
+    letters, lens = right
+    return W.packed_products(
+        left, (ext.letter_table[sigmas[:, None], letters + ext.rank], lens))
 
 
-def _element_key(w: Word, sigma: int) -> tuple:
-    return w, sigma
+def _power_classes(ext: FiniteExtension, codes, sigmas):
+    """``words.packed_class_codes`` of g^N, which lies in the base, for the
+    elements g given by their word codes and sigmas."""
+    mul = np.array(ext._mul)
+    words_ = power = W.unpack_codes(codes, ext.rank)
+    power_sigmas = sigmas
+    for _ in range(ext.N - 1):
+        power = _twisted_products(ext, power, words_, power_sigmas)
+        power_sigmas = mul[power_sigmas, sigmas]
+    return W.packed_class_codes(power, ext.rank)
 
 
 def extension_defect(ext: FiniteExtension, phi: Quasimorphism, radius: int) -> float:
     """Defect of phi over all pairs of the extension ball: the supremum of
     |phi(gh) - phi(g) - phi(h)|, exactly, not sampled.
 
-    When ``phi.homogeneous`` is set, phi is a class function with
-    phi(g^-1) = -phi(g).  Then phi(hg) = phi(gh), so the defect D satisfies
-    D(g, h) = D(h, g) = D(h^-1, g^-1) = D(g^-1, h^-1), and the BFS ball is
-    closed under inverses: one pair per orbit of these maps reaches every
-    value of the full grid, and the supremum over the representatives is
-    the supremum over the grid.  Values are cached by conjugacy class for a
-    product in the base (``words.conjugacy_key``), by element otherwise.
-    Without the flag, every pair is visited and values are cached by
+    When ``phi.homogeneous`` is set, phi is a class function on the
+    extension, odd (phi(g^-1) = -phi(g)), and phi(g) = phi(g^N)/N, where
+    g^N lies in the base for every g.  Then phi(hg) = phi(gh), so the defect
+    D satisfies D(g, h) = D(h, g) = D(h^-1, g^-1) = D(g^-1, h^-1), and the
+    BFS ball is closed under inverses: one pair per orbit of these maps
+    reaches every value of the full grid, and the supremum over the
+    representatives is the supremum over the grid.  phi is evaluated once
+    per free-group conjugacy class of g^N up to inversion
+    (``words.packed_class_codes``), and the value is shared with its sign.
+    Without the flag, every pair is visited and phi is evaluated once per
     element.
 
-    The loop works on precomputed twisted right factors; every cache lives
-    for one call.
+    Products are formed in packed passes of ``_PAIR_CHUNK`` pairs and keyed
+    by ``words.packed_codes``; nothing outlives the call.  The codes of g^N
+    must fit in an int64, so 2 radius N may not exceed
+    ``words.code_capacity(rank)`` (radius 6 at rank 2 with N = 2).
     """
+    if 2 * radius * ext.N > W.code_capacity(ext.rank):
+        raise BudgetError(f"extension defect radius {radius} exceeds the int64 "
+                          f"word codes of rank {ext.rank}, index {ext.N}")
     elements = ext.ball(radius)
     n = len(elements)
-    words_ = [g.word for g in elements]
-    sigmas = [g.sigma for g in elements]
+    letters, lens = packed = W.pack([g.word for g in elements])
+    sigmas = np.array([g.sigma for g in elements])
+    mul = np.array(ext._mul)
     if phi.homogeneous:
         first, second = _orbit_representatives(ext, elements)
-        key = _class_key
     else:
         first, second = np.indices((n, n)).reshape(2, -1)
-        key = _element_key
-    cache = {}
-
-    def value(w: Word, sigma: int) -> float:
-        k = key(w, sigma)
-        v = cache.get(k)
-        if v is None:
-            v = cache[k] = phi(GElement(w, sigma))
-        return v
-
-    vals = [value(w, s) for w, s in zip(words_, sigmas)]
-    views = [[ext.apply_auto(s, w) for w in words_] for s in range(ext.N)]
-    mul = ext._mul
-    worst = 0.0
-    for i, j in zip(first.tolist(), second.tolist()):
-        gs = sigmas[i]
-        d = abs(value(word_multiply(words_[i], views[gs][j]), mul[gs][sigmas[j]])
-                - vals[i] - vals[j])
-        if d > worst:
-            worst = d
-    return worst
+    codes, product_sigmas = [W.packed_codes(packed, ext.rank)], [sigmas]
+    for part in _chunks(len(first)):
+        i, j = first[part], second[part]
+        products = _twisted_products(ext, (letters[i], lens[i]),
+                                     (letters[j], lens[j]), sigmas[i])
+        codes.append(W.packed_codes(products, ext.rank))
+        product_sigmas.append(mul[sigmas[i], sigmas[j]])
+    # the ball's elements, then one product per pair, keyed by (code, sigma):
+    # N b^(2 radius) <= b^(2 radius N) fits
+    keys = np.concatenate(codes) * ext.N + np.concatenate(product_sigmas)
+    distinct, which = np.unique(keys, return_inverse=True)
+    element_codes, element_sigmas = distinct // ext.N, distinct % ext.N
+    if phi.homogeneous:
+        classes, signs = np.concatenate(
+            [_power_classes(ext, element_codes[part], element_sigmas[part])
+             for part in _chunks(len(distinct))], axis=1)
+    else:
+        classes, signs = distinct, np.ones(len(distinct), dtype=np.int64)
+    # phi once per class, on its first element as a GElement of Python ints
+    _, reps, of = np.unique(classes, return_index=True, return_inverse=True)
+    rep_letters, rep_lens = W.unpack_codes(element_codes[reps], ext.rank)
+    values = np.array([phi(GElement(tuple(row[:m]), s)) for row, m, s in
+                       zip(rep_letters.tolist(), rep_lens.tolist(),
+                           element_sigmas[reps].tolist())])
+    values = (values[of] * (signs * signs[reps][of]))[which]
+    vg, vp = values[:n], values[n:]
+    return float(np.abs(vp - vg[first] - vg[second]).max())
 
 
 def homogeneity_suite(phi: Quasimorphism, elements, n_max: int,

@@ -253,6 +253,11 @@ class TreeSegment:
         if s < -eps or s > self.length + eps:
             raise InputError(f"parameter {s} outside [0, {self.length}]")
         s = min(max(s, 0.0), self.length)
+        # the ends themselves: walking to one can round off an edge offset
+        if s == 0.0:
+            return self.start
+        if s == self.length:
+            return self.end
         if self._same_edge:
             a = self.start
             t = a.t + (s if self.end.t >= a.t else -s)

@@ -10,6 +10,15 @@ zero-padded int16 letter rows with their lengths (``pack``), so that
 distances between whole lists of words are one numpy pass
 (``packed_distances``, ``distance_matrix``).  Tree segments [a, b] read
 off those distances as Gromov products (``gromov_foot``, ``gromov_gap``).
+
+The same rows multiply row by row (``packed_products``), cancelling at the
+junction.  Each row also has an int64 code (``packed_codes``, decoded by
+``unpack_codes``): its letters as digits of a big-endian base-(2 rank + 1)
+number with nonzero digits, so distinct words have distinct codes as long
+as no word is longer than ``code_capacity(rank)`` letters.
+``packed_class_codes`` keys the conjugacy class of each row up to inversion:
+the least rotation code of its cyclic core or of the inverse core, and a
+sign saying which of the two gave it.
 """
 
 from __future__ import annotations
@@ -64,11 +73,6 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
         lo += 1
         hi -= 1
     return tuple(w[lo:hi]), tuple(w[:lo])
-
-
-def conjugacy_test(u: Word, v: Word) -> bool:
-    """Free-group conjugacy of two reduced words: equal conjugacy keys."""
-    return conjugacy_key(check_reduced(u)) == conjugacy_key(check_reduced(v))
 
 
 def conjugacy_key(w: Word) -> Word:
@@ -216,3 +220,117 @@ def gromov_foot(dax, dbx, dab):
 def gromov_gap(dax, dbx, dab):
     """Distance from x to the tree segment [a, b]."""
     return 0.5 * (dax + dbx - dab)
+
+
+def packed_products(a: tuple[np.ndarray, np.ndarray],
+                    b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Row-by-row products u_i v_i of two packed word arrays with the same
+    number of rows, cancelling at the junction only, as ``multiply`` does."""
+    (la, na), (lb, nb) = a, b
+    wa, wb = la.shape[1], lb.shape[1]
+    # rows read through flat indices: cheaper than two-axis fancy indexing
+    ra, rb = np.arange(len(na))[:, None] * wa, np.arange(len(nb))[:, None] * wb
+    la, lb = la.ravel(), lb.ravel()
+    k = np.arange(min(wa, wb))
+    # u read backwards from its last letter, against v read forwards
+    back = na[:, None] - 1 - k
+    tail = la[ra + np.maximum(back, 0)]
+    cancel = (back >= 0) & (tail == -lb[rb + k])
+    c = np.logical_and.accumulate(cancel, axis=1).sum(axis=1)
+    keep = na - c
+    lens = keep + nb - c
+    col = np.arange(max(int(lens.max(initial=0)), 1))
+    left = la[ra + np.minimum(col, wa - 1)]
+    right = lb[rb + np.clip(col - (keep - c)[:, None], 0, wb - 1)]
+    out = np.where(col < keep[:, None], left, right)
+    out[col >= lens[:, None]] = 0
+    return out, lens
+
+
+def code_capacity(rank: int) -> int:
+    """The longest word length whose ``packed_codes`` fit in an int64."""
+    base, digits = 2 * rank + 1, 0
+    while base ** (digits + 1) <= np.iinfo(np.int64).max:
+        digits += 1
+    return digits
+
+
+def _code_tables(rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digit of each letter x at column x + rank (k for generator k,
+    rank + k for its inverse, 0 for padding), and the powers of the base up
+    to ``code_capacity``."""
+    digits = np.concatenate([np.arange(2 * rank, rank, -1), [0],
+                             np.arange(1, rank + 1)]).astype(np.int64)
+    powers = (2 * rank + 1) ** np.arange(code_capacity(rank) + 1, dtype=np.int64)
+    return digits, powers
+
+
+def _code_pair(packed, rank: int):
+    """int64 codes of each row w and of w^-1, the lengths and the powers."""
+    letters, lens = packed
+    width = int(lens.max(initial=0))
+    if width > code_capacity(rank):
+        raise BudgetError(f"words longer than {code_capacity(rank)} letters "
+                          f"have no int64 code at rank {rank}")
+    digits, powers = _code_tables(rank)
+    columns = letters[:, :width] + rank
+    # big-endian over the padded width, then the padding's zero digits
+    # shifted out; w^-1 = (-w_n, ..., -w_1) reads the negated digits
+    # least significant first
+    own = digits[columns] @ powers[:width][::-1] // powers[width - lens]
+    anti = digits[::-1][columns] @ powers[:width]
+    return own, anti, lens, powers
+
+
+def packed_codes(packed: tuple[np.ndarray, np.ndarray], rank: int) -> np.ndarray:
+    """Injective int64 code of each packed row: its letters as the digits of
+    a big-endian base-(2 rank + 1) number, each digit nonzero, so the
+    identity is 0.  Rows longer than ``code_capacity(rank)`` raise
+    ``BudgetError``."""
+    return _code_pair(packed, rank)[0]
+
+
+def unpack_codes(codes: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """The packed words of ``packed_codes``."""
+    digits, powers = _code_tables(rank)
+    base = 2 * rank + 1
+    # a code of n digits is at least the repunit 1...1 of n digits
+    lens = np.searchsorted((powers[1:] - 1) // (base - 1), codes, side="right")
+    exponents = lens[:, None] - 1 - np.arange(max(int(lens.max(initial=0)), 1))
+    place = codes[:, None] // powers[np.maximum(exponents, 0)] % base
+    letter_of = np.zeros(base, dtype=np.int16)
+    letter_of[digits] = np.arange(-rank, rank + 1)
+    return np.where(exponents >= 0, letter_of[place], 0).astype(np.int16), lens
+
+
+def _least_rotations(codes, lens, powers) -> np.ndarray:
+    """Least code over the rotations of each word; rotating an n-digit code
+    c left by i digits gives (c mod b^(n-i)) b^i + c div b^(n-i)."""
+    best = codes.copy()
+    for n in np.unique(lens[lens > 1]).tolist():
+        rows = lens == n
+        c = codes[rows][:, None]
+        split, shift = powers[n - 1:0:-1], powers[1:n]
+        best[rows] = np.minimum(best[rows], (c % split * shift + c // split).min(axis=1))
+    return best
+
+
+def packed_class_codes(packed: tuple[np.ndarray, np.ndarray],
+                       rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """(key, sign) for each packed row w: key is the least rotation code of
+    the cyclic core of w or of w^-1, whichever is smaller, and sign is +1
+    when w's own core gave it, -1 otherwise.  Two rows share a key exactly
+    when they are conjugate or each is conjugate to the other's inverse."""
+    own, anti, lens, powers = _code_pair(packed, rank)
+    # w = c u c^-1 with u cyclically reduced and w^-1 = c u^-1 c^-1: |c| is
+    # the common prefix of w and w^-1, read as their equal leading digits
+    trim = np.zeros_like(lens)
+    for t in range(1, int(lens.max(initial=0)) // 2 + 1):
+        split = powers[np.maximum(lens - t, 0)]
+        trim += (t <= lens // 2) & (own // split == anti // split)
+    core = lens - 2 * trim
+    cut, keep = powers[trim], powers[core]
+    both = _least_rotations(np.concatenate([own // cut % keep, anti // cut % keep]),
+                            np.concatenate([core, core]), powers)
+    own, anti = both[:len(lens)], both[len(lens):]
+    return np.minimum(own, anti), np.where(own <= anti, 1, -1)

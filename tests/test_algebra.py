@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from catqm import words as W
@@ -6,6 +7,8 @@ from catqm.algebra import (
     GElement,
     Quasimorphism,
     _orbit_representatives,
+    _power_classes,
+    _twisted_products,
     brooks_qm,
     check_sigma_invariance,
     extension_defect,
@@ -18,7 +21,7 @@ from catqm.algebra import (
     transfer_extend,
     word_length_qm,
 )
-from catqm.errors import InputError
+from catqm.errors import BudgetError, InputError
 from catqm.samplers import random_words
 
 from oracles import (
@@ -218,6 +221,98 @@ def test_class_cache_needs_homogeneity():
     phi = transfer_extend(ext, orbit_average(ext, brooks_qm("aab")))
     assert not phi.homogeneous
     assert extension_defect(ext, phi, 4) == extension_defect_oracle(ext, phi, 4) == 1.5
+
+
+# homogeneous Brooks counting words and their transferred defects at radius 4
+HOMOGENEOUS_DEFECTS = {"aab": 2.0, "ab": 2.0, "aB": 0.0, "abAB": 0.0,
+                       "abb": 2.0, "aaB": 2.0, "abABB": 1.0, "aabAB": 1.0}
+
+
+@pytest.mark.parametrize("word", HOMOGENEOUS_DEFECTS)
+def test_extension_defect_matches_the_oracle_for_homogeneous_brooks(word):
+    ext = swap_extension()
+    phi = transfer_extend(ext, orbit_average(ext, homogeneous_brooks_qm(word)))
+    assert extension_defect(ext, phi, 4) == extension_defect_oracle(ext, phi, 4) \
+        == HOMOGENEOUS_DEFECTS[word]
+
+
+def test_extension_defect_matches_the_oracle_for_word_length():
+    ext = swap_extension()
+    phi = transfer_extend(ext, word_length_qm())
+    assert not phi.homogeneous
+    assert extension_defect(ext, phi, 3) == extension_defect_oracle(ext, phi, 3) == 6.0
+
+
+def test_extension_defect_on_an_index_three_extension():
+    # rank 3, the cyclic letter rotation: g^3, not g^2, lands in the base
+    ext = FiniteExtension(3, [(1, 2, 3), (2, 3, 1), (3, 1, 2)])
+    hom = transfer_extend(ext, orbit_average(ext, homogeneous_brooks_qm("abC")))
+    assert extension_defect(ext, hom, 3) == extension_defect_oracle(ext, hom, 3) == 2.0
+    raw = transfer_extend(ext, orbit_average(ext, brooks_qm("ab")))
+    assert extension_defect(ext, raw, 2) == extension_defect_oracle(ext, raw, 2)
+
+
+def test_homogeneous_route_evaluates_phi_once_per_class():
+    ext = swap_extension()
+    phi = transfer_extend(ext, orbit_average(ext, homogeneous_brooks_qm("aab")))
+    calls = []
+    counted = Quasimorphism("counted", lambda g: calls.append(g) or phi(g),
+                            homogeneous=True)
+    assert extension_defect(ext, counted, 4) == 2.0
+    # the classes of g^N up to inversion, over the ball and the products of
+    # the orbit representatives
+    ball = ext.ball(4)
+    first, second = _orbit_representatives(ext, ball)
+    elements = set(ball) | {ext.multiply(ball[i], ball[j])
+                            for i, j in zip(first.tolist(), second.tolist())}
+    classes = set()
+    for g in elements:
+        power = ext.power(g, ext.N).word
+        classes.add(frozenset({W.conjugacy_key(power),
+                               W.conjugacy_key(W.inverse(power))}))
+    assert len(calls) == len(classes) == 827
+
+
+def test_extension_defect_refuses_radii_beyond_int64_codes():
+    ext = swap_extension()
+
+    def never(g):
+        raise AssertionError("phi evaluated past the guard")
+
+    # 2 radius N = 28 letters exceed the 27 of an int64 code at rank 2
+    for homogeneous in (True, False):
+        with pytest.raises(BudgetError):
+            extension_defect(ext, Quasimorphism("never", never, homogeneous), 7)
+
+
+def test_twisted_products_match_extension_multiply():
+    ext = swap_extension()
+    ball = ext.ball(3)
+    pairs = [(g, h) for g in ball for h in ball]
+    letters, lens = _twisted_products(
+        ext, W.pack([g.word for g, _ in pairs]), W.pack([h.word for _, h in pairs]),
+        np.array([g.sigma for g, _ in pairs]))
+    got = [tuple(row[:n]) for row, n in zip(letters.tolist(), lens.tolist())]
+    assert got == [ext.multiply(g, h).word for g, h in pairs]
+
+
+def test_power_classes_key_the_nth_power_up_to_inversion():
+    ext = swap_extension()
+    ball = ext.ball(4)
+    codes = W.packed_codes(W.pack([g.word for g in ball]), ext.rank)
+    keys, signs = _power_classes(ext, codes, np.array([g.sigma for g in ball]))
+    powers = [ext.power(g, ext.N) for g in ball]
+    assert all(p.is_base() for p in powers)
+    own = [W.conjugacy_key(p.word) for p in powers]
+    anti = [W.conjugacy_key(W.inverse(p.word)) for p in powers]
+    for a in range(len(ball)):
+        for b in range(len(ball)):
+            same_key = keys[a] == keys[b]
+            assert same_key == (own[a] == own[b] or own[a] == anti[b])
+            if own[a] == own[b]:
+                assert signs[a] == signs[b]
+            elif same_key:
+                assert signs[a] == -signs[b]
 
 
 def test_orbit_representatives_cover_each_orbit_once():

@@ -45,8 +45,8 @@ def _point(space, rng):
     if space.kind == "tree" and rng.random() < 0.5:
         # an edge point k/8 of the way along an edge: every tree distance is
         # then exact, so the routes agree bit for bit (at an arbitrary offset
-        # the reference's recomputed end, point_at(length), can differ from
-        # the end itself in the last bit)
+        # the reference's interior samples, point_at(s), can differ from the
+        # exact points in the last bit, by about 2.2e-16)
         v = random_point(space, rng).anchor
         return tree_point(v, rng.choice((1, -1, 2, -2)), rng.randrange(1, 8) / 8)
     return random_point(space, rng)
@@ -92,6 +92,19 @@ def test_segment_ends_match_the_per_sample_references(space):
         ok, dev = _confinement(check_witness_confinement, space, seg1, path)
         ok_ref, dev_ref = _confinement(witness_confinement_per_sample, space, seg1, path)
         assert abs(dev - dev_ref) <= tol and ok is ok_ref
+
+
+def test_tree_point_at_either_end_is_the_end():
+    # edge-point ends at offsets that are not dyadic: walking the segment to
+    # either end used to round the end's offset off in the last bit
+    rng = rng_for(15, "point-at-length")
+    for _ in range(2000):
+        a, b = (tree_point(random_point(TREE, rng).anchor,
+                           rng.choice((1, -1, 2, -2)), rng.uniform(0.01, 0.99))
+                for _ in range(2))
+        seg = TREE.geodesic(a, b)
+        assert seg.point_at(seg.length) == seg.end
+        assert seg.point_at(0.0) == seg.start
 
 
 def _flagged(entries):
