@@ -20,6 +20,12 @@ edge per candidate weighted L - 1.  Its shortest path equals the infimum of
 modified lengths of admissible paths through the candidate set: admissible
 paths corner exactly at candidate endpoints, and any graph path merges into
 an admissible path of the same or smaller modified length.
+
+The graph is small and complete, so it is solved by a dense O(n^2) Dijkstra
+in numpy over the weight matrix itself.  Every entry is an edge, so a
+zero-cost shortcut (L = 1) counts.  Relaxation is strict and ties between
+open nodes go to the lowest node index, which fixes the witness path; the
+search stops once b is settled.
 """
 
 from __future__ import annotations
@@ -29,8 +35,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
 from .actions import GroupModel, WordShift, act
 from .contraction import ConstantLedger
@@ -201,12 +205,39 @@ class ModifiedLengthResult:
         }
 
 
+def _dense_dijkstra(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest paths from node 0 over the dense matrix ``weights``, every
+    entry an edge (zeros included), searched until node 1 is settled.
+
+    The next node settled is the open node of least distance, the lowest
+    index on ties; a row relaxes only the distances it strictly improves.
+    Returns (dist, pred), where pred[v] is the node before v on its path.
+    """
+    n = len(weights)
+    dist = np.full(n, np.inf)
+    dist[0] = 0.0
+    pred = np.full(n, -1, dtype=np.int64)
+    is_open = np.ones(n, dtype=bool)
+    while True:
+        u = int(np.argmin(np.where(is_open, dist, np.inf)))
+        if u == 1:
+            return dist, pred
+        is_open[u] = False
+        reach = dist[u] + weights[u]
+        better = is_open & (reach < dist)
+        dist[better] = reach[better]
+        pred[better] = u
+
+
 def modified_length(sys: ExpresswaySystem, a, b) -> ModifiedLengthResult:
     """Exact shortest path over the candidate graph for the query (a, b).
 
     The value never exceeds the plain distance (the direct free edge is in
     the graph) and equals the infimum of modified lengths of admissible
-    paths through the enumerated candidate set.
+    paths through the enumerated candidate set.  The graph is solved by a
+    dense O(n^2) Dijkstra in numpy (``_dense_dijkstra``): a zero-cost
+    shortcut (L = 1) is an edge like any other, relaxation is strict, ties
+    go to the lowest node index, and the search stops at b.
     """
     space = sys.space
     a = space.validate_point(a)
@@ -238,8 +269,7 @@ def modified_length(sys: ExpresswaySystem, a, b) -> ModifiedLengthResult:
             weights[i, j] = cost
     np.fill_diagonal(weights, 0.0)
 
-    dist, pred = _sparse_dijkstra(csr_matrix(weights), directed=True,
-                                  indices=0, return_predecessors=True)
+    dist, pred = _dense_dijkstra(weights)
     value = float(dist[1])
     node_path = [1]
     while node_path[-1] != 0:

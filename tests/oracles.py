@@ -15,10 +15,11 @@ reference for the runner's batched axiom routes and distance-matrix
 tallies.  ``check_ft_per_sample``, ``sampled_hausdorff_per_sample`` and
 ``witness_confinement_per_sample`` walk every segment where the package
 reads its two ends, and ``conjugacy_rotation_oracle`` matches cyclic cores
-by rotation where the package compares conjugacy keys.  Three helpers only
-the tests need sit here as well: the closed-form tree modified length
-``tree_lambda_exact``, the search helper ``contraction_scale`` over the
-package's certificate, and the contracting-chain check ``chain_check``.
+by rotation where the package compares conjugacy keys.  ``floyd_warshall``
+is the all-pairs reference for the candidate graph's dense Dijkstra.  Three
+helpers only the tests need sit here as well: the closed-form tree modified
+length ``tree_lambda_exact``, the search helper ``contraction_scale`` over
+the package's certificate, and the contracting-chain check ``chain_check``.
 """
 
 from __future__ import annotations
@@ -66,17 +67,20 @@ def tree_lambda_oracle(sigma: tuple, a: tuple, b: tuple, rank: int = 2,
     max(e (L - 1), d + 2 delta - e).  Equating shows any path leaving the
     radius d / (2 (L - 1)) neighborhood already costs at least d, which the
     plain geodesic achieves, so searching inside that radius plus slack is
-    exact.
+    exact.  At L = 1 a shortcut is one edge at cost 0, forward only: a
+    detour off the geodesic crosses each of its edges both ways, and one of
+    the two crossings costs 1, so no optimum leaves the geodesic and the
+    slack alone is the radius.
 
     Returns (modified length, number of shortcuts used by one optimum).
     """
     L = len(sigma)
-    if L < 2:
-        raise ValueError("oracle needs shortcut length >= 2")
+    if L < 1:
+        raise ValueError("oracle needs a nontrivial shortcut")
     d = word_distance(a, b)
     if d == 0:
         return 0.0, 0
-    radius = int(math.floor(d / (2.0 * (L - 1)))) + slack
+    radius = slack if L == 1 else int(math.floor(d / (2.0 * (L - 1)))) + slack
     region = set()
     for v in tree_vertex_path(a, b):
         for u in W.ball(rank, radius, cap=max(radius, 12)):
@@ -108,6 +112,22 @@ def tree_lambda_oracle(sigma: tuple, a: tuple, b: tuple, rank: int = 2,
                 dist[w] = (cand, used + is_shortcut)
                 heapq.heappush(heap, (cand, used + is_shortcut, w))
     raise RuntimeError("target not reached inside the region")
+
+
+def floyd_warshall(weights) -> list[list[float]]:
+    """All-pairs shortest path lengths of a dense directed weight matrix,
+    every entry an edge, by the textbook triple loop."""
+    n = len(weights)
+    d = [[float(w) for w in row] for row in weights]
+    for k in range(n):
+        dk = d[k]
+        for i in range(n):
+            dik = d[i][k]
+            di = d[i]
+            for j in range(n):
+                if dik + dk[j] < di[j]:
+                    di[j] = dik + dk[j]
+    return d
 
 
 def tree_phi_oracle(sigma: tuple, g: tuple, rank: int = 2) -> float:

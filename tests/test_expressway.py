@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from catqm import words as W
@@ -9,6 +10,7 @@ from catqm.contraction import ConstantLedger
 from catqm.errors import BudgetError, ConfigError
 from catqm.expressway import (
     ExpresswaySystem,
+    _dense_dijkstra,
     _tree_candidates,
     LambdaSamples,
     check_lambda_properties,
@@ -26,6 +28,7 @@ from catqm.samplers import random_words
 from catqm.spaces import HalfPlaneSpace, TreeSpace, tree_point, vertex
 
 from oracles import (
+    floyd_warshall,
     tree_candidates_per_translate,
     tree_lambda_exact,
     tree_lambda_oracle,
@@ -165,12 +168,14 @@ def test_witness_paths_alternate_and_replay():
 # ---------------------------------------------------------------------------
 
 def test_three_routes_agree_exhaustively():
-    sys_t = tree_system()
-    for g in W.ball(2, 4):
-        exact = tree_phi_exact(sys_t, g)
-        graph = phi_sigma(sys_t, g)
-        oracle = tree_phi_oracle(SIGMA, g)
-        assert exact == graph == oracle, W.to_string(g)
+    # sigma = "a" has L = 1: every shortcut costs 0
+    for sigma in ("aab", "a"):
+        sys_t = ExpresswaySystem(TREE, FREE, sigma, ledger=LEDGER)
+        for g in W.ball(2, 4):
+            exact = tree_phi_exact(sys_t, g)
+            graph = phi_sigma(sys_t, g)
+            oracle = tree_phi_oracle(W.from_string(sigma), g)
+            assert exact == graph == oracle, (sigma, W.to_string(g))
 
 
 def test_lambda_routes_agree_on_random_pairs():
@@ -189,6 +194,42 @@ def test_exact_route_with_moved_basepoint():
     sys_t = ExpresswaySystem(TREE, FREE, "aab", basepoint=x0, ledger=LEDGER)
     for g in W.ball(2, 3):
         assert tree_phi_exact(sys_t, g) == phi_sigma(sys_t, g)
+
+
+# ---------------------------------------------------------------------------
+# the dense shortest path against Floyd-Warshall
+# ---------------------------------------------------------------------------
+
+def random_candidate_weights(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A complete directed graph shaped like a candidate graph: free edges
+    on a grid of quarters (many ties) or continuous, and about n directed
+    zero-weight shortcuts."""
+    if n % 2:
+        weights = rng.random((n, n)) * 3.0
+    else:
+        weights = rng.integers(1, 9, size=(n, n)) / 4.0
+    weights[rng.random((n, n)) < 1.0 / n] = 0.0
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
+def check_shortest_path(weights: np.ndarray) -> None:
+    dist, pred = _dense_dijkstra(weights)
+    assert abs(dist[1] - floyd_warshall(weights)[0][1]) <= 1e-12
+    chain = [1]
+    while chain[-1] != 0:
+        assert len(chain) <= len(weights)
+        chain.append(int(pred[chain[-1]]))
+        assert chain[-1] >= 0
+    chain.reverse()
+    total = sum(weights[u, v] for u, v in zip(chain, chain[1:]))
+    assert abs(total - dist[1]) <= 1e-12
+
+
+def test_dense_dijkstra_matches_floyd_warshall():
+    rng = np.random.default_rng(16)
+    for n in range(2, 61):
+        check_shortest_path(random_candidate_weights(rng, n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
-"""Every name a catqm module imports is used in that module."""
+"""Every name a catqm module imports is used in that module, and loading
+the command line pulls in no heavy dependency."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +32,13 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert unused == {}, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_cli_and_runner_load_without_scipy():
+    probe = ("import sys, catqm.cli, catqm.runner; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -10,8 +10,10 @@ import pytest
 
 from catqm import runner
 from catqm import words as W
+from catqm.actions import act
 from catqm.cli import main as cli_main
 from catqm.errors import ConfigError, NumericError
+from catqm.expressway import tree_phi_exact
 from catqm.runner import (
     Budgets,
     EXIT_CONFIG,
@@ -150,6 +152,26 @@ def test_qm_half_plane_homogenizes_within_the_phi_table_powers():
     rows = report["body"]["results"]["qm"]["homogenized"]
     assert "BAA" in [r["g"] for r in rows]
     assert rows[0] == {"g": "a", "value": 1.0, "error": rows[0]["error"]}
+
+
+def test_zero_cost_shortcuts_count_in_qm():
+    # sigma = "a" has L = 1, so each shortcut costs L - 1 = 0; a graph that
+    # drops zero-weight entries read lambda(x0, a x0) = 3 and phi(a) = -2
+    data = json.loads(TREE_CONFIG.read_text())
+    data.update(sigma_word="a", independence_words=["a"])
+    cfg = config_from_json(data)
+    report, code = run("qm", cfg)
+    assert code == EXIT_OK and replay(report) is True
+    qm = report["body"]["results"]["qm"]
+    sys_obj = cfg.system()
+    x0 = sys_obj.basepoint
+    ax0 = act(cfg.space, cfg.group.from_word("a"), x0)
+    first = qm["lambda_table"][0]
+    assert first["n"] == 1
+    assert first["forward"] <= cfg.space.distance(x0, ax0)
+    for row in qm["phi_table"]:
+        n = row["n"]
+        assert row["phi"] == tree_phi_exact(sys_obj, W.power((1,), n)) == n
 
 
 # sha256 prefixes of the shipped bodies of every (config, subcommand) cell;
