@@ -27,12 +27,23 @@ defect takes one value on each orbit of (g, h) -> (h, g), (h^-1, g^-1),
 g^N up to inversion (``words.packed_class_codes``): the certificate visits
 one pair per orbit and shares each value, with its sign, over the class.
 Otherwise it visits every pair and evaluates phi once per element.  Either
-way phi stays a black box, and the supremum is the one over the whole grid.
+way the supremum is the one over the whole grid.
+
+The counting chain (``homogeneous_brooks_qm``, then ``sigma_act``,
+``orbit_average`` and ``transfer_extend`` on top of it) also carries a
+packed evaluator, ``Quasimorphism.packed``, that takes whole packed word
+arrays.  ``extension_defect``, ``restriction_check`` and
+``check_sigma_invariance`` use it whenever the quasimorphism has one and
+call phi once per word otherwise, as for ``brooks_qm``, ``word_length_qm``
+or any evaluator a caller writes.  The two routes agree bit for bit: a
+Brooks count and a sum of counts are integers, exact in float64, and the
+transfer's one division by N is the same correctly rounded operation on
+both, so its values lie in (1/N)Z as computed (half-integers on the swap
+extension).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,7 +54,6 @@ from .words import (
     Word,
     IDENTITY,
     as_word,
-    cyclic_reduce,
     inverse as word_inverse,
     multiply as word_multiply,
     power as word_power,
@@ -59,10 +69,20 @@ class Quasimorphism:
     A homogeneous quasimorphism is a class function with phi(g^-1) =
     -phi(g), and on a finite extension of index N it satisfies phi(g) =
     phi(g^N)/N.  ``extension_defect`` relies on these three identities, and
-    shares one evaluation between elements they relate."""
+    shares one evaluation between elements they relate.
+
+    ``packed``, when set, evaluates whole rows at once:
+    ``packed(words, sigmas=None)`` takes a packed word array ``(letters,
+    lens)`` (``words.pack``) and, for a quasimorphism on an extension, each
+    row's sigma (None: every row in the base), and returns a float64 array
+    bit-equal to calling the evaluator row by row.  Its rows are not
+    checked: they come from the library's own packed passes.  The counting
+    chain sets it; ``brooks_qm``, ``word_length_qm`` and evaluators made by
+    callers leave it None, and every consumer then calls the evaluator."""
     name: str
     evaluator: Callable
     homogeneous: bool = False
+    packed: Callable | None = None
 
     def __call__(self, g):
         return self.evaluator(g)
@@ -79,18 +99,19 @@ def _starts_before(text: str, pattern: str, stop: int) -> int:
     return count
 
 
-def _counting_strings(w) -> tuple[str, str]:
-    """The string forms of the counting word w and of w^-1; w is checked."""
+def _counting_word(w) -> Word:
+    """The counting word w, checked reduced and nontrivial."""
     w = as_word(w)
     if not w:
         raise InputError("counting word must be nontrivial")
-    return W.to_string(w), W.to_string(word_inverse(w))
+    return w
 
 
 def brooks_qm(w) -> Quasimorphism:
     """Occurrences of w in the reduced word g minus occurrences of w^-1,
     overlaps allowed."""
-    pattern, anti = _counting_strings(w)
+    w = _counting_word(w)
+    pattern, anti = W.to_string(w), W.to_string(word_inverse(w))
 
     def evaluator(g) -> float:
         s = W.to_string(as_word(g))
@@ -100,27 +121,64 @@ def brooks_qm(w) -> Quasimorphism:
     return Quasimorphism(f"brooks({pattern})", evaluator)
 
 
+def _on_base(evaluate: Callable) -> Callable:
+    """A ``Quasimorphism.packed`` evaluator on base words only: a row with
+    sigma != 0 is refused."""
+    def packed(words, sigmas=None) -> np.ndarray:
+        if sigmas is not None and np.any(sigmas):
+            raise InputError("a quasimorphism of the base group takes base "
+                             "words only")
+        return evaluate(words)
+    return packed
+
+
+def _cyclic_counts(words, sides: np.ndarray) -> np.ndarray:
+    """For each packed row, the starts i < |core| of its cyclic core with
+    core[(i + k) mod |core|] = pattern[k] for every k, minus the same count
+    for the inverse pattern, as float64.  ``sides[k]`` holds column k of the
+    pattern and of its inverse, shape (2, 1)."""
+    letters, lens = words
+    rows, width = letters.shape
+    flat = letters.ravel()
+    at = np.arange(0, rows * width, width)[:, None]
+    # w = c u c^-1: |c| is the run of leading t with w[t] = -w[len - 1 - t]
+    # while at least two letters remain between them
+    t = np.arange(width // 2)
+    ends = (lens - 1)[:, None] - t
+    inward = (ends > t) & (letters[:, :width // 2] == -flat[at + ends])
+    trim = np.logical_and.accumulate(inward, axis=1).sum(axis=1)
+    core = lens - 2 * trim
+    # the core read periodically, far enough for a pattern at every start,
+    # so a pattern longer than the core wraps round it more than once
+    reach = int(core.max(initial=0))
+    span = np.arange(reach + len(sides) - 1)
+    window = flat[at + trim[:, None] + span % np.maximum(core, 1)[:, None]]
+    hit = (span[:reach] < core[:, None])[:, None, :]
+    for k, side in enumerate(sides):
+        hit = hit & (window[:, None, k:k + reach] == side)
+    counts = hit.sum(axis=2)
+    return (counts[:, 0] - counts[:, 1]).astype(np.float64)
+
+
 def homogeneous_brooks_qm(w) -> Quasimorphism:
     """Exact homogenization of the counting quasimorphism.
 
     Powers of g eventually repeat the cyclic core, so the per-power limit of
     the count is the number of occurrence start positions inside one period
     of the bi-infinite periodic word.  Conjugation invariance is automatic:
-    the value depends only on the core up to rotation.
+    the value depends only on the core up to rotation.  One packed kernel
+    (``_cyclic_counts``) computes it; the scalar evaluator runs it on a
+    one-row pack.
     """
-    pattern, anti = _counting_strings(w)
-    reach = len(pattern)
+    w = _counting_word(w)
+    sides = np.array([w, word_inverse(w)]).T[:, :, None]
 
     def evaluator(g) -> float:
-        core, _ = cyclic_reduce(as_word(g))
-        if not core:
-            return 0.0
-        period = len(core)
-        window = W.to_string(core) * max(2, math.ceil((period + reach) / period))
-        return float(_starts_before(window, pattern, period)
-                     - _starts_before(window, anti, period))
+        return float(_cyclic_counts(W.pack([as_word(g)]), sides)[0])
 
-    return Quasimorphism(f"hom-brooks({pattern})", evaluator, homogeneous=True)
+    return Quasimorphism(f"hom-brooks({W.to_string(w)})", evaluator,
+                         homogeneous=True,
+                         packed=_on_base(lambda words: _cyclic_counts(words, sides)))
 
 
 def word_length_qm() -> Quasimorphism:
@@ -180,6 +238,7 @@ class FiniteExtension:
         except KeyError as exc:
             raise InputError(f"permutations not closed under composition: "
                              f"{exc.args[0]} is missing") from None
+        self.mul_table = np.array(self._mul)
         self._inv = [index[_perm_inverse(p)] for p in self.perms]
         self._letters = frozenset(range(-rank, rank + 1)) - {0}
         # conjugation by a section element is exactly its letter map,
@@ -280,34 +339,61 @@ def swap_extension() -> FiniteExtension:
 # Operations on quasimorphisms over an extension
 # ---------------------------------------------------------------------------
 
+def _conjugated(ext: FiniteExtension, sigma: int, words):
+    """``conjugate_by_section(sigma, .)`` on every row of a packed word
+    array: one row of ``letter_table``, that of sigma^-1."""
+    letters, lens = words
+    return ext.letter_table[ext._inv[sigma]][letters + ext.rank], lens
+
+
 def sigma_act(ext: FiniteExtension, sigma: int, phi: Quasimorphism) -> Quasimorphism:
     """Pull back along conjugation by the section of sigma:
     (sigma . phi)(h) = phi(section^-1 h section)."""
+    packed = None
+    if phi.packed is not None:
+        packed = _on_base(lambda words: phi.packed(_conjugated(ext, sigma, words)))
     return Quasimorphism(f"sigma{sigma}.{phi.name}",
                          lambda h: phi(ext.conjugate_by_section(sigma, h)),
-                         homogeneous=phi.homogeneous)
+                         homogeneous=phi.homogeneous, packed=packed)
 
 
 def orbit_average(ext: FiniteExtension, phi: Quasimorphism) -> Quasimorphism:
     """Sum of the whole orbit; invariant under every sigma because acting
     permutes the summands."""
     acted = [sigma_act(ext, s, phi) for s in range(ext.N)]
+    packed = None
+    if phi.packed is not None:
+        packed = _on_base(lambda words: sum(f.packed(words) for f in acted))
     return Quasimorphism(f"avg.{phi.name}",
                          lambda h: sum(f(h) for f in acted),
-                         homogeneous=phi.homogeneous)
+                         homogeneous=phi.homogeneous, packed=packed)
 
 
 def check_sigma_invariance(ext: FiniteExtension, phi: Quasimorphism,
                            radius: int = 3, tolerance: float = 0.0) -> list[dict]:
-    out = []
-    for w in W.ball(ext.rank, radius):
-        base = phi(w)
-        for s in range(1, ext.N):
-            moved = phi(ext.conjugate_by_section(s, w))
-            if abs(moved - base) > tolerance:
-                out.append({"word": W.to_string(w), "sigma": s,
-                            "value": base, "moved": moved})
-    return out
+    """Every (word, sigma) of the word ball of this radius, in ball order
+    and then ascending sigma, where phi moves under the action by more than
+    the tolerance."""
+    ws = W.ball(ext.rank, radius)
+    if phi.packed is None:
+        out = []
+        for w in ws:
+            base = phi(w)
+            for s in range(1, ext.N):
+                moved = phi(ext.conjugate_by_section(s, w))
+                if abs(moved - base) > tolerance:
+                    out.append({"word": W.to_string(w), "sigma": s,
+                                "value": base, "moved": moved})
+        return out
+    words = W.pack(ws)
+    base = phi.packed(words)
+    # row s - 1 holds sigma = s; transposed, nonzero lists ball order first
+    moved = np.array([phi.packed(_conjugated(ext, s, words))
+                      for s in range(1, ext.N)]).reshape(ext.N - 1, len(ws))
+    rows, sigmas = np.nonzero((np.abs(moved - base) > tolerance).T)
+    return [{"word": W.to_string(ws[i]), "sigma": s + 1,
+             "value": float(base[i]), "moved": float(moved[s, i])}
+            for i, s in zip(rows.tolist(), sigmas.tolist())]
 
 
 def transfer_extend(ext: FiniteExtension, phi: Quasimorphism) -> Quasimorphism:
@@ -329,8 +415,18 @@ def transfer_extend(ext: FiniteExtension, phi: Quasimorphism) -> Quasimorphism:
             raise InputError("power did not land in the base group")
         return phi(p.word) / N
 
+    packed = None
+    if phi.packed is not None:
+        def packed(words, sigmas=None) -> np.ndarray:
+            if sigmas is None:
+                sigmas = np.zeros(len(words[1]), dtype=np.int64)
+            power, power_sigmas = _packed_powers(ext, words, sigmas)
+            if np.any(power_sigmas):
+                raise InputError("power did not land in the base group")
+            return phi.packed(power) / N
+
     return Quasimorphism(f"transfer.{phi.name}", evaluator,
-                         homogeneous=phi.homogeneous)
+                         homogeneous=phi.homogeneous, packed=packed)
 
 
 @dataclass(frozen=True)
@@ -347,17 +443,21 @@ def restriction_check(ext: FiniteExtension, transferred: Quasimorphism,
     """The transfer of an orbit average must restrict to the average on the
     base (exactly, for homogeneous inputs), and its sampled defect over
     extension pairs must stay finite and radius-stable."""
-    gap = 0.0
-    checked = 0
-    for w in W.ball(ext.rank, word_radius):
-        checked += 1
-        gap = max(gap, abs(transferred(ext.embed(w)) - averaged(w)))
+    ws = W.ball(ext.rank, word_radius)
+    if transferred.packed is not None and averaged.packed is not None:
+        words = W.pack(ws)
+        gap = float(np.abs(transferred.packed(words) - averaged.packed(words))
+                    .max(initial=0.0))
+    else:
+        gap = 0.0
+        for w in ws:
+            gap = max(gap, abs(transferred(ext.embed(w)) - averaged(w)))
     defects = {}
     for radius in pair_radii:
         defects[radius] = extension_defect(ext, transferred, radius)
     radii = sorted(defects)
     growth = defects[radii[-1]] - defects[radii[0]] if len(radii) > 1 else 0.0
-    return RestrictionReport(checked, gap, defects, growth)
+    return RestrictionReport(len(ws), gap, defects, growth)
 
 
 # Rows per packed pass, of orbit pairs or of distinct elements: large enough
@@ -402,15 +502,21 @@ def _twisted_products(ext: FiniteExtension, left, right, sigmas):
         left, (ext.letter_table[sigmas[:, None], letters + ext.rank], lens))
 
 
+def _packed_powers(ext: FiniteExtension, words, sigmas):
+    """g^N = g ... g, as ``FiniteExtension.power`` forms it, for packed
+    words g with the given sigmas: the packed words and sigmas of the
+    powers."""
+    power, power_sigmas = words, sigmas
+    for _ in range(ext.N - 1):
+        power = _twisted_products(ext, power, words, power_sigmas)
+        power_sigmas = ext.mul_table[power_sigmas, sigmas]
+    return power, power_sigmas
+
+
 def _power_classes(ext: FiniteExtension, codes, sigmas):
     """``words.packed_class_codes`` of g^N, which lies in the base, for the
     elements g given by their word codes and sigmas."""
-    mul = np.array(ext._mul)
-    words_ = power = W.unpack_codes(codes, ext.rank)
-    power_sigmas = sigmas
-    for _ in range(ext.N - 1):
-        power = _twisted_products(ext, power, words_, power_sigmas)
-        power_sigmas = mul[power_sigmas, sigmas]
+    power, _ = _packed_powers(ext, W.unpack_codes(codes, ext.rank), sigmas)
     return W.packed_class_codes(power, ext.rank)
 
 
@@ -442,7 +548,6 @@ def extension_defect(ext: FiniteExtension, phi: Quasimorphism, radius: int) -> f
     n = len(elements)
     letters, lens = packed = W.pack([g.word for g in elements])
     sigmas = np.array([g.sigma for g in elements])
-    mul = np.array(ext._mul)
     if phi.homogeneous:
         first, second = _orbit_representatives(ext, elements)
     else:
@@ -453,7 +558,7 @@ def extension_defect(ext: FiniteExtension, phi: Quasimorphism, radius: int) -> f
         products = _twisted_products(ext, (letters[i], lens[i]),
                                      (letters[j], lens[j]), sigmas[i])
         codes.append(W.packed_codes(products, ext.rank))
-        product_sigmas.append(mul[sigmas[i], sigmas[j]])
+        product_sigmas.append(ext.mul_table[sigmas[i], sigmas[j]])
     # the ball's elements, then one product per pair, keyed by (code, sigma):
     # N b^(2 radius) <= b^(2 radius N) fits
     keys = np.concatenate(codes) * ext.N + np.concatenate(product_sigmas)
@@ -465,12 +570,17 @@ def extension_defect(ext: FiniteExtension, phi: Quasimorphism, radius: int) -> f
              for part in _chunks(len(distinct))], axis=1)
     else:
         classes, signs = distinct, np.ones(len(distinct), dtype=np.int64)
-    # phi once per class, on its first element as a GElement of Python ints
+    # phi once per class, on its first element: in one packed pass, or as
+    # a GElement of Python ints
     _, reps, of = np.unique(classes, return_index=True, return_inverse=True)
-    rep_letters, rep_lens = W.unpack_codes(element_codes[reps], ext.rank)
-    values = np.array([phi(GElement(tuple(row[:m]), s)) for row, m, s in
-                       zip(rep_letters.tolist(), rep_lens.tolist(),
-                           element_sigmas[reps].tolist())])
+    rep_words = W.unpack_codes(element_codes[reps], ext.rank)
+    rep_sigmas = element_sigmas[reps]
+    if phi.packed is not None:
+        values = phi.packed(rep_words, rep_sigmas)
+    else:
+        values = np.array([phi(GElement(tuple(row[:m]), s)) for row, m, s in
+                           zip(rep_words[0].tolist(), rep_words[1].tolist(),
+                               rep_sigmas.tolist())])
     values = (values[of] * (signs * signs[reps][of]))[which]
     vg, vp = values[:n], values[n:]
     return float(np.abs(vp - vg[first] - vg[second]).max())

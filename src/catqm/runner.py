@@ -538,6 +538,13 @@ def run_qm(cfg: ExperimentConfig) -> tuple[dict, list, list]:
         bwd = modified_length(sys_obj, gx0, x0)
         lam_table.append({"n": n, "forward": fwd.value, "back": bwd.value,
                           "expressways": fwd.expressways})
+        # the direct edge is always a path, so lambda never exceeds d
+        d = space.distance(x0, gx0)
+        for direction, res in (("forward", fwd), ("back", bwd)):
+            if res.value > d + cfg.tolerance:
+                violations.append({"check": "lambda-upper-bound", "n": n,
+                                   "direction": direction, "lambda": res.value,
+                                   "distance": d})
         phi_table_rows.append({"n": n, "phi": bwd.value - fwd.value})
         for res, a, b in ((fwd, x0, gx0), (bwd, gx0, x0)):
             ok, dev = check_witness_confinement(sys_obj, res, a, b)

@@ -462,7 +462,9 @@ def brooks_oracle(w: tuple, g: tuple) -> int:
 
 def homogeneous_brooks_oracle(w: tuple, g: tuple) -> float:
     """Starts of w minus starts of w^-1 inside one period of the periodic
-    word of g's cyclic core."""
+    word of g's cyclic core, read by string search over the core repeated
+    until every start in the period sees a whole pattern; independent of
+    the packed index kernel behind ``homogeneous_brooks_qm``."""
     w = check_reduced_oracle(w)
     core, _ = W.cyclic_reduce(check_reduced_oracle(g))
     if not core:

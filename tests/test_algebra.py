@@ -236,6 +236,128 @@ def test_extension_defect_matches_the_oracle_for_homogeneous_brooks(word):
         == HOMOGENEOUS_DEFECTS[word]
 
 
+
+ROTATION = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _unpacked(phi: Quasimorphism) -> Quasimorphism:
+    """phi with its packed route removed, so consumers call it per word."""
+    return Quasimorphism(phi.name, phi.evaluator, phi.homogeneous)
+
+
+@pytest.mark.parametrize("word", HOMOGENEOUS_DEFECTS)
+def test_packed_chain_is_bit_equal_to_the_scalar_chain(word):
+    ext = swap_extension()
+    base = homogeneous_brooks_qm(word)
+    averaged = orbit_average(ext, base)
+    transferred = transfer_extend(ext, averaged)
+    ws = W.ball(2, 5)
+    words = W.pack(ws)
+    counted = [homogeneous_brooks_oracle(W.from_string(word), g) for g in ws]
+    assert _bits(base.packed(words)) == _bits([base(g) for g in ws]) == _bits(counted)
+    assert _bits(averaged.packed(words)) == _bits([averaged(g) for g in ws])
+    assert _bits(transferred.packed(words)) == _bits([transferred(g) for g in ws])
+    # extension elements, sigma != 0 rows among them
+    ball = ext.ball(4)
+    sigmas = np.array([g.sigma for g in ball])
+    assert sigmas.any()
+    values = transferred.packed(W.pack([g.word for g in ball]), sigmas)
+    assert _bits(values) == _bits([transferred(g) for g in ball])
+
+
+def test_packed_transfer_is_bit_equal_on_an_index_three_extension():
+    ext = FiniteExtension(3, ROTATION)
+    transferred = transfer_extend(
+        ext, orbit_average(ext, homogeneous_brooks_qm("abC")))
+    ball = ext.ball(3)
+    sigmas = np.array([g.sigma for g in ball])
+    assert set(sigmas.tolist()) == {0, 1, 2}
+    values = transferred.packed(W.pack([g.word for g in ball]), sigmas)
+    assert _bits(values) == _bits([transferred(g) for g in ball])
+    assert values.any()
+
+
+@pytest.mark.parametrize("rank, perms, word", [
+    (2, [(1, 2), (2, 1)], "aab"),
+    (3, ROTATION, "abC"),
+])
+def test_packed_invariance_check_lists_the_scalar_witnesses(rank, perms, word):
+    ext = FiniteExtension(rank, perms)
+    for phi in (homogeneous_brooks_qm(word), sigma_act(ext, 1, homogeneous_brooks_qm(word)),
+                orbit_average(ext, homogeneous_brooks_qm(word))):
+        for tolerance in (0.0, 1.0):
+            packed = check_sigma_invariance(ext, phi, 3, tolerance)
+            assert packed == check_sigma_invariance(ext, _unpacked(phi), 3, tolerance)
+            assert all(type(v["value"]) is float and type(v["moved"]) is float
+                       for v in packed)
+
+
+def test_packed_restriction_gap_matches_the_scalar_gap():
+    ext = swap_extension()
+    transferred = transfer_extend(
+        ext, orbit_average(ext, homogeneous_brooks_qm("aab")))
+    other = orbit_average(ext, homogeneous_brooks_qm("ab"))
+    packed = restriction_check(ext, transferred, other, word_radius=4,
+                               pair_radii=(2,))
+    scalar = restriction_check(ext, _unpacked(transferred), _unpacked(other),
+                               word_radius=4, pair_radii=(2,))
+    assert packed == scalar and packed.max_restriction_gap > 0
+
+def test_shipped_chain_makes_no_scalar_calls_in_the_certificates(monkeypatch):
+    ext = swap_extension()
+    averaged = orbit_average(ext, homogeneous_brooks_qm("aab"))
+    transferred = transfer_extend(ext, averaged)
+    calls = []
+    scalar = Quasimorphism.__call__
+    monkeypatch.setattr(Quasimorphism, "__call__",
+                        lambda self, g: calls.append(self.name) or scalar(self, g))
+    assert extension_defect(ext, transferred, 4) == 2.0
+    report = restriction_check(ext, transferred, averaged, word_radius=4,
+                               pair_radii=(2, 3))
+    assert report.max_restriction_gap == 0.0 and report.words_checked == 161
+    assert check_sigma_invariance(ext, averaged, radius=3) == []
+    assert calls == []
+    # the wrapper does see a scalar call
+    assert transferred(ext.section(1)) == 0.0 and calls
+
+
+def test_only_the_counting_chain_carries_a_packed_route():
+    ext = swap_extension()
+    assert brooks_qm("aab").packed is None
+    assert word_length_qm().packed is None
+    raw = orbit_average(ext, brooks_qm("aab"))
+    assert sigma_act(ext, 1, brooks_qm("aab")).packed is None and raw.packed is None
+    assert transfer_extend(ext, word_length_qm()).packed is None
+    assert homogeneous_brooks_qm("aab").packed is not None
+
+
+def test_packed_transfer_refuses_a_power_outside_the_base():
+    # a tampered index: with N = 2 on the order-3 rotation, g^N of a section
+    # element keeps a nonzero sigma
+    ext = FiniteExtension(3, ROTATION)
+    averaged = orbit_average(ext, homogeneous_brooks_qm("abC"))
+    ext.N = 2
+    transferred = transfer_extend(ext, averaged)
+    with pytest.raises(InputError):
+        transferred(ext.section(1))
+    with pytest.raises(InputError):
+        transferred.packed(W.pack([W.IDENTITY, W.IDENTITY]), np.array([0, 1]))
+    assert transferred.packed(W.pack([W.IDENTITY]), np.array([0])).tolist() == [0.0]
+
+
+def test_packed_base_quasimorphisms_refuse_extension_rows():
+    ext = swap_extension()
+    words = W.pack([(1,), (2,)])
+    for phi in (homogeneous_brooks_qm("aab"), sigma_act(ext, 1, homogeneous_brooks_qm("aab")),
+                orbit_average(ext, homogeneous_brooks_qm("aab"))):
+        assert phi.packed(words, np.array([0, 0])).tolist() == phi.packed(words).tolist()
+        with pytest.raises(InputError):
+            phi.packed(words, np.array([0, 1]))
+
 def test_extension_defect_matches_the_oracle_for_word_length():
     ext = swap_extension()
     phi = transfer_extend(ext, word_length_qm())

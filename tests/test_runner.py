@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -173,6 +174,27 @@ def test_zero_cost_shortcuts_count_in_qm():
         n = row["n"]
         assert row["phi"] == tree_phi_exact(sys_obj, W.power((1,), n)) == n
 
+
+
+def test_qm_reports_a_modified_length_above_the_distance(monkeypatch):
+    # the direct edge is always a path, so lambda <= d; a modified length
+    # that reads d + 1 is a violation, not an ok table row
+    real = runner.modified_length
+
+    def inflated(sys_obj, a, b):
+        return dataclasses.replace(real(sys_obj, a, b),
+                                   value=sys_obj.space.distance(a, b) + 1.0)
+
+    monkeypatch.setattr(runner, "modified_length", inflated)
+    cfg = small_tree_config()
+    report, code = run("qm", cfg)
+    assert code == EXIT_VIOLATION
+    bounds = [v for v in report["body"]["violations"]
+              if v["check"] == "lambda-upper-bound"]
+    assert [(v["n"], v["direction"]) for v in bounds] == [
+        (n, direction) for n in range(1, cfg.budgets.n_max + 1)
+        for direction in ("forward", "back")]
+    assert all(v["lambda"] == v["distance"] + 1.0 for v in bounds)
 
 # sha256 prefixes of the shipped bodies of every (config, subcommand) cell;
 # speed-ups and refactors must not move them
