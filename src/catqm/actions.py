@@ -253,6 +253,15 @@ def act(space, g: Isometry, x):
     return g.action.apply(x)
 
 
+def is_exact_tree(group: GroupModel, x0) -> bool:
+    """Whether the group acts by left multiplication on the tree and x0 is a
+    vertex v: then every orbit point w·v is a vertex, every distance between
+    them is an integer word length, and the word algebra computes the tree
+    geometry of the orbit exactly."""
+    return (isinstance(group.identity_action, WordShift)
+            and isinstance(x0, TreePoint) and x0.is_vertex)
+
+
 def _acts_on(action, space) -> bool:
     if action.space_kind != space.kind:
         return False

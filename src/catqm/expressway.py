@@ -36,10 +36,10 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .actions import GroupModel, WordShift, act
+from .actions import GroupModel, act, is_exact_tree
 from .contraction import ConstantLedger
 from .errors import BudgetError, ConfigError, InputError
-from .spaces import TreePoint, tree_point
+from .spaces import tree_point
 from .words import Word, inverse as word_inverse, multiply as word_multiply
 from . import words as W
 
@@ -97,9 +97,7 @@ class ExpresswaySystem:
 
     # -- structural helpers -------------------------------------------------
     def is_exact_tree(self) -> bool:
-        return (isinstance(self.group.identity_action, WordShift)
-                and isinstance(self.basepoint, TreePoint)
-                and self.basepoint.is_vertex)
+        return is_exact_tree(self.group, self.basepoint)
 
     def describe(self) -> dict:
         return {

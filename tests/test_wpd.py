@@ -1,10 +1,14 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from catqm import words as W
 from catqm.actions import GroupModel, act
-from catqm.errors import BudgetError
+from catqm.errors import BudgetError, InputError
 from catqm import wpd
-from catqm.spaces import TreeSpace, vertex
+from catqm.runner import load_config, run
+from catqm.spaces import TreeSpace, tree_point, vertex
 from catqm.wpd import (
     build_family,
     conjugate_power_test,
@@ -16,6 +20,7 @@ from catqm.wpd import (
 from oracles import conjugacy_rotation_oracle, is_cyclically_reduced
 
 TREE = TreeSpace(2)
+EXACT_TREE = TreeSpace(2, tol=0.0)
 FREE = GroupModel.free(2)
 
 
@@ -93,6 +98,106 @@ def test_equiv_witness_symmetry():
     hx = act(TREE, FREE.power(h, fwd.m), x0)
     seg2 = TREE.geodesic(act(TREE, gamma_inv, x0), act(TREE, gamma_inv, hx))
     assert sampled_hausdorff(TREE, seg1, seg2) <= 2.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# packed tree routes
+# ---------------------------------------------------------------------------
+
+def _per_point(monkeypatch, fn, *args):
+    """``fn(*args)`` through the per-point route, the packed route's reference."""
+    with monkeypatch.context() as mp:
+        mp.setattr(wpd, "_packed_route", lambda *a: False)
+        return fn(*args)
+
+
+def _random_word(rng, n):
+    w = ()
+    while len(w) < n:
+        x = rng.choice((1, -1, 2, -2))
+        if not w or w[-1] != -x:
+            w += (x,)
+    return w
+
+
+def test_packed_tree_routes_equal_the_per_point_routes(monkeypatch):
+    rng = random.Random(18)
+    hits = 0
+    cells = wpd._PACKED_CELLS
+    for case in range(60):
+        # small passes too, so that ball order is kept across chunks
+        monkeypatch.setattr(wpd, "_PACKED_CELLS", (cells, 5)[case % 3 == 0])
+        g = _random_word(rng, rng.randint(1, 3))
+        u = _random_word(rng, rng.randint(1, 2))
+        h = rng.choice([g, W.inverse(g), _random_word(rng, rng.randint(1, 3)),
+                        W.multiply(W.multiply(u, g), W.inverse(u))])
+        x0 = vertex(_random_word(rng, rng.randint(0, 2)))
+        # c = 0 and a negative c, K a half integer among the bounds
+        c, K = (0.0, -1.0, 1.0, 2.5)[case % 4], (0.0, 1.0, 2.0, 2.5)[case // 2 % 4]
+        M, power_max, radius = rng.randint(1, 3), rng.randint(2, 5), rng.randint(2, 4)
+        # with no tolerance a distance equal to the bound still counts
+        space = (TREE, EXACT_TREE)[case // 4 % 2]
+        assert wpd._packed_route(space, FREE, x0)
+        for fn, args in ((wpd_count, (space, FREE, g, c, M, radius, x0)),
+                         (equiv_search, (space, FREE, g, h, K, power_max, radius, x0))):
+            packed = fn(*args)
+            assert packed == _per_point(monkeypatch, fn, *args), (fn.__name__, args)
+        hits += packed is not None
+    assert hits >= 20
+
+
+def test_edge_point_basepoint_keeps_the_per_point_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("packed route on an edge-point basepoint")
+
+    monkeypatch.setattr(wpd, "_moved_distances", refuse)
+    x0 = tree_point((1,), 2, 0.5)
+    zero = wpd_count(TREE, FREE, "aab", c=0.0, M=4, radius=4, x0=x0)
+    assert zero.matching == (W.IDENTITY,)
+    found = equiv_search(TREE, FREE, "aab", "aab", K=2.0, power_max=4,
+                         radius=2, x0=x0)
+    assert (found.gamma, found.m, found.n, found.hausdorff) == (W.IDENTITY, 1, 1, 0.0)
+
+
+def test_tree_with_a_non_free_group_raises():
+    mats = GroupModel.matrix([[[2.0, 0.0], [0.0, 0.5]], [[1.0, 1.0], [0.0, 1.0]]])
+    with pytest.raises(InputError):
+        wpd_count(TREE, mats, "a", c=1.0, M=1, radius=2)
+    with pytest.raises(InputError):
+        equiv_search(TREE, mats, "a", "b", K=1.0, power_max=2, radius=2)
+
+
+def test_free_group_wider_than_the_tree_keeps_the_per_point_route():
+    # the rank-3 ball leaves the rank-2 tree at "c": its segments are refused
+    wide = GroupModel.free(3)
+    assert not wpd._packed_route(TREE, wide, vertex(""))
+    with pytest.raises(InputError):
+        equiv_search(TREE, wide, "aab", "BAA", K=2.0, power_max=2, radius=2)
+
+
+def test_packed_routes_keep_the_ball_radius_cap():
+    assert wpd._packed_route(TREE, FREE, vertex(""))
+    with pytest.raises(BudgetError):
+        wpd_count(TREE, FREE, "aab", c=2.0, M=4, radius=W.BALL_RADIUS_CAP + 1)
+    with pytest.raises(BudgetError):
+        equiv_search(TREE, FREE, "aab", "BAA", K=2.0, power_max=4,
+                     radius=W.BALL_RADIUS_CAP + 1)
+
+
+@pytest.mark.parametrize("subcommand", ["wpd", "equiv"])
+def test_tree_cells_project_no_point(monkeypatch, subcommand):
+    calls = []
+    project = TreeSpace.project
+
+    def counted(self, x, seg):
+        calls.append(x)
+        return project(self, x, seg)
+
+    monkeypatch.setattr(TreeSpace, "project", counted)
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "tree_aab.json"))
+    _, code = run(subcommand, cfg)
+    assert code == 0
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
