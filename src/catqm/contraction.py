@@ -6,9 +6,13 @@ projects onto it with diameter below B.  That is a statement over all balls,
 so what we produce is budgeted evidence: a certificate records the maximal
 projection diameter observed over a deterministic family of balls, and a
 refutation stores a replayable witness ball.  ``certify_contracting`` lists
-the whole family first and reads the diameters from
-``space.ball_diameters``, which the tree evaluates in one batched pass and
-the other spaces lazily, ball by ball.
+the whole family first, as arrays of center indices and radii
+(``_ball_family``).  On the tree the centers stay packed vertex words
+(``words.pack``) from ``_candidate_centers`` to the first refuting ball:
+``TreeSpace.vertex_ball_diameters`` measures every ball in numpy passes,
+and only a witness center becomes a ``TreePoint``.  The other spaces read
+``space.ball_diameters`` lazily, ball by ball, and stop at the first
+refuting ball.
 
 The ledger carries every constant the lemma suite needs, each instantiated
 by an explicit formula that discharges the corresponding proof step.  Where
@@ -27,8 +31,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
+from . import words as W
 from .errors import InputError
-from .spaces import _arclength_samples
+from .spaces import _arclength_samples, tree_point
 
 CERTIFIED = "certified-at-budget"
 REFUTED = "refuted"
@@ -264,18 +271,21 @@ def projection_diameter_under_ball(space, seg, center, radius: float,
     return diameter
 
 
-def _candidate_centers(space, seg, budget: CertBudget, B: float) -> list[tuple]:
-    """Deterministic center family, as (center, distance to the segment)
-    pairs: spread around the segment, plus probes pushed to prescribed
-    distances (including a B-dependent height so that flat counterexamples
-    surface)."""
+def _candidate_centers(space, seg, budget: CertBudget, B: float) -> tuple:
+    """Deterministic center family, as (centers, distances to the segment):
+    spread around the segment, plus probes pushed to prescribed distances
+    (including a B-dependent height so that flat counterexamples surface).
+
+    On the tree the centers are the vertices within ``center_radius`` of
+    anchors along the segment, as a packed word array in the order of
+    ``TreeSpace.packed_vertices_within``, and their distances come from
+    ``vertex_projections``; no center becomes a ``TreePoint``.  Elsewhere
+    they are a list of points."""
     length = seg.length
     anchors = [seg.point_at(s) for s in _arclength_samples(length, max(length / 4.0, 1.0))]
     if space.kind == "tree":
-        centers = {v.anchor: v for a in anchors
-                   for v in space.vertices_within(a, budget.center_radius)}
-        _, dists = space.vertex_projections(seg, list(centers))
-        return list(zip(centers.values(), dists.tolist()))
+        centers = space.packed_vertices_within(anchors, budget.center_radius)
+        return centers, space.vertex_projections(seg, centers)[1]
     heights = list(budget.probe_heights) or [budget.center_radius]
     if math.isfinite(B):
         heights.append(B / 2.0 + 2.0)
@@ -286,7 +296,21 @@ def _candidate_centers(space, seg, budget: CertBudget, B: float) -> list[tuple]:
         scored = [(p, space.project(p, seg).distance)
                   for p in space.ball_points(mid, h, per * 4)]
         centers.extend(sorted(scored, key=lambda pd: -pd[1])[:per])
-    return centers
+    return [p for p, _ in centers], np.array([d for _, d in centers])
+
+
+def _ball_family(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(center index, radius) of every certification ball, as two arrays:
+    center by center, radius d − ``MIN_GAP`` for a center at distance
+    d > ``MIN_GAP`` and then d / 2 when d > 2 ``MIN_GAP``.  The widest
+    disjoint ball comes first: it has the widest shadow, and the stored
+    witness then matches the gap-1 closed form."""
+    near = np.flatnonzero(dists > MIN_GAP)
+    owner = np.repeat(near, 1 + (dists[near] > 2.0 * MIN_GAP))
+    halved = np.zeros(len(owner), dtype=bool)
+    halved[1:] = owner[1:] == owner[:-1]
+    d = dists[owner]
+    return owner, np.where(halved, d / 2.0, d - MIN_GAP)
 
 
 def certify_contracting(space, seg, B: float, budget: CertBudget | None = None
@@ -301,23 +325,31 @@ def certify_contracting(space, seg, B: float, budget: CertBudget | None = None
     if B <= 0:
         raise InputError("B must be > 0")
     budget = budget or CertBudget()
-    balls = []
-    for center, d in _candidate_centers(space, seg, budget, B):
-        if d <= MIN_GAP:
-            continue
-        # widest disjoint ball first: it has the widest shadow, and the
-        # stored witness then matches the gap-1 closed form
-        balls.append((center, d - MIN_GAP))
-        if d > 2.0 * MIN_GAP:
-            balls.append((center, d / 2.0))
+    centers, dists = _candidate_centers(space, seg, budget, B)
+    owner, radii = _ball_family(dists)
+    bound = B - space.tol
+    if space.kind == "tree":
+        letters, lens = centers[0][owner], centers[1][owner]
+        diameters = space.vertex_ball_diameters(seg, (letters, lens), radii)
+        first = np.flatnonzero(diameters >= bound)[:1].tolist()
+        checked = first[0] + 1 if first else len(diameters)
+        max_diam = float(diameters[:checked].max(initial=0.0))
+        witness = None
+        if first:
+            (word,) = W.unpack((letters[first], lens[first]))
+            witness = BallWitness(tree_point(word), float(radii[first[0]]),
+                                  float(diameters[first[0]]), budget.ball_samples)
+        return ContractionCertificate((seg.start, seg.end), B,
+                                      REFUTED if first else CERTIFIED,
+                                      max_diam, checked, witness)
+    balls = [(centers[i], r) for i, r in zip(owner.tolist(), radii.tolist())]
     max_diam = 0.0
     checked = 0
-    tol = space.tol
-    diameters = space.ball_diameters(seg, balls, budget.ball_samples)
-    for (center, radius), diam in zip(balls, diameters):
+    for (center, radius), diam in zip(balls, space.ball_diameters(
+            seg, balls, budget.ball_samples)):
         checked += 1
         max_diam = max(max_diam, diam)
-        if diam >= B - tol:
+        if diam >= bound:
             witness = BallWitness(center, radius, diam, budget.ball_samples)
             return ContractionCertificate(
                 (seg.start, seg.end), B, REFUTED, max_diam, checked, witness)

@@ -148,11 +148,11 @@ def _tree_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translat
     shell = W.ball(space.rank, radius)
     reach = margin + space.tol
     starts = list(dict.fromkeys(word_multiply(v, u) for v in chain for u in shell))
-    params, dists = space.vertex_projections(seg, starts)
+    params, dists = space.vertex_projections(seg, W.pack(starts))
     near = [(t, w) for t, w, d in zip(params.tolist(), starts, dists.tolist())
             if not d > reach]
     ends = [word_multiply(w, sys.sigma_edge_word) for _, w in near]
-    _, dists = space.vertex_projections(seg, ends)
+    _, dists = space.vertex_projections(seg, W.pack(ends))
     picked = sorted((t, w, end) for (t, w), end, d in zip(near, ends, dists.tolist())
                     if not d > reach)
     return [Translate(word_multiply(w, x0inv), tree_point(w), tree_point(end))

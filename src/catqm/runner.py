@@ -16,12 +16,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import words as W
-from .actions import GroupModel, act, group_from_json
+from .actions import FactorPair, GroupModel, WordShift, act, group_from_json
 from .algebra import (
     brooks_qm,
     check_sigma_invariance,
@@ -175,12 +175,25 @@ class ExperimentConfig:
             candidate_cap=self.budgets.candidate_cap)
 
 
+def _letters_fit(space, action, rank: int) -> bool:
+    """Whether each letter of a rank-``rank`` group whose action (or a
+    factor of it) is left multiplication on a tree is a letter of that
+    tree: a wider free group would move the basepoint off the tree."""
+    if isinstance(action, FactorPair) and space.kind == "product":
+        return (_letters_fit(space.left, action.left, rank)
+                and _letters_fit(space.right, action.right, rank))
+    return not (isinstance(action, WordShift) and space.kind == "tree") or rank <= space.rank
+
+
 def config_from_json(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict) or data.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(f"config schema must be {CONFIG_SCHEMA!r}")
     try:
         space = space_from_json(data["space"])
         group = group_from_json(data["group"])
+        if not _letters_fit(space, group.identity_action, group.rank):
+            raise ConfigError(f"a free group of rank {group.rank} is wider "
+                              f"than the tree it acts on")
         sigma = W.from_string(data["sigma_word"])
         if "basepoint" in data and data["basepoint"] != "default":
             basepoint = space.validate_point(space.point_from_json(data["basepoint"]))
@@ -241,10 +254,11 @@ def _tree_axiom_violations(space, C: float, tolerance: float | None,
     e = vertex("")
     near = W.ball(space.rank, 2)
     rhs = W.distance_matrix(near) + C
+    packed_near = W.pack(near)
     rows = []
     for v in W.ball(space.rank, 3):
         seg = space.geodesic(e, tree_point(v))
-        t, _ = space.vertex_projections(seg, near)
+        t, _ = space.vertex_projections(seg, packed_near)
         bad = np.abs(t[:, None] - t[None, :]) >= rhs + eps
         rows += [(seg, tree_point(near[i]), tree_point(near[j]))
                  for i, j in zip(*np.nonzero(bad))]
@@ -256,7 +270,7 @@ def _tree_axiom_violations(space, C: float, tolerance: float | None,
     for v in W.ball(space.rank, ft_radius):
         ends = [W.multiply(v, u) for u in moves]
         _, gap = space.vertex_projections(space.geodesic(e, tree_point(v)),
-                                          moves + ends)
+                                          W.pack(moves + ends))
         bad = np.maximum(gap[:len(moves), None], gap[None, len(moves):]) >= allowed + eps
         rows += [(e, tree_point(v), tree_point(moves[i]), tree_point(ends[j]))
                  for i, j in zip(*np.nonzero(bad))]
@@ -720,8 +734,12 @@ def run_wpd(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     section["count_c0"] = zero.to_json()
     if zero.count != 1 or zero.matching != (W.IDENTITY,):
         violations.append({"check": "wpd-free-action", "matching": zero.to_json()})
-    small = wpd_count(space, cfg.group, g, cfg.budgets.wpd_c, M, radius, x0)
     bigger = wpd_count(space, cfg.group, g, cfg.budgets.wpd_c, M, radius + 2, x0)
+    # the ball lists words by length (W.ball, GroupModel.ball), so the
+    # radius-r matches are the grown count's matches of length <= r, in order
+    matching = tuple(w for w in bigger.matching if len(w) <= radius)
+    small = replace(bigger, radius=radius, matching=matching,
+                    count=len(matching))
     section["count_small"] = small.to_json()
     section["count_small_radius_grown"] = bigger.to_json()
     stable = small.count == bigger.count

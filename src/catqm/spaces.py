@@ -14,14 +14,18 @@ Projections are closed forms on the tree (Gromov products, ``words.gromov_foot``
 and ``words.gromov_gap``), the half-plane and Euclidean space (a clamped dot
 product), and ``ball_parameters`` evaluates the same formulas as numpy over
 the whole sampled ball.  Each tree rule has one owner: ``_route`` (the exit
-options that join two points), ``_along`` (the walk of ``point_at``) and
-``_ball_exits`` (the word balls of a metric ball).  The tree evaluates
-``ball_diameters`` for every ball of a certificate at once, one pass over
-packed word arrays (``words.pack``) per word-ball radius; the other spaces go
+options that join two points), ``_along`` (the walk of ``point_at``),
+``_ball_exits`` (the word balls of a metric ball) and ``_word_ball_radius``
+(their radius, for floats and arrays alike).  The tree's certificate work
+runs on packed word arrays (``words.pack``) from start to end:
+``TreeSpace.packed_vertices_within`` lists the vertices near a list of
+points, ``vertex_projections`` projects packed vertices onto one segment,
+and ``vertex_ball_diameters`` measures the balls about packed vertex
+centers, in numpy passes over ``_ball_shadows``.  ``ball_diameters`` feeds
+a list of (center, radius) through the same shadows.  The other spaces go
 ball by ball, so a caller that stops at a refuting ball skips the rest.
-``TreeSpace.vertex_projections`` projects a whole list of vertices onto one
-segment in the same way; with it the exhaustive tree axioms decide
-``check_ft`` from the same two ends that ``check_ft`` reads.  Euclidean
+With ``vertex_projections`` the exhaustive tree axioms decide ``check_ft``
+from the same two ends that ``check_ft`` reads.  Euclidean
 ``segment_distance`` is closed form too.  Golden-section search is kept
 where no closed form is used: projections and ball shadows on products, and
 the one-dimensional minimization over closed-form projections in half-plane
@@ -52,7 +56,6 @@ from .words import (
     check_reduced,
     common_prefix_length,
     distance_matrix,
-    multiply,
     pack,
     packed_distances,
     word_distance,
@@ -173,10 +176,11 @@ def vertex(word_or_str) -> TreePoint:
     return tree_point(W.as_word(word_or_str))
 
 
-# Entries per batch of the tree's ball-shadow arrays: large enough that the
-# numpy calls amortize, small enough (32 kB of float64) that batching a
-# whole certificate leaves the process's peak memory where the per-ball
-# route had it.
+# Entries (ball vertex, entry, segment exit) per batch of the tree's
+# ball-shadow arrays: large enough that the numpy calls amortize, small
+# enough (32 kB of float64) that a whole certificate's balls, and the
+# w⁻¹e rows formed batch by batch, leave the process's peak memory where the
+# per-ball route had it.
 _SHADOW_CHUNK = 1 << 12
 _SNAP = 1e-12   # segment parameters this close to a vertex land on it
 
@@ -200,11 +204,30 @@ def _route(a: TreePoint, b: TreePoint) -> tuple[float, Word, float, Word, float]
     return best
 
 
+def _word_ball_radius(radius, cost):
+    """⌊radius − cost⌋, for floats and arrays alike: the radius of the word
+    ball that a metric ball of the given radius reaches through an exit of
+    that cost (the 1e-9 keeps a vertex at distance exactly the radius)."""
+    return np.floor(radius - cost + 1e-9)
+
+
 def _ball_exits(p: TreePoint, radius: float) -> list[tuple[Word, int]]:
-    """(w, rem) for each exit option (w, c) of p with rem = ⌊radius − c⌋ ≥ 0:
-    the vertices within radius of p are the w·u, u in ``W.ball(rank, rem)``."""
+    """(w, rem) for each exit option (w, c) of p with rem =
+    ``_word_ball_radius(radius, c)`` ≥ 0: the vertices within radius of p
+    are the w·u, u in ``W.ball(rank, rem)``."""
     return [(w, rem) for w, cost in _exit_options(p)
-            if (rem := int(math.floor(radius - cost + 1e-9))) >= 0]
+            if (rem := int(_word_ball_radius(radius, cost))) >= 0]
+
+
+def _shadow_spread(shadows, n: int) -> np.ndarray:
+    """max − min per ball, for balls 0..n−1, of the ``(owners, t)``
+    batches of ``TreeSpace._ball_shadows``."""
+    lo = np.full(n, np.inf)
+    hi = np.full(n, -np.inf)
+    for owners, t in shadows:
+        np.minimum.at(lo, owners, t.min(axis=0))
+        np.maximum.at(hi, owners, t.max(axis=0))
+    return hi - lo
 
 
 def _along(v: Word, w: Word, r: float) -> TreePoint:
@@ -329,16 +352,14 @@ class TreeSpace:
         point = seg.point_at(t)
         return ProjectionResult(point, self.distance(x, point), t)
 
-    def vertex_projections(self, seg: TreeSegment, words) -> tuple[np.ndarray, np.ndarray]:
+    def vertex_projections(self, seg: TreeSegment, xs) -> tuple[np.ndarray, np.ndarray]:
         """``project(tree_point(w), seg)`` parameter and distance for every
-        word, as two arrays that agree with it bit for bit.  The parameter
-        is the Gromov foot of the distances to the ends.  Between vertices
-        every distance is an integer, so the Gromov gap is exact; otherwise
-        the distance is measured, as ``project`` does, to the point
-        ``point_at`` gives each distinct parameter (a segment end or a
-        chain vertex)."""
-        xs = pack(words)
-
+        word w of the packed array ``xs`` (``words.pack``), as two arrays
+        that agree with it bit for bit.  The parameter is the Gromov foot of
+        the distances to the ends.  Between vertices every distance is an
+        integer, so the Gromov gap is exact; otherwise the distance is
+        measured, as ``project`` does, to the point ``point_at`` gives each
+        distinct parameter (a segment end or a chain vertex)."""
         def reach(points):   # word-to-point distances, as ``distance`` sums them
             exits = [(o * 2)[:2] for o in map(_exit_options, points)]  # a vertex's twice
             d = packed_distances(xs, pack([w for o in exits for w, _ in o]))
@@ -362,11 +383,44 @@ class TreeSpace:
         return max(0.0, W.gromov_gap(fa, fb, s1.length))
 
     # -- sampling ----------------------------------------------------------
+    def packed_vertices_within(self, points, radius: float
+                               ) -> tuple[np.ndarray, np.ndarray]:
+        """The vertices within the radius of any of the points, as a packed
+        word array: point by point, each point's in (length, word) order,
+        and every vertex once, where it first appears.  The w·u of every
+        ``_ball_exits`` entry (w, rem) come from one ``packed_products``
+        pass against the packed ``W.ball(rank, rem)``, a prefix of the
+        largest of those balls, since ``W.ball`` lists words by length."""
+        entries = [(i, w, rem) for i, p in enumerate(points)
+                   for w, rem in _ball_exits(p, radius)]
+        if not entries:
+            return pack([])
+        owner, ws, rems = zip(*entries)
+        ball = pack(W.ball(self.rank, max(rems)))
+        counts = np.searchsorted(ball[1], rems, side="right")
+        # the k-th row of each entry's block multiplies the k-th ball word
+        k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        left = pack(list(ws))
+        letters, lens = W.packed_products(
+            (np.repeat(left[0], counts, axis=0), np.repeat(left[1], counts)),
+            (ball[0][k], ball[1][k]))
+        point = np.repeat(owner, counts)
+        # rows in (length, word) order, equal words by point (lexsort is
+        # stable): the first row of each run of equal letter rows is its
+        # word's first point, and a stable sort by point restores the order
+        order = np.lexsort((point, *letters.T[::-1], lens))
+        rows = letters[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        first = order[new]
+        keep = first[np.argsort(point[first], kind="stable")]
+        return letters[keep], lens[keep]
+
     def vertices_within(self, p: TreePoint, radius: float) -> list[TreePoint]:
-        """All tree vertices within the given radius of p (exhaustive)."""
-        out = dict.fromkeys(multiply(w, u) for w, rem in _ball_exits(p, radius)
-                            for u in W.ball(self.rank, rem))
-        return [tree_point(w) for w in sorted(out, key=lambda w: (len(w), w))]
+        """All tree vertices within the given radius of p (exhaustive), in
+        (length, word) order."""
+        return [tree_point(w)
+                for w in W.unpack(self.packed_vertices_within([p], radius))]
 
     def ball_points(self, center: TreePoint, radius: float,
                     samples: int = 0) -> list[TreePoint]:
@@ -375,71 +429,91 @@ class TreeSpace:
         pts = self.vertices_within(center, radius)
         return pts if center.is_vertex else [center] + pts
 
-    def _ball_shadows(self, seg: TreeSegment, balls):
-        """Projection parameters of the vertices of every ball in ``balls``,
-        a list of (center, radius), in one numpy pass per word-ball radius.
+    def _ball_shadows(self, seg: TreeSegment, owner: np.ndarray,
+                      exits: tuple[np.ndarray, np.ndarray], rem: np.ndarray):
+        """Projection parameters of the vertices of balls, in numpy passes
+        of about ``_SHADOW_CHUNK`` entries.
 
-        Yields ``(owners, t)``.  Column j of ``t`` holds the parameters of
-        the vertices w·u, u in ``W.ball(rank, rem)``, of one ``_ball_exits``
-        entry (w, rem) of the center of ``balls[owners[j]]``.  Left
-        multiplication is an isometry, so w·u is at distance d(u, w⁻¹e) + c_e
-        from the segment end through its exit option (e, c_e); the arithmetic
-        follows ``distance`` and ``project`` operation by operation, so the
-        values agree bit for bit.  A vertex reached through both exit options
-        of an edge-point center appears twice, which leaves max − min
-        unchanged.  The last chunk holds the parameters of the edge-point
-        centers themselves, one row.  ``W.ball`` keeps its radius cap.
+        Entry j of ``owner``, the packed words ``exits`` and ``rem`` is one
+        ``_ball_exits`` entry (w, rem) of ball ``owner[j]``, whose vertices
+        are then the w·u, u in ``W.ball(rank, rem)``.  Yields ``(owners,
+        t)``: column i of ``t`` holds the parameters of one entry's
+        vertices, and ``owners[i]`` is its ball.  Left multiplication is an
+        isometry, so w·u is at distance d(u, w⁻¹e) + c_e from the segment
+        end through its exit option (e, c_e); the w⁻¹e of a batch's
+        entries come from ``packed_inverses`` and one ``packed_products``
+        pass, so no array outlives its batch.  All entries of one rem share
+        the prefix ``W.ball(rank, rem)`` of the largest word ball, which
+        keeps its radius cap.  The arithmetic follows ``distance`` and
+        ``project`` operation by operation, so the values agree bit for
+        bit.
         """
         start_exits = _exit_options(seg.start)
-        exits = start_exits + _exit_options(seg.end)
-        costs = np.array([c for _, c in exits])
-        by_rem: dict[int, list] = {}
-        ends_of: dict[Word, list] = {}   # w -> the w⁻¹e, once per distinct w
-        for i, (center, radius) in enumerate(balls):
-            for w, rem in _ball_exits(center, radius):
-                if w not in ends_of:
-                    w_inv = W.inverse(w)
-                    ends_of[w] = [multiply(w_inv, e) for e, _ in exits]
-                by_rem.setdefault(rem, []).append((i, ends_of[w]))
-        for rem, members in by_rem.items():
-            ball = pack(W.ball(self.rank, rem))
-            n = len(ball[1])
-            # members in chunks that keep the (vertex, member, exit) arrays
-            # near _SHADOW_CHUNK entries, so peak memory stays flat
-            step = max(1, _SHADOW_CHUNK // (n * len(exits)))
+        seg_exits = start_exits + _exit_options(seg.end)
+        k = len(seg_exits)
+        costs = np.array([c for _, c in seg_exits])
+        targets = pack([e for e, _ in seg_exits])
+        inv = W.packed_inverses(exits)
+        ball = pack(W.ball(self.rank, int(rem.max(initial=0))))
+        for r in sorted(set(rem.tolist())):
+            n = int(np.searchsorted(ball[1], r, side="right"))
+            words = ball[0][:n, :max(r, 1)], ball[1][:n]
+            members = np.flatnonzero(rem == r)
+            step = max(1, _SHADOW_CHUNK // (n * k))
             for lo in range(0, len(members), step):
                 part = members[lo:lo + step]
-                ends = pack([e for _, row in part for e in row])
-                # entry (u, j, k): distance from the vertex w·u of member j
-                # to a segment end through exits[k]
-                d = packed_distances(ball, ends).reshape(
-                    n, len(part), len(exits)) + costs
+                # row i k + j: w⁻¹e_j for the entry part[i]
+                ends = W.packed_products(
+                    (np.repeat(inv[0][part], k, axis=0), np.repeat(inv[1][part], k)),
+                    (np.tile(targets[0], (len(part), 1)), np.tile(targets[1], len(part))))
+                # entry (u, i, j): distance from the vertex w·u of entry
+                # part[i] to a segment end through seg_exits[j]
+                d = packed_distances(words, ends).reshape(n, len(part), k) + costs
                 da = d[:, :, :len(start_exits)].min(axis=2)
                 db = d[:, :, len(start_exits):].min(axis=2)
-                yield [i for i, _ in part], W.gromov_foot(da, db, seg.length)
+                yield owner[part], W.gromov_foot(da, db, seg.length)
+
+    def _listed_shadows(self, seg: TreeSegment, balls):
+        """``_ball_shadows`` of a list of (center, radius), with the entries
+        of ``_ball_exits``, then one row with the parameters of the
+        edge-point centers themselves.  A vertex reached through both exit
+        options of an edge-point center appears twice, which leaves max −
+        min unchanged."""
+        entries = [(i, w, rem) for i, (center, radius) in enumerate(balls)
+                   for w, rem in _ball_exits(center, radius)]
+        if entries:
+            owner, ws, rem = zip(*entries)
+            yield from self._ball_shadows(seg, np.array(owner), pack(list(ws)),
+                                          np.array(rem))
         centers = [i for i, (c, _) in enumerate(balls) if not c.is_vertex]
         if centers:
-            yield centers, np.array([[self.project(balls[i][0], seg).parameter
-                                      for i in centers]])
+            yield np.array(centers), np.array([[self.project(balls[i][0], seg).parameter
+                                                for i in centers]])
 
     def ball_parameters(self, center: TreePoint, radius: float,
                         seg: TreeSegment, samples: int = 0) -> np.ndarray:
         """``project(p, seg).parameter`` for every p in ``ball_points``
         (vertices reached through both exit options of an edge-point
-        center twice): the one-ball case of ``_ball_shadows``."""
+        center twice): the one-ball case of ``_listed_shadows``."""
         return np.concatenate([t.ravel() for _, t in
-                               self._ball_shadows(seg, [(center, radius)])])
+                               self._listed_shadows(seg, [(center, radius)])])
 
     def ball_diameters(self, seg: TreeSegment, balls, samples: int = 0) -> list[float]:
         """max − min of ``ball_parameters`` for each (center, radius) in
-        ``balls``, in order, from one ``_ball_shadows`` pass over all of
+        ``balls``, in order, from one ``_listed_shadows`` pass over all of
         them."""
-        lo = np.full(len(balls), np.inf)
-        hi = np.full(len(balls), -np.inf)
-        for owners, t in self._ball_shadows(seg, balls):
-            np.minimum.at(lo, owners, t.min(axis=0))
-            np.maximum.at(hi, owners, t.max(axis=0))
-        return (hi - lo).tolist()
+        return _shadow_spread(self._listed_shadows(seg, balls), len(balls)).tolist()
+
+    def vertex_ball_diameters(self, seg: TreeSegment,
+                              centers: tuple[np.ndarray, np.ndarray],
+                              radii: np.ndarray) -> np.ndarray:
+        """``ball_diameters`` of the balls about the vertices of the packed
+        array ``centers`` with the radii ``radii``, one ball per row, as an
+        array.  A vertex has the one exit option (itself, cost 0), so each
+        ball, of radius at least 0, is one ``_ball_shadows`` entry."""
+        rem = _word_ball_radius(radii, 0.0).astype(np.int64)
+        return _shadow_spread(self._ball_shadows(seg, np.arange(len(rem)), centers, rem),
+                              len(rem))
 
     def pairwise_distances(self, points: list[TreePoint]) -> np.ndarray:
         if all(p.is_vertex for p in points):

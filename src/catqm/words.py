@@ -12,7 +12,8 @@ distances between whole lists of words are one numpy pass
 off those distances as Gromov products (``gromov_foot``, ``gromov_gap``).
 
 The same rows multiply row by row (``packed_products``), cancelling at the
-junction.  Each row also has an int64 code (``packed_codes``, decoded by
+junction, and invert row by row (``packed_inverses``); ``unpack`` turns
+rows back into words.  Each row also has an int64 code (``packed_codes``, decoded by
 ``unpack_codes``): its letters as digits of a big-endian base-(2 rank + 1)
 number with nonzero digits, so distinct words have distinct codes as long
 as no word is longer than ``code_capacity(rank)`` letters.
@@ -189,6 +190,12 @@ def pack(ws: list[Word]) -> tuple[np.ndarray, np.ndarray]:
     return letters.reshape(len(ws), width), lens
 
 
+def unpack(packed: tuple[np.ndarray, np.ndarray]) -> list[Word]:
+    """The words of a packed array, as letter tuples."""
+    letters, lens = packed
+    return [tuple(row[:n]) for row, n in zip(letters.tolist(), lens.tolist())]
+
+
 def packed_distances(a: tuple[np.ndarray, np.ndarray],
                      b: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Word-metric distances between the rows of two packed word arrays,
@@ -244,6 +251,16 @@ def packed_products(a: tuple[np.ndarray, np.ndarray],
     right = lb[rb + np.clip(col - (keep - c)[:, None], 0, wb - 1)]
     out = np.where(col < keep[:, None], left, right)
     out[col >= lens[:, None]] = 0
+    return out, lens
+
+
+def packed_inverses(packed: tuple[np.ndarray, np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse w^-1 = (-w_n, ..., -w_1) of each packed row w."""
+    letters, lens = packed
+    back = lens[:, None] - 1 - np.arange(letters.shape[1])
+    out = -np.take_along_axis(letters, np.maximum(back, 0), axis=1)
+    out[back < 0] = 0
     return out, lens
 
 

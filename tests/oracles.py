@@ -6,8 +6,9 @@ unit tree edges plus one directed shortcut edge per translate inside the
 search region, and the projection oracle is brute-force minimization over
 enumerated candidates.  The per-ball certificate loop
 ``certify_contracting_per_ball`` is the reference for the batched ball
-diameters, ``tree_candidates_per_translate`` for the batched tree
-expressway candidates, and the exhaustive tree families
+diameters, with its own tree centers (``tree_vertices_within``,
+``tree_candidate_centers``), ``tree_candidates_per_translate`` for the
+batched tree expressway candidates, and the exhaustive tree families
 (``dd_triples_tree_exhaustive``, ``ft_quads_tree_exhaustive``,
 ``tree_triples_exhaustive``, ``tree_dichotomy_configs``,
 ``tree_variation_configs``) feed the per-configuration checkers, the
@@ -155,15 +156,42 @@ def contraction_scale(space, seg, budget=None) -> float:
     return cert.max_diameter + space.tol
 
 
+def tree_vertices_within(space, p, radius: float) -> list:
+    """The vertices within the radius of the tree point p, one ``multiply``
+    per word, in (length, word) order: through each end of p's edge (p
+    itself for a vertex) at cost c, the words of the word ball of radius
+    ⌊radius − c⌋."""
+    exits = [(p.anchor, 0.0)] if p.is_vertex else list(zip(p.edge(), (p.t, 1.0 - p.t)))
+    out = dict.fromkeys(multiply(w, u) for w, cost in exits
+                        if (rem := math.floor(radius - cost + 1e-9)) >= 0
+                        for u in W.ball(space.rank, rem))
+    return [tree_point(w) for w in sorted(out, key=lambda w: (len(w), w))]
+
+
+def tree_candidate_centers(space, seg, budget) -> list:
+    """The certificate's tree centers, one dict over the anchors: the
+    vertices within ``center_radius`` of each anchor along the segment, each
+    vertex at its first occurrence."""
+    anchors = [seg.point_at(s) for s in
+               _arclength_samples(seg.length, max(seg.length / 4.0, 1.0))]
+    return list({v.anchor: v for a in anchors
+                 for v in tree_vertices_within(space, a, budget.center_radius)}.values())
+
+
 def certify_contracting_per_ball(space, seg, B: float, budget=None
                                  ) -> ContractionCertificate:
     """``certify_contracting`` one ball at a time: each ball's diameter from
     its own ``projection_diameter_under_ball`` call, the loop stopping at
-    the first refuting ball."""
+    the first refuting ball.  Tree centers come from
+    ``tree_candidate_centers``."""
     budget = budget or CertBudget()
     max_diam = 0.0
     checked = 0
-    for center, _ in _candidate_centers(space, seg, budget, B):
+    if space.kind == "tree":
+        centers = tree_candidate_centers(space, seg, budget)
+    else:
+        centers = _candidate_centers(space, seg, budget, B)[0]
+    for center in centers:
         d = space.project(center, seg).distance
         if d <= MIN_GAP:
             continue

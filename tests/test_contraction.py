@@ -39,6 +39,7 @@ from catqm.spaces import EuclideanSpace, HalfPlaneSpace, TreeSpace, tree_point, 
 from oracles import (
     certify_contracting_per_ball,
     contraction_scale,
+    tree_candidate_centers,
     tree_dichotomy_configs,
     tree_triples_exhaustive,
     tree_variation_configs,
@@ -257,8 +258,8 @@ def test_batched_certificates_with_edge_point_ends():
 def _ball_count(space, seg, budget, B):
     """Balls in a certificate's family: radius d - 1 for each center at
     distance d > 1, and radius d / 2 as well when d > 2."""
-    ds = [space.project(c, seg).distance
-          for c, _ in _candidate_centers(space, seg, budget, B)]
+    centers, _ = _candidate_centers(space, seg, budget, B)
+    ds = [space.project(c, seg).distance for c in centers]
     return sum((d > 1.0) + (d > 2.0) for d in ds)
 
 
@@ -277,6 +278,49 @@ def test_tree_ball_diameters_batch_equals_one_ball_calls():
             projection_diameter_under_ball(TREE, seg, c, r) for c, r in balls]
         assert TREE.ball_diameters(seg, balls) == [
             _per_point_diameter(TREE, seg, c, r) for c, r in balls]
+
+
+TREE3 = TreeSpace(3)
+
+# (space, segment, center_radius): a rank-3 tree, a fractional center
+# radius, words past code_capacity(2) = 27 letters, and edge-point ends
+TREE_CERT_CASES = {
+    "rank-3": (TREE3, TREE3.geodesic(vertex("C"), vertex("acBa")), 3.0),
+    "radius-2.5": (TREE, TREE.geodesic(vertex("b"), vertex("aab")), 2.5),
+    "long-words": (TREE, TREE.geodesic(vertex("A"), vertex("ab" * 15)), 4.0),
+    "edge-ends": (TREE, TREE.geodesic(tree_point(W.from_string("ab"), 1, 0.25),
+                                      tree_point(W.from_string("B"), -1, 0.6)), 2.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TREE_CERT_CASES))
+def test_tree_centers_keep_the_per_anchor_order(case):
+    space, seg, radius = TREE_CERT_CASES[case]
+    budget = CertBudget(center_radius=radius)
+    centers, dists = _candidate_centers(space, seg, budget, 1.0)
+    expected = tree_candidate_centers(space, seg, budget)
+    assert [tree_point(w) for w in W.unpack(centers)] == expected
+    assert dists.tolist() == [space.project(c, seg).distance for c in expected]
+
+
+@pytest.mark.parametrize("case", sorted(TREE_CERT_CASES))
+def test_packed_tree_certificates_equal_the_per_ball_loop(case):
+    space, seg, radius = TREE_CERT_CASES[case]
+    budget = CertBudget(center_radius=radius)
+    statuses = set()
+    # tol + 1e-16 refutes past the first ball where the edge-point ends
+    # round a shadow to 2.2e-16
+    for B in (1e-9, space.tol + 1e-16, 0.5, 1.0, 3.0):
+        cert = certify_contracting(space, seg, B, budget)
+        assert cert == certify_contracting_per_ball(space, seg, B, budget)
+        statuses.add(cert.status)
+        if cert.refuted:
+            # the witness replays to its stored diameter
+            w = cert.witness
+            assert projection_diameter_under_ball(
+                space, seg, w.center, w.radius, w.samples) == w.diameter
+    assert statuses == {CERTIFIED, REFUTED}
+    assert certify_contracting(space, seg, 1e-9, budget).balls_checked == 1
 
 
 def test_off_tree_certificates_stop_at_the_refuting_ball(monkeypatch):

@@ -28,6 +28,7 @@ from catqm.runner import (
 )
 
 from catqm.spaces import check_dd, check_ft
+from catqm.wpd import wpd_count
 
 from oracles import (
     dd_triples_tree_exhaustive,
@@ -384,6 +385,36 @@ def test_config_basepoint_is_validated(tmp_path, path, basepoint):
     bad.write_text(json.dumps(data))
     for sub in ("contract", "schottky"):
         assert cli_main([sub, "--config", str(bad)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("path", [TREE_CONFIG, HALFPLANE_CONFIG, EUCLID_CONFIG],
+                         ids=lambda p: p.stem)
+def test_wpd_small_count_equals_a_direct_count(path):
+    # the radius-r count is read off the radius-(r + 2) count
+    cfg = load_config(str(path))
+    report, _ = run("wpd", cfg)
+    small = report["body"]["results"]["wpd"]["count_small"]
+    assert small["radius"] == cfg.search_radius
+    g = cfg.group.from_word(cfg.sigma_word)
+    direct = wpd_count(cfg.space, cfg.group, g, cfg.budgets.wpd_c, small["M"],
+                       cfg.search_radius, cfg.basepoint)
+    assert small == direct.to_json()
+
+
+def test_a_free_group_wider_than_its_tree_is_a_config_error(tmp_path):
+    # rank 3 on the rank-2 tree once counted words with the letter c (wpd,
+    # exit 0) and stopped mid-search on one (equiv, exit 2)
+    data = json.loads(TREE_CONFIG.read_text())
+    data["group"]["rank"] = 3
+    with pytest.raises(ConfigError, match="wider"):
+        config_from_json(data)
+    bad = tmp_path / "wide.json"
+    bad.write_text(json.dumps(data))
+    for sub in ("wpd", "equiv"):
+        assert cli_main([sub, "--config", str(bad)]) == EXIT_CONFIG
+    for rank in (1, 2):
+        data["group"]["rank"] = rank
+        assert config_from_json(data).group.rank == rank
 
 
 @pytest.mark.parametrize("witness", [

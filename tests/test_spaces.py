@@ -229,7 +229,7 @@ def test_tree_vertex_projections_match_project_bit_for_bit():
             b = tree_point(a.anchor, a.letter, rng.random())
         seg = TREE.geodesic(a, b)
         seen.add("same edge" if seg._same_edge else kind)
-        t, d = TREE.vertex_projections(seg, words)
+        t, d = TREE.vertex_projections(seg, W.pack(words))
         for w, ti, di in zip(words, t.tolist(), d.tolist()):
             pr = TREE.project(tree_point(w), seg)
             assert (ti.hex(), di.hex()) == (pr.parameter.hex(), pr.distance.hex())
@@ -241,7 +241,7 @@ def test_tree_vertex_projections_match_project_bit_for_bit():
                   for p in (seg.start, seg.end))
         gap_differs += int((W.gromov_gap(da, db, seg.length) != d).any())
     assert seen == ends and clamped == {True, False} and gap_differs > 0
-    assert TREE.vertex_projections(seg, [])[0].shape == (0,)
+    assert TREE.vertex_projections(seg, W.pack([]))[0].shape == (0,)
 
 
 def test_halfplane_projection_onto_axis():
