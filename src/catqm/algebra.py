@@ -29,17 +29,15 @@ one pair per orbit and shares each value, with its sign, over the class.
 Otherwise it visits every pair and evaluates phi once per element.  Either
 way the supremum is the one over the whole grid.
 
-The counting chain (``homogeneous_brooks_qm``, then ``sigma_act``,
-``orbit_average`` and ``transfer_extend`` on top of it) also carries a
-packed evaluator, ``Quasimorphism.packed``, that takes whole packed word
-arrays.  ``extension_defect``, ``restriction_check`` and
-``check_sigma_invariance`` use it whenever the quasimorphism has one and
-call phi once per word otherwise, as for ``brooks_qm``, ``word_length_qm``
-or any evaluator a caller writes.  The two routes agree bit for bit: a
-Brooks count and a sum of counts are integers, exact in float64, and the
-transfer's one division by N is the same correctly rounded operation on
-both, so its values lie in (1/N)Z as computed (half-integers on the swap
-extension).
+Every quasimorphism evaluates whole packed word arrays,
+``Quasimorphism.packed``, and every consumer calls that one route.  The
+counting chain (``homogeneous_brooks_qm`` and the operations on top of
+it) fills it with numpy kernels, any other evaluator with a loop that
+calls it once per row.  Both agree bit for bit with the scalar evaluator:
+a Brooks count and a sum of counts are integers, exact in float64, and
+the transfer's one division by N is the same correctly rounded operation
+on both, so its values lie in (1/N)Z as computed (half-integers on the
+swap extension).
 """
 
 from __future__ import annotations
@@ -71,21 +69,37 @@ class Quasimorphism:
     phi(g^N)/N.  ``extension_defect`` relies on these three identities, and
     shares one evaluation between elements they relate.
 
-    ``packed``, when set, evaluates whole rows at once:
-    ``packed(words, sigmas=None)`` takes a packed word array ``(letters,
-    lens)`` (``words.pack``) and, for a quasimorphism on an extension, each
-    row's sigma (None: every row in the base), and returns a float64 array
-    bit-equal to calling the evaluator row by row.  Its rows are not
-    checked: they come from the library's own packed passes.  The counting
-    chain sets it; ``brooks_qm``, ``word_length_qm`` and evaluators made by
-    callers leave it None, and every consumer then calls the evaluator."""
+    ``packed(words, sigmas=None)`` evaluates whole rows at once: it takes
+    a packed word array ``(letters, lens)`` (``words.pack``) and, for a
+    quasimorphism on an extension, each row's sigma (None: every row in the
+    base), and returns a float64 array bit-equal to calling the evaluator
+    row by row.  Its rows are not checked: they come from the library's own
+    packed passes.  The counting chain passes its numpy kernels; left None,
+    it becomes a loop that calls phi on each row's word, or on
+    ``GElement(word, sigma)`` when sigmas are given."""
     name: str
     evaluator: Callable
     homogeneous: bool = False
     packed: Callable | None = None
 
+    def __post_init__(self):
+        if self.packed is None:
+            object.__setattr__(self, "packed", _row_loop(self))
+
     def __call__(self, g):
         return self.evaluator(g)
+
+
+def _row_loop(phi: Quasimorphism) -> Callable:
+    """The ``Quasimorphism.packed`` route of a quasimorphism with no
+    kernel: one scalar call of phi per row, so a count of scalar calls
+    sees every evaluation."""
+    def packed(words, sigmas=None) -> np.ndarray:
+        rows = W.unpack(words)
+        if sigmas is not None:
+            rows = map(GElement, rows, sigmas.tolist())
+        return np.fromiter(map(phi, rows), np.float64, len(words[1]))
+    return packed
 
 
 def _starts_before(text: str, pattern: str, stop: int) -> int:
@@ -349,24 +363,22 @@ def _conjugated(ext: FiniteExtension, sigma: int, words):
 def sigma_act(ext: FiniteExtension, sigma: int, phi: Quasimorphism) -> Quasimorphism:
     """Pull back along conjugation by the section of sigma:
     (sigma . phi)(h) = phi(section^-1 h section)."""
-    packed = None
-    if phi.packed is not None:
-        packed = _on_base(lambda words: phi.packed(_conjugated(ext, sigma, words)))
     return Quasimorphism(f"sigma{sigma}.{phi.name}",
                          lambda h: phi(ext.conjugate_by_section(sigma, h)),
-                         homogeneous=phi.homogeneous, packed=packed)
+                         homogeneous=phi.homogeneous,
+                         packed=_on_base(lambda words: phi.packed(
+                             _conjugated(ext, sigma, words))))
 
 
 def orbit_average(ext: FiniteExtension, phi: Quasimorphism) -> Quasimorphism:
     """Sum of the whole orbit; invariant under every sigma because acting
     permutes the summands."""
     acted = [sigma_act(ext, s, phi) for s in range(ext.N)]
-    packed = None
-    if phi.packed is not None:
-        packed = _on_base(lambda words: sum(f.packed(words) for f in acted))
     return Quasimorphism(f"avg.{phi.name}",
                          lambda h: sum(f(h) for f in acted),
-                         homogeneous=phi.homogeneous, packed=packed)
+                         homogeneous=phi.homogeneous,
+                         packed=_on_base(lambda words: sum(f.packed(words)
+                                                           for f in acted)))
 
 
 def check_sigma_invariance(ext: FiniteExtension, phi: Quasimorphism,
@@ -375,16 +387,6 @@ def check_sigma_invariance(ext: FiniteExtension, phi: Quasimorphism,
     and then ascending sigma, where phi moves under the action by more than
     the tolerance."""
     ws = W.ball(ext.rank, radius)
-    if phi.packed is None:
-        out = []
-        for w in ws:
-            base = phi(w)
-            for s in range(1, ext.N):
-                moved = phi(ext.conjugate_by_section(s, w))
-                if abs(moved - base) > tolerance:
-                    out.append({"word": W.to_string(w), "sigma": s,
-                                "value": base, "moved": moved})
-        return out
     words = W.pack(ws)
     base = phi.packed(words)
     # row s - 1 holds sigma = s; transposed, nonzero lists ball order first
@@ -415,15 +417,13 @@ def transfer_extend(ext: FiniteExtension, phi: Quasimorphism) -> Quasimorphism:
             raise InputError("power did not land in the base group")
         return phi(p.word) / N
 
-    packed = None
-    if phi.packed is not None:
-        def packed(words, sigmas=None) -> np.ndarray:
-            if sigmas is None:
-                sigmas = np.zeros(len(words[1]), dtype=np.int64)
-            power, power_sigmas = _packed_powers(ext, words, sigmas)
-            if np.any(power_sigmas):
-                raise InputError("power did not land in the base group")
-            return phi.packed(power) / N
+    def packed(words, sigmas=None) -> np.ndarray:
+        if sigmas is None:
+            sigmas = np.zeros(len(words[1]), dtype=np.int64)
+        power, power_sigmas = _packed_powers(ext, words, sigmas)
+        if np.any(power_sigmas):
+            raise InputError("power did not land in the base group")
+        return phi.packed(power) / N
 
     return Quasimorphism(f"transfer.{phi.name}", evaluator,
                          homogeneous=phi.homogeneous, packed=packed)
@@ -444,14 +444,9 @@ def restriction_check(ext: FiniteExtension, transferred: Quasimorphism,
     base (exactly, for homogeneous inputs), and its sampled defect over
     extension pairs must stay finite and radius-stable."""
     ws = W.ball(ext.rank, word_radius)
-    if transferred.packed is not None and averaged.packed is not None:
-        words = W.pack(ws)
-        gap = float(np.abs(transferred.packed(words) - averaged.packed(words))
-                    .max(initial=0.0))
-    else:
-        gap = 0.0
-        for w in ws:
-            gap = max(gap, abs(transferred(ext.embed(w)) - averaged(w)))
+    words = W.pack(ws)
+    gap = float(np.abs(transferred.packed(words) - averaged.packed(words))
+                .max(initial=0.0))
     defects = {}
     for radius in pair_radii:
         defects[radius] = extension_defect(ext, transferred, radius)
@@ -552,17 +547,16 @@ def extension_defect(ext: FiniteExtension, phi: Quasimorphism, radius: int) -> f
         first, second = _orbit_representatives(ext, elements)
     else:
         first, second = np.indices((n, n)).reshape(2, -1)
-    codes, product_sigmas = [W.packed_codes(packed, ext.rank)], [sigmas]
+    # the ball's elements, then one product per pair, keyed by (code, sigma)
+    # as code N + sigma: N b^(2 radius) <= b^(2 radius N) fits
+    keys = [W.packed_codes(packed, ext.rank) * ext.N + sigmas]
     for part in _chunks(len(first)):
         i, j = first[part], second[part]
         products = _twisted_products(ext, (letters[i], lens[i]),
                                      (letters[j], lens[j]), sigmas[i])
-        codes.append(W.packed_codes(products, ext.rank))
-        product_sigmas.append(ext.mul_table[sigmas[i], sigmas[j]])
-    # the ball's elements, then one product per pair, keyed by (code, sigma):
-    # N b^(2 radius) <= b^(2 radius N) fits
-    keys = np.concatenate(codes) * ext.N + np.concatenate(product_sigmas)
-    distinct, which = np.unique(keys, return_inverse=True)
+        keys.append(W.packed_codes(products, ext.rank) * ext.N
+                    + ext.mul_table[sigmas[i], sigmas[j]])
+    distinct, which = np.unique(np.concatenate(keys), return_inverse=True)
     element_codes, element_sigmas = distinct // ext.N, distinct % ext.N
     if phi.homogeneous:
         classes, signs = np.concatenate(
@@ -570,17 +564,10 @@ def extension_defect(ext: FiniteExtension, phi: Quasimorphism, radius: int) -> f
              for part in _chunks(len(distinct))], axis=1)
     else:
         classes, signs = distinct, np.ones(len(distinct), dtype=np.int64)
-    # phi once per class, on its first element: in one packed pass, or as
-    # a GElement of Python ints
+    # phi once per class, on its first element, in one packed pass
     _, reps, of = np.unique(classes, return_index=True, return_inverse=True)
-    rep_words = W.unpack_codes(element_codes[reps], ext.rank)
-    rep_sigmas = element_sigmas[reps]
-    if phi.packed is not None:
-        values = phi.packed(rep_words, rep_sigmas)
-    else:
-        values = np.array([phi(GElement(tuple(row[:m]), s)) for row, m, s in
-                           zip(rep_words[0].tolist(), rep_words[1].tolist(),
-                               rep_sigmas.tolist())])
+    values = phi.packed(W.unpack_codes(element_codes[reps], ext.rank),
+                        element_sigmas[reps])
     values = (values[of] * (signs * signs[reps][of]))[which]
     vg, vp = values[:n], values[n:]
     return float(np.abs(vp - vg[first] - vg[second]).max())

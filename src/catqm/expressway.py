@@ -144,19 +144,20 @@ def _tree_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translat
     space = sys.space
     x0inv = word_inverse(sys.basepoint.anchor)
     chain = seg.chain or seg.start.edge()
-    radius = int(math.ceil(margin)) + 1
-    shell = W.ball(space.rank, radius)
     reach = margin + space.tol
-    starts = list(dict.fromkeys(word_multiply(v, u) for v in chain for u in shell))
-    params, dists = space.vertex_projections(seg, W.pack(starts))
-    near = [(t, w) for t, w, d in zip(params.tolist(), starts, dists.tolist())
-            if not d > reach]
-    ends = [word_multiply(w, sys.sigma_edge_word) for _, w in near]
-    _, dists = space.vertex_projections(seg, W.pack(ends))
-    picked = sorted((t, w, end) for (t, w), end, d in zip(near, ends, dists.tolist())
-                    if not d > reach)
+    starts = space.packed_vertices_within([tree_point(v) for v in chain],
+                                          int(math.ceil(margin)) + 1)
+    params, dists = space.vertex_projections(seg, starts)
+    near = dists <= reach
+    starts, params = (starts[0][near], starts[1][near]), params[near]
+    edge, n = W.pack([sys.sigma_edge_word]), len(params)
+    ends = W.packed_products(starts, (np.tile(edge[0], (n, 1)), np.tile(edge[1], n)))
+    _, dists = space.vertex_projections(seg, ends)
+    kept = dists <= reach
+    starts, ends = (W.unpack((letters[kept], lens[kept]))
+                    for letters, lens in (starts, ends))
     return [Translate(word_multiply(w, x0inv), tree_point(w), tree_point(end))
-            for _, w, end in picked]
+            for _, w, end in sorted(zip(params[kept].tolist(), starts, ends))]
 
 
 def _ball_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translate]:

@@ -19,17 +19,18 @@ options that join two points), ``_along`` (the walk of ``point_at``),
 (their radius, for floats and arrays alike).  The tree's certificate work
 runs on packed word arrays (``words.pack``) from start to end:
 ``TreeSpace.packed_vertices_within`` lists the vertices near a list of
-points, ``vertex_projections`` projects packed vertices onto one segment,
-and ``vertex_ball_diameters`` measures the balls about packed vertex
-centers, in numpy passes over ``_ball_shadows``.  ``ball_diameters`` feeds
-a list of (center, radius) through the same shadows.  The other spaces go
-ball by ball, so a caller that stops at a refuting ball skips the rest.
-With ``vertex_projections`` the exhaustive tree axioms decide ``check_ft``
-from the same two ends that ``check_ft`` reads.  Euclidean
-``segment_distance`` is closed form too.  Golden-section search is kept
-where no closed form is used: projections and ball shadows on products, and
-the one-dimensional minimization over closed-form projections in half-plane
-``segment_distance``.
+points (the certificate's candidate centers, and the expressway starts of
+``expressway._tree_candidates``), ``vertex_projections`` projects packed
+vertices onto one segment, and ``vertex_ball_diameters`` measures the
+balls about packed vertex centers, in numpy passes over ``_ball_shadows``.
+``ball_diameters`` feeds a list of (center, radius) through the same
+shadows.  The other spaces go ball by ball, so a caller that stops at a
+refuting ball skips the rest.  With ``vertex_projections`` the exhaustive
+tree axioms decide ``check_ft`` from the same two ends that ``check_ft``
+reads.  Euclidean ``segment_distance`` is closed form too.  Golden-section
+search is kept where no closed form is used: projections and ball shadows
+on products, and the one-dimensional minimization over closed-form
+projections in half-plane ``segment_distance``.
 
 A half-plane segment, vertical line or arc alike, is one Möbius normal
 form: the isometry T(z) = (z - p) / (1 - k z) that sends its geodesic to the

@@ -324,7 +324,7 @@ def _least_rotations(codes, lens, powers) -> np.ndarray:
     """Least code over the rotations of each word; rotating an n-digit code
     c left by i digits gives (c mod b^(n-i)) b^i + c div b^(n-i)."""
     best = codes.copy()
-    for n in np.unique(lens[lens > 1]).tolist():
+    for n in sorted(set(lens[lens > 1].tolist())):
         rows = lens == n
         c = codes[rows][:, None]
         split, shift = powers[n - 1:0:-1], powers[1:n]

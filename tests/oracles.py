@@ -16,11 +16,13 @@ reference for the runner's batched axiom routes and distance-matrix
 tallies.  ``check_ft_per_sample``, ``sampled_hausdorff_per_sample`` and
 ``witness_confinement_per_sample`` walk every segment where the package
 reads its two ends, and ``conjugacy_rotation_oracle`` matches cyclic cores
-by rotation where the package compares conjugacy keys.  ``floyd_warshall``
-is the all-pairs reference for the candidate graph's dense Dijkstra.  Three
-helpers only the tests need sit here as well: the closed-form tree modified
-length ``tree_lambda_exact``, the search helper ``contraction_scale`` over
-the package's certificate, and the contracting-chain check ``chain_check``.
+by rotation where the package compares conjugacy keys.
+``sigma_invariance_oracle`` lists the invariance witnesses word by word,
+the reference for their order.  ``floyd_warshall`` is the all-pairs
+reference for the candidate graph's dense Dijkstra.  Three helpers only
+the tests need sit here as well: the closed-form tree modified length
+``tree_lambda_exact``, the search helper ``contraction_scale`` over the
+package's certificate, and the contracting-chain check ``chain_check``.
 """
 
 from __future__ import annotations
@@ -557,3 +559,18 @@ def extension_defect_oracle(ext, phi, radius: int) -> float:
                 cache[key] = vp
             worst = max(worst, abs(vp - vg - vals[j]))
     return worst
+
+
+def sigma_invariance_oracle(ext, phi, radius: int, tolerance: float) -> list[dict]:
+    """``algebra.check_sigma_invariance`` one word and one sigma at a time:
+    the witnesses in ball order, then ascending sigma, with phi's scalar
+    values."""
+    out = []
+    for w in W.ball(ext.rank, radius):
+        base = phi(w)
+        for s in range(1, ext.N):
+            moved = phi(ext.conjugate_by_section(s, w))
+            if abs(moved - base) > tolerance:
+                out.append({"word": W.to_string(w), "sigma": s,
+                            "value": base, "moved": moved})
+    return out

@@ -6,7 +6,6 @@ brute-force scans) and frozen here; the tests recompute them through the
 package and, where stated, re-validate against the oracle directly.
 """
 
-import json
 import math
 import time
 
@@ -25,7 +24,6 @@ from catqm.algebra import (
 from catqm.contraction import (
     CertBudget,
     ConstantLedger,
-    certify_contracting,
     check_dichotomy,
     check_reverse_triangle,
     check_stability,

@@ -32,6 +32,7 @@ from oracles import (
     homogeneous_brooks_oracle,
     perm_apply_oracle,
     perm_inverse_oracle,
+    sigma_invariance_oracle,
     transfer_average_oracle,
 )
 
@@ -245,7 +246,8 @@ def _bits(values) -> bytes:
 
 
 def _unpacked(phi: Quasimorphism) -> Quasimorphism:
-    """phi with its packed route removed, so consumers call it per word."""
+    """phi with its numpy kernels replaced by the row loop over its scalar
+    evaluator, the reference the kernels must match."""
     return Quasimorphism(phi.name, phi.evaluator, phi.homogeneous)
 
 
@@ -288,10 +290,10 @@ def test_packed_transfer_is_bit_equal_on_an_index_three_extension():
 def test_packed_invariance_check_lists_the_scalar_witnesses(rank, perms, word):
     ext = FiniteExtension(rank, perms)
     for phi in (homogeneous_brooks_qm(word), sigma_act(ext, 1, homogeneous_brooks_qm(word)),
-                orbit_average(ext, homogeneous_brooks_qm(word))):
+                orbit_average(ext, homogeneous_brooks_qm(word)), brooks_qm(word)):
         for tolerance in (0.0, 1.0):
             packed = check_sigma_invariance(ext, phi, 3, tolerance)
-            assert packed == check_sigma_invariance(ext, _unpacked(phi), 3, tolerance)
+            assert packed == sigma_invariance_oracle(ext, phi, 3, tolerance)
             assert all(type(v["value"]) is float and type(v["moved"]) is float
                        for v in packed)
 
@@ -325,14 +327,31 @@ def test_shipped_chain_makes_no_scalar_calls_in_the_certificates(monkeypatch):
     assert transferred(ext.section(1)) == 0.0 and calls
 
 
-def test_only_the_counting_chain_carries_a_packed_route():
+def _sigma_weighted(g) -> float:
+    """A caller-written evaluator on the extension: word length plus half
+    the sigma of a ``GElement``; a bare word has sigma 0."""
+    if isinstance(g, GElement):
+        return len(g.word) + 0.5 * g.sigma
+    return float(len(W.as_word(g)))
+
+
+def test_every_quasimorphism_evaluates_packed_rows_like_its_evaluator():
     ext = swap_extension()
-    assert brooks_qm("aab").packed is None
-    assert word_length_qm().packed is None
-    raw = orbit_average(ext, brooks_qm("aab"))
-    assert sigma_act(ext, 1, brooks_qm("aab")).packed is None and raw.packed is None
-    assert transfer_extend(ext, word_length_qm()).packed is None
-    assert homogeneous_brooks_qm("aab").packed is not None
+    ws = W.ball(2, 4)
+    words = W.pack(ws)
+    ball = ext.ball(3)
+    sigmas = np.array([g.sigma for g in ball])
+    assert sigmas.any()
+    ball_words = W.pack([g.word for g in ball])
+    caller = Quasimorphism("sigma-weighted", _sigma_weighted)
+    assert _bits(caller.packed(ball_words, sigmas)) == _bits([caller(g) for g in ball])
+    for phi in (brooks_qm("aab"), word_length_qm(), caller):
+        averaged = orbit_average(ext, phi)
+        transferred = transfer_extend(ext, averaged)
+        for psi in (phi, sigma_act(ext, 1, phi), averaged, transferred):
+            assert _bits(psi.packed(words)) == _bits([psi(g) for g in ws])
+        assert _bits(transferred.packed(ball_words, sigmas)) == \
+            _bits([transferred(g) for g in ball])
 
 
 def test_packed_transfer_refuses_a_power_outside_the_base():

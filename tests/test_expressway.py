@@ -73,32 +73,39 @@ def test_enumeration_cap():
     assert len(err.value.partial) == 2
 
 
-def _random_tree_point(rng, edge):
+def _random_tree_point(rng, edge, rank=2):
+    letters = [x for k in range(1, rank + 1) for x in (k, -k)]
     w = ()
     for _ in range(rng.randrange(5)):
-        w += (rng.choice([x for x in (1, -1, 2, -2) if not w or x != -w[-1]]),)
+        w += (rng.choice([x for x in letters if not w or x != -w[-1]]),)
     if not edge:
         return tree_point(w)
-    letter = rng.choice([x for x in (1, -1, 2, -2) if not w or x != -w[-1]])
+    letter = rng.choice([x for x in letters if not w or x != -w[-1]])
     return tree_point(w, letter, rng.choice([0.5, 0.3, rng.random()]))
 
 
 def test_tree_candidates_match_the_per_translate_loop():
-    rng = random.Random(2614)
-    systems = [tree_system(), ExpresswaySystem(TREE, FREE, "aab", vertex("b"),
-                                               ledger=LEDGER)]
-    sizes = set()
-    for i in range(60):
-        a = _random_tree_point(rng, rng.random() < 0.5)
-        b = (tree_point(a.anchor, a.letter, rng.random()) if i % 10 == 0 and a.letter
-             else _random_tree_point(rng, rng.random() < 0.5))
-        seg = TREE.geodesic(a, b)
-        for sys_t in systems:
-            for margin in (0.5, 1.0, 2.0):
-                got = _tree_candidates(sys_t, seg, margin)
-                assert got == tree_candidates_per_translate(sys_t, seg, margin)
-                sizes.add(len(got) > 0)
-    assert sizes == {True, False}
+    tree3 = TreeSpace(3)
+    families = [
+        (TREE, 2614, 60, [tree_system(),
+                          ExpresswaySystem(TREE, FREE, "aab", vertex("b"), ledger=LEDGER)]),
+        (tree3, 3615, 20, [ExpresswaySystem(tree3, GroupModel.free(3), "abC",
+                                            vertex("c"), ledger=LEDGER)]),
+    ]
+    for space, seed, segments, systems in families:
+        rng = random.Random(seed)
+        sizes = set()
+        for i in range(segments):
+            a = _random_tree_point(rng, rng.random() < 0.5, space.rank)
+            b = (tree_point(a.anchor, a.letter, rng.random()) if i % 10 == 0 and a.letter
+                 else _random_tree_point(rng, rng.random() < 0.5, space.rank))
+            seg = space.geodesic(a, b)
+            for sys_t in systems:
+                for margin in (0.5, 1.0, 2.0, 2.5, 3.0):
+                    got = _tree_candidates(sys_t, seg, margin)
+                    assert got == tree_candidates_per_translate(sys_t, seg, margin)
+                    sizes.add(len(got) > 0)
+        assert sizes == {True, False}
 
 
 def test_short_base_segment_rejected():
