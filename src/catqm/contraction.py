@@ -2,17 +2,16 @@
 ledger.
 
 A segment is contracting at scale B when every metric ball disjoint from it
-projects onto it with diameter below B.  That is a statement over all balls,
-so what we produce is budgeted evidence: a certificate records the maximal
-projection diameter observed over a deterministic family of balls, and a
-refutation stores a replayable witness ball.  ``certify_contracting`` lists
-the whole family first, as arrays of center indices and radii
-(``_ball_family``).  On the tree the centers stay packed vertex words
-(``words.pack``) from ``_candidate_centers`` to the first refuting ball:
-``TreeSpace.vertex_ball_diameters`` measures every ball in numpy passes,
-and only a witness center becomes a ``TreePoint``.  The other spaces read
-``space.ball_diameters`` lazily, ball by ball, and stop at the first
-refuting ball.
+projects onto it with diameter below B.  On the tree that holds by theorem:
+a ball that misses a convex subtree projects onto the foot of its center, so
+every shadow is one point and ``certify_contracting`` returns an exact
+certificate at any B above the tolerance.  Elsewhere the statement ranges
+over all balls, so what we produce is budgeted evidence: a certificate
+records the maximal projection diameter observed over a deterministic
+family of balls (``_candidate_centers`` and ``_ball_family``), read lazily
+through ``space.ball_diameters`` and stopping at the first refuting ball,
+and a refutation stores a replayable witness ball.  The tree takes the same
+search at B <= tol, where its first ball refutes with diameter 0.0.
 
 The ledger carries every constant the lemma suite needs, each instantiated
 by an explicit formula that discharges the corresponding proof step.  Where
@@ -33,11 +32,11 @@ from typing import Any
 
 import numpy as np
 
-from . import words as W
 from .errors import InputError
-from .spaces import _arclength_samples, tree_point
+from .spaces import _arclength_samples
 
 CERTIFIED = "certified-at-budget"
+EXACT = "exact-on-tree"
 REFUTED = "refuted"
 # arclength spacing of the variation hypothesis: it asks for a minimum along
 # the segment, which the ends do not decide
@@ -204,7 +203,7 @@ class BallWitness:
 class ContractionCertificate:
     segment: tuple          # (start, end) points
     B: float
-    status: str             # CERTIFIED or REFUTED
+    status: str             # CERTIFIED, EXACT or REFUTED
     max_diameter: float
     balls_checked: int
     witness: BallWitness | None = None
@@ -239,7 +238,9 @@ class CertBudget:
     ``center_radius`` bounds how far ball centers stray from the segment;
     ``probe_heights`` adds centers pushed to specific distances from the
     segment midpoint (the Euclidean refutation needs its 2(h-1) witness);
-    ``ball_samples`` is the per-ball sample target.
+    ``ball_samples`` is the per-ball sample target.  On the tree the budget
+    binds only at B <= tol: above it the certificate is exact and checks no
+    ball.
     """
     center_radius: float = 5.0
     center_count: int = 24
@@ -273,23 +274,14 @@ def projection_diameter_under_ball(space, seg, center, radius: float,
 
 def _candidate_centers(space, seg, budget: CertBudget, B: float) -> tuple:
     """Deterministic center family, as (centers, distances to the segment):
-    spread around the segment, plus probes pushed to prescribed distances
-    (including a B-dependent height so that flat counterexamples surface).
-
-    On the tree the centers are the vertices within ``center_radius`` of
-    anchors along the segment, as a packed word array in the order of
-    ``TreeSpace.packed_vertices_within``, and their distances come from
-    ``vertex_projections``; no center becomes a ``TreePoint``.  Elsewhere
-    they are a list of points."""
-    length = seg.length
-    anchors = [seg.point_at(s) for s in _arclength_samples(length, max(length / 4.0, 1.0))]
-    if space.kind == "tree":
-        centers = space.packed_vertices_within(anchors, budget.center_radius)
-        return centers, space.vertex_projections(seg, centers)[1]
+    for each height (the ``probe_heights``, or ``center_radius``, plus a
+    B-dependent height so that flat counterexamples surface), the points of
+    ``space.ball_points`` about the segment midpoint that lie farthest from
+    the segment."""
     heights = list(budget.probe_heights) or [budget.center_radius]
     if math.isfinite(B):
         heights.append(B / 2.0 + 2.0)
-    mid = seg.point_at(length / 2.0)
+    mid = seg.point_at(seg.length / 2.0)
     per = max(4, budget.center_count // max(1, len(heights)))
     centers = []
     for h in heights:
@@ -315,33 +307,24 @@ def _ball_family(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def certify_contracting(space, seg, B: float, budget: CertBudget | None = None
                         ) -> ContractionCertificate:
-    """Budgeted search for a ball refuting contraction at scale B.
+    """Certificate of contraction at scale B.
 
-    Refutes with a replayable witness if some budgeted ball projects with
-    diameter >= B; otherwise certifies at budget, recording the maximal
-    observed diameter.  A certificate is evidence, not proof: the statement
-    quantifies over all balls and the budget checks finitely many.
+    On the tree at B > tol the certificate is exact (status ``EXACT``,
+    ``max_diameter`` 0.0, no ball checked).  Otherwise this is a budgeted
+    search: it refutes with a replayable witness if some ball of the family
+    projects with diameter >= B - tol, and otherwise certifies at budget,
+    recording the maximal observed diameter.  A budgeted certificate is
+    evidence, not proof: the statement quantifies over all balls and the
+    budget checks finitely many.
     """
     if B <= 0:
         raise InputError("B must be > 0")
+    # disjoint balls project to one point on a tree (Bridson-Haefliger II.2.4)
+    if space.kind == "tree" and B > space.tol:
+        return ContractionCertificate((seg.start, seg.end), B, EXACT, 0.0, 0)
     budget = budget or CertBudget()
     centers, dists = _candidate_centers(space, seg, budget, B)
     owner, radii = _ball_family(dists)
-    bound = B - space.tol
-    if space.kind == "tree":
-        letters, lens = centers[0][owner], centers[1][owner]
-        diameters = space.vertex_ball_diameters(seg, (letters, lens), radii)
-        first = np.flatnonzero(diameters >= bound)[:1].tolist()
-        checked = first[0] + 1 if first else len(diameters)
-        max_diam = float(diameters[:checked].max(initial=0.0))
-        witness = None
-        if first:
-            (word,) = W.unpack((letters[first], lens[first]))
-            witness = BallWitness(tree_point(word), float(radii[first[0]]),
-                                  float(diameters[first[0]]), budget.ball_samples)
-        return ContractionCertificate((seg.start, seg.end), B,
-                                      REFUTED if first else CERTIFIED,
-                                      max_diam, checked, witness)
     balls = [(centers[i], r) for i, r in zip(owner.tolist(), radii.tolist())]
     max_diam = 0.0
     checked = 0
@@ -349,7 +332,7 @@ def certify_contracting(space, seg, B: float, budget: CertBudget | None = None
             seg, balls, budget.ball_samples)):
         checked += 1
         max_diam = max(max_diam, diam)
-        if diam >= bound:
+        if diam >= B - space.tol:
             witness = BallWitness(center, radius, diam, budget.ball_samples)
             return ContractionCertificate(
                 (seg.start, seg.end), B, REFUTED, max_diam, checked, witness)

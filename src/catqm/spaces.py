@@ -5,32 +5,32 @@ Every space exposes the same small surface: ``distance``, ``geodesic``,
 ``project``, deterministic ``ball_points`` sampling, ``ball_parameters``
 (the projection parameters of those ball points on a segment),
 ``ball_diameters`` (the spread of those parameters for each ball of a
-list, in order), and JSON round-tripping of points.  Segments are
-arclength-parametrized; ``point_at(0)`` is the start, ``point_at(length)``
-the end, and parameter differences equal distances (exactly on the tree and
-Euclidean space, within tolerance on the half-plane).
+list, in order, ball by ball), and JSON round-tripping of points.
+Segments are arclength-parametrized; ``point_at(0)`` is the start,
+``point_at(length)`` the end, and parameter differences equal distances
+(exactly on the tree and Euclidean space, within tolerance on the
+half-plane).
 
-Projections are closed forms on the tree (Gromov products, ``words.gromov_foot``
-and ``words.gromov_gap``), the half-plane and Euclidean space (a clamped dot
-product), and ``ball_parameters`` evaluates the same formulas as numpy over
-the whole sampled ball.  Each tree rule has one owner: ``_route`` (the exit
-options that join two points), ``_along`` (the walk of ``point_at``),
-``_ball_exits`` (the word balls of a metric ball) and ``_word_ball_radius``
-(their radius, for floats and arrays alike).  The tree's certificate work
-runs on packed word arrays (``words.pack``) from start to end:
+Projections are closed forms on the tree (Gromov products,
+``words.gromov_foot`` and ``words.gromov_gap``), the half-plane and
+Euclidean space (a clamped dot product).  Half-plane and Euclidean
+``ball_parameters`` evaluate the same formulas as numpy over the whole
+sampled ball; the tree and products project their ball points one at a
+time (``_sampled_ball_parameters``).  A tree ball that misses a segment
+projects onto it as one point, so a tree contraction certificate measures
+a shadow only at B <= tol.  Each tree rule has one owner: ``_route`` (the
+exit options that join two points), ``_along`` (the walk of ``point_at``)
+and ``_ball_exits`` (the word balls of a metric ball).  The tree's bulk
+work runs on packed word arrays (``words.pack``):
 ``TreeSpace.packed_vertices_within`` lists the vertices near a list of
-points (the certificate's candidate centers, and the expressway starts of
-``expressway._tree_candidates``), ``vertex_projections`` projects packed
-vertices onto one segment, and ``vertex_ball_diameters`` measures the
-balls about packed vertex centers, in numpy passes over ``_ball_shadows``.
-``ball_diameters`` feeds a list of (center, radius) through the same
-shadows.  The other spaces go ball by ball, so a caller that stops at a
-refuting ball skips the rest.  With ``vertex_projections`` the exhaustive
-tree axioms decide ``check_ft`` from the same two ends that ``check_ft``
-reads.  Euclidean ``segment_distance`` is closed form too.  Golden-section
-search is kept where no closed form is used: projections and ball shadows
-on products, and the one-dimensional minimization over closed-form
-projections in half-plane ``segment_distance``.
+points (the expressway starts of ``expressway._tree_candidates``, and the
+vertices of ``ball_points``), and ``vertex_projections`` projects packed
+vertices onto one segment; with it the exhaustive tree axioms decide
+``check_ft`` from the same two ends that ``check_ft`` reads.  Euclidean
+``segment_distance`` is closed form too.  Golden-section search is kept
+where no closed form is used: projections on products, and the
+one-dimensional minimization over closed-form projections in half-plane
+``segment_distance``.
 
 A half-plane segment, vertical line or arc alike, is one Möbius normal
 form: the isometry T(z) = (z - p) / (1 - k z) that sends its geodesic to the
@@ -111,7 +111,8 @@ class ProjectionResult:
 def _sampled_ball_parameters(space, center, radius: float, seg,
                              samples: int = 64) -> np.ndarray:
     """Projection parameters of the sampled ball, one ``project`` per point:
-    the ``ball_parameters`` of products, which have no closed form."""
+    the ``ball_parameters`` of products, which have no closed form, and of
+    the tree, whose certificates need none."""
     return np.array([space.project(p, seg).parameter
                      for p in space.ball_points(center, radius, samples)])
 
@@ -120,7 +121,7 @@ def _ball_diameters_lazily(space, seg, balls, samples: int = 64):
     """max − min of ``ball_parameters`` for each (center, radius) in
     ``balls``, in order, one ball per step: a caller that stops at an early
     refutation leaves the later balls unevaluated.  The ``ball_diameters``
-    of every space but the tree."""
+    of every space."""
     for center, radius in balls:
         params = space.ball_parameters(center, radius, seg, samples)
         yield float(params.max() - params.min())
@@ -177,12 +178,6 @@ def vertex(word_or_str) -> TreePoint:
     return tree_point(W.as_word(word_or_str))
 
 
-# Entries (ball vertex, entry, segment exit) per batch of the tree's
-# ball-shadow arrays: large enough that the numpy calls amortize, small
-# enough (32 kB of float64) that a whole certificate's balls, and the
-# w⁻¹e rows formed batch by batch, leave the process's peak memory where the
-# per-ball route had it.
-_SHADOW_CHUNK = 1 << 12
 _SNAP = 1e-12   # segment parameters this close to a vertex land on it
 
 
@@ -205,30 +200,12 @@ def _route(a: TreePoint, b: TreePoint) -> tuple[float, Word, float, Word, float]
     return best
 
 
-def _word_ball_radius(radius, cost):
-    """⌊radius − cost⌋, for floats and arrays alike: the radius of the word
-    ball that a metric ball of the given radius reaches through an exit of
-    that cost (the 1e-9 keeps a vertex at distance exactly the radius)."""
-    return np.floor(radius - cost + 1e-9)
-
-
 def _ball_exits(p: TreePoint, radius: float) -> list[tuple[Word, int]]:
-    """(w, rem) for each exit option (w, c) of p with rem =
-    ``_word_ball_radius(radius, c)`` ≥ 0: the vertices within radius of p
-    are the w·u, u in ``W.ball(rank, rem)``."""
+    """(w, rem) for each exit option (w, c) of p with rem = ⌊radius − c⌋ ≥ 0
+    (the 1e-9 keeps a vertex at distance exactly the radius): the vertices
+    within radius of p are the w·u, u in ``W.ball(rank, rem)``."""
     return [(w, rem) for w, cost in _exit_options(p)
-            if (rem := int(_word_ball_radius(radius, cost))) >= 0]
-
-
-def _shadow_spread(shadows, n: int) -> np.ndarray:
-    """max − min per ball, for balls 0..n−1, of the ``(owners, t)``
-    batches of ``TreeSpace._ball_shadows``."""
-    lo = np.full(n, np.inf)
-    hi = np.full(n, -np.inf)
-    for owners, t in shadows:
-        np.minimum.at(lo, owners, t.min(axis=0))
-        np.maximum.at(hi, owners, t.max(axis=0))
-    return hi - lo
+            if (rem := math.floor(radius - cost + 1e-9)) >= 0]
 
 
 def _along(v: Word, w: Word, r: float) -> TreePoint:
@@ -430,91 +407,10 @@ class TreeSpace:
         pts = self.vertices_within(center, radius)
         return pts if center.is_vertex else [center] + pts
 
-    def _ball_shadows(self, seg: TreeSegment, owner: np.ndarray,
-                      exits: tuple[np.ndarray, np.ndarray], rem: np.ndarray):
-        """Projection parameters of the vertices of balls, in numpy passes
-        of about ``_SHADOW_CHUNK`` entries.
-
-        Entry j of ``owner``, the packed words ``exits`` and ``rem`` is one
-        ``_ball_exits`` entry (w, rem) of ball ``owner[j]``, whose vertices
-        are then the w·u, u in ``W.ball(rank, rem)``.  Yields ``(owners,
-        t)``: column i of ``t`` holds the parameters of one entry's
-        vertices, and ``owners[i]`` is its ball.  Left multiplication is an
-        isometry, so w·u is at distance d(u, w⁻¹e) + c_e from the segment
-        end through its exit option (e, c_e); the w⁻¹e of a batch's
-        entries come from ``packed_inverses`` and one ``packed_products``
-        pass, so no array outlives its batch.  All entries of one rem share
-        the prefix ``W.ball(rank, rem)`` of the largest word ball, which
-        keeps its radius cap.  The arithmetic follows ``distance`` and
-        ``project`` operation by operation, so the values agree bit for
-        bit.
-        """
-        start_exits = _exit_options(seg.start)
-        seg_exits = start_exits + _exit_options(seg.end)
-        k = len(seg_exits)
-        costs = np.array([c for _, c in seg_exits])
-        targets = pack([e for e, _ in seg_exits])
-        inv = W.packed_inverses(exits)
-        ball = pack(W.ball(self.rank, int(rem.max(initial=0))))
-        for r in sorted(set(rem.tolist())):
-            n = int(np.searchsorted(ball[1], r, side="right"))
-            words = ball[0][:n, :max(r, 1)], ball[1][:n]
-            members = np.flatnonzero(rem == r)
-            step = max(1, _SHADOW_CHUNK // (n * k))
-            for lo in range(0, len(members), step):
-                part = members[lo:lo + step]
-                # row i k + j: w⁻¹e_j for the entry part[i]
-                ends = W.packed_products(
-                    (np.repeat(inv[0][part], k, axis=0), np.repeat(inv[1][part], k)),
-                    (np.tile(targets[0], (len(part), 1)), np.tile(targets[1], len(part))))
-                # entry (u, i, j): distance from the vertex w·u of entry
-                # part[i] to a segment end through seg_exits[j]
-                d = packed_distances(words, ends).reshape(n, len(part), k) + costs
-                da = d[:, :, :len(start_exits)].min(axis=2)
-                db = d[:, :, len(start_exits):].min(axis=2)
-                yield owner[part], W.gromov_foot(da, db, seg.length)
-
-    def _listed_shadows(self, seg: TreeSegment, balls):
-        """``_ball_shadows`` of a list of (center, radius), with the entries
-        of ``_ball_exits``, then one row with the parameters of the
-        edge-point centers themselves.  A vertex reached through both exit
-        options of an edge-point center appears twice, which leaves max −
-        min unchanged."""
-        entries = [(i, w, rem) for i, (center, radius) in enumerate(balls)
-                   for w, rem in _ball_exits(center, radius)]
-        if entries:
-            owner, ws, rem = zip(*entries)
-            yield from self._ball_shadows(seg, np.array(owner), pack(list(ws)),
-                                          np.array(rem))
-        centers = [i for i, (c, _) in enumerate(balls) if not c.is_vertex]
-        if centers:
-            yield np.array(centers), np.array([[self.project(balls[i][0], seg).parameter
-                                                for i in centers]])
-
-    def ball_parameters(self, center: TreePoint, radius: float,
-                        seg: TreeSegment, samples: int = 0) -> np.ndarray:
-        """``project(p, seg).parameter`` for every p in ``ball_points``
-        (vertices reached through both exit options of an edge-point
-        center twice): the one-ball case of ``_listed_shadows``."""
-        return np.concatenate([t.ravel() for _, t in
-                               self._listed_shadows(seg, [(center, radius)])])
-
-    def ball_diameters(self, seg: TreeSegment, balls, samples: int = 0) -> list[float]:
-        """max − min of ``ball_parameters`` for each (center, radius) in
-        ``balls``, in order, from one ``_listed_shadows`` pass over all of
-        them."""
-        return _shadow_spread(self._listed_shadows(seg, balls), len(balls)).tolist()
-
-    def vertex_ball_diameters(self, seg: TreeSegment,
-                              centers: tuple[np.ndarray, np.ndarray],
-                              radii: np.ndarray) -> np.ndarray:
-        """``ball_diameters`` of the balls about the vertices of the packed
-        array ``centers`` with the radii ``radii``, one ball per row, as an
-        array.  A vertex has the one exit option (itself, cost 0), so each
-        ball, of radius at least 0, is one ``_ball_shadows`` entry."""
-        rem = _word_ball_radius(radii, 0.0).astype(np.int64)
-        return _shadow_spread(self._ball_shadows(seg, np.arange(len(rem)), centers, rem),
-                              len(rem))
+    # a ball that misses a segment projects to one point: certificates
+    # measure these shadows only at B <= tol, and replay their witnesses
+    ball_parameters = _sampled_ball_parameters
+    ball_diameters = _ball_diameters_lazily
 
     def pairwise_distances(self, points: list[TreePoint]) -> np.ndarray:
         if all(p.is_vertex for p in points):

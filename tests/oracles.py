@@ -5,10 +5,11 @@ modified-length oracle runs plain Dijkstra over actual tree vertices with
 unit tree edges plus one directed shortcut edge per translate inside the
 search region, and the projection oracle is brute-force minimization over
 enumerated candidates.  The per-ball certificate loop
-``certify_contracting_per_ball`` is the reference for the batched ball
-diameters, with its own tree centers (``tree_vertices_within``,
-``tree_candidate_centers``), ``tree_candidates_per_translate`` for the
-batched tree expressway candidates, and the exhaustive tree families
+``certify_contracting_per_ball`` is the reference for the lazy off-tree
+certificate; ``tree_vertices_within`` lists a tree ball one ``multiply``
+per word for the test of the tree's contraction theorem;
+``tree_candidates_per_translate`` is the reference for the batched tree
+expressway candidates; and the exhaustive tree families
 (``dd_triples_tree_exhaustive``, ``ft_quads_tree_exhaustive``,
 ``tree_triples_exhaustive``, ``tree_dichotomy_configs``,
 ``tree_variation_configs``) feed the per-configuration checkers, the
@@ -17,6 +18,10 @@ tallies.  ``check_ft_per_sample``, ``sampled_hausdorff_per_sample`` and
 ``witness_confinement_per_sample`` walk every segment where the package
 reads its two ends, and ``conjugacy_rotation_oracle`` matches cyclic cores
 by rotation where the package compares conjugacy keys.
+``extension_defect_oracle`` forms the product of every pair of the
+extension ball, with no symmetry and no class cache, and evaluates the
+distinct products in one ``phi.packed`` pass; the packed chain itself is
+pinned to the scalar one by its own test.
 ``sigma_invariance_oracle`` lists the invariance witnesses word by word,
 the reference for their order.  ``floyd_warshall`` is the all-pairs
 reference for the candidate graph's dense Dijkstra.  Three helpers only
@@ -32,8 +37,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from catqm import words as W
-from catqm.algebra import GElement
 from catqm.contraction import (
     CERTIFIED,
     MIN_GAP,
@@ -170,30 +176,15 @@ def tree_vertices_within(space, p, radius: float) -> list:
     return [tree_point(w) for w in sorted(out, key=lambda w: (len(w), w))]
 
 
-def tree_candidate_centers(space, seg, budget) -> list:
-    """The certificate's tree centers, one dict over the anchors: the
-    vertices within ``center_radius`` of each anchor along the segment, each
-    vertex at its first occurrence."""
-    anchors = [seg.point_at(s) for s in
-               _arclength_samples(seg.length, max(seg.length / 4.0, 1.0))]
-    return list({v.anchor: v for a in anchors
-                 for v in tree_vertices_within(space, a, budget.center_radius)}.values())
-
-
 def certify_contracting_per_ball(space, seg, B: float, budget=None
                                  ) -> ContractionCertificate:
-    """``certify_contracting`` one ball at a time: each ball's diameter from
-    its own ``projection_diameter_under_ball`` call, the loop stopping at
-    the first refuting ball.  Tree centers come from
-    ``tree_candidate_centers``."""
+    """The off-tree ``certify_contracting`` one ball at a time: each ball's
+    diameter from its own ``projection_diameter_under_ball`` call, the loop
+    stopping at the first refuting ball."""
     budget = budget or CertBudget()
     max_diam = 0.0
     checked = 0
-    if space.kind == "tree":
-        centers = tree_candidate_centers(space, seg, budget)
-    else:
-        centers = _candidate_centers(space, seg, budget, B)[0]
-    for center in centers:
+    for center in _candidate_centers(space, seg, budget, B)[0]:
         d = space.project(center, seg).distance
         if d <= MIN_GAP:
             continue
@@ -538,27 +529,23 @@ def transfer_average_oracle(perms: list, f, g: tuple) -> float:
 
 def extension_defect_oracle(ext, phi, radius: int) -> float:
     """Defect of phi over every pair of the extension ball, each product
-    evaluated once per element (no symmetry, no class cache)."""
+    formed by its own ``multiply`` (no symmetry, no class cache); the ball
+    and the distinct products are evaluated in one ``phi.packed`` pass."""
     elements = ext.ball(radius)
     words_ = [g.word for g in elements]
     sigmas = [g.sigma for g in elements]
-    vals = [phi(g) for g in elements]
-    cache = {(w, s): v for w, s, v in zip(words_, sigmas, vals)}
+    keys = {}    # distinct (word, sigma) -> its row in the packed pass
+    own = [keys.setdefault((g.word, g.sigma), len(keys)) for g in elements]
     views = [[ext.apply_auto(s, w) for w in words_] for s in range(ext.N)]
-    worst = 0.0
-    n = len(elements)
-    for i in range(n):
-        gw, gs, vg = words_[i], sigmas[i], vals[i]
+    products = []
+    for gw, gs in zip(words_, sigmas):
         view = views[gs]
         mulrow = ext._mul[gs]
-        for j in range(n):
-            key = (multiply(gw, view[j]), mulrow[sigmas[j]])
-            vp = cache.get(key)
-            if vp is None:
-                vp = phi(GElement(*key))
-                cache[key] = vp
-            worst = max(worst, abs(vp - vg - vals[j]))
-    return worst
+        products.append([keys.setdefault((multiply(gw, view[j]), mulrow[sigmas[j]]),
+                                         len(keys)) for j in range(len(elements))])
+    values = phi.packed(W.pack([w for w, _ in keys]), np.array([s for _, s in keys]))
+    vals = values[own]
+    return float(np.abs(values[products] - vals[:, None] - vals[None, :]).max(initial=0.0))
 
 
 def sigma_invariance_oracle(ext, phi, radius: int, tolerance: float) -> list[dict]:

@@ -6,10 +6,12 @@ import pytest
 from catqm import words as W
 from catqm.contraction import (
     CERTIFIED,
+    EXACT,
     REFUTED,
     CertBudget,
     _candidate_centers,
     ConstantLedger,
+    ContractionCertificate,
     certify_contracting,
     check_dichotomy,
     check_reverse_triangle,
@@ -39,13 +41,14 @@ from catqm.spaces import EuclideanSpace, HalfPlaneSpace, TreeSpace, tree_point, 
 from oracles import (
     certify_contracting_per_ball,
     contraction_scale,
-    tree_candidate_centers,
     tree_dichotomy_configs,
     tree_triples_exhaustive,
     tree_variation_configs,
+    tree_vertices_within,
 )
 
 TREE = TreeSpace(2)
+TREE3 = TreeSpace(3)
 HP = HalfPlaneSpace()
 EU = EuclideanSpace(2)
 
@@ -142,8 +145,8 @@ def test_tree_balls_project_to_points():
             assert diam == 0.0
 
 
-def _random_tree_point(rng, max_len, edge):
-    letters = (1, -1, 2, -2)
+def _random_tree_point(rng, max_len, edge, rank=2):
+    letters = tuple(x for k in range(1, rank + 1) for x in (k, -k))
     n, w = rng.randint(0, max_len), []
     while len(w) < n:
         x = rng.choice(letters)
@@ -155,30 +158,31 @@ def _random_tree_point(rng, max_len, edge):
     return tree_point(tuple(w), x, rng.choice([0.5, 0.25, 1.0 / 3.0, rng.random()]))
 
 
-def _per_point_diameter(space, seg, center, radius):
-    params = [space.project(p, seg).parameter for p in space.ball_points(center, radius)]
-    return max(params) - min(params)
-
-
-def test_tree_batched_shadow_matches_per_point_projections():
+def test_tree_balls_missing_a_segment_project_to_the_foot_of_the_center():
+    # the certificate's theorem: if a ball misses a convex subtree, two of
+    # its points with different projections would be at least the center's
+    # distance apart, so the whole ball projects onto the foot of the center
     rng = random.Random(20260)
-    cases = 0
-    for _ in range(400):
-        edges = [rng.random() < 0.5 for _ in range(3)]
-        seg = TREE.geodesic(_random_tree_point(rng, 5, edges[0]),
-                            _random_tree_point(rng, 5, edges[1]))
-        center = _random_tree_point(rng, 7, edges[2])
-        d = TREE.project(center, seg).distance
-        for radius in (d - 1.0, d / 2.0, 0.9 * d):
-            if radius <= 0.0:
-                continue
-            diam = projection_diameter_under_ball(TREE, seg, center, radius)
-            assert diam == _per_point_diameter(TREE, seg, center, radius)
-            if not any(edges):
-                # a ball disjoint from a tree segment projects to one point
-                assert diam == 0.0
-            cases += 1
-    assert cases > 800
+    for space, center_len in ((TREE, 5), (TREE3, 3)):
+        cases = 0
+        while cases < 400:
+            edges = [rng.random() < 0.5 for _ in range(3)]
+            seg = space.geodesic(_random_tree_point(rng, 4, edges[0], space.rank),
+                                 _random_tree_point(rng, 4, edges[1], space.rank))
+            center = _random_tree_point(rng, center_len, edges[2], space.rank)
+            foot = space.project(center, seg)
+            for radius in (foot.distance - 1.0, foot.distance / 2.0,
+                           0.999 * foot.distance):
+                ball = tree_vertices_within(space, center, radius)
+                if radius <= 0.0 or not ball:
+                    continue
+                params = [space.project(p, seg).parameter for p in ball]
+                if any(edges):
+                    # edge-point offsets round (by up to 8.9e-16 here)
+                    assert max(abs(t - foot.parameter) for t in params) <= 1e-12
+                else:
+                    assert params == [foot.parameter] * len(ball)
+                cases += 1
 
 
 def test_tree_shadow_keeps_the_ball_radius_cap():
@@ -202,9 +206,9 @@ def test_disjointness_required():
 def test_tree_segment_certified():
     cert = certify_contracting(TREE, TREE.geodesic(vertex(""), vertex("aab")),
                                1.0, CertBudget(center_radius=5))
-    assert cert.status == CERTIFIED
+    assert cert.status == EXACT
     assert cert.max_diameter == 0.0
-    assert cert.balls_checked > 100
+    assert cert.balls_checked == 0
 
 
 def test_euclidean_segment_refuted_with_replayable_witness():
@@ -219,42 +223,6 @@ def test_euclidean_segment_refuted_with_replayable_witness():
     assert w.diameter == pytest.approx(2 * (d_center - 1.0), rel=0.05)
 
 
-def _stability_segments():
-    """The 25 endpoint perturbations of [e, a^5] that the tree lemma suite
-    certifies, as geodesics."""
-    far = W.from_string("aaaaa")
-    return [TREE.geodesic(tree_point(u), tree_point(W.multiply(far, v)))
-            for u in W.ball(2, 1) for v in W.ball(2, 1)]
-
-
-def test_batched_certificates_equal_the_per_ball_loop():
-    budget = CertBudget(center_radius=4.0, ball_samples=64)
-    target = phi_stability(1.0, 1.0, 2.0)
-    for seg in _stability_segments():
-        assert (certify_contracting(TREE, seg, target, budget)
-                == certify_contracting_per_ball(TREE, seg, target, budget))
-    # refuting scales: same balls_checked, max_diameter and witness
-    seg = TREE.geodesic(vertex(""), vertex("aab"))
-    for B in (1.0, 0.5, 1e-9):
-        cert = certify_contracting(TREE, seg, B, budget)
-        assert cert == certify_contracting_per_ball(TREE, seg, B, budget)
-    assert cert.refuted and cert.balls_checked == 1
-
-
-def test_batched_certificates_with_edge_point_ends():
-    rng = random.Random(20261)
-    budget = CertBudget(center_radius=3.0)
-    statuses = set()
-    for _ in range(12):
-        seg = TREE.geodesic(_random_tree_point(rng, 4, True),
-                            _random_tree_point(rng, 4, True))
-        for B in (1e-9, 0.5, 1.0, 2.0):
-            cert = certify_contracting(TREE, seg, B, budget)
-            assert cert == certify_contracting_per_ball(TREE, seg, B, budget)
-            statuses.add(cert.status)
-    assert statuses == {CERTIFIED, REFUTED}
-
-
 def _ball_count(space, seg, budget, B):
     """Balls in a certificate's family: radius d - 1 for each center at
     distance d > 1, and radius d / 2 as well when d > 2."""
@@ -262,25 +230,6 @@ def _ball_count(space, seg, budget, B):
     ds = [space.project(c, seg).distance for c in centers]
     return sum((d > 1.0) + (d > 2.0) for d in ds)
 
-
-def test_tree_ball_diameters_batch_equals_one_ball_calls():
-    rng = random.Random(20262)
-    for _ in range(60):
-        seg = TREE.geodesic(_random_tree_point(rng, 4, rng.random() < 0.5),
-                            _random_tree_point(rng, 4, rng.random() < 0.5))
-        balls = []
-        for _ in range(8):
-            center = _random_tree_point(rng, 6, rng.random() < 0.5)
-            d = TREE.project(center, seg).distance
-            if d > 0.0:
-                balls += [(center, r) for r in (d - 1.0, d / 2.0, 0.9 * d) if r > 0.0]
-        assert TREE.ball_diameters(seg, balls) == [
-            projection_diameter_under_ball(TREE, seg, c, r) for c, r in balls]
-        assert TREE.ball_diameters(seg, balls) == [
-            _per_point_diameter(TREE, seg, c, r) for c, r in balls]
-
-
-TREE3 = TreeSpace(3)
 
 # (space, segment, center_radius): a rank-3 tree, a fractional center
 # radius, words past code_capacity(2) = 27 letters, and edge-point ends
@@ -294,33 +243,21 @@ TREE_CERT_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(TREE_CERT_CASES))
-def test_tree_centers_keep_the_per_anchor_order(case):
+def test_tree_certificates_at_the_tolerance_edge(case):
     space, seg, radius = TREE_CERT_CASES[case]
     budget = CertBudget(center_radius=radius)
-    centers, dists = _candidate_centers(space, seg, budget, 1.0)
-    expected = tree_candidate_centers(space, seg, budget)
-    assert [tree_point(w) for w in W.unpack(centers)] == expected
-    assert dists.tolist() == [space.project(c, seg).distance for c in expected]
-
-
-@pytest.mark.parametrize("case", sorted(TREE_CERT_CASES))
-def test_packed_tree_certificates_equal_the_per_ball_loop(case):
-    space, seg, radius = TREE_CERT_CASES[case]
-    budget = CertBudget(center_radius=radius)
-    statuses = set()
-    # tol + 1e-16 refutes past the first ball where the edge-point ends
-    # round a shadow to 2.2e-16
+    # B = tol + 1e-16 on "edge-ends" was refuted by a 2.2e-16 rounding
+    # shadow of a diameter that is exactly 0; it is exact now
     for B in (1e-9, space.tol + 1e-16, 0.5, 1.0, 3.0):
         cert = certify_contracting(space, seg, B, budget)
-        assert cert == certify_contracting_per_ball(space, seg, B, budget)
-        statuses.add(cert.status)
-        if cert.refuted:
-            # the witness replays to its stored diameter
-            w = cert.witness
-            assert projection_diameter_under_ball(
-                space, seg, w.center, w.radius, w.samples) == w.diameter
-    assert statuses == {CERTIFIED, REFUTED}
-    assert certify_contracting(space, seg, 1e-9, budget).balls_checked == 1
+        if B > space.tol:
+            assert cert == ContractionCertificate((seg.start, seg.end), B, EXACT, 0.0, 0)
+            continue
+        # at B <= tol the first ball of the family refutes, and replays
+        assert cert.refuted and cert.balls_checked == 1 and cert.max_diameter == 0.0
+        w = cert.witness
+        assert projection_diameter_under_ball(
+            space, seg, w.center, w.radius, w.samples) == w.diameter == 0.0
 
 
 def test_off_tree_certificates_stop_at_the_refuting_ball(monkeypatch):

@@ -1,5 +1,6 @@
 """Every name a catqm module or test file imports is used in that file,
-and loading the command line pulls in no heavy dependency."""
+every private helper of a catqm module is used by the package itself, and
+loading the command line pulls in no heavy dependency."""
 
 import ast
 import os
@@ -34,6 +35,46 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert unused == {}, f"{path.name} imports names it never uses: {unused}"
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Single-underscore names a module defines at its top level or directly
+    in a class body: functions, classes and simple assignments."""
+    out = set()
+    scopes = [tree.body] + [node.body for node in tree.body
+                            if isinstance(node, ast.ClassDef)]
+    for body in scopes:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in out if name.startswith("_") and not name.startswith("__")}
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module reads, as a name, an attribute or an imported name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a helper that only tests reach is dead weight in the package
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set().union(*map(referenced_names, trees.values()))
+    defined = {(name, module) for module, tree in trees.items()
+               for name in private_definitions(tree)}
+    assert len(defined) > 50
+    assert sorted(d for d in defined if d[0] not in used) == []
 
 
 def _loaded(probe: str, package: str) -> str:

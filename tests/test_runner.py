@@ -200,8 +200,8 @@ def test_qm_reports_a_modified_length_above_the_distance(monkeypatch):
 # sha256 prefixes of the shipped bodies of every (config, subcommand) cell;
 # speed-ups and refactors must not move them
 BODY_DIGESTS = {
-    "tree_aab": {"axioms": "c227c14c269809f4", "contract": "e8af83aa53021702",
-                 "qm": "6978f45da72f9453", "rank1": "54180b09add20ca7",
+    "tree_aab": {"axioms": "c227c14c269809f4", "contract": "4c1fead6747f3ff3",
+                 "qm": "76b3355fbb018c91", "rank1": "54180b09add20ca7",
                  "schottky": "d96b5a9daa7dd2de", "wpd": "35d3aa2e28f6582a",
                  "equiv": "4839ccbae3faadb0", "algebra": "1453283777f5f657"},
     "half_plane": {"axioms": "fc6e87b9c5f07d45", "contract": "58df55816eb66236",

@@ -181,8 +181,7 @@ def test_tree_point_at_just_past_the_last_chain_vertex():
 
 def test_tree_ball_on_its_floor_boundary():
     # radius = k + cost puts the vertices at distance exactly the radius on
-    # the floor ⌊radius − cost⌋ = k; the per-point ball and the batched
-    # shadows must both keep them
+    # the floor ⌊radius − cost⌋ = k; the ball and its shadow must keep them
     rng = random.Random(2612)
     for _ in range(40):
         center = _seeded_tree_point(rng, rng.choice([0.3, 0.7, rng.random()]))
@@ -196,7 +195,7 @@ def test_tree_ball_on_its_floor_boundary():
                 per_point = {TREE.project(p, seg).parameter
                              for p in TREE.ball_points(center, radius)}
                 assert set(params.tolist()) == per_point
-                assert TREE.ball_diameters(seg, [(center, radius)]) == [
+                assert list(TREE.ball_diameters(seg, [(center, radius)])) == [
                     max(per_point) - min(per_point)]
 
 
