@@ -22,12 +22,16 @@ twisted by the left factor's letter map (a row of
 their int64 codes (``words.packed_codes``) gives the distinct elements.
 When phi claims homogeneity (``Quasimorphism.homogeneous``) it is a class
 function, odd, and phi(g) = phi(g^N)/N with g^N in the base, so the
-defect takes one value on each orbit of (g, h) -> (h, g), (h^-1, g^-1),
-(g^-1, h^-1), and phi is evaluated once per free-group conjugacy class of
-g^N up to inversion (``words.packed_class_codes``): the certificate visits
-one pair per orbit and shares each value, with its sign, over the class.
-Otherwise it visits every pair and evaluates phi once per element.  Either
-way the supremum is the one over the whole grid.
+defect takes one value on each orbit of the order-4N group generated by
+(g, h) -> (h, g), (h^-1, g^-1) and conjugation of both factors by a
+section; the ball is closed under all of these, since conjugation by a
+section maps the generating set onto itself.  phi is evaluated once per
+free-group conjugacy class of g^N up to inversion
+(``words.packed_class_codes``; a base element's class is read off its own
+code): the certificate visits one pair per orbit and shares each value,
+with its sign, over the class.  Otherwise it visits every pair and
+evaluates phi once per element.  Either way the supremum is the one over
+the whole grid.
 
 Every quasimorphism evaluates whole packed word arrays,
 ``Quasimorphism.packed``, and every consumer calls that one route.  The
@@ -66,8 +70,10 @@ class Quasimorphism:
 
     A homogeneous quasimorphism is a class function with phi(g^-1) =
     -phi(g), and on a finite extension of index N it satisfies phi(g) =
-    phi(g^N)/N.  ``extension_defect`` relies on these three identities, and
-    shares one evaluation between elements they relate.
+    phi(g^N)/N.  ``extension_defect`` relies on these three identities: it
+    visits one pair per orbit of the order-4N group they give on pairs
+    (swap, inversion, conjugation by a section), and shares one evaluation
+    between elements they relate.
 
     ``packed(words, sigmas=None)`` evaluates whole rows at once: it takes
     a packed word array ``(letters, lens)`` (``words.pack``) and, for a
@@ -467,25 +473,37 @@ def _chunks(n: int):
 
 def _orbit_representatives(ext: FiniteExtension, elements: list) -> tuple:
     """Index pairs (i, j), one per orbit of the pairs of ``elements`` under
-    (g, h) -> (h, g), (h^-1, g^-1), (g^-1, h^-1): the lexicographically
-    least pair of each orbit, in row-major order.  ``elements`` must be
-    closed under inverses."""
+    the group of order 4N generated by (g, h) -> (h, g), (h^-1, g^-1) and,
+    for each section k, (k g k^-1, k h k^-1): the lexicographically least
+    pair of each orbit, in row-major order.  ``elements`` must be closed
+    under inverses and under conjugation by sections."""
     index = {g: i for i, g in enumerate(elements)}
     inv = np.array([index[ext.inverse(g)] for g in elements])
+    # conjugation by section k: its letter map on the word, k sigma k^-1
+    conj = np.array([[index[GElement(ext.apply_auto(k, g.word),
+                                     ext._mul[ext._mul[k][g.sigma]][ext._inv[k]])]
+                      for g in elements] for k in range(ext.N)])
+    # row m of moved sends each element to its image under the m-th map of
+    # the group <inverse, sections>, which acts on both factors of a pair;
+    # the orbit of (g, h) is every (m(g), m(h)) and (m(h), m(g))
+    moved = np.concatenate([conj, conj[:, inv]])
     n = len(elements)
     j = np.arange(n)
+    # a representative's first element is least in its own orbit under moved
+    rows = np.flatnonzero(moved.min(axis=0) == j)
     first, second = [], []
     # blocks of rows of the grid, so that no n^2 array is held at once
     step = max(1, _PAIR_CHUNK // n)
-    for top in range(0, n, step):
-        i = np.arange(top, min(n, top + step))[:, None]
-        # (i, j) with i <= j already beats (j, i); the other two pairs of its
-        # orbit swap into each other, the lesser of them being (lo, hi)
-        lo = np.minimum(inv[i], inv[j])
-        hi = np.maximum(inv[i], inv[j])
-        rows, cols = np.nonzero((i <= j) & ((i < lo) | ((i == lo) & (j <= hi))))
-        first.append(rows + top)
-        second.append(cols)
+    for top in range(0, len(rows), step):
+        i = rows[top:top + step, None]
+        keep = np.ones((len(i), n), dtype=bool)
+        for m in moved:
+            # (i, j) <= (m(i), m(j)), given m(i) >= i, and (i, j) <= (m(j), m(i))
+            mi, mj = m[i], m[j]
+            keep &= ((mi > i) | (mj >= j)) & ((mj > i) | ((mj == i) & (mi >= j)))
+        r, c = np.nonzero(keep)
+        first.append(i[r, 0])
+        second.append(c)
     return np.concatenate(first), np.concatenate(second)
 
 
@@ -510,9 +528,26 @@ def _packed_powers(ext: FiniteExtension, words, sigmas):
 
 def _power_classes(ext: FiniteExtension, codes, sigmas):
     """``words.packed_class_codes`` of g^N, which lies in the base, for the
-    elements g given by their word codes and sigmas."""
-    power, _ = _packed_powers(ext, W.unpack_codes(codes, ext.rank), sigmas)
-    return W.packed_class_codes(power, ext.rank)
+    elements g given by their word codes and sigmas.
+
+    A base element g = c u c^-1, u cyclically reduced, has g^N = c u^N
+    c^-1.  The least rotation of u^N is r^N, r the least rotation of u, and
+    r^N against the inverse's r'^N compares as r against r', so the key of
+    g^N is g's own key read N times over, with g's sign.  Only the other
+    rows form their powers."""
+    base = sigmas == 0
+    keys, signs = np.empty((2, len(codes)), dtype=np.int64)
+    key, signs[base] = W.packed_class_codes(W.unpack_codes(codes[base], ext.rank),
+                                            ext.rank)
+    shift = np.int64(2 * ext.rank + 1) ** W.code_lengths(key, ext.rank)
+    repeated = key
+    for _ in range(ext.N - 1):
+        repeated = repeated * shift + key
+    keys[base] = repeated
+    off = ~base
+    power, _ = _packed_powers(ext, W.unpack_codes(codes[off], ext.rank), sigmas[off])
+    keys[off], signs[off] = W.packed_class_codes(power, ext.rank)
+    return keys, signs
 
 
 def extension_defect(ext: FiniteExtension, phi: Quasimorphism, radius: int) -> float:
@@ -522,12 +557,16 @@ def extension_defect(ext: FiniteExtension, phi: Quasimorphism, radius: int) -> f
     When ``phi.homogeneous`` is set, phi is a class function on the
     extension, odd (phi(g^-1) = -phi(g)), and phi(g) = phi(g^N)/N, where
     g^N lies in the base for every g.  Then phi(hg) = phi(gh), so the defect
-    D satisfies D(g, h) = D(h, g) = D(h^-1, g^-1) = D(g^-1, h^-1), and the
-    BFS ball is closed under inverses: one pair per orbit of these maps
-    reaches every value of the full grid, and the supremum over the
+    D satisfies D(g, h) = D(h, g) = D(h^-1, g^-1) = D(g^-1, h^-1), and
+    D(k g k^-1, k h k^-1) = D(g, h) for every section k: a group of order
+    4N acting on pairs.  The BFS ball is closed under inverses and under
+    conjugation by sections, which map the generating set (the letters, their
+    inverses and the non-identity sections) onto itself; so one pair per
+    orbit reaches every value of the full grid, and the supremum over the
     representatives is the supremum over the grid.  phi is evaluated once
     per free-group conjugacy class of g^N up to inversion
-    (``words.packed_class_codes``), and the value is shared with its sign.
+    (``words.packed_class_codes``), and the value is shared with its sign;
+    only elements outside the base form their powers (``_power_classes``).
     Without the flag, every pair is visited and phi is evaluated once per
     element.
 

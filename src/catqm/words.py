@@ -12,11 +12,12 @@ distances between whole lists of words are one numpy pass
 off those distances as Gromov products (``gromov_foot``, ``gromov_gap``).
 
 The same rows multiply row by row (``packed_products``), cancelling at the
-junction, and invert row by row (``packed_inverses``); ``unpack`` turns
-rows back into words.  Each row also has an int64 code (``packed_codes``, decoded by
-``unpack_codes``): its letters as digits of a big-endian base-(2 rank + 1)
-number with nonzero digits, so distinct words have distinct codes as long
-as no word is longer than ``code_capacity(rank)`` letters.
+junction; ``unpack`` turns rows back into words.  Each row also has an
+int64 code (``packed_codes``, decoded by ``unpack_codes``): its letters as
+digits of a big-endian base-(2 rank + 1) number with nonzero digits, so
+distinct words have distinct codes as long as no word is longer than
+``code_capacity(rank)`` letters, and a code's digit count is its word's
+length (``code_lengths``).
 ``packed_class_codes`` keys the conjugacy class of each row up to inversion:
 the least rotation code of its cyclic core or of the inverse core, and a
 sign saying which of the two gave it.
@@ -254,20 +255,13 @@ def packed_products(a: tuple[np.ndarray, np.ndarray],
     return out, lens
 
 
-def packed_inverses(packed: tuple[np.ndarray, np.ndarray]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The inverse w^-1 = (-w_n, ..., -w_1) of each packed row w."""
-    letters, lens = packed
-    back = lens[:, None] - 1 - np.arange(letters.shape[1])
-    out = -np.take_along_axis(letters, np.maximum(back, 0), axis=1)
-    out[back < 0] = 0
-    return out, lens
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def code_capacity(rank: int) -> int:
     """The longest word length whose ``packed_codes`` fit in an int64."""
     base, digits = 2 * rank + 1, 0
-    while base ** (digits + 1) <= np.iinfo(np.int64).max:
+    while base ** (digits + 1) <= _INT64_MAX:
         digits += 1
     return digits
 
@@ -307,12 +301,19 @@ def packed_codes(packed: tuple[np.ndarray, np.ndarray], rank: int) -> np.ndarray
     return _code_pair(packed, rank)[0]
 
 
+def code_lengths(codes: np.ndarray, rank: int) -> np.ndarray:
+    """The length of the word of each ``packed_codes`` code: its number of
+    digits."""
+    _, powers = _code_tables(rank)
+    # a code of n digits is at least the repunit 1...1 of n digits
+    return np.searchsorted((powers[1:] - 1) // (2 * rank), codes, side="right")
+
+
 def unpack_codes(codes: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """The packed words of ``packed_codes``."""
     digits, powers = _code_tables(rank)
     base = 2 * rank + 1
-    # a code of n digits is at least the repunit 1...1 of n digits
-    lens = np.searchsorted((powers[1:] - 1) // (base - 1), codes, side="right")
+    lens = code_lengths(codes, rank)
     exponents = lens[:, None] - 1 - np.arange(max(int(lens.max(initial=0)), 1))
     place = codes[:, None] // powers[np.maximum(exponents, 0)] % base
     letter_of = np.zeros(base, dtype=np.int16)

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from catqm.algebra import (
     GElement,
     Quasimorphism,
     _orbit_representatives,
+    _packed_powers,
     _power_classes,
     _twisted_products,
     brooks_qm,
@@ -239,6 +242,8 @@ def test_extension_defect_matches_the_oracle_for_homogeneous_brooks(word):
 
 
 ROTATION = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
+# every permutation of three letters, a non-abelian group of order 6
+SYMMETRIC = sorted(permutations((1, 2, 3)))
 
 
 def _bits(values) -> bytes:
@@ -393,6 +398,14 @@ def test_extension_defect_on_an_index_three_extension():
     assert extension_defect(ext, raw, 2) == extension_defect_oracle(ext, raw, 2)
 
 
+def test_extension_defect_on_a_non_abelian_extension():
+    # every permutation of three letters: conjugating a pair by a section
+    # moves its sigmas too; 2 radius N = 12 of the 22 digits of rank 3
+    ext = FiniteExtension(3, SYMMETRIC)
+    hom = transfer_extend(ext, orbit_average(ext, homogeneous_brooks_qm("ab")))
+    assert extension_defect(ext, hom, 1) == extension_defect_oracle(ext, hom, 1) == 2.0
+
+
 def test_homogeneous_route_evaluates_phi_once_per_class():
     ext = swap_extension()
     phi = transfer_extend(ext, orbit_average(ext, homogeneous_brooks_qm("aab")))
@@ -411,7 +424,7 @@ def test_homogeneous_route_evaluates_phi_once_per_class():
         power = ext.power(g, ext.N).word
         classes.add(frozenset({W.conjugacy_key(power),
                                W.conjugacy_key(W.inverse(power))}))
-    assert len(calls) == len(classes) == 827
+    assert len(calls) == len(classes) == 757
 
 
 def test_extension_defect_refuses_radii_beyond_int64_codes():
@@ -456,21 +469,70 @@ def test_power_classes_key_the_nth_power_up_to_inversion():
                 assert signs[a] == -signs[b]
 
 
-def test_orbit_representatives_cover_each_orbit_once():
-    ext = swap_extension()
-    ball = ext.ball(3)
+def _conjugates(ext, k, ball):
+    """k g k^-1 for each g of the ball, by the extension's group law."""
+    s = ext.section(k)
+    return [ext.multiply(ext.multiply(s, g), ext.inverse(s)) for g in ball]
+
+
+def _check_orbit_representatives(ext, radius):
+    ball = ext.ball(radius)
     index = {g: i for i, g in enumerate(ball)}
     inv = [index[ext.inverse(g)] for g in ball]
+    conj = [[index[c] for c in _conjugates(ext, k, ball)] for k in range(ext.N)]
 
     def orbit(i, j):
-        return {(i, j), (j, i), (inv[j], inv[i]), (inv[i], inv[j])}
+        # (g, h) -> (h, g), (h^-1, g^-1), (g^-1, h^-1), each after
+        # conjugating both by a section
+        return {pair for c in conj for pair in
+                ((c[i], c[j]), (c[j], c[i]), (c[inv[j]], c[inv[i]]),
+                 (c[inv[i]], c[inv[j]]))}
 
     first, second = _orbit_representatives(ext, ball)
     reps = list(zip(first.tolist(), second.tolist()))
+    assert reps == sorted(reps)
     assert all(pair == min(orbit(*pair)) for pair in reps)
     # the orbits of the representatives are disjoint and cover the grid
     covered = [pair for rep in reps for pair in orbit(*rep)]
     assert len(covered) == len(set(covered)) == len(ball) ** 2
+
+
+def test_orbit_representatives_cover_each_orbit_once():
+    for rank, perms, radius in ((2, [(1, 2), (2, 1)], 3), (3, ROTATION, 3),
+                                (3, SYMMETRIC, 2)):
+        _check_orbit_representatives(FiniteExtension(rank, perms), radius)
+
+
+@pytest.mark.parametrize("rank, perms", [
+    (2, [(1, 2), (2, 1)]),
+    (3, ROTATION),
+    (3, SYMMETRIC),
+])
+def test_balls_are_closed_under_conjugation_by_sections(rank, perms):
+    # conjugation by a section maps the generating set onto itself, so it
+    # keeps word length; on the non-abelian group it also moves sigma
+    ext = FiniteExtension(rank, perms)
+    for radius in range(4):
+        ball = set(ext.ball(radius))
+        for k in range(ext.N):
+            assert set(_conjugates(ext, k, ball)) == ball
+
+
+def test_power_classes_of_base_rows_match_the_nth_power_route():
+    # on the index-3 rotation, a base row's key is its own key read three
+    # times over; the g^N route forms g^3 and keys that
+    ext = FiniteExtension(3, ROTATION)
+    ball = ext.ball(3)
+    packed = W.pack([g.word for g in ball])
+    sigmas = np.array([g.sigma for g in ball])
+    keys, signs = _power_classes(ext, W.packed_codes(packed, ext.rank), sigmas)
+    power, power_sigmas = _packed_powers(ext, packed, sigmas)
+    assert not power_sigmas.any()
+    want_keys, want_signs = W.packed_class_codes(power, ext.rank)
+    base = sigmas == 0
+    assert base.any() and (~base).any() and (signs[base] < 0).any()
+    assert keys.tolist() == want_keys.tolist()
+    assert signs.tolist() == want_signs.tolist()
 
 
 def test_extension_rejects_letters_beyond_rank():

@@ -86,15 +86,6 @@ def test_packed_products_match_multiply_on_all_pairs_of_a_ball():
     assert not letters[np.arange(letters.shape[1]) >= lens[:, None]].any()
 
 
-def test_packed_inverses_match_inverse_and_unpack():
-    ws = W.ball(3, 3) + [W.from_string("ab" * 20)]
-    packed = W.pack(ws)
-    assert W.unpack(packed) == _rows(packed) == ws
-    letters, lens = inverses = W.packed_inverses(packed)
-    assert W.unpack(inverses) == [W.inverse(w) for w in ws]
-    assert not letters[np.arange(letters.shape[1]) >= lens[:, None]].any()
-
-
 @pytest.mark.parametrize("rank, radius", [(1, 6), (2, 5), (3, 3)])
 def test_packed_codes_are_injective_and_unpack(rank, radius):
     ball = W.ball(rank, radius)
@@ -102,6 +93,8 @@ def test_packed_codes_are_injective_and_unpack(rank, radius):
     assert len(set(codes.tolist())) == len(ball)
     assert codes[0] == 0                     # the identity
     assert _rows(W.unpack_codes(codes, rank)) == ball
+    assert W.unpack(W.unpack_codes(codes, rank)) == ball
+    assert W.code_lengths(codes, rank).tolist() == list(map(len, ball))
 
 
 def test_packed_codes_refuse_words_beyond_int64():
