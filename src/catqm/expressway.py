@@ -85,6 +85,7 @@ class ExpresswaySystem:
         # enforced
         self.meets_length_hypothesis = self.L > self.ledger.D
         self._ball_translates: list[Translate] | None = None
+        self._ball_ends: list = []
         # exact tree models: the letter sequence of sigma read from the
         # basepoint, and the strings of it and its inverse that phi counts
         self.sigma_edge_word: Word | None = None
@@ -123,9 +124,10 @@ def enumerate_relevant_expressways(sys: ExpresswaySystem, a, b) -> list[Translat
     one segment length of slack); the configured margin caps it at desk
     scale.  Tree models enumerate the neighborhood of the geodesic directly,
     which makes the candidate set exactly equivariant; other models filter a
-    group ball, so equivariance there is only approximate near the ball
-    boundary.  Exceeding the candidate cap raises a budget error carrying
-    the truncated list.
+    group ball with one projection pass per query (``space.projections``
+    over the ends of every ball translate), so equivariance there is only
+    approximate near the ball boundary.  Exceeding the candidate cap raises
+    a budget error carrying the truncated list.
     """
     margin = min(sys.margin, sys.ledger.D + sys.L)
     seg = sys.space.geodesic(a, b)
@@ -161,17 +163,24 @@ def _tree_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translat
 
 
 def _ball_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translate]:
+    """The translates of sigma by the group ball whose two ends lie within
+    the margin of ``seg``, in ball order: one ``projections`` pass per query
+    over the starts and then the ends of every translate."""
     space = sys.space
     if sys._ball_translates is None:
-        # the translates of sigma by the group ball, built once per system
+        # the translates of sigma by the group ball and their ends, built
+        # once per system
         sys._ball_translates = [
             Translate(iso.word, act(space, iso, sys.basepoint),
                       act(space, sys.group.multiply(iso, sys._sigma_iso), sys.basepoint))
             for iso in sys.group.ball(sys.enum_radius)]
+        sys._ball_ends = ([t.start for t in sys._ball_translates]
+                          + [t.end for t in sys._ball_translates])
     reach = margin + space.tol
-    return [t for t in sys._ball_translates
-            if not (space.project(t.start, seg).distance > reach
-                    or space.project(t.end, seg).distance > reach)]
+    _, dists = space.projections(sys._ball_ends, seg)
+    n = len(sys._ball_translates)
+    far = (dists[:n] > reach) | (dists[n:] > reach)
+    return [t for t, out in zip(sys._ball_translates, far.tolist()) if not out]
 
 
 # ---------------------------------------------------------------------------

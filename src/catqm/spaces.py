@@ -2,10 +2,12 @@
 space, and products.
 
 Every space exposes the same small surface: ``distance``, ``geodesic``,
-``project``, deterministic ``ball_points`` sampling, ``ball_parameters``
-(the projection parameters of those ball points on a segment),
-``ball_diameters`` (the spread of those parameters for each ball of a
-list, in order, ball by ball), and JSON round-tripping of points.
+``project``, ``projections`` (the parameters and distances of ``project``
+for a list of points, as two float64 arrays), deterministic
+``ball_points`` sampling, ``ball_parameters`` (the projection parameters
+of those ball points on a segment), ``ball_diameters`` (the spread of
+those parameters for each ball of a list, in order, ball by ball), and
+JSON round-tripping of points.
 Segments are arclength-parametrized; ``point_at(0)`` is the start,
 ``point_at(length)`` the end, and parameter differences equal distances
 (exactly on the tree and Euclidean space, within tolerance on the
@@ -14,9 +16,10 @@ half-plane).
 Projections are closed forms on the tree (Gromov products,
 ``words.gromov_foot`` and ``words.gromov_gap``), the half-plane and
 Euclidean space (a clamped dot product).  Half-plane and Euclidean
-``ball_parameters`` evaluate the same formulas as numpy over the whole
-sampled ball; the tree and products project their ball points one at a
-time (``_sampled_ball_parameters``).  A tree ball that misses a segment
+``projections`` evaluate the same formulas as numpy over all the points at
+once; the tree and products project their points one at a time
+(``_projections_one_by_one``).  ``ball_parameters`` is one shared function
+over ``projections``.  A tree ball that misses a segment
 projects onto it as one point, so a tree contraction certificate measures
 a shadow only at B <= tol.  Each tree rule has one owner: ``_route`` (the
 exit options that join two points), ``_along`` (the walk of ``point_at``)
@@ -46,8 +49,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -108,13 +112,21 @@ class ProjectionResult:
     parameter: float
 
 
-def _sampled_ball_parameters(space, center, radius: float, seg,
-                             samples: int = 64) -> np.ndarray:
-    """Projection parameters of the sampled ball, one ``project`` per point:
-    the ``ball_parameters`` of products, which have no closed form, and of
-    the tree, whose certificates need none."""
-    return np.array([space.project(p, seg).parameter
-                     for p in space.ball_points(center, radius, samples)])
+def _projections_one_by_one(space, points, seg) -> tuple[np.ndarray, np.ndarray]:
+    """``project(p, seg)`` parameter and distance for every p in ``points``,
+    one call per point: the ``projections`` of products, which have no
+    closed form, and of the tree, whose bulk work runs on packed words
+    (``TreeSpace.vertex_projections``) instead."""
+    results = [space.project(p, seg) for p in points]
+    return (np.array([r.parameter for r in results], dtype=np.float64),
+            np.array([r.distance for r in results], dtype=np.float64))
+
+
+def _ball_parameters(space, center, radius: float, seg,
+                     samples: int = 64) -> np.ndarray:
+    """``project(p, seg).parameter`` for every p in ``ball_points``: one
+    ``projections`` pass.  The ``ball_parameters`` of every space."""
+    return space.projections(space.ball_points(center, radius, samples), seg)[0]
 
 
 def _ball_diameters_lazily(space, seg, balls, samples: int = 64):
@@ -407,9 +419,10 @@ class TreeSpace:
         pts = self.vertices_within(center, radius)
         return pts if center.is_vertex else [center] + pts
 
+    projections = _projections_one_by_one
     # a ball that misses a segment projects to one point: certificates
     # measure these shadows only at B <= tol, and replay their witnesses
-    ball_parameters = _sampled_ball_parameters
+    ball_parameters = _ball_parameters
     ball_diameters = _ball_diameters_lazily
 
     def pairwise_distances(self, points: list[TreePoint]) -> np.ndarray:
@@ -440,6 +453,20 @@ class TreeSpace:
             return tree_point(anchor)
         (letter,) = W.from_string(data["edge"])
         return tree_point(anchor, letter, data["t"])
+
+
+def _json_coordinates(data, count: int, what: str) -> list[float]:
+    """The coordinates of a JSON point as floats: ``data`` must be a list of
+    exactly ``count`` numbers.  A string, a bool or a list of another length
+    is an ``InputError``, not a point read in some other way."""
+    if (isinstance(data, list) and len(data) == count
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                    for c in data)):
+        try:
+            return [float(c) for c in data]
+        except OverflowError:
+            pass
+    raise InputError(f"{what} must be a list of {count} numbers: {data!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +560,25 @@ class HalfPlaneSpace:
             raise NumericError("projection produced NaN")
         return ProjectionResult(point, d, t)
 
+    def projections(self, points, seg: HalfPlaneSegment
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """``project(p, seg)`` parameter and distance for every p in
+        ``points``: the closed form of ``project`` as one numpy pass."""
+        zs = np.asarray(points, dtype=np.complex128)
+        if not (zs.shape == (len(points),) and np.isfinite(zs).all()
+                and (zs.imag > 0.0).all()):
+            raise InputError("a point is not in the upper half-plane")
+        if seg.length == 0.0:
+            t, feet = np.zeros(len(zs)), seg.start
+        else:
+            t = np.clip(seg._sign * (seg._foot_u(zs, np.log) - seg._u0), 0.0, seg.length)
+            w = 1j * np.exp(seg._u0 + seg._sign * t)
+            feet = (w + seg._p) / (1.0 + seg._k * w)
+        d = 2.0 * np.arcsinh(np.abs(zs - feet) / (2.0 * np.sqrt(zs.imag * feet.imag)))
+        if np.isnan(d).any():
+            raise NumericError("projection produced NaN")
+        return t, d
+
     def segment_distance(self, s1, s2) -> float:
         return _convex_segment_distance(self, s1, s2)
 
@@ -561,16 +607,7 @@ class HalfPlaneSpace:
             pts.append(ce + rho * cmath.exp(1j * ang))
         return pts
 
-    def ball_parameters(self, center, radius: float, seg: HalfPlaneSegment,
-                        samples: int = 64) -> np.ndarray:
-        """``project(p, seg).parameter`` for every p in ``ball_points``: the
-        closed form of ``project`` as one numpy pass."""
-        zs = np.array(self.ball_points(center, radius, samples))
-        if not (np.isfinite(zs).all() and (zs.imag > 0.0).all()):
-            raise InputError(f"ball of radius {radius} leaves the upper half-plane")
-        u = seg._foot_u(zs, np.log)
-        return np.clip(seg._sign * (u - seg._u0), 0.0, seg.length)
-
+    ball_parameters = _ball_parameters
     ball_diameters = _ball_diameters_lazily
 
     def pairwise_distances(self, points) -> np.ndarray:
@@ -586,7 +623,8 @@ class HalfPlaneSpace:
         return [p.real, p.imag]
 
     def point_from_json(self, data):
-        return complex(data[0], data[1])
+        x, y = _json_coordinates(data, 2, "a half-plane point")
+        return complex(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +690,32 @@ class EuclideanSpace:
                 for c, a, b in zip(x, seg.start, seg.end)) / seg.length
         t = min(max(t, 0.0), seg.length)
         point = seg.point_at(t)
-        return ProjectionResult(point, math.dist(x, point), t)
+        d = math.dist(x, point)
+        if math.isnan(d):
+            raise NumericError("projection produced NaN")
+        return ProjectionResult(point, d, t)
+
+    def projections(self, points, seg: EuclideanSegment
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """``project(p, seg)`` parameter and distance for every p in
+        ``points``: the clamped dot product as one numpy pass."""
+        try:
+            xs = np.asarray(points, dtype=np.float64).reshape(len(points), self.dim)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"not a list of points of dim {self.dim}") from exc
+        if not np.isfinite(xs).all():
+            raise InputError("non-finite coordinate in a point")
+        a = np.array(seg.start)
+        if seg.length == 0.0:
+            t, feet = np.zeros(len(xs)), a
+        else:
+            ab = np.array(seg.end) - a
+            t = np.clip(((xs - a) * ab).sum(axis=1) / seg.length, 0.0, seg.length)
+            feet = a + (t / seg.length)[:, None] * ab
+        d = np.sqrt(((xs - feet) ** 2).sum(axis=1))
+        if np.isnan(d).any():
+            raise NumericError("projection produced NaN")
+        return t, d
 
     def segment_distance(self, s1, s2) -> float:
         """|p(s) - q(t)|² is a convex quadratic on the parameter rectangle,
@@ -702,19 +765,7 @@ class EuclideanSpace:
             pts.append(tuple(q))
         return pts
 
-    def ball_parameters(self, center, radius: float, seg: EuclideanSegment,
-                        samples: int = 64) -> np.ndarray:
-        """``project(p, seg).parameter`` for every p in ``ball_points``: the
-        clamped dot product as one numpy pass."""
-        pts = np.array(self.ball_points(center, radius, samples))
-        if not np.isfinite(pts).all():
-            raise InputError(f"non-finite point in the ball of radius {radius}")
-        if seg.length == 0.0:
-            return np.zeros(len(pts))
-        a = np.array(seg.start)
-        t = ((pts - a) * (np.array(seg.end) - a)).sum(axis=1) / seg.length
-        return np.clip(t, 0.0, seg.length)
-
+    ball_parameters = _ball_parameters
     ball_diameters = _ball_diameters_lazily
 
     def pairwise_distances(self, points) -> np.ndarray:
@@ -729,7 +780,7 @@ class EuclideanSpace:
         return list(p)
 
     def point_from_json(self, data):
-        return tuple(float(c) for c in data)
+        return tuple(_json_coordinates(data, self.dim, f"a point of R^{self.dim}"))
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +860,8 @@ class ProductSpace:
                 pts.append((lefts[i % len(lefts)], rights[i % len(rights)]))
         return pts
 
-    ball_parameters = _sampled_ball_parameters
+    projections = _projections_one_by_one
+    ball_parameters = _ball_parameters
     ball_diameters = _ball_diameters_lazily
 
     def pairwise_distances(self, points) -> np.ndarray:

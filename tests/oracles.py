@@ -9,7 +9,8 @@ enumerated candidates.  The per-ball certificate loop
 certificate; ``tree_vertices_within`` lists a tree ball one ``multiply``
 per word for the test of the tree's contraction theorem;
 ``tree_candidates_per_translate`` is the reference for the batched tree
-expressway candidates; and the exhaustive tree families
+expressway candidates and ``ball_candidates_per_translate`` for the
+off-tree ball filter's one projection pass; and the exhaustive tree families
 (``dd_triples_tree_exhaustive``, ``ft_quads_tree_exhaustive``,
 ``tree_triples_exhaustive``, ``tree_dichotomy_configs``,
 ``tree_variation_configs``) feed the per-configuration checkers, the
@@ -40,6 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from catqm import words as W
+from catqm.actions import act
 from catqm.contraction import (
     CERTIFIED,
     MIN_GAP,
@@ -256,6 +258,23 @@ def tree_candidates_per_translate(sys, seg, margin: float) -> list:
                            Translate(multiply(start_w, x0inv), start, end)))
     picked.sort(key=lambda item: (item[0], item[1]))
     return [t for _, _, t in picked]
+
+
+def ball_candidates_per_translate(sys, seg, margin: float) -> list:
+    """``expressway._ball_candidates`` one translate at a time: each
+    translate of sigma by the group ball, built here from the action, kept
+    when neither end projects farther than the margin, each end by its own
+    ``project`` call, in ball order."""
+    space = sys.space
+    reach = margin + space.tol
+    picked = []
+    for iso in sys.group.ball(sys.enum_radius):
+        start = act(space, iso, sys.basepoint)
+        end = act(space, sys.group.multiply(iso, sys._sigma_iso), sys.basepoint)
+        if not (space.project(start, seg).distance > reach
+                or space.project(end, seg).distance > reach):
+            picked.append(Translate(iso.word, start, end))
+    return picked
 
 
 def tree_triples_exhaustive(space, radius: int) -> Iterator[tuple]:

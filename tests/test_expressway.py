@@ -1,9 +1,11 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from catqm import expressway as E
 from catqm import words as W
 from catqm.actions import GroupModel, act
 from catqm.contraction import ConstantLedger
@@ -24,10 +26,19 @@ from catqm.expressway import (
     phi_sigma,
     tree_phi_exact,
 )
+from catqm.runner import load_config, run
 from catqm.samplers import random_words
-from catqm.spaces import HalfPlaneSpace, TreeSpace, tree_point, vertex
+from catqm.spaces import (
+    EuclideanSpace,
+    HalfPlaneSpace,
+    ProductSpace,
+    TreeSpace,
+    tree_point,
+    vertex,
+)
 
 from oracles import (
+    ball_candidates_per_translate,
     floyd_warshall,
     tree_candidates_per_translate,
     tree_lambda_exact,
@@ -35,6 +46,7 @@ from oracles import (
     tree_phi_oracle,
 )
 
+REPO = Path(__file__).resolve().parents[1]
 TREE = TreeSpace(2)
 FREE = GroupModel.free(2)
 LEDGER = ConstantLedger(1.0, 1.0)
@@ -106,6 +118,40 @@ def test_tree_candidates_match_the_per_translate_loop():
                     assert got == tree_candidates_per_translate(sys_t, seg, margin)
                     sizes.add(len(got) > 0)
         assert sizes == {True, False}
+
+
+@pytest.mark.parametrize("config", ["half_plane", "euclidean_control"])
+def test_ball_candidates_match_the_per_translate_filter(monkeypatch, config):
+    # every query of the shipped qm cell, checked as the cell runs
+    filtered, sizes = E._ball_candidates, []
+
+    def checked(sys_b, seg, margin):
+        got = filtered(sys_b, seg, margin)
+        assert got == ball_candidates_per_translate(sys_b, seg, margin)
+        sizes.append(len(got))
+        return got
+
+    monkeypatch.setattr(E, "_ball_candidates", checked)
+    run("qm", load_config(str(REPO / "configs" / f"{config}.json")))
+    assert len(sizes) > 100 and min(sizes) < max(sizes)
+
+
+def test_ball_candidates_on_a_product_match_the_per_translate_filter():
+    P = ProductSpace(HalfPlaneSpace(), EuclideanSpace(1))
+    group = GroupModel.product(
+        GroupModel.matrix([[[2.0, 0.0], [0.0, 0.5]],
+                           [[1.25, -0.75], [-0.75, 1.25]]]),
+        GroupModel.translation([[1.0], [0.5]]))
+    sys_p = ExpresswaySystem(P, group, "a", (1j, (0.0,)), ledger=ConstantLedger(1.0, 5.0),
+                             margin=3.0, enum_radius=2)
+    sizes = set()
+    for word in ("a", "aa", "ab", "B", "aab"):
+        seg = P.geodesic(sys_p.basepoint, act(P, group.from_word(word), sys_p.basepoint))
+        for margin in (0.5, 1.5, 3.0):
+            got = E._ball_candidates(sys_p, seg, margin)
+            assert got == ball_candidates_per_translate(sys_p, seg, margin)
+            sizes.add(len(got))
+    assert 0 in sizes and max(sizes) > 1
 
 
 def test_short_base_segment_rejected():

@@ -373,10 +373,15 @@ def test_replay_checks_the_wpd_match_count(edit):
 @pytest.mark.parametrize("path,basepoint", [
     (EUCLID_CONFIG, [float("nan"), 0.0]),
     (HALFPLANE_CONFIG, [0.0, -1.0]),
-], ids=["euclidean-nan", "half-plane-below-axis"])
+    (EUCLID_CONFIG, "12"),
+    (HALFPLANE_CONFIG, [0.5, 2.0, 9.0]),
+], ids=["euclidean-nan", "half-plane-below-axis", "euclidean-string",
+        "half-plane-three-coordinates"])
 def test_config_basepoint_is_validated(tmp_path, path, basepoint):
     # a NaN basepoint once ended contract in a ValueError traceback, and a
-    # basepoint below the real axis passed schottky with status ok
+    # basepoint below the real axis passed schottky with status ok; the
+    # string "12" once ran as (1.0, 2.0), and a third half-plane coordinate
+    # was dropped
     data = json.loads(path.read_text())
     data["basepoint"] = basepoint
     with pytest.raises(ConfigError):

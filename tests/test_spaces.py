@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catqm import words as W
-from catqm.errors import InputError
+from catqm.errors import InputError, NumericError
 from catqm.samplers import (
     dd_triples_random,
     ft_quads_random,
@@ -329,6 +329,57 @@ def test_ball_parameters_match_per_point_projections(space):
         assert max(abs(params - per_point)) <= 1e-12
 
 
+@pytest.mark.parametrize("space", [TREE, HP, EU, ProductSpace(HP, LINE)],
+                         ids=lambda s: type(s).__name__)
+def test_projections_match_per_point_project(space):
+    # every case's point on every case's segment: zero-length segments,
+    # vertical half-plane geodesics and points past both ends
+    cases = _closed_form_cases(space, 64, 12 if space.kind == "product" else 60)
+    points = [x for _, x in cases]
+    assert any(seg.length == 0.0 for seg, _ in cases)
+    if space is HP:
+        assert {seg._k == 0.0 for seg, _ in cases} == {True, False}
+    past = set()
+    for seg, _ in cases:
+        params, dists = space.projections(points, seg)
+        assert params.dtype == dists.dtype == np.float64
+        per_point = [space.project(p, seg) for p in points]
+        assert max(abs(params - [r.parameter for r in per_point])) <= 1e-12
+        assert max(abs(dists - [r.distance for r in per_point])) <= 1e-12
+        if seg.length > 0.0:
+            past.update("start" if t < seg.length / 2 else "end" for t in params
+                        if min(t, seg.length - t) <= 1e-6)
+        empty = space.projections([], seg)
+        assert [a.shape for a in empty] == [(0,), (0,)]
+    assert past == {"start", "end"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_projections_raise_where_project_raises():
+    P = ProductSpace(HP, LINE)
+    hp_seg = HP.geodesic(1j, 2 + 1j)
+    eu_seg = EU.geodesic((0.0, 0.0), (1.0, 1.0))
+    p_seg = P.geodesic((1j, (0.0,)), (2j, (1.0,)))
+    nan, inf = float("nan"), float("inf")
+    off_space = [(HP, hp_seg, 1 - 2j), (HP, hp_seg, complex(0.0, nan)),
+                 (HP, hp_seg, complex(inf, 1.0)), (EU, eu_seg, (nan, 0.0)),
+                 (EU, eu_seg, (1.0,)), (EU, eu_seg, (1.0, 2.0, 3.0)),
+                 (P, p_seg, (1 - 2j, (0.0,))), (P, p_seg, (1j, (inf,)))]
+    for space, seg, bad in off_space:
+        with pytest.raises(InputError):
+            space.project(bad, seg)
+        with pytest.raises(InputError):
+            space.projections([seg.start, bad], seg)
+    # segments whose normal form overflows: a NaN distance is an error
+    overflowing = [(HP, HP.geodesic(1e150 + 1j, -1e150 + 1j), 1j),
+                   (EU, EU.geodesic((-1e308, 0.0), (1e308, 0.0)), (1e308, 0.0))]
+    for space, seg, x in overflowing:
+        with pytest.raises(NumericError):
+            space.project(x, seg)
+        with pytest.raises(NumericError):
+            space.projections([x], seg)
+
+
 def test_euclidean_segment_distance_matches_golden_section():
     cases = _closed_form_cases(EU, 63, 2000)
     for (s1, _), (s2, _) in zip(cases, cases[1:] + cases[:1]):
@@ -382,6 +433,21 @@ def test_point_json_round_trip():
     for space, p in pts:
         back = space.point_from_json(space.point_to_json(p))
         assert space.distance(p, back) < 1e-12
+
+
+@pytest.mark.parametrize("space,data", [
+    (HP, "12"), (HP, [0.5, 2.0, 9.0]), (HP, [1.0]), (HP, [True, 1.0]),
+    (HP, ["0", "1"]), (HP, {"x": 0.0, "y": 1.0}), (HP, [0.0, 10 ** 400]),
+    (EU, "12"), (EU, [1.0, 2.0, 3.0]), (EU, [1.0]), (EU, [None, 1.0]),
+    (LINE, 1.0), (LINE, "1"), (LINE, [False]),
+], ids=["hp-string", "hp-three", "hp-one", "hp-bool", "hp-strings", "hp-dict",
+        "hp-huge-int", "eu-string", "eu-three", "eu-one", "eu-null",
+        "line-scalar", "line-string", "line-bool"])
+def test_point_from_json_refuses_malformed_points(space, data):
+    # a string once read as its characters ("12" as (1.0, 2.0)), and extra
+    # half-plane coordinates were dropped
+    with pytest.raises(InputError):
+        space.point_from_json(data)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +538,7 @@ def test_tree_segment_distance_matches_scan():
 # The surface every model space offers.  Each class defines it in its own
 # class dict: there is no base class to inherit from, and the benchmark's
 # tracer wraps only the methods a space class defines itself.
-SPACE_METHODS = ("distance", "geodesic", "project", "segment_distance",
+SPACE_METHODS = ("distance", "geodesic", "project", "projections", "segment_distance",
                  "ball_points", "ball_parameters", "ball_diameters",
                  "pairwise_distances",
                  "point_key", "point_to_json", "point_from_json",
