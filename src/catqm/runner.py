@@ -7,6 +7,12 @@ refutation or found witness is stored self-contained under ``witnesses`` so
 witness kind has one replay, which re-runs the function that produced the
 witness from the witness's own fields and compares the results.  Unknown
 kinds fail closed.
+
+Each ``run_*`` returns one ``Cell``: its report section, its violations and
+its witnesses.  The helpers that gather part of a cell's evidence write into
+the cell they are given.  ``run`` is the only place that joins cells: it
+tags each violation with its subcommand and concatenates the witnesses in
+``_RUNNERS`` order.
 """
 
 from __future__ import annotations
@@ -175,6 +181,15 @@ class ExperimentConfig:
             candidate_cap=self.budgets.candidate_cap)
 
 
+@dataclass
+class Cell:
+    """One subcommand's result: its report section, its untagged
+    violations and its witnesses."""
+    section: dict = field(default_factory=dict)
+    violations: list = field(default_factory=list)
+    witnesses: list = field(default_factory=list)
+
+
 def _letters_fit(space, action, rank: int) -> bool:
     """Whether each letter of a rank-``rank`` group whose action (or a
     factor of it) is left multiplication on a tree is a letter of that
@@ -277,7 +292,7 @@ def _tree_axiom_violations(space, C: float, tolerance: float | None,
     return dd, check_ft(space, rows, C, tolerance)
 
 
-def run_axioms(cfg: ExperimentConfig) -> tuple[dict, list, list]:
+def run_axioms(cfg: ExperimentConfig) -> Cell:
     space = cfg.space
     budgets = cfg.budgets
     if space.kind == "tree":
@@ -314,7 +329,7 @@ def run_axioms(cfg: ExperimentConfig) -> tuple[dict, list, list]:
         "idempotence_violations": idem_bad,
         "C": cfg.C,
     }
-    return section, violations, []
+    return Cell(section, violations)
 
 
 def _lemma_violation(name: str, outcome) -> dict:
@@ -322,25 +337,34 @@ def _lemma_violation(name: str, outcome) -> dict:
             "witness": outcome.witness}
 
 
+def _tally(counts: dict, name: str, skipped, violated) -> None:
+    """Bucket one lemma: ``skipped`` and ``violated`` are boolean masks over
+    its configurations, and every configuration in neither holds."""
+    skips, bad = int(np.count_nonzero(skipped)), int(np.count_nonzero(violated))
+    counts[name] = {"holds": len(skipped) - skips - bad, "skipped": skips,
+                    "violated": bad}
+
+
 def _lemma_suite(space, ledger, tol: float, triples, dichotomies,
                  variations) -> tuple[dict, list]:
-    """Tally the contraction lemmas over the given configurations."""
-    counts = {}
+    """Tally the contraction lemmas over the given configurations; the
+    violations are listed in the order the configurations are visited."""
+    suites = ((triples, (("thin_triangle", check_thin_triangle),
+                         ("near_collinearity", check_reverse_triangle))),
+              (dichotomies, (("dichotomy", check_dichotomy),)),
+              (variations, (("variation", check_variation),)))
+    statuses: dict = {}
     violations = []
-
-    def tally(name, outcome):
-        bucket = counts.setdefault(name, {"holds": 0, "skipped": 0, "violated": 0})
-        bucket[outcome.status] += 1
-        if outcome.status == "violated":
-            violations.append(_lemma_violation(name, outcome))
-
-    for a, b, c in triples:
-        tally("thin_triangle", check_thin_triangle(space, a, b, c, ledger, tol))
-        tally("near_collinearity", check_reverse_triangle(space, a, b, c, ledger, tol))
-    for seg, x, y in dichotomies:
-        tally("dichotomy", check_dichotomy(space, seg, x, y, ledger, tol))
-    for seg_ab, seg_pq in variations:
-        tally("variation", check_variation(space, seg_ab, seg_pq, ledger, tol))
+    for configs, checks in suites:
+        for config in configs:
+            for name, check in checks:
+                outcome = check(space, *config, ledger, tol)
+                statuses.setdefault(name, []).append(outcome.status)
+                if outcome.status == "violated":
+                    violations.append(_lemma_violation(name, outcome))
+    counts: dict = {}
+    for name, status in statuses.items():
+        _tally(counts, name, np.equal(status, "skipped"), np.equal(status, "violated"))
     return counts, violations
 
 
@@ -380,10 +404,6 @@ def _tree_lemma_tallies(space, ledger, tol: float, radius: int
     def gap(a, b, x):    # distance from x to [a, b]
         return W.gromov_gap(D[a, x], D[b, x], D[a, b])
 
-    def tally(name, skipped, violated):
-        counts[name] = {"holds": int(skipped.size - skipped.sum() - violated.sum()),
-                        "skipped": int(skipped.sum()), "violated": int(violated.sum())}
-
     # triangles (e, b, c), b ≠ e
     n = len(words)
     b, c = np.repeat(np.arange(1, n), n), np.tile(np.arange(n), n - 1)
@@ -392,8 +412,8 @@ def _tree_lemma_tallies(space, ledger, tol: float, radius: int
     thin_bad = ~skipped & ~(gap(0, c, b) < phi_thin_triangle(B, C) + C + tol)
     near_bad = ~skipped & ~((ac <= ab + bc + tol) & (
         ac >= ab + bc - (phi_near_collinearity(B, C) + C) - tol))
-    tally("thin_triangle", skipped, thin_bad)
-    tally("near_collinearity", skipped, near_bad)
+    _tally(counts, "thin_triangle", skipped, thin_bad)
+    _tally(counts, "near_collinearity", skipped, near_bad)
     for r in np.nonzero(thin_bad | near_bad)[0]:
         for name, bad, check in (("thin_triangle", thin_bad, check_thin_triangle),
                                  ("near_collinearity", near_bad, check_reverse_triangle)):
@@ -418,7 +438,7 @@ def _tree_lemma_tallies(space, ledger, tol: float, radius: int
                                     pts[x[r]], pts[y[r]], ledger, tol) for r in far]
         bad = np.zeros(len(rows), dtype=bool)
         bad[far] = [o.status == "violated" for o in outcomes]
-        tally("dichotomy", skipped, bad)
+        _tally(counts, "dichotomy", skipped, bad)
         violations += [_lemma_violation("dichotomy", o) for o in outcomes
                        if o.status == "violated"]
 
@@ -445,7 +465,7 @@ def _tree_lemma_tallies(space, ledger, tol: float, radius: int
         bound = (1.0 - B / d0[live]) * D[0, b[live]] - phi_variation(B, C)
         bad = np.zeros(len(rows), dtype=bool)
         bad[live] = ~(gap(p, q, b)[live] - d0[live] >= bound - tol)
-        tally("variation", skipped, bad)
+        _tally(counts, "variation", skipped, bad)
         violations += [_lemma_violation("variation", check_variation(
             space, space.geodesic(e, pts[b[r]]),
             space.geodesic(pts[p[r]], pts[q[r]]), ledger, tol))
@@ -453,7 +473,7 @@ def _tree_lemma_tallies(space, ledger, tol: float, radius: int
     return counts, violations
 
 
-def _tree_lemma_suite(cfg: ExperimentConfig) -> tuple[dict, list]:
+def _tree_lemma_suite(cfg: ExperimentConfig, cell: Cell) -> None:
     """The tree lemma tallies at radius ``min(4, ball_radius)``, plus
     endpoint stability: 25 perturbations of [e, a^k] certified at the
     stability scale."""
@@ -462,37 +482,38 @@ def _tree_lemma_suite(cfg: ExperimentConfig) -> tuple[dict, list]:
     counts, violations = _tree_lemma_tallies(space, cfg.ledger, cfg.tolerance,
                                              radius)
     # endpoint stability on a deterministic family
-    stab = {"holds": 0, "skipped": 0, "violated": 0}
     far = "a" * min(5, radius + 2)
     base = space.geodesic(vertex(""), vertex(far))
     budget = cfg.cert_budget()
-    for u in W.ball(cfg.group.rank, 1):
-        for v in W.ball(cfg.group.rank, 1):
-            b2 = act(space, cfg.group.from_word(far), vertex(v))
-            cert = check_stability(space, base, vertex(u), b2, D=2.0,
-                                   ledger=cfg.ledger, budget=budget)
-            stab["violated" if cert.refuted else "holds"] += 1
-            if cert.refuted:
-                violations.append({"lemma": "stability", "witness": cert.to_json(space)})
-    counts["stability"] = stab
-    return counts, violations
+    certs = [check_stability(space, base, vertex(u),
+                             act(space, cfg.group.from_word(far), vertex(v)),
+                             D=2.0, ledger=cfg.ledger, budget=budget)
+             for u in W.ball(cfg.group.rank, 1) for v in W.ball(cfg.group.rank, 1)]
+    _tally(counts, "stability", [False] * len(certs), [c.refuted for c in certs])
+    cell.section["lemma_suite"] = counts
+    cell.violations += violations + [{"lemma": "stability", "witness": c.to_json(space)}
+                                     for c in certs if c.refuted]
 
 
-def _sigma_certificate(cfg: ExperimentConfig, sys_obj: ExpresswaySystem
-                       ) -> tuple[dict, list, list]:
+def _refutation(space, seg, witness: dict) -> dict:
+    """A contraction-refutation witness ball with the ends of the segment it
+    refutes, which ``_replay_contraction`` reads back."""
+    return {**witness, "segment": [space.point_to_json(seg.start), space.point_to_json(seg.end)]}
+
+
+def _sigma_certificate(cfg: ExperimentConfig, sys_obj: ExpresswaySystem,
+                       cell: Cell) -> None:
     """Contraction certificate of the base segment at scale B; a refutation
     is a violation and a witness that carries its segment."""
-    space = cfg.space
-    cert = certify_contracting(space, sys_obj.sigma_segment, cfg.B,
+    cert = certify_contracting(cfg.space, sys_obj.sigma_segment, cfg.B,
                                cfg.cert_budget())
-    data = cert.to_json(space)
-    if not cert.refuted:
-        return data, [], []
-    return (data, [{"check": "sigma-contraction", "witness": data["witness"]}],
-            [{**data["witness"], "segment": data["segment"]}])
+    data = cell.section["sigma_certificate"] = cert.to_json(cfg.space)
+    if cert.refuted:
+        cell.violations.append({"check": "sigma-contraction", "witness": data["witness"]})
+        cell.witnesses.append(_refutation(cfg.space, sys_obj.sigma_segment, data["witness"]))
 
 
-def _half_flat(cfg: ExperimentConfig, sweep: list) -> tuple[list, list, list]:
+def _half_flat(cfg: ExperimentConfig, sweep: list, cell: Cell) -> None:
     """Flat negative control: every scale in the sweep must refute
     contraction along an orbit segment of the base word.  The segment is
     long enough that the widest refuting shadow 2(h-1), h = max B/2 + 2,
@@ -505,41 +526,35 @@ def _half_flat(cfg: ExperimentConfig, sweep: list) -> tuple[list, list, list]:
     k = max(2, math.ceil((2.0 * (max(sweep) / 2.0 + 2.0) + 10.0) / step))
     seg = space.geodesic(x0, act(space, cfg.group.power(g, k), x0))
     table = half_flat_control(space, seg, sweep, cfg.cert_budget())
-    ends = [space.point_to_json(seg.start), space.point_to_json(seg.end)]
-    violations = [{"check": "half-flat-control", "B": r.B}
-                  for r in table if not r.refuted]
-    witnesses = [{**r.witness, "segment": ends}
-                 for r in table if r.refuted and r.witness is not None]
-    return [{"B": r.B, "refuted": r.refuted} for r in table], violations, witnesses
+    cell.section["half_flat"] = [{"B": r.B, "refuted": r.refuted} for r in table]
+    cell.violations += [{"check": "half-flat-control", "B": r.B}
+                        for r in table if not r.refuted]
+    cell.witnesses += [_refutation(space, seg, r.witness)
+                       for r in table if r.refuted and r.witness is not None]
 
 
-def run_contract(cfg: ExperimentConfig) -> tuple[dict, list, list]:
+def run_contract(cfg: ExperimentConfig) -> Cell:
     space = cfg.space
-    section: dict = {"ledger": cfg.ledger.table()}
+    cell = Cell({"ledger": cfg.ledger.table()})
     if space.kind == "tree":
-        section["sigma_certificate"], violations, witnesses = \
-            _sigma_certificate(cfg, cfg.system())
-        section["lemma_suite"], lemma_violations = _tree_lemma_suite(cfg)
-        violations += lemma_violations
+        _sigma_certificate(cfg, cfg.system(), cell)
+        _tree_lemma_suite(cfg, cell)
     elif space.kind == "half-plane":
         count = cfg.budgets.sample_count
-        section["lemma_suite"], violations = _lemma_suite(
+        cell.section["lemma_suite"], cell.violations = _lemma_suite(
             space, cfg.ledger, cfg.tolerance, halfplane_thin_configs(space, cfg.seed, count), (),
             halfplane_variation_configs(space, cfg.seed, count))
-        witnesses = []
     else:
         # flat spaces are the negative control: contraction must refute
-        section["half_flat"], violations, witnesses = _half_flat(
-            cfg, [cfg.B, 10.0, 100.0])
-    return section, violations, witnesses
+        _half_flat(cfg, [cfg.B, 10.0, 100.0], cell)
+    return cell
 
 
-def run_qm(cfg: ExperimentConfig) -> tuple[dict, list, list]:
+def run_qm(cfg: ExperimentConfig) -> Cell:
     space = cfg.space
     sys_obj = cfg.system()
-    section: dict = {"system": sys_obj.describe()}
-    section["sigma_certificate"], violations, witnesses = \
-        _sigma_certificate(cfg, sys_obj)
+    cell = Cell({"system": sys_obj.describe()})
+    _sigma_certificate(cfg, sys_obj, cell)
 
     x0 = sys_obj.basepoint
     lam_table = []
@@ -556,23 +571,21 @@ def run_qm(cfg: ExperimentConfig) -> tuple[dict, list, list]:
         d = space.distance(x0, gx0)
         for direction, res in (("forward", fwd), ("back", bwd)):
             if res.value > d + cfg.tolerance:
-                violations.append({"check": "lambda-upper-bound", "n": n,
-                                   "direction": direction, "lambda": res.value,
-                                   "distance": d})
+                cell.violations.append({"check": "lambda-upper-bound", "n": n,
+                                        "direction": direction, "lambda": res.value,
+                                        "distance": d})
         phi_table_rows.append({"n": n, "phi": bwd.value - fwd.value})
         for res, a, b in ((fwd, x0, gx0), (bwd, gx0, x0)):
             ok, dev = check_witness_confinement(sys_obj, res, a, b)
             worst_conf = max(worst_conf, dev)
             if not ok:
-                violations.append({"check": "witness-confinement", "n": n,
-                                   "deviation": dev, "bound": sys_obj.ledger.D})
-            wit = res.to_json(space)
-            wit["a"] = space.point_to_json(a)
-            wit["b"] = space.point_to_json(b)
-            witnesses.append(wit)
-    section["lambda_table"] = lam_table
-    section["phi_table"] = phi_table_rows
-    section["confinement_max_deviation"] = worst_conf
+                cell.violations.append({"check": "witness-confinement", "n": n,
+                                        "deviation": dev, "bound": sys_obj.ledger.D})
+            cell.witnesses.append(res.to_json(space) | {
+                "a": space.point_to_json(a), "b": space.point_to_json(b)})
+    cell.section["lambda_table"] = lam_table
+    cell.section["phi_table"] = phi_table_rows
+    cell.section["confinement_max_deviation"] = worst_conf
 
     # interface properties of the modified length
     rng = rng_for(cfg.seed, "lambda-props")
@@ -592,8 +605,8 @@ def run_qm(cfg: ExperimentConfig) -> tuple[dict, list, list]:
                       for _ in range(6))
         samples = LambdaSamples(pairs, (), (), ())
     lam_violations = check_lambda_properties(sys_obj, samples, cfg.tolerance)
-    section["lambda_property_violations"] = lam_violations
-    violations += [{"check": "lambda-property", **v} for v in lam_violations]
+    cell.section["lambda_property_violations"] = lam_violations
+    cell.violations += [{"check": "lambda-property", **v} for v in lam_violations]
 
     # defect, homogenization, independence
     if sys_obj.is_exact_tree():
@@ -603,9 +616,9 @@ def run_qm(cfg: ExperimentConfig) -> tuple[dict, list, list]:
         ws = random_words(cfg.group.rank, cfg.seed, 12, 3)
         pairs_iter = [(g, h) for g in ws[:6] for h in ws[6:]]
     report = defect_estimate(sys_obj, pairs_iter)
-    section["defect"] = {"value": report.value, "pairs": report.pairs_checked,
-                         "argmax": None if report.pair is None else
-                         [W.to_string(report.pair[0]), W.to_string(report.pair[1])]}
+    cell.section["defect"] = {"value": report.value, "pairs": report.pairs_checked,
+                              "argmax": None if report.pair is None else
+                              [W.to_string(report.pair[0]), W.to_string(report.pair[1])]}
 
     # The tree closed form is exact at any power.  Elsewhere phi is only good
     # up to the powers the table above checks: past them the candidate ball
@@ -618,108 +631,92 @@ def run_qm(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     for word in [cfg.sigma_word] + random_words(cfg.group.rank, cfg.seed + 2, 3, 3):
         value, err = homogenize(sys_obj, word, power, defect_bound=report.value)
         hom_rows.append({"g": W.to_string(word), "value": value, "error": err})
-    section["homogenized"] = hom_rows
+    cell.section["homogenized"] = hom_rows
 
     indep_words = cfg.independence_words or [cfg.sigma_word]
     try:
         systems = [cfg.system(w) for w in indep_words]
         testers = [W.power(w, 2) for w in indep_words]
         matrix, rank = independence_matrix(systems, testers, n_max=tester_power)
-        section["independence"] = {"words": [W.to_string(w) for w in indep_words],
-                                   "matrix": matrix.tolist(), "rank": rank}
+        cell.section["independence"] = {"words": [W.to_string(w) for w in indep_words],
+                                        "matrix": matrix.tolist(), "rank": rank}
         if rank < len(systems):
-            violations.append({"check": "independence-rank", "rank": rank,
-                               "expected": len(systems)})
+            cell.violations.append({"check": "independence-rank", "rank": rank,
+                                    "expected": len(systems)})
     except ConfigError as exc:
-        section["independence"] = {"skipped": str(exc)}
-    return section, violations, witnesses
+        cell.section["independence"] = {"skipped": str(exc)}
+    return cell
 
 
-def run_rank1(cfg: ExperimentConfig) -> tuple[dict, list, list]:
+def run_rank1(cfg: ExperimentConfig) -> Cell:
     space = cfg.space
     budget = cfg.cert_budget()
-    violations = []
-    witnesses = []
-    section: dict = {}
+    cell = Cell()
     x0 = cfg.basepoint
     g = cfg.group.from_word(cfg.sigma_word)
     if space.kind in ("euclidean",) or (space.kind == "product"
                                         and "euclidean" in (space.left.kind, space.right.kind)):
-        section["half_flat"], violations, witnesses = _half_flat(
-            cfg, [0.1, cfg.B, 10.0])
+        _half_flat(cfg, [0.1, cfg.B, 10.0], cell)
         result = rank_one_test(space, cfg.group, g, x0, cfg.B,
                                min(3, cfg.budgets.n_max), budget)
-        section["rank_one"] = {"certified": result.certified}
+        cell.section["rank_one"] = {"certified": result.certified}
         if result.certified:
-            violations.append({"check": "flat-rank-one-control",
-                               "detail": "flat axis must refute rank 1"})
-        return section, violations, witnesses
+            cell.violations.append({"check": "flat-rank-one-control",
+                                    "detail": "flat axis must refute rank 1"})
+        return cell
 
-    B_scale = _rank_one_scale(cfg)
+    # tree orbit points sit on a line spaced |sigma| apart, so the true
+    # Hausdorff scale is half the spacing
+    B_scale = max(cfg.B, len(cfg.sigma_word) / 2.0 + 0.5 if space.kind == "tree" else 5.0)
     result = rank_one_test(space, cfg.group, g, x0, B_scale,
                            cfg.budgets.n_max, budget)
     if result.certified:
-        section["rank_one"] = {
+        cell.section["rank_one"] = {
             "certified": True, "B": B_scale,
             "growth_floor": result.growth_floor,
             "worst_orbit_deviation": max(e.orbit_to_geodesic for e in result.evidence),
             "worst_geodesic_deviation": max(e.geodesic_to_orbit for e in result.evidence)}
     else:
-        section["rank_one"] = {"certified": False, "B": B_scale,
-                               "n": result.n, "reason": result.reason}
-        violations.append({"check": "rank-one", "B": B_scale,
-                           "witness": result.witness})
+        cell.section["rank_one"] = {"certified": False, "B": B_scale,
+                                    "n": result.n, "reason": result.reason}
+        cell.violations.append({"check": "rank-one", "B": B_scale,
+                                "witness": result.witness})
     companion = _companion(cfg)
     profile = independence_test(space, cfg.group, g,
                                 cfg.group.from_word(companion), x0,
                                 cfg.budgets.grid_max,
                                 threshold=3.0 * B_scale)
-    section["independence_profile"] = {
+    cell.section["independence_profile"] = {
         "companion": W.to_string(companion),
         "values": list(profile.values),
         "tail_increasing": profile.tail_increasing,
         "passed": profile.passed}
     if not profile.passed:
-        violations.append({"check": "independence-profile",
-                           "values": list(profile.values)})
-    return section, violations, witnesses
+        cell.violations.append({"check": "independence-profile",
+                                "values": list(profile.values)})
+    return cell
 
 
-def _rank_one_scale(cfg: ExperimentConfig) -> float:
-    if cfg.space.kind == "tree":
-        # orbit points sit on a line spaced |sigma| apart, so the true
-        # Hausdorff scale is half the spacing
-        return max(cfg.B, len(cfg.sigma_word) / 2.0 + 0.5)
-    return max(cfg.B, 5.0)
-
-
-def run_schottky(cfg: ExperimentConfig) -> tuple[dict, list, list]:
-    space = cfg.space
-    violations = []
-    section: dict = {}
+def run_schottky(cfg: ExperimentConfig) -> Cell:
     g = cfg.group.from_word(cfg.sigma_word)
     h = cfg.group.from_word(_companion(cfg))
     try:
-        result = schottky_exponent(space, cfg.group, g, h,
+        result = schottky_exponent(cfg.space, cfg.group, g, h,
                                    cfg.budgets.schottky_e,
                                    cfg.budgets.word_len_max, cfg.basepoint,
                                    n_cap=cfg.budgets.schottky_cap)
-        table = {w: list(v) for w, v in sorted(result.displacements.items())}
-        section["schottky"] = {"N": result.N, "E": result.E,
-                               "word_len_max": result.word_len_max,
-                               "words": len(table)}
-        witnesses = [{"kind": "schottky-displacements", "N": result.N,
-                      "E": result.E, "g": W.to_string(g.word),
-                      "h": W.to_string(h.word), "table": table}]
     except BudgetError as exc:
-        section["schottky"] = {"N": None, "tried": sorted(exc.partial)}
-        violations.append({"check": "schottky-exponent",
-                           "detail": "no exponent within budget"})
-        witnesses = []
-    return section, violations, witnesses
+        return Cell({"schottky": {"N": None, "tried": sorted(exc.partial)}},
+                    [{"check": "schottky-exponent", "detail": "no exponent within budget"}])
+    table = {w: list(v) for w, v in sorted(result.displacements.items())}
+    return Cell({"schottky": {"N": result.N, "E": result.E,
+                              "word_len_max": result.word_len_max, "words": len(table)}},
+                witnesses=[{"kind": "schottky-displacements", "N": result.N,
+                            "E": result.E, "g": W.to_string(g.word),
+                            "h": W.to_string(h.word), "table": table}])
 
 
-def run_wpd(cfg: ExperimentConfig) -> tuple[dict, list, list]:
+def run_wpd(cfg: ExperimentConfig) -> Cell:
     space = cfg.space
     violations = []
     section: dict = {}
@@ -747,11 +744,10 @@ def run_wpd(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     if not stable:
         violations.append({"check": "wpd-stability", "small": small.count,
                            "grown": bigger.count})
-    witnesses = [small.to_json() | {"x0": space.point_to_json(x0)}]
-    return section, violations, witnesses
+    return Cell(section, violations, [small.to_json() | {"x0": space.point_to_json(x0)}])
 
 
-def run_equiv(cfg: ExperimentConfig) -> tuple[dict, list, list]:
+def run_equiv(cfg: ExperimentConfig) -> Cell:
     space = cfg.space
     violations = []
     witnesses = []
@@ -796,10 +792,10 @@ def run_equiv(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     except BudgetError as exc:
         section["family"] = {"members": [W.to_string(w) for w in exc.partial]}
         violations.append({"check": "family-budget", "detail": str(exc)})
-    return section, violations, witnesses
+    return Cell(section, violations, witnesses)
 
 
-def run_algebra(cfg: ExperimentConfig) -> tuple[dict, list, list]:
+def run_algebra(cfg: ExperimentConfig) -> Cell:
     violations = []
     section: dict = {}
     ext = swap_extension()
@@ -845,7 +841,7 @@ def run_algebra(cfg: ExperimentConfig) -> tuple[dict, list, list]:
     if not length_breaks:
         violations.append({"check": "negative-control",
                            "detail": "word length looked homogeneous"})
-    return section, violations, []
+    return Cell(section, violations)
 
 
 _RUNNERS = {
@@ -873,10 +869,10 @@ def run(subcommand: str, cfg: ExperimentConfig) -> tuple[dict, int]:
     code = EXIT_OK
     try:
         for name in names:
-            section, sec_violations, sec_witnesses = _RUNNERS[name](cfg)
-            results[name] = section
-            violations += [{"subcommand": name, **v} for v in sec_violations]
-            witnesses += sec_witnesses
+            cell = _RUNNERS[name](cfg)
+            results[name] = cell.section
+            violations += [{"subcommand": name, **v} for v in cell.violations]
+            witnesses += cell.witnesses
         if violations:
             status, code = "violation", EXIT_VIOLATION
     except CatqmError as exc:
@@ -950,6 +946,8 @@ def _replay_equiv(cfg: ExperimentConfig, w: dict, tol: float) -> bool:
 
 
 def _replay_schottky(cfg: ExperimentConfig, w: dict, tol: float) -> bool:
+    if not isinstance(w["table"], dict):
+        return False
     try:
         again = schottky_exponent(cfg.space, cfg.group, w["g"], w["h"], w["E"],
                                   cfg.budgets.word_len_max, cfg.basepoint, n_cap=w["N"])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +14,12 @@ from catqm import runner
 from catqm import words as W
 from catqm.actions import act
 from catqm.cli import main as cli_main
+from catqm.contraction import (
+    check_dichotomy,
+    check_reverse_triangle,
+    check_thin_triangle,
+    check_variation,
+)
 from catqm.errors import ConfigError, NumericError
 from catqm.expressway import tree_phi_exact
 from catqm.runner import (
@@ -234,11 +241,31 @@ def test_off_tree_bodies_are_pinned(config, subcommand):
     _assert_body_pinned(config, subcommand)
 
 
+@pytest.mark.parametrize("path", [TREE_CONFIG, HALFPLANE_CONFIG, EUCLID_CONFIG],
+                         ids=lambda p: p.stem)
+def test_all_joins_the_cells_in_runner_order(path):
+    # run is the one place that joins cells: all is the single-cell runs
+    # concatenated, each violation tagged with its own subcommand
+    cfg = load_config(str(path))
+    report, code = run("all", cfg)
+    cells = {name: run(name, cfg) for name in runner._RUNNERS}
+    bodies = {name: cell[0]["body"] for name, cell in cells.items()}
+    for name, body in bodies.items():
+        assert all(v["subcommand"] == name for v in body["violations"])
+    assert report["body"]["results"] == {name: body["results"][name]
+                                         for name, body in bodies.items()}
+    assert report["body"]["violations"] == [v for body in bodies.values()
+                                            for v in body["violations"]]
+    assert report["body"]["witnesses"] == [w for body in bodies.values()
+                                           for w in body["witnesses"]]
+    assert code == max(c for _, c in cells.values())
+
+
 def test_catqm_errors_end_in_error_status_with_partial_results(monkeypatch):
     def numeric_failure(cfg):
         raise NumericError("no convergence")
 
-    monkeypatch.setitem(runner._RUNNERS, "axioms", lambda cfg: ({"done": 1}, [], []))
+    monkeypatch.setitem(runner._RUNNERS, "axioms", lambda cfg: runner.Cell({"done": 1}))
     monkeypatch.setitem(runner._RUNNERS, "contract", numeric_failure)
     report, code = run("all", small_tree_config())
     body = report["body"]
@@ -447,6 +474,25 @@ def test_replay_fails_closed_on_malformed_witnesses(edit):
     assert replay(report) is False
 
 
+@pytest.mark.parametrize("path", [TREE_CONFIG, HALFPLANE_CONFIG, EUCLID_CONFIG],
+                         ids=lambda p: p.stem)
+def test_replay_fails_closed_on_a_malformed_schottky_table(tmp_path, path):
+    # a table that is not an object ended replay in an AttributeError
+    # traceback with exit 1, the code of a mismatch
+    report, _ = run("schottky", load_config(str(path)))
+    (witness,) = report["body"]["witnesses"]
+    for table in ([], "x", None):
+        witness["table"] = table
+        assert replay(report) is False
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(report))
+        proc = subprocess.run([sys.executable, "-m", "catqm.cli", "replay", str(bad)],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_VIOLATION, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.strip() == "replay: MISMATCH"
+
+
 @pytest.mark.parametrize("edit", [
     lambda r: r["body"].pop("config"),
     lambda r: r["body"].update(witnesses=5),
@@ -550,10 +596,20 @@ FORCING_LEDGERS = [(-1.0, 0.0), (-1.0, 1.0), (-1.5, 1.0), (-6.0, 0.5),
 
 def _per_config_tallies(space, ledger, tol, radius):
     small = min(3, radius)
-    return runner._lemma_suite(space, ledger, tol,
-                               tree_triples_exhaustive(space, radius),
-                               tree_dichotomy_configs(space, small),
-                               tree_variation_configs(space, small))
+    triples = list(tree_triples_exhaustive(space, radius))
+    dichotomies = list(tree_dichotomy_configs(space, small))
+    variations = list(tree_variation_configs(space, small))
+    got = runner._lemma_suite(space, ledger, tol, triples, dichotomies, variations)
+    # the buckets against a count of the checkers' statuses that shares no
+    # code with the tally
+    for name, check, configs in (("thin_triangle", check_thin_triangle, triples),
+                                 ("near_collinearity", check_reverse_triangle, triples),
+                                 ("dichotomy", check_dichotomy, dichotomies),
+                                 ("variation", check_variation, variations)):
+        statuses = Counter(check(space, *c, ledger, tol).status for c in configs)
+        assert got[0][name] == {s: statuses[s] for s in ("holds", "skipped", "violated")}
+        assert sum(statuses.values()) == len(configs)
+    return got
 
 
 @pytest.mark.parametrize("radius", [3, 4])
