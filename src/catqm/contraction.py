@@ -8,10 +8,13 @@ every shadow is one point and ``certify_contracting`` returns an exact
 certificate at any B above the tolerance.  Elsewhere the statement ranges
 over all balls, so what we produce is budgeted evidence: a certificate
 records the maximal projection diameter observed over a deterministic
-family of balls (``_candidate_centers`` and ``_ball_family``), read lazily
-through ``space.ball_diameters`` and stopping at the first refuting ball,
-and a refutation stores a replayable witness ball.  The tree takes the same
-search at B <= tol, where its first ball refutes with diameter 0.0.
+family of balls (``_candidate_centers`` and ``_ball_family``), and a
+refutation stores a replayable witness ball.  The tree takes the same
+search at B <= tol, where its first ball refutes with diameter 0.0.  The
+sampled ball shadow has one owner, ``_shadows``: the spread of the
+``space.projections`` parameters of ``space.ball_points``, one ball per
+step, so a certificate leaves the balls after its first refuting one
+unevaluated; ``projection_diameter_under_ball`` reads its one-ball step.
 
 The ledger carries every constant the lemma suite needs, each instantiated
 by an explicit formula that discharges the corresponding proof step.  Where
@@ -32,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, checked_number
 from .spaces import _arclength_samples
 
 CERTIFIED = "certified-at-budget"
@@ -159,8 +162,8 @@ class ConstantLedger:
     T: float = field(init=False)
 
     def __post_init__(self):
-        if self.C <= 0 or self.B <= 0:
-            raise InputError("ledger needs C > 0 and B > 0")
+        checked_number(self.C, "ledger C")
+        checked_number(self.B, "ledger B")
         object.__setattr__(self, "B_prime", phi_subsegment(self.B, self.C))
         object.__setattr__(self, "D", phi_confinement(self.B, self.C))
         object.__setattr__(self, "S", phi_stability(self.B, self.C, self.D))
@@ -256,8 +259,8 @@ def projection_diameter_under_ball(space, seg, center, radius: float,
     ``space.ball_points``: deterministic low-discrepancy samples plus the
     center, or on the tree every vertex (plus an edge-point center).  The
     value is a reproducible lower bound for the true diameter, measured as
-    the arclength spread of the projection parameters: the one-ball call
-    of ``space.ball_diameters``.
+    the arclength spread of the projection parameters: the one-ball step
+    of ``_shadows``.
     """
     d_center = space.project(center, seg).distance
     if d_center <= radius:
@@ -268,8 +271,16 @@ def projection_diameter_under_ball(space, seg, center, radius: float,
         raise InputError("radius must be >= 0")
     if radius == 0:
         return 0.0
-    (diameter,) = space.ball_diameters(seg, [(center, radius)], samples)
-    return diameter
+    return next(_shadows(space, seg, [(center, radius)], samples))
+
+
+def _shadows(space, seg, balls, samples: int):
+    """max − min of the ``space.projections`` parameters of
+    ``space.ball_points`` on ``seg``, for each (center, radius) in
+    ``balls``, in order, one ball per step."""
+    for center, radius in balls:
+        params = space.projections(space.ball_points(center, radius, samples), seg)[0]
+        yield float(params.max() - params.min())
 
 
 def _candidate_centers(space, seg, budget: CertBudget, B: float) -> tuple:
@@ -327,17 +338,15 @@ def certify_contracting(space, seg, B: float, budget: CertBudget | None = None
     owner, radii = _ball_family(dists)
     balls = [(centers[i], r) for i, r in zip(owner.tolist(), radii.tolist())]
     max_diam = 0.0
-    checked = 0
-    for (center, radius), diam in zip(balls, space.ball_diameters(
-            seg, balls, budget.ball_samples)):
-        checked += 1
+    shadows = _shadows(space, seg, balls, budget.ball_samples)
+    for checked, ((center, radius), diam) in enumerate(zip(balls, shadows), 1):
         max_diam = max(max_diam, diam)
         if diam >= B - space.tol:
             witness = BallWitness(center, radius, diam, budget.ball_samples)
             return ContractionCertificate(
                 (seg.start, seg.end), B, REFUTED, max_diam, checked, witness)
     return ContractionCertificate((seg.start, seg.end), B, CERTIFIED,
-                                  max_diam, checked, None)
+                                  max_diam, len(balls), None)
 
 
 # ---------------------------------------------------------------------------

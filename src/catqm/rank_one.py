@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from .actions import GroupModel, act, orbit_points
 from .contraction import CertBudget, ContractionCertificate, certify_contracting
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, checked_number
 from .spaces import _arclength_samples
 from . import words as W
 
@@ -153,8 +153,7 @@ def schottky_exponent(space, group: GroupModel, g, h, E: float,
     g^N, h^N of length <= word_len_max displaces the basepoint by at least
     its length times E.  Exhausting the cap raises a budget error carrying
     the displacement tables per tried N."""
-    if E <= 0:
-        raise InputError("E must be > 0")
+    checked_number(E, "E")
     gi, hi = group.from_word(g), group.from_word(h)
     tol = space.tol
     patterns = [w for w in W.ball(2, word_len_max) if w]
@@ -179,23 +178,13 @@ def schottky_exponent(space, group: GroupModel, g, h, E: float,
                       partial=tried)
 
 
-@dataclass(frozen=True)
-class HalfFlatRefutation:
-    B: float
-    refuted: bool
-    witness: dict | None
-
-
 def half_flat_control(space, seg, B_sweep, budget: CertBudget | None = None
-                      ) -> list[HalfFlatRefutation]:
+                      ) -> list[ContractionCertificate]:
     """Negative control: along a flat axis each scale in the sweep must be
-    refuted with a replayable witness ball."""
-    out = []
+    refuted with a replayable witness ball.  One certificate per scale."""
+    certs = []
     for B in B_sweep:
         probe = replace(budget or CertBudget(),
                         probe_heights=(B / 2.0 + 2.0, B + 2.0))
-        cert = certify_contracting(space, seg, B, probe)
-        out.append(HalfFlatRefutation(
-            B, cert.refuted,
-            None if cert.witness is None else cert.to_json(space)["witness"]))
-    return out
+        certs.append(certify_contracting(space, seg, B, probe))
+    return certs

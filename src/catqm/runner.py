@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -54,7 +53,7 @@ from .contraction import (
     phi_variation,
     projection_diameter_under_ball,
 )
-from .errors import BudgetError, CatqmError, ConfigError, InputError
+from .errors import BudgetError, CatqmError, ConfigError, InputError, checked_number
 from .expressway import (
     ExpresswaySystem,
     LambdaSamples,
@@ -122,12 +121,8 @@ class Budgets:
         """Each int field must be a positive integer and each float field a
         positive finite number; bools are neither."""
         for f in fields(self):
-            value = getattr(self, f.name)
-            kinds = int if f.type == "int" else (int, float)
-            if (isinstance(value, bool) or not isinstance(value, kinds)
-                    or not 0 < value <= sys.float_info.max):
-                raise ConfigError(f"budget {f.name} must be a positive finite "
-                                  f"{f.type}, got {value!r}")
+            checked_number(getattr(self, f.name), f"budget {f.name}",
+                           int if f.type == "int" else (int, float), error=ConfigError)
 
     def scaled(self, factor: float) -> "Budgets":
         """Every budget times ``factor``, int fields rounded (at least 1)."""
@@ -220,9 +215,11 @@ def config_from_json(data: dict) -> ExperimentConfig:
         companion = data.get("companion_word")
         return ExperimentConfig(
             space=space, group=group, sigma_word=sigma, basepoint=basepoint,
-            C=float(constants.get("C", 1.0)), B=float(constants.get("B", 1.0)),
+            C=float(checked_number(constants.get("C", 1.0), "constants C")),
+            B=float(checked_number(constants.get("B", 1.0), "constants B")),
             budgets=budgets, seed=int(data.get("seed", 0)),
-            tolerance=float(data.get("tolerance", 1e-6)),
+            tolerance=float(checked_number(data.get("tolerance", 1e-6), "tolerance",
+                                           zero_ok=True)),
             independence_words=[W.from_string(w)
                                 for w in data.get("independence_words", [])],
             companion_word=None if companion is None else W.from_string(companion),
@@ -525,12 +522,12 @@ def _half_flat(cfg: ExperimentConfig, sweep: list, cell: Cell) -> None:
         raise ConfigError("flat control needs a moving generator")
     k = max(2, math.ceil((2.0 * (max(sweep) / 2.0 + 2.0) + 10.0) / step))
     seg = space.geodesic(x0, act(space, cfg.group.power(g, k), x0))
-    table = half_flat_control(space, seg, sweep, cfg.cert_budget())
-    cell.section["half_flat"] = [{"B": r.B, "refuted": r.refuted} for r in table]
-    cell.violations += [{"check": "half-flat-control", "B": r.B}
-                        for r in table if not r.refuted]
-    cell.witnesses += [_refutation(space, seg, r.witness)
-                       for r in table if r.refuted and r.witness is not None]
+    certs = half_flat_control(space, seg, sweep, cfg.cert_budget())
+    cell.section["half_flat"] = [{"B": c.B, "refuted": c.refuted} for c in certs]
+    cell.violations += [{"check": "half-flat-control", "B": c.B}
+                        for c in certs if not c.refuted]
+    cell.witnesses += [_refutation(space, seg, c.to_json(space)["witness"])
+                       for c in certs if c.refuted]
 
 
 def run_contract(cfg: ExperimentConfig) -> Cell:
@@ -635,7 +632,7 @@ def run_qm(cfg: ExperimentConfig) -> Cell:
 
     indep_words = cfg.independence_words or [cfg.sigma_word]
     try:
-        systems = [cfg.system(w) for w in indep_words]
+        systems = [sys_obj if w == cfg.sigma_word else cfg.system(w) for w in indep_words]
         testers = [W.power(w, 2) for w in indep_words]
         matrix, rank = independence_matrix(systems, testers, n_max=tester_power)
         cell.section["independence"] = {"words": [W.to_string(w) for w in indep_words],
@@ -718,8 +715,7 @@ def run_schottky(cfg: ExperimentConfig) -> Cell:
 
 def run_wpd(cfg: ExperimentConfig) -> Cell:
     space = cfg.space
-    violations = []
-    section: dict = {}
+    cell = Cell()
     g = cfg.group.from_word(cfg.sigma_word)
     x0 = cfg.basepoint
     M = 1
@@ -728,30 +724,29 @@ def run_wpd(cfg: ExperimentConfig) -> Cell:
         M += 1
     radius = cfg.search_radius
     zero = wpd_count(space, cfg.group, g, 0.0, M, radius, x0)
-    section["count_c0"] = zero.to_json()
+    cell.section["count_c0"] = zero.to_json()
     if zero.count != 1 or zero.matching != (W.IDENTITY,):
-        violations.append({"check": "wpd-free-action", "matching": zero.to_json()})
+        cell.violations.append({"check": "wpd-free-action", "matching": zero.to_json()})
     bigger = wpd_count(space, cfg.group, g, cfg.budgets.wpd_c, M, radius + 2, x0)
     # the ball lists words by length (W.ball, GroupModel.ball), so the
     # radius-r matches are the grown count's matches of length <= r, in order
     matching = tuple(w for w in bigger.matching if len(w) <= radius)
     small = replace(bigger, radius=radius, matching=matching,
                     count=len(matching))
-    section["count_small"] = small.to_json()
-    section["count_small_radius_grown"] = bigger.to_json()
+    cell.section["count_small"] = small.to_json()
+    cell.section["count_small_radius_grown"] = bigger.to_json()
     stable = small.count == bigger.count
-    section["radius_stable"] = stable
+    cell.section["radius_stable"] = stable
     if not stable:
-        violations.append({"check": "wpd-stability", "small": small.count,
-                           "grown": bigger.count})
-    return Cell(section, violations, [small.to_json() | {"x0": space.point_to_json(x0)}])
+        cell.violations.append({"check": "wpd-stability", "small": small.count,
+                                "grown": bigger.count})
+    cell.witnesses.append(small.to_json() | {"x0": space.point_to_json(x0)})
+    return cell
 
 
 def run_equiv(cfg: ExperimentConfig) -> Cell:
     space = cfg.space
-    violations = []
-    witnesses = []
-    section: dict = {}
+    cell = Cell()
     g = cfg.sigma_word
     conj = W.multiply(W.multiply((1,), g), (-1,))
     K = cfg.budgets.equiv_k
@@ -759,89 +754,88 @@ def run_equiv(cfg: ExperimentConfig) -> Cell:
 
     found = equiv_search(space, cfg.group, g, conj, K, power_max,
                          cfg.search_radius, cfg.basepoint)
-    section["conjugate_search"] = None if found is None else found.to_json()
+    cell.section["conjugate_search"] = None if found is None else found.to_json()
     if found is None:
-        violations.append({"check": "equiv-conjugate",
-                           "detail": "conjugate orbits must match"})
+        cell.violations.append({"check": "equiv-conjugate",
+                                "detail": "conjugate orbits must match"})
     else:
-        witnesses.append(found.to_json() | {
+        cell.witnesses.append(found.to_json() | {
             "g": W.to_string(g), "h": W.to_string(conj), "K": K})
 
     reversed_found = equiv_search(space, cfg.group, g, W.inverse(g), K,
                                   power_max, cfg.search_radius, cfg.basepoint)
-    section["inverse_search"] = (None if reversed_found is None
-                                 else reversed_found.to_json())
+    cell.section["inverse_search"] = (None if reversed_found is None
+                                      else reversed_found.to_json())
     if reversed_found is not None:
-        violations.append({"check": "equiv-inverse",
-                           "detail": "reversed orbit matched unexpectedly",
-                           "witness": reversed_found.to_json()})
+        cell.violations.append({"check": "equiv-inverse",
+                                "detail": "reversed orbit matched unexpectedly",
+                                "witness": reversed_found.to_json()})
 
-    section["conjugate_power"] = {
+    powers = cell.section["conjugate_power"] = {
         "g_vs_conjugate": conjugate_power_test(g, conj, power_max),
         "g_vs_inverse": conjugate_power_test(g, W.inverse(g), power_max)}
-    if section["conjugate_power"]["g_vs_conjugate"] is None:
-        violations.append({"check": "conjugate-power", "detail": "missed conjugacy"})
-    if section["conjugate_power"]["g_vs_inverse"] is not None:
-        violations.append({"check": "conjugate-power",
-                           "detail": "false positive on the inverse"})
+    if powers["g_vs_conjugate"] is None:
+        cell.violations.append({"check": "conjugate-power", "detail": "missed conjugacy"})
+    if powers["g_vs_inverse"] is not None:
+        cell.violations.append({"check": "conjugate-power",
+                                "detail": "false positive on the inverse"})
 
     try:
         family = build_family(g, _companion(cfg), cfg.budgets.family_count,
                               N=2, power_max=power_max)
-        section["family"] = family.to_json()
+        cell.section["family"] = family.to_json()
     except BudgetError as exc:
-        section["family"] = {"members": [W.to_string(w) for w in exc.partial]}
-        violations.append({"check": "family-budget", "detail": str(exc)})
-    return Cell(section, violations, witnesses)
+        cell.section["family"] = {"members": [W.to_string(w) for w in exc.partial]}
+        cell.violations.append({"check": "family-budget", "detail": str(exc)})
+    return cell
 
 
 def run_algebra(cfg: ExperimentConfig) -> Cell:
-    violations = []
-    section: dict = {}
+    cell = Cell()
     ext = swap_extension()
     w = cfg.sigma_word if len(cfg.sigma_word) >= 2 else W.from_string("aab")
     base = homogeneous_brooks_qm(w)
-    section["extension"] = ext.describe()
-    section["base"] = base.name
+    cell.section["extension"] = ext.describe()
+    cell.section["base"] = base.name
 
     averaged = orbit_average(ext, base)
     inv = check_sigma_invariance(ext, averaged, radius=3)
-    section["average_invariant"] = not inv
+    cell.section["average_invariant"] = not inv
     if inv:
-        violations.append({"check": "orbit-average-invariance", "witness": inv[0]})
+        cell.violations.append({"check": "orbit-average-invariance", "witness": inv[0]})
 
     transferred = transfer_extend(ext, averaged)
     report = restriction_check(ext, transferred, averaged,
                                word_radius=min(6, cfg.budgets.ball_radius + 2),
                                pair_radii=(3, 4))
-    section["restriction"] = {
+    cell.section["restriction"] = {
         "words_checked": report.words_checked,
         "max_gap": report.max_restriction_gap,
         "defects": {str(k): v for k, v in sorted(report.defects.items())},
         "growth": report.growth}
     if report.max_restriction_gap > cfg.tolerance:
-        violations.append({"check": "restriction-gap",
-                           "gap": report.max_restriction_gap})
+        cell.violations.append({"check": "restriction-gap",
+                                "gap": report.max_restriction_gap})
     if report.growth > 1.0:
-        violations.append({"check": "defect-growth", "growth": report.growth})
+        cell.violations.append({"check": "defect-growth", "growth": report.growth})
 
     hom = homogeneity_suite(base, random_words(2, cfg.seed, 8, 4), n_max=4,
                             conjugators=[(1,), (2, 1)], tolerance=cfg.tolerance)
-    section["homogeneity_violations"] = hom
+    cell.section["homogeneity_violations"] = hom
     if hom:
-        violations.append({"check": "homogeneity", "witness": hom[0]})
+        cell.violations.append({"check": "homogeneity", "witness": hom[0]})
 
     raw = brooks_qm(w)
     raw_hom = homogeneity_suite(raw, [(1, 1, 2)], n_max=3,
                                 conjugators=[(1,)], tolerance=cfg.tolerance)
-    section["raw_brooks_conjugacy_breaks"] = bool(raw_hom)
+    cell.section["raw_brooks_conjugacy_breaks"] = bool(raw_hom)
     length_breaks = homogeneity_suite(word_length_qm(), [(1, 2, -1)], n_max=2,
                                       tolerance=cfg.tolerance)
-    section["word_length_breaks"] = bool(length_breaks)
+    cell.section["word_length_breaks"] = bool(length_breaks)
     if not length_breaks:
-        violations.append({"check": "negative-control",
-                           "detail": "word length looked homogeneous"})
-    return Cell(section, violations)
+        cell.violations.append({"check": "negative-control",
+                                "detail": "word length looked homogeneous"})
+    return cell
 
 
 _RUNNERS = {
@@ -920,6 +914,9 @@ def replay(report_or_path) -> bool:
 
 
 def _replay_contraction(cfg: ExperimentConfig, w: dict, tol: float) -> bool:
+    # every certificate samples its balls at the config's ball_samples
+    if w["samples"] != cfg.budgets.ball_samples:
+        return False
     space = cfg.space
     seg = space.geodesic(*map(space.point_from_json, w["segment"]))
     diam = projection_diameter_under_ball(space, seg, space.point_from_json(w["center"]),

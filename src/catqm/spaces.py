@@ -4,10 +4,9 @@ space, and products.
 Every space exposes the same small surface: ``distance``, ``geodesic``,
 ``project``, ``projections`` (the parameters and distances of ``project``
 for a list of points, as two float64 arrays), deterministic
-``ball_points`` sampling, ``ball_parameters`` (the projection parameters
-of those ball points on a segment), ``ball_diameters`` (the spread of
-those parameters for each ball of a list, in order, ball by ball), and
-JSON round-tripping of points.
+``ball_points`` sampling, and JSON round-tripping of points.  The sampled
+ball shadow, the spread of the ``projections`` of ``ball_points``, is
+measured in one place, ``contraction``.
 Segments are arclength-parametrized; ``point_at(0)`` is the start,
 ``point_at(length)`` the end, and parameter differences equal distances
 (exactly on the tree and Euclidean space, within tolerance on the
@@ -18,8 +17,7 @@ Projections are closed forms on the tree (Gromov products,
 Euclidean space (a clamped dot product).  Half-plane and Euclidean
 ``projections`` evaluate the same formulas as numpy over all the points at
 once; the tree and products project their points one at a time
-(``_projections_one_by_one``).  ``ball_parameters`` is one shared function
-over ``projections``.  A tree ball that misses a segment
+(``_projections_one_by_one``).  A tree ball that misses a segment
 projects onto it as one point, so a tree contraction certificate measures
 a shadow only at B <= tol.  Each tree rule has one owner: ``_route`` (the
 exit options that join two points), ``_along`` (the walk of ``point_at``)
@@ -55,7 +53,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, checked_number
 from .words import (
     Word,
     check_reduced,
@@ -122,21 +120,12 @@ def _projections_one_by_one(space, points, seg) -> tuple[np.ndarray, np.ndarray]
             np.array([r.distance for r in results], dtype=np.float64))
 
 
-def _ball_parameters(space, center, radius: float, seg,
-                     samples: int = 64) -> np.ndarray:
-    """``project(p, seg).parameter`` for every p in ``ball_points``: one
-    ``projections`` pass.  The ``ball_parameters`` of every space."""
-    return space.projections(space.ball_points(center, radius, samples), seg)[0]
-
-
-def _ball_diameters_lazily(space, seg, balls, samples: int = 64):
-    """max − min of ``ball_parameters`` for each (center, radius) in
-    ``balls``, in order, one ball per step: a caller that stops at an early
-    refutation leaves the later balls unevaluated.  The ``ball_diameters``
-    of every space."""
-    for center, radius in balls:
-        params = space.ball_parameters(center, radius, seg, samples)
-        yield float(params.max() - params.min())
+def _clamped(s: float, length: float, eps: float = 1e-9) -> float:
+    """The segment parameter s clamped to [0, length]: the rule of every
+    ``point_at``.  More than eps outside the interval is an ``InputError``."""
+    if s < -eps or s > length + eps:
+        raise InputError(f"parameter {s} outside [0, {length}]")
+    return min(max(s, 0.0), length)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +252,7 @@ class TreeSegment:
 
     def point_at(self, s: float) -> TreePoint:
         eps = _SNAP
-        if s < -eps or s > self.length + eps:
-            raise InputError(f"parameter {s} outside [0, {self.length}]")
-        s = min(max(s, 0.0), self.length)
+        s = _clamped(s, self.length, eps)
         # the ends themselves: walking to one can round off an edge offset
         if s == 0.0:
             return self.start
@@ -298,8 +285,6 @@ class TreeSpace:
     def __init__(self, rank: int = 2, dd_constant: float = 1.0, tol: float = 1e-9):
         if rank < 1:
             raise InputError("rank must be >= 1")
-        if dd_constant < 0:
-            raise InputError("dd constant must be >= 0")
         self.rank = rank
         self.dd_constant = dd_constant
         self.tol = tol
@@ -406,24 +391,17 @@ class TreeSpace:
         keep = first[np.argsort(point[first], kind="stable")]
         return letters[keep], lens[keep]
 
-    def vertices_within(self, p: TreePoint, radius: float) -> list[TreePoint]:
-        """All tree vertices within the given radius of p (exhaustive), in
-        (length, word) order."""
-        return [tree_point(w)
-                for w in W.unpack(self.packed_vertices_within([p], radius))]
-
     def ball_points(self, center: TreePoint, radius: float,
                     samples: int = 0) -> list[TreePoint]:
-        """Ball sampling is exhaustive over vertices; the tree needs nothing
-        finer because projections are determined at vertices."""
-        pts = self.vertices_within(center, radius)
+        """Every vertex within the radius of the center, in (length, word)
+        order, after an edge-point center itself: ball sampling is
+        exhaustive over vertices, and the tree needs nothing finer because
+        projections are determined at vertices."""
+        pts = [tree_point(w)
+               for w in W.unpack(self.packed_vertices_within([center], radius))]
         return pts if center.is_vertex else [center] + pts
 
     projections = _projections_one_by_one
-    # a ball that misses a segment projects to one point: certificates
-    # measure these shadows only at B <= tol, and replay their witnesses
-    ball_parameters = _ball_parameters
-    ball_diameters = _ball_diameters_lazily
 
     def pairwise_distances(self, points: list[TreePoint]) -> np.ndarray:
         if all(p.is_vertex for p in points):
@@ -515,9 +493,7 @@ class HalfPlaneSegment:
         return log(abs(z - self._p) / abs(1.0 - self._k * z))
 
     def point_at(self, s: float) -> complex:
-        if s < -1e-9 or s > self.length + 1e-9:
-            raise InputError(f"parameter {s} outside [0, {self.length}]")
-        s = min(max(s, 0.0), self.length)
+        s = _clamped(s, self.length)
         w = complex(0.0, math.exp(self._u0 + self._sign * s))
         return (w + self._p) / (1.0 + self._k * w)
 
@@ -529,8 +505,6 @@ class HalfPlaneSpace:
     kind = "half-plane"
 
     def __init__(self, dd_constant: float = 1.0, tol: float = 1e-9):
-        if dd_constant < 0:
-            raise InputError("dd constant must be >= 0")
         self.dd_constant = dd_constant
         self.tol = tol
 
@@ -607,9 +581,6 @@ class HalfPlaneSpace:
             pts.append(ce + rho * cmath.exp(1j * ang))
         return pts
 
-    ball_parameters = _ball_parameters
-    ball_diameters = _ball_diameters_lazily
-
     def pairwise_distances(self, points) -> np.ndarray:
         zs = np.asarray([complex(p) for p in points])
         dz = np.abs(zs[:, None] - zs[None, :])
@@ -643,11 +614,10 @@ class EuclideanSegment:
         self.length = math.dist(a, b)
 
     def point_at(self, s: float) -> tuple:
-        if s < -1e-9 or s > self.length + 1e-9:
-            raise InputError(f"parameter {s} outside [0, {self.length}]")
+        s = _clamped(s, self.length)
         if self.length == 0.0:
             return self.start
-        t = min(max(s / self.length, 0.0), 1.0)
+        t = s / self.length
         return tuple(a + t * (b - a) for a, b in zip(self.start, self.end))
 
 
@@ -659,8 +629,6 @@ class EuclideanSpace:
     def __init__(self, dim: int = 2, dd_constant: float = 0.0, tol: float = 1e-9):
         if dim < 1:
             raise InputError("dim must be >= 1")
-        if dd_constant < 0:
-            raise InputError("dd constant must be >= 0")
         self.dim = dim
         self.dd_constant = dd_constant
         self.tol = tol
@@ -765,9 +733,6 @@ class EuclideanSpace:
             pts.append(tuple(q))
         return pts
 
-    ball_parameters = _ball_parameters
-    ball_diameters = _ball_diameters_lazily
-
     def pairwise_distances(self, points) -> np.ndarray:
         arr = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
         diff = arr[:, None, :] - arr[None, :, :]
@@ -800,11 +765,10 @@ class ProductSegment:
         self.length = math.hypot(self._sl.length, self._sr.length)
 
     def point_at(self, s: float):
-        if s < -1e-9 or s > self.length + 1e-9:
-            raise InputError(f"parameter {s} outside [0, {self.length}]")
+        s = _clamped(s, self.length)
         if self.length == 0.0:
             return self.start
-        t = min(max(s / self.length, 0.0), 1.0)
+        t = s / self.length
         return (self._sl.point_at(t * self._sl.length),
                 self._sr.point_at(t * self._sr.length))
 
@@ -861,8 +825,6 @@ class ProductSpace:
         return pts
 
     projections = _projections_one_by_one
-    ball_parameters = _ball_parameters
-    ball_diameters = _ball_diameters_lazily
 
     def pairwise_distances(self, points) -> np.ndarray:
         dl = self.left.pairwise_distances([p[0] for p in points])
@@ -966,20 +928,16 @@ def _arclength_samples(length: float, step: float) -> list[float]:
 
 def space_from_json(data: dict):
     kind = data.get("kind")
+    dd, tol = (checked_number(data.get(key, default), f"space {key}", zero_ok=True)
+               for key, default in (("dd_constant", 0.0 if kind == "euclidean" else 1.0),
+                                    ("tolerance", 1e-9)))
     if kind == "tree":
-        return TreeSpace(rank=data.get("rank", 2),
-                         dd_constant=data.get("dd_constant", 1.0),
-                         tol=data.get("tolerance", 1e-9))
+        return TreeSpace(rank=data.get("rank", 2), dd_constant=dd, tol=tol)
     if kind == "half-plane":
-        return HalfPlaneSpace(dd_constant=data.get("dd_constant", 1.0),
-                              tol=data.get("tolerance", 1e-9))
+        return HalfPlaneSpace(dd_constant=dd, tol=tol)
     if kind == "euclidean":
-        return EuclideanSpace(dim=data.get("dim", 2),
-                              dd_constant=data.get("dd_constant", 0.0),
-                              tol=data.get("tolerance", 1e-9))
+        return EuclideanSpace(dim=data.get("dim", 2), dd_constant=dd, tol=tol)
     if kind == "product":
-        return ProductSpace(space_from_json(data["left"]),
-                            space_from_json(data["right"]),
-                            dd_constant=data.get("dd_constant", 1.0),
-                            tol=data.get("tolerance", 1e-9))
+        return ProductSpace(space_from_json(data["left"]), space_from_json(data["right"]),
+                            dd_constant=dd, tol=tol)
     raise InputError(f"unknown space kind {kind!r}")

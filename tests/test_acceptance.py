@@ -292,14 +292,13 @@ def test_criterion_8_flat_refutations():
     for entry in table:
         assert entry.refuted, f"B={entry.B} not refuted"
         w = entry.witness
-        center = EU.point_from_json(w["center"])
         # replay and match the closed form 2 (h - 1)
-        diam = projection_diameter_under_ball(EU, seg, center, w["radius"],
-                                              w["samples"])
-        assert diam == pytest.approx(w["diameter"], rel=1e-9)
-        h = EU.project(center, seg).distance
-        assert w["diameter"] >= 2.0 * (h - 1.0) * 0.95
-        assert w["diameter"] <= 2.0 * (h - 1.0) * 1.05
+        diam = projection_diameter_under_ball(EU, seg, w.center, w.radius,
+                                              w.samples)
+        assert diam == pytest.approx(w.diameter, rel=1e-9)
+        h = EU.project(w.center, seg).distance
+        assert w.diameter >= 2.0 * (h - 1.0) * 0.95
+        assert w.diameter <= 2.0 * (h - 1.0) * 1.05
 
     line = EuclideanSpace(1)
     HP = HalfPlaneSpace()

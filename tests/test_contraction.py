@@ -124,6 +124,14 @@ def test_ledger_rejects_nonpositive():
         ConstantLedger(1.0, -2.0)
 
 
+@pytest.mark.parametrize("C,B", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                 (1.0, math.inf)], ids=["C-nan", "B-nan", "C-inf", "B-inf"])
+def test_ledger_rejects_nan_and_infinite(C, B):
+    # C <= 0 and B <= 0 are both False at NaN, so the ledger once took it
+    with pytest.raises(InputError):
+        ConstantLedger(C, B)
+
+
 # ---------------------------------------------------------------------------
 # projection diameters and certificates
 # ---------------------------------------------------------------------------
@@ -265,10 +273,12 @@ def test_off_tree_certificates_stop_at_the_refuting_ball(monkeypatch):
     budget = CertBudget(center_radius=4)
     cert = certify_contracting(EU, seg, 10.0, budget)
     assert cert == certify_contracting_per_ball(EU, seg, 10.0, budget)
+    # one projections pass per checked ball: the candidate centers are
+    # projected one at a time, through ``project``
     seen = []
-    shadow = EU.ball_parameters
-    monkeypatch.setattr(EU, "ball_parameters",
-                        lambda *args: seen.append(args) or shadow(*args))
+    projections = EU.projections
+    monkeypatch.setattr(EU, "projections",
+                        lambda *args: seen.append(args) or projections(*args))
     assert certify_contracting(EU, seg, 10.0, budget) == cert
     assert len(seen) == cert.balls_checked < _ball_count(EU, seg, budget, 10.0)
     hp_seg = HP.geodesic(1j, 1j * math.exp(4.0))

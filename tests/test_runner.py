@@ -419,6 +419,54 @@ def test_config_basepoint_is_validated(tmp_path, path, basepoint):
         assert cli_main([sub, "--config", str(bad)]) == EXIT_CONFIG
 
 
+NAN, INF = float("nan"), float("inf")
+# (config, product space or None) for each space kind a config can declare;
+# the product takes the half-plane config's group, which load does not act
+# by, at the default basepoint
+SPACE_KINDS = {
+    "tree": (TREE_CONFIG, None),
+    "half-plane": (HALFPLANE_CONFIG, None),
+    "euclidean": (EUCLID_CONFIG, None),
+    "product": (HALFPLANE_CONFIG, {"kind": "product", "left": {"kind": "half-plane"},
+                                   "right": {"kind": "euclidean", "dim": 1}}),
+}
+# (id, config, product space, where in the config, key, bad value): each
+# loaded before.  The tree, half-plane and Euclidean spaces already refused a
+# negative or string dd_constant; the product did not.
+BAD_NUMBERS = (
+    [(f"{key}-{tag}", TREE_CONFIG, None, "constants", key, value)
+     for key, good in (("C", "1"), ("B", "5"))
+     for tag, value in (("nan", NAN), ("inf", INF), ("zero", 0.0), ("negative", -1.0),
+                        ("string", good), ("bool", True))]
+    + [(f"tolerance-{tag}", TREE_CONFIG, None, None, "tolerance", value)
+       for tag, value in (("nan", NAN), ("inf", INF), ("negative", -1e-6),
+                          ("string", "1e-6"), ("bool", True))]
+    + [(f"{kind}-{key}-{tag}", *SPACE_KINDS[kind], "space", key, value)
+       for kind in SPACE_KINDS for key in ("tolerance", "dd_constant")
+       for tag, value in (("nan", NAN), ("inf", INF), ("negative", -1.0), ("string", "x"))
+       if kind == "product" or key == "tolerance" or tag in ("nan", "inf")])
+
+
+@pytest.mark.parametrize("path,space,where,key,value", [c[1:] for c in BAD_NUMBERS],
+                         ids=[c[0] for c in BAD_NUMBERS])
+def test_config_numbers_are_checked_at_load(tmp_path, capsys, path, space, where,
+                                            key, value):
+    # "B": NaN once ran contract to 12,512 violations of bound NaN beside a
+    # certified certificate, a space "tolerance": "x" ended it in a TypeError
+    # traceback with exit 1, and "tolerance": -1 reported dd/ft violations
+    data = json.loads(path.read_text())
+    if space is not None:
+        data.update(space=copy.deepcopy(space), basepoint="default")
+    config_from_json(data)
+    (data if where is None else data[where])[key] = value
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        config_from_json(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli_main(["contract", "--config", str(bad)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("path", [TREE_CONFIG, HALFPLANE_CONFIG, EUCLID_CONFIG],
                          ids=lambda p: p.stem)
 def test_wpd_small_count_equals_a_direct_count(path):
@@ -491,6 +539,29 @@ def test_replay_fails_closed_on_a_malformed_schottky_table(tmp_path, path):
         assert proc.returncode == EXIT_VIOLATION, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout.strip() == "replay: MISMATCH"
+
+
+def test_replay_refuses_a_schottky_witness_with_a_nan_E():
+    # with E = NaN no displacement fell short of its bound, so N = 2 passed
+    # vacuously and the edited witness replayed True
+    report, _ = run("schottky", load_config(str(TREE_CONFIG)))
+    (witness,) = report["body"]["witnesses"]
+    assert replay(report) is True
+    witness["E"] = NAN
+    assert replay(report) is False
+
+
+@pytest.mark.parametrize("samples", [65, 7])
+def test_replay_refuses_contraction_samples_the_config_did_not_produce(samples):
+    # every certificate samples its balls at the config's ball_samples (64);
+    # another count was replayed as given, building that many points
+    report, _ = run("contract", load_config(str(EUCLID_CONFIG)))
+    witnesses = [w for w in report["body"]["witnesses"]
+                 if w["kind"] == "contraction-refutation"]
+    assert witnesses and {w["samples"] for w in witnesses} == {64}
+    assert replay(report) is True
+    witnesses[0]["samples"] = samples
+    assert replay(report) is False
 
 
 @pytest.mark.parametrize("edit", [

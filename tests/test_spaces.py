@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catqm import words as W
+from catqm.contraction import _shadows
 from catqm.errors import InputError, NumericError
 from catqm.samplers import (
     dd_triples_random,
@@ -189,13 +190,11 @@ def test_tree_ball_on_its_floor_boundary():
         for k in (0, 1, 2):
             for cost in (center.t, 1.0 - center.t):
                 radius = k + cost
-                pts = TREE.vertices_within(center, radius)
+                pts = TREE.ball_points(center, radius)
                 assert max(TREE.distance(center, p) for p in pts) == pytest.approx(radius)
-                params = TREE.ball_parameters(center, radius, seg)
-                per_point = {TREE.project(p, seg).parameter
-                             for p in TREE.ball_points(center, radius)}
-                assert set(params.tolist()) == per_point
-                assert list(TREE.ball_diameters(seg, [(center, radius)])) == [
+                per_point = [TREE.project(p, seg).parameter for p in pts]
+                assert TREE.projections(pts, seg)[0].tolist() == per_point
+                assert list(_shadows(TREE, seg, [(center, radius)], 64)) == [
                     max(per_point) - min(per_point)]
 
 
@@ -317,33 +316,25 @@ def test_closed_form_projections_match_golden_section(space):
         assert grid >= pr.distance - 1e-12
 
 
-@pytest.mark.parametrize("space", [HP, EU], ids=lambda s: s.kind)
-def test_ball_parameters_match_per_point_projections(space):
-    for seg, center in _closed_form_cases(space, 62, 200):
-        d = space.project(center, seg).distance
-        radius = 0.75 * d if d > 0.0 else 0.5
-        params = space.ball_parameters(center, radius, seg, 64)
-        per_point = [space.project(p, seg).parameter
-                     for p in space.ball_points(center, radius, 64)]
-        assert params.shape == (len(per_point),)
-        assert max(abs(params - per_point)) <= 1e-12
-
-
 @pytest.mark.parametrize("space", [TREE, HP, EU, ProductSpace(HP, LINE)],
                          ids=lambda s: type(s).__name__)
 def test_projections_match_per_point_project(space):
     # every case's point on every case's segment: zero-length segments,
-    # vertical half-plane geodesics and points past both ends
+    # vertical half-plane geodesics and points past both ends; and on each
+    # segment the ``ball_points`` whose shadow a contraction certificate
+    # measures, about the case's own point at 3/4 of its distance
     cases = _closed_form_cases(space, 64, 12 if space.kind == "product" else 60)
     points = [x for _, x in cases]
     assert any(seg.length == 0.0 for seg, _ in cases)
     if space is HP:
         assert {seg._k == 0.0 for seg, _ in cases} == {True, False}
     past = set()
-    for seg, _ in cases:
-        params, dists = space.projections(points, seg)
+    for seg, x in cases:
+        d = space.project(x, seg).distance
+        pts = points + space.ball_points(x, 0.75 * d if d > 0.0 else 0.5, 64)
+        params, dists = space.projections(pts, seg)
         assert params.dtype == dists.dtype == np.float64
-        per_point = [space.project(p, seg) for p in points]
+        per_point = [space.project(p, seg) for p in pts]
         assert max(abs(params - [r.parameter for r in per_point])) <= 1e-12
         assert max(abs(dists - [r.distance for r in per_point])) <= 1e-12
         if seg.length > 0.0:
@@ -539,8 +530,7 @@ def test_tree_segment_distance_matches_scan():
 # class dict: there is no base class to inherit from, and the benchmark's
 # tracer wraps only the methods a space class defines itself.
 SPACE_METHODS = ("distance", "geodesic", "project", "projections", "segment_distance",
-                 "ball_points", "ball_parameters", "ball_diameters",
-                 "pairwise_distances",
+                 "ball_points", "pairwise_distances",
                  "point_key", "point_to_json", "point_from_json",
                  "validate_point", "basepoint")
 
