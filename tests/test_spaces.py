@@ -316,25 +316,37 @@ def test_closed_form_projections_match_golden_section(space):
         assert grid >= pr.distance - 1e-12
 
 
+@pytest.mark.parametrize("space", [HP, EU], ids=lambda s: s.kind)
+def test_ball_parameters_match_per_point_projections(space):
+    # the projection parameters of the ``ball_points`` whose shadow a
+    # contraction certificate measures, and that shadow itself
+    for seg, center in _closed_form_cases(space, 62, 200):
+        d = space.project(center, seg).distance
+        radius = 0.75 * d if d > 0.0 else 0.5
+        params = space.projections(space.ball_points(center, radius, 64), seg)[0]
+        per_point = [space.project(p, seg).parameter
+                     for p in space.ball_points(center, radius, 64)]
+        assert params.shape == (len(per_point),)
+        assert max(abs(params - per_point)) <= 1e-12
+        (shadow,) = _shadows(space, seg, [(center, radius)], 64)
+        assert abs(shadow - (max(per_point) - min(per_point))) <= 2e-12
+
+
 @pytest.mark.parametrize("space", [TREE, HP, EU, ProductSpace(HP, LINE)],
                          ids=lambda s: type(s).__name__)
 def test_projections_match_per_point_project(space):
     # every case's point on every case's segment: zero-length segments,
-    # vertical half-plane geodesics and points past both ends; and on each
-    # segment the ``ball_points`` whose shadow a contraction certificate
-    # measures, about the case's own point at 3/4 of its distance
+    # vertical half-plane geodesics and points past both ends
     cases = _closed_form_cases(space, 64, 12 if space.kind == "product" else 60)
     points = [x for _, x in cases]
     assert any(seg.length == 0.0 for seg, _ in cases)
     if space is HP:
         assert {seg._k == 0.0 for seg, _ in cases} == {True, False}
     past = set()
-    for seg, x in cases:
-        d = space.project(x, seg).distance
-        pts = points + space.ball_points(x, 0.75 * d if d > 0.0 else 0.5, 64)
-        params, dists = space.projections(pts, seg)
+    for seg, _ in cases:
+        params, dists = space.projections(points, seg)
         assert params.dtype == dists.dtype == np.float64
-        per_point = [space.project(p, seg) for p in pts]
+        per_point = [space.project(p, seg) for p in points]
         assert max(abs(params - [r.parameter for r in per_point])) <= 1e-12
         assert max(abs(dists - [r.distance for r in per_point])) <= 1e-12
         if seg.length > 0.0:
