@@ -8,11 +8,11 @@ The modified length lambda(a, b) is the infimum of these costs, and
 
     phi(g) = lambda(g x0, x0) - lambda(x0, g x0)
 
-is the induced potential on the group.  Enumerating every translate is
-impossible, so lambda is computed over a budgeted, deterministic candidate
-set: for tree models the candidate policy is exactly equivariant (translates
-whose endpoints lie near the geodesic are enumerated directly), elsewhere a
-group ball is filtered by a margin around the geodesic.
+is the induced potential on the group.  On exact tree models lambda has a
+closed form (see the exact tree evaluation notes below).  Elsewhere
+enumerating every translate is impossible, so lambda is computed over a
+budgeted, deterministic candidate set: a group ball filtered by a margin
+around the geodesic.
 
 The candidate graph has the two query points and all candidate endpoints as
 nodes, complete free edges weighted by distance, and one directed shortcut
@@ -30,7 +30,6 @@ search stops once b is settled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -117,49 +116,22 @@ class ExpresswaySystem:
 # ---------------------------------------------------------------------------
 
 def enumerate_relevant_expressways(sys: ExpresswaySystem, a, b) -> list[Translate]:
-    """Deterministic list of translates whose endpoints both lie within the
-    effective margin of [a, b].
+    """Deterministic list of the translates of sigma by the group ball whose
+    endpoints both lie within the effective margin of [a, b].
 
     The sound margin is D + L (paths that help must stay D-confined, plus
     one segment length of slack); the configured margin caps it at desk
-    scale.  Tree models enumerate the neighborhood of the geodesic directly,
-    which makes the candidate set exactly equivariant; other models filter a
-    group ball with one projection pass per query (``space.projections``
-    over the ends of every ball translate), so equivariance there is only
-    approximate near the ball boundary.  Exceeding the candidate cap raises
-    a budget error carrying the truncated list.
+    scale.  One projection pass per query filters the ball, so equivariance
+    is only approximate near the ball boundary.  Exceeding the candidate cap
+    raises a budget error carrying the truncated list.
     """
     margin = min(sys.margin, sys.ledger.D + sys.L)
-    seg = sys.space.geodesic(a, b)
-    if sys.is_exact_tree():
-        out = _tree_candidates(sys, seg, margin)
-    else:
-        out = _ball_candidates(sys, seg, margin)
+    out = _ball_candidates(sys, sys.space.geodesic(a, b), margin)
     if len(out) > sys.candidate_cap:
         raise BudgetError(
             f"{len(out)} candidate translates exceed cap {sys.candidate_cap}",
             partial=out[:sys.candidate_cap])
     return out
-
-
-def _tree_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translate]:
-    space = sys.space
-    x0inv = word_inverse(sys.basepoint.anchor)
-    chain = seg.chain or seg.start.edge()
-    reach = margin + space.tol
-    starts = space.packed_vertices_within([tree_point(v) for v in chain],
-                                          int(math.ceil(margin)) + 1)
-    params, dists = space.vertex_projections(seg, starts)
-    near = dists <= reach
-    starts, params = (starts[0][near], starts[1][near]), params[near]
-    edge, n = W.pack([sys.sigma_edge_word]), len(params)
-    ends = W.packed_products(starts, (np.tile(edge[0], (n, 1)), np.tile(edge[1], n)))
-    _, dists = space.vertex_projections(seg, ends)
-    kept = dists <= reach
-    starts, ends = (W.unpack((letters[kept], lens[kept]))
-                    for letters, lens in (starts, ends))
-    return [Translate(word_multiply(w, x0inv), tree_point(w), tree_point(end))
-            for _, w, end in sorted(zip(params[kept].tolist(), starts, ends))]
 
 
 def _ball_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translate]:
@@ -238,7 +210,8 @@ def _dense_dijkstra(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def modified_length(sys: ExpresswaySystem, a, b) -> ModifiedLengthResult:
-    """Exact shortest path over the candidate graph for the query (a, b).
+    """lambda(a, b) and a witness path: the closed form on exact tree models
+    (``_tree_modified_length``), elsewhere the candidate graph's shortest path.
 
     The value never exceeds the plain distance (the direct free edge is in
     the graph) and equals the infimum of modified lengths of admissible
@@ -252,6 +225,8 @@ def modified_length(sys: ExpresswaySystem, a, b) -> ModifiedLengthResult:
     b = space.validate_point(b)
     if space.point_key(a) == space.point_key(b):
         return ModifiedLengthResult(0.0, 0, (PathStep(a, None),), 0)
+    if sys.is_exact_tree():
+        return _tree_modified_length(sys, a, b)
     translates = enumerate_relevant_expressways(sys, a, b)
 
     points = [a, b]
@@ -266,9 +241,8 @@ def modified_length(sys: ExpresswaySystem, a, b) -> ModifiedLengthResult:
 
     shortcut: dict[tuple[int, int], Word] = {}
     for t in translates:
-        i, j = node_of(t.start), node_of(t.end)
-        if i != j:
-            shortcut.setdefault((i, j), t.g)
+        # L >= 1, so the two ends of a translate are two nodes
+        shortcut.setdefault((node_of(t.start), node_of(t.end)), t.g)
 
     weights = np.asarray(sys.space.pairwise_distances(points), dtype=np.float64)
     cost = sys.L - 1.0
@@ -311,14 +285,51 @@ def phi_sigma(sys: ExpresswaySystem, g) -> float:
 # modified length: a shortcut hanging off the geodesic at combined endpoint
 # depth k costs 2k extra travel against its saving of 1.  Disjoint forward
 # occurrences each save exactly 1 and overlapping ones pay their overlap
-# back, so
+# back, so between vertices
 #
 #     lambda(a, b) = d(a, b) - (max disjoint forward occurrences of the
 #                                base letter sequence in the geodesic word)
 #
 # and the greedy left-to-right count (str.count) realizes the maximum for
-# fixed-length patterns.  The test suite cross-validates this against the
-# candidate graph and an exhaustive regional shortest-path oracle.
+# fixed-length patterns.  The depth k counts whole edges: an occurrence from
+# the far vertex of an end's edge, at distance f from the end, overhangs it
+# for 2f and saves 1 - 2f (1 - 2f_a - 2f_b past both ends), so
+# ``_tree_modified_length`` reads the word widened by those vertices.  The
+# tests check both against the candidate graph and a regional oracle.
+
+def _tree_modified_length(sys: ExpresswaySystem, a, b) -> ModifiedLengthResult:
+    """lambda(a, b) on an exact tree by one left-to-right pass over the
+    widened word's occurrence ends (a tie takes none), and a path free to
+    each chosen occurrence's start, along its translate (start x0^-1) sigma,
+    and free to b.  ``candidates`` counts the occurrences."""
+    space, L = sys.space, len(sys.sigma_edge_word)
+
+    def behind(x, y):   # x, or the end of x's edge that x separates from y
+        return x if x.is_vertex else max(map(tree_point, x.edge()), key=lambda v:
+                                         space.distance(v, y) - space.distance(v, x))
+    qa, qb = behind(a, b), behind(b, a)
+    fa, fb = space.distance(qa, a), space.distance(qb, b)
+    u = word_multiply(word_inverse(qa.anchor), qb.anchor)
+    s, n = W.to_string(u), len(u)
+    ends = {k for k in range(L, n + 1) if s.startswith(sys._patterns[0], k - L)}
+    best = [(0.0, ())] * (n + 1)   # the largest saving (>= 0) in u[:k], its starts
+    for k in range(1, n + 1):
+        gain = (best[k - L][0] + 1.0 - 2.0 * fa * (k == L) - 2.0 * fb * (k == n)
+                if k in ends else -1.0)
+        best[k] = (gain, best[k - L][1] + (k - L,)) if gain > best[k - 1][0] else best[k - 1]
+    steps, value, x0inv = [PathStep(a, None)], 0.0, word_inverse(sys.basepoint.anchor)
+    for i in best[n][1]:
+        start, end = (tree_point(word_multiply(qa.anchor, u[:j])) for j in (i, i + L))
+        if start != steps[-1].point:
+            value += space.distance(steps[-1].point, start)
+            steps.append(PathStep(start, "free"))
+        value += sys.L - 1.0
+        steps.append(PathStep(end, "expressway", word_multiply(start.anchor, x0inv)))
+    if b != steps[-1].point:
+        value += space.distance(steps[-1].point, b)
+        steps.append(PathStep(b, "free"))
+    return ModifiedLengthResult(value, len(best[n][1]), tuple(steps), len(ends))
+
 
 def tree_phi_exact(sys: ExpresswaySystem, g: Word) -> float:
     """Exact phi on tree models: forward minus backward greedy-disjoint

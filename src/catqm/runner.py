@@ -212,19 +212,21 @@ def config_from_json(data: dict) -> ExperimentConfig:
         constants = data.get("constants", {})
         budgets = Budgets(**data.get("budgets", {}))
         budgets.validate()
-        companion = data.get("companion_word")
+        companion, seed = data.get("companion_word"), data.get("seed", 0)
+        if type(seed) is not int:   # a bool is no seed
+            raise ConfigError(f"seed must be an int, got {seed!r}")
         return ExperimentConfig(
             space=space, group=group, sigma_word=sigma, basepoint=basepoint,
             C=float(checked_number(constants.get("C", 1.0), "constants C")),
             B=float(checked_number(constants.get("B", 1.0), "constants B")),
-            budgets=budgets, seed=int(data.get("seed", 0)),
+            budgets=budgets, seed=seed,
             tolerance=float(checked_number(data.get("tolerance", 1e-6), "tolerance",
                                            zero_ok=True)),
             independence_words=[W.from_string(w)
                                 for w in data.get("independence_words", [])],
             companion_word=None if companion is None else W.from_string(companion),
             raw=data)
-    except (KeyError, TypeError, ValueError, InputError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, InputError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
 
@@ -930,7 +932,8 @@ def _replay_lambda(cfg: ExperimentConfig, w: dict, tol: float) -> bool:
                             space.point_from_json(w["b"]))
     step = lambda s: (s["edge"], s["translate"],
                       space.point_key(space.point_from_json(s["point"])))
-    return (abs(again.value - w["value"]) <= tol and again.expressways == w["expressways"]
+    return (abs(again.value - w["value"]) <= tol
+            and (again.expressways, again.candidates) == (w["expressways"], w["candidates"])
             and list(map(step, again.to_json(space)["path"])) == list(map(step, w["path"])))
 
 

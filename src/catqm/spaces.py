@@ -21,13 +21,11 @@ once; the tree and products project their points one at a time
 projects onto it as one point, so a tree contraction certificate measures
 a shadow only at B <= tol.  Each tree rule has one owner: ``_route`` (the
 exit options that join two points), ``_along`` (the walk of ``point_at``)
-and ``_ball_exits`` (the word balls of a metric ball).  The tree's bulk
-work runs on packed word arrays (``words.pack``):
-``TreeSpace.packed_vertices_within`` lists the vertices near a list of
-points (the expressway starts of ``expressway._tree_candidates``, and the
-vertices of ``ball_points``), and ``vertex_projections`` projects packed
-vertices onto one segment; with it the exhaustive tree axioms decide
-``check_ft`` from the same two ends that ``check_ft`` reads.  Euclidean
+and ``TreeSpace.packed_vertices_within`` (the vertices of a metric ball,
+which ``ball_points`` lists).  The tree's bulk work runs on packed word
+arrays (``words.pack``): ``vertex_projections`` projects packed vertices
+onto one segment; with it the exhaustive tree axioms decide ``check_ft``
+from the same two ends that ``check_ft`` reads.  Euclidean
 ``segment_distance`` is closed form too.  Golden-section search is kept
 where no closed form is used: projections on products, and the
 one-dimensional minimization over closed-form projections in half-plane
@@ -201,14 +199,6 @@ def _route(a: TreePoint, b: TreePoint) -> tuple[float, Word, float, Word, float]
     return best
 
 
-def _ball_exits(p: TreePoint, radius: float) -> list[tuple[Word, int]]:
-    """(w, rem) for each exit option (w, c) of p with rem = ⌊radius − c⌋ ≥ 0
-    (the 1e-9 keeps a vertex at distance exactly the radius): the vertices
-    within radius of p are the w·u, u in ``W.ball(rank, rem)``."""
-    return [(w, rem) for w, cost in _exit_options(p)
-            if (rem := math.floor(radius - cost + 1e-9)) >= 0]
-
-
 def _along(v: Word, w: Word, r: float) -> TreePoint:
     """The point at distance r from vertex v toward its neighbour w."""
     if r < _SNAP:
@@ -358,38 +348,34 @@ class TreeSpace:
         return max(0.0, W.gromov_gap(fa, fb, s1.length))
 
     # -- sampling ----------------------------------------------------------
-    def packed_vertices_within(self, points, radius: float
+    def packed_vertices_within(self, center: TreePoint, radius: float
                                ) -> tuple[np.ndarray, np.ndarray]:
-        """The vertices within the radius of any of the points, as a packed
-        word array: point by point, each point's in (length, word) order,
-        and every vertex once, where it first appears.  The w·u of every
-        ``_ball_exits`` entry (w, rem) come from one ``packed_products``
-        pass against the packed ``W.ball(rank, rem)``, a prefix of the
-        largest of those balls, since ``W.ball`` lists words by length."""
-        entries = [(i, w, rem) for i, p in enumerate(points)
-                   for w, rem in _ball_exits(p, radius)]
-        if not entries:
+        """The vertices within the radius of the center, as a packed word
+        array in (length, word) order: the w·u, u in ``W.ball(rank, rem)``,
+        for each exit option (w, c) of the center with rem = ⌊radius − c⌋ ≥ 0
+        (the 1e-9 keeps a vertex at distance exactly the radius).  ``W.ball``
+        lists words by length, so each of those balls is a prefix of the
+        largest, and one ``packed_products`` pass forms every w·u."""
+        exits = [(w, rem) for w, cost in _exit_options(center)
+                 if (rem := math.floor(radius - cost + 1e-9)) >= 0]
+        if not exits:
             return pack([])
-        owner, ws, rems = zip(*entries)
+        ws, rems = zip(*exits)
         ball = pack(W.ball(self.rank, max(rems)))
         counts = np.searchsorted(ball[1], rems, side="right")
-        # the k-th row of each entry's block multiplies the k-th ball word
+        # the k-th row of each exit's block multiplies the k-th ball word
         k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         left = pack(list(ws))
         letters, lens = W.packed_products(
             (np.repeat(left[0], counts, axis=0), np.repeat(left[1], counts)),
             (ball[0][k], ball[1][k]))
-        point = np.repeat(owner, counts)
-        # rows in (length, word) order, equal words by point (lexsort is
-        # stable): the first row of each run of equal letter rows is its
-        # word's first point, and a stable sort by point restores the order
-        order = np.lexsort((point, *letters.T[::-1], lens))
+        # rows in (length, word) order; the two exits' balls overlap, so
+        # keep the first row of each run of equal letter rows
+        order = np.lexsort((*letters.T[::-1], lens))
         rows = letters[order]
         new = np.ones(len(order), dtype=bool)
         new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        first = order[new]
-        keep = first[np.argsort(point[first], kind="stable")]
-        return letters[keep], lens[keep]
+        return letters[order[new]], lens[order[new]]
 
     def ball_points(self, center: TreePoint, radius: float,
                     samples: int = 0) -> list[TreePoint]:
@@ -398,7 +384,7 @@ class TreeSpace:
         exhaustive over vertices, and the tree needs nothing finer because
         projections are determined at vertices."""
         pts = [tree_point(w)
-               for w in W.unpack(self.packed_vertices_within([center], radius))]
+               for w in W.unpack(self.packed_vertices_within(center, radius))]
         return pts if center.is_vertex else [center] + pts
 
     projections = _projections_one_by_one

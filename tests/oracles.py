@@ -8,9 +8,11 @@ enumerated candidates.  The per-ball certificate loop
 ``certify_contracting_per_ball`` is the reference for the lazy off-tree
 certificate; ``tree_vertices_within`` lists a tree ball one ``multiply``
 per word for the test of the tree's contraction theorem;
-``tree_candidates_per_translate`` is the reference for the batched tree
-expressway candidates and ``ball_candidates_per_translate`` for the
-off-tree ball filter's one projection pass; and the exhaustive tree families
+the shortest path over the translates near a segment that
+``tree_candidates_per_translate`` lists, ``tree_lambda_candidate_graph``,
+is the reference for the tree's closed-form modified length and
+``ball_candidates_per_translate`` for the off-tree ball filter's one
+projection pass; and the exhaustive tree families
 (``dd_triples_tree_exhaustive``, ``ft_quads_tree_exhaustive``,
 ``tree_triples_exhaustive``, ``tree_dichotomy_configs``,
 ``tree_variation_configs``) feed the per-configuration checkers, the
@@ -232,9 +234,10 @@ def ft_quads_tree_exhaustive(space, seg_radius: int, D: int = 1) -> Iterator:
 
 
 def tree_candidates_per_translate(sys, seg, margin: float) -> list:
-    """``expressway._tree_candidates`` one translate at a time: each start
-    word of chain x shell and its sigma-translate end projected by its own
-    ``project`` call, sorted by (parameter, start word)."""
+    """The translates of sigma whose two ends lie within the margin of
+    ``seg``, one at a time: each start word of chain x shell and its
+    sigma-translate end projected by its own ``project`` call, sorted by
+    (parameter, start word)."""
     space = sys.space
     x0inv = inverse(sys.basepoint.anchor)
     shell = W.ball(space.rank, int(math.ceil(margin)) + 1)
@@ -258,6 +261,41 @@ def tree_candidates_per_translate(sys, seg, margin: float) -> list:
                            Translate(multiply(start_w, x0inv), start, end)))
     picked.sort(key=lambda item: (item[0], item[1]))
     return [t for _, _, t in picked]
+
+
+def tree_lambda_candidate_graph(sys, a, b) -> tuple[float, float]:
+    """(lambda(a, b), lambda(b, a)) on the candidate graph of
+    ``tree_candidates_per_translate`` at the system's margin: the query
+    points and every candidate end as nodes, every two joined by a free edge
+    of their tree distance, and each candidate's start to its end by a
+    shortcut of cost L - 1, solved by a heap Dijkstra each way.  The
+    candidates depend on [a, b] only as a set, so both ways share them."""
+    space = sys.space
+    margin = min(sys.margin, sys.ledger.D + sys.L)
+    cands = tree_candidates_per_translate(sys, space.geodesic(a, b), margin)
+    key = space.point_key
+    nodes = {key(p): p for p in [a, b] + [p for t in cands for p in (t.start, t.end)]}
+    shortcuts = {(key(t.start), key(t.end)) for t in cands}
+
+    def shortest(source, target):
+        dist, heap, done = {source: 0.0}, [(0.0, source)], set()
+        while heap:
+            cost, u = heapq.heappop(heap)
+            if u == target:
+                return cost
+            if u in done:
+                continue
+            done.add(u)
+            for v, p in nodes.items():
+                step = space.distance(nodes[u], p)
+                if (u, v) in shortcuts:
+                    step = min(step, sys.L - 1.0)
+                if v not in done and cost + step < dist.get(v, math.inf):
+                    dist[v] = cost + step
+                    heapq.heappush(heap, (cost + step, v))
+        raise RuntimeError("target not reached")
+
+    return shortest(key(a), key(b)), shortest(key(b), key(a))
 
 
 def ball_candidates_per_translate(sys, seg, margin: float) -> list:

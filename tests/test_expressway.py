@@ -13,7 +13,6 @@ from catqm.errors import BudgetError, ConfigError
 from catqm.expressway import (
     ExpresswaySystem,
     _dense_dijkstra,
-    _tree_candidates,
     LambdaSamples,
     check_lambda_properties,
     check_witness_confinement,
@@ -40,7 +39,7 @@ from catqm.spaces import (
 from oracles import (
     ball_candidates_per_translate,
     floyd_warshall,
-    tree_candidates_per_translate,
+    tree_lambda_candidate_graph,
     tree_lambda_exact,
     tree_lambda_oracle,
     tree_phi_oracle,
@@ -96,28 +95,83 @@ def _random_tree_point(rng, edge, rank=2):
     return tree_point(w, letter, rng.choice([0.5, 0.3, rng.random()]))
 
 
-def test_tree_candidates_match_the_per_translate_loop():
-    tree3 = TreeSpace(3)
-    families = [
-        (TREE, 2614, 60, [tree_system(),
-                          ExpresswaySystem(TREE, FREE, "aab", vertex("b"), ledger=LEDGER)]),
-        (tree3, 3615, 20, [ExpresswaySystem(tree3, GroupModel.free(3), "abC",
-                                            vertex("c"), ledger=LEDGER)]),
-    ]
-    for space, seed, segments, systems in families:
-        rng = random.Random(seed)
-        sizes = set()
-        for i in range(segments):
-            a = _random_tree_point(rng, rng.random() < 0.5, space.rank)
-            b = (tree_point(a.anchor, a.letter, rng.random()) if i % 10 == 0 and a.letter
-                 else _random_tree_point(rng, rng.random() < 0.5, space.rank))
-            seg = space.geodesic(a, b)
-            for sys_t in systems:
-                for margin in (0.5, 1.0, 2.0, 2.5, 3.0):
-                    got = _tree_candidates(sys_t, seg, margin)
-                    assert got == tree_candidates_per_translate(sys_t, seg, margin)
-                    sizes.add(len(got) > 0)
-        assert sizes == {True, False}
+def _checked_lambda(sys_t, a, b) -> float:
+    """``modified_length`` with its witness path checked: the path runs from
+    a to b, its steps cost the value, and each expressway's translate
+    carries x0 to the step's start and sigma x0 to its end."""
+    space, x0, res = sys_t.space, sys_t.basepoint, modified_length(sys_t, a, b)
+    assert (res.path[0].point, res.path[-1].point) == (a, b)
+    total = 0.0
+    for prev, step in zip(res.path, res.path[1:]):
+        if step.edge == "free":
+            total += space.distance(prev.point, step.point)
+            continue
+        total += sys_t.L - 1.0
+        g = sys_t.group.from_word(step.translate)
+        assert act(space, g, x0) == prev.point
+        assert act(space, sys_t.group.multiply(g, sys_t._sigma_iso), x0) == step.point
+    assert total == res.value
+    return res.value
+
+
+def test_tree_lambda_matches_the_candidate_graph_on_the_radius_5_grid():
+    sys_t = tree_system()
+    x0 = sys_t.basepoint
+    for v in W.ball(2, 5):
+        vx0 = act(TREE, FREE.from_word(v), x0)
+        assert ((_checked_lambda(sys_t, x0, vx0), _checked_lambda(sys_t, vx0, x0))
+                == tree_lambda_candidate_graph(sys_t, x0, vx0)), W.to_string(v)
+
+
+@pytest.mark.parametrize("sigma,x0", [("aab", ""), ("a", ""), ("aa", ""), ("aba", ""),
+                                      ("ab", ""), ("aab", "b"), ("aab", "ba"),
+                                      ("abC", "c")])
+def test_tree_lambda_matches_the_candidate_graph_on_edge_points(sigma, x0):
+    rank = 3 if "C" in sigma else 2
+    space = TreeSpace(rank)
+    sys_t = ExpresswaySystem(space, GroupModel.free(rank), sigma, vertex(x0), ledger=LEDGER)
+    rng = random.Random(f"{sigma}@{x0}")
+    overhangs = 0
+    for i in range(60):
+        a = _random_tree_point(rng, True, rank)
+        if i % 4 == 0:     # the same edge
+            b = tree_point(a.anchor, a.letter, rng.random())
+        elif i % 4 in (1, 2):
+            # a on the first edge of an occurrence of sigma (of its inverse,
+            # read by the query back), and b beyond the occurrence
+            word = sys_t.sigma_edge_word
+            word = word if i % 4 == 1 else W.inverse(word)
+            q = _random_tree_point(rng, False, rank).anchor
+            a = tree_point(q, word[0], rng.random())
+            b = _random_tree_point(rng, rng.random() < 0.5, rank)
+            b = tree_point(W.multiply(W.multiply(q, word), b.anchor), b.letter, b.t)
+        else:
+            b = _random_tree_point(rng, rng.random() < 0.5, rank)
+        if space.point_key(a) == space.point_key(b):
+            continue
+        fwd, back = tree_lambda_candidate_graph(sys_t, a, b)
+        assert _checked_lambda(sys_t, a, b) == pytest.approx(fwd, abs=1e-9)
+        assert _checked_lambda(sys_t, b, a) == pytest.approx(back, abs=1e-9)
+        saving = space.distance(a, b) - fwd
+        overhangs += abs(saving - round(saving)) > 1e-9
+    assert overhangs > 0
+
+
+def test_tree_lambda_overhang_examples():
+    # a = 0.1 of the way from e to a: the translate [e, aab] overhangs a by
+    # 0.1 and saves 1 - 0.2, where the vertex chain "ab" holds no occurrence
+    sys_t = tree_system()
+    a, b = tree_point((), 1, 0.1), vertex("aab")
+    res = modified_length(sys_t, a, b)
+    assert TREE.distance(a, b) == pytest.approx(2.9)
+    assert res.value == pytest.approx(2.1) and res.expressways == 1
+    assert res.value == pytest.approx(tree_lambda_candidate_graph(sys_t, a, b)[0])
+    # L = 1: a same-edge pair at distance d > 1/2 rides the edge for 1 - d
+    sys_a = ExpresswaySystem(TREE, FREE, "a", ledger=LEDGER)
+    for s, t, lam in ((0.2, 0.9, 0.3), (0.9, 0.2, 0.7), (0.2, 0.5, 0.3)):
+        a, b = tree_point((), 1, s), tree_point((), 1, t)
+        assert modified_length(sys_a, a, b).value == pytest.approx(lam)
+        assert tree_lambda_candidate_graph(sys_a, a, b)[0] == pytest.approx(lam)
 
 
 @pytest.mark.parametrize("config", ["half_plane", "euclidean_control"])

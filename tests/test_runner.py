@@ -208,7 +208,7 @@ def test_qm_reports_a_modified_length_above_the_distance(monkeypatch):
 # speed-ups and refactors must not move them
 BODY_DIGESTS = {
     "tree_aab": {"axioms": "c227c14c269809f4", "contract": "4c1fead6747f3ff3",
-                 "qm": "76b3355fbb018c91", "rank1": "54180b09add20ca7",
+                 "qm": "7130102d54bf113a", "rank1": "54180b09add20ca7",
                  "schottky": "d96b5a9daa7dd2de", "wpd": "35d3aa2e28f6582a",
                  "equiv": "4839ccbae3faadb0", "algebra": "1453283777f5f657"},
     "half_plane": {"axioms": "fc6e87b9c5f07d45", "contract": "58df55816eb66236",
@@ -395,6 +395,47 @@ def test_replay_checks_the_wpd_match_count(edit):
     assert witness["matching"] == [""] and witness["count"] == 1
     edit(witness)
     assert replay(report) is False
+
+
+@pytest.mark.parametrize("candidates", [float("nan"), "x", None, 999],
+                         ids=["nan", "string", "null", "999"])
+def test_replay_checks_the_lambda_candidates(candidates):
+    # candidates was never compared, so any value replayed True.  On the tree
+    # it counts the occurrences of the base letters on the widened geodesic:
+    # n forward along sigma^n and none back
+    report, _ = run("qm", load_config(str(TREE_CONFIG)))
+    witnesses = [w for w in report["body"]["witnesses"] if w["kind"] == "lambda-witness"]
+    assert [w["candidates"] for w in witnesses] == [c for n in range(1, 7) for c in (n, 0)]
+    assert replay(report) is True
+    for witness in witnesses:
+        witness["candidates"] = candidates
+    assert replay(report) is False
+
+
+@pytest.mark.parametrize("key,value", [
+    ("space", []), ("group", "free"), ("constants", None),
+    ("seed", float("inf")), ("seed", True), ("seed", 1e300),
+], ids=["space-not-an-object", "group-not-an-object", "constants-not-an-object",
+        "seed-infinite", "seed-bool", "seed-float"])
+def test_config_load_failures_are_config_errors(tmp_path, capsys, key, value):
+    # a space, group or constants that is not an object ended load in an
+    # AttributeError traceback and "seed": Infinity in an OverflowError;
+    # "seed": true loaded as 1 and 1e300 as a 301-digit integer
+    data = json.loads(TREE_CONFIG.read_text())
+    data[key] = value
+    with pytest.raises(ConfigError):
+        config_from_json(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli_main(["axioms", "--config", str(bad)]) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_any_int_seed_loads():
+    data = json.loads(TREE_CONFIG.read_text())
+    for seed in (-3, 0, 2 ** 70):
+        data["seed"] = seed
+        assert config_from_json(data).seed == seed
 
 
 @pytest.mark.parametrize("path,basepoint", [
