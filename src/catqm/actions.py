@@ -166,6 +166,7 @@ class GroupModel:
     # -- constructors --------------------------------------------------------
     @staticmethod
     def free(rank: int = 2) -> "GroupModel":
+        rank = W.checked_rank(rank, "free group rank")
         return GroupModel(WordShift(IDENTITY),
                           [WordShift((k,)) for k in range(1, rank + 1)])
 

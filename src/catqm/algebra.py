@@ -392,16 +392,16 @@ def check_sigma_invariance(ext: FiniteExtension, phi: Quasimorphism,
     """Every (word, sigma) of the word ball of this radius, in ball order
     and then ascending sigma, where phi moves under the action by more than
     the tolerance."""
-    ws = W.ball(ext.rank, radius)
-    words = W.pack(ws)
+    letters, lens = words = W.packed_ball(ext.rank, radius)
     base = phi.packed(words)
     # row s - 1 holds sigma = s; transposed, nonzero lists ball order first
     moved = np.array([phi.packed(_conjugated(ext, s, words))
-                      for s in range(1, ext.N)]).reshape(ext.N - 1, len(ws))
+                      for s in range(1, ext.N)]).reshape(ext.N - 1, len(lens))
     rows, sigmas = np.nonzero((np.abs(moved - base) > tolerance).T)
-    return [{"word": W.to_string(ws[i]), "sigma": s + 1,
+    return [{"word": W.to_string(w), "sigma": s + 1,
              "value": float(base[i]), "moved": float(moved[s, i])}
-            for i, s in zip(rows.tolist(), sigmas.tolist())]
+            for w, i, s in zip(W.unpack((letters[rows], lens[rows])), rows.tolist(),
+                               sigmas.tolist())]
 
 
 def transfer_extend(ext: FiniteExtension, phi: Quasimorphism) -> Quasimorphism:
@@ -449,8 +449,7 @@ def restriction_check(ext: FiniteExtension, transferred: Quasimorphism,
     """The transfer of an orbit average must restrict to the average on the
     base (exactly, for homogeneous inputs), and its sampled defect over
     extension pairs must stay finite and radius-stable."""
-    ws = W.ball(ext.rank, word_radius)
-    words = W.pack(ws)
+    words = W.packed_ball(ext.rank, word_radius)
     gap = float(np.abs(transferred.packed(words) - averaged.packed(words))
                 .max(initial=0.0))
     defects = {}
@@ -458,7 +457,7 @@ def restriction_check(ext: FiniteExtension, transferred: Quasimorphism,
         defects[radius] = extension_defect(ext, transferred, radius)
     radii = sorted(defects)
     growth = defects[radii[-1]] - defects[radii[0]] if len(radii) > 1 else 0.0
-    return RestrictionReport(len(ws), gap, defects, growth)
+    return RestrictionReport(len(words[1]), gap, defects, growth)
 
 
 # Rows per packed pass, of orbit pairs or of distinct elements: large enough

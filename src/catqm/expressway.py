@@ -9,10 +9,13 @@ The modified length lambda(a, b) is the infimum of these costs, and
     phi(g) = lambda(g x0, x0) - lambda(x0, g x0)
 
 is the induced potential on the group.  On exact tree models lambda has a
-closed form (see the exact tree evaluation notes below).  Elsewhere
-enumerating every translate is impossible, so lambda is computed over a
-budgeted, deterministic candidate set: a group ball filtered by a margin
-around the geodesic.
+closed form (see the exact tree evaluation notes below): a free group acting
+by left multiplication on its tree from a vertex basepoint, with the group's
+rank equal to the tree's (the closed form counts the base letters at every
+tree vertex, and a narrower group does not translate sigma to all of
+them).  Elsewhere enumerating every translate is impossible, so lambda is
+computed over a budgeted, deterministic candidate set: a group ball
+filtered by a margin around the geodesic.
 
 The candidate graph has the two query points and all candidate endpoints as
 nodes, complete free edges weighted by distance, and one directed shortcut
@@ -97,7 +100,10 @@ class ExpresswaySystem:
 
     # -- structural helpers -------------------------------------------------
     def is_exact_tree(self) -> bool:
-        return is_exact_tree(self.group, self.basepoint)
+        """``actions.is_exact_tree``, with the group as wide as the tree
+        (see the module docstring)."""
+        return (is_exact_tree(self.group, self.basepoint)
+                and self.group.rank == self.space.rank)
 
     def describe(self) -> dict:
         return {

@@ -195,6 +195,16 @@ def _letters_fit(space, action, rank: int) -> bool:
     return not (isinstance(action, WordShift) and space.kind == "tree") or rank <= space.rank
 
 
+def _config_word(value, group: GroupModel, what: str) -> W.Word:
+    """A word of the config: a string over the group's letters."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    word = W.from_string(value)
+    if any(abs(x) > group.rank for x in word):
+        raise ConfigError(f"{what} {value!r} has a letter outside rank {group.rank}")
+    return word
+
+
 def config_from_json(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict) or data.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(f"config schema must be {CONFIG_SCHEMA!r}")
@@ -204,7 +214,7 @@ def config_from_json(data: dict) -> ExperimentConfig:
         if not _letters_fit(space, group.identity_action, group.rank):
             raise ConfigError(f"a free group of rank {group.rank} is wider "
                               f"than the tree it acts on")
-        sigma = W.from_string(data["sigma_word"])
+        sigma = _config_word(data["sigma_word"], group, "sigma_word")
         if "basepoint" in data and data["basepoint"] != "default":
             basepoint = space.validate_point(space.point_from_json(data["basepoint"]))
         else:
@@ -215,6 +225,9 @@ def config_from_json(data: dict) -> ExperimentConfig:
         companion, seed = data.get("companion_word"), data.get("seed", 0)
         if type(seed) is not int:   # a bool is no seed
             raise ConfigError(f"seed must be an int, got {seed!r}")
+        independence = data.get("independence_words", [])
+        if not isinstance(independence, list):
+            raise ConfigError(f"independence_words must be a list, got {independence!r}")
         return ExperimentConfig(
             space=space, group=group, sigma_word=sigma, basepoint=basepoint,
             C=float(checked_number(constants.get("C", 1.0), "constants C")),
@@ -222,9 +235,10 @@ def config_from_json(data: dict) -> ExperimentConfig:
             budgets=budgets, seed=seed,
             tolerance=float(checked_number(data.get("tolerance", 1e-6), "tolerance",
                                            zero_ok=True)),
-            independence_words=[W.from_string(w)
-                                for w in data.get("independence_words", [])],
-            companion_word=None if companion is None else W.from_string(companion),
+            independence_words=[_config_word(w, group, f"independence_words[{k}]")
+                                for k, w in enumerate(independence)],
+            companion_word=(None if companion is None
+                            else _config_word(companion, group, "companion_word")),
             raw=data)
     except (KeyError, TypeError, ValueError, AttributeError, InputError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
@@ -252,42 +266,67 @@ def _companion(cfg: ExperimentConfig) -> W.Word:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+# Configurations per block of the tree axiom passes: a block's arrays stay
+# under a megabyte whatever the tree's rank; on the rank-2 tree each pass is
+# one block.
+_AXIOM_CELLS = 1 << 16
+
+
+def _blocks(n: int, per_row: int):
+    """Slices of range(n) of at most ``_AXIOM_CELLS // per_row`` rows."""
+    step = max(1, _AXIOM_CELLS // per_row)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 def _tree_axiom_violations(space, C: float, tolerance: float | None,
                            ft_radius: int) -> tuple[list, list]:
     """``check_dd`` over every ([e, v], x, x') with |v| ≤ 3 and |x|, |x'| ≤ 2,
     and ``check_ft`` over every (e, v, a', v·u) with |v| ≤ ``ft_radius`` and
-    |a'|, |u| ≤ 1: the identity anchoring loses nothing, since both checks
-    are invariant under the group action.  One ``vertex_projections`` call
-    per segment decides each configuration.  The feet on a vertex-ended
-    segment are chain vertices, so |p − p'| is |t − t'| exactly, and the
-    ft deviation is the larger gap of a' and v·u, the two ends that
-    ``check_ft`` reads.  Only the violating rows go through the checkers, in
-    the order the configurations are listed, so the entries are the
-    per-configuration ones."""
+    |a'|, |u| ≤ 1, each in (v, x, x') or (v, a', u) order: the identity
+    anchoring loses nothing, since both checks are invariant under the group
+    action.
+
+    Between vertices every distance is an integer word length, so each
+    family is one Gromov pass over packed balls (``words.packed_ball``) with
+    exact results.  dd: the feet t = ``gromov_foot(|x|, d(v, x), |v|)`` from
+    one ``packed_distances`` pass; they are chain vertices of [e, v], so
+    |p − p'| is |t − t'| exactly.  ft: the ends v·u from one
+    ``packed_products`` pass, and the deviation is the larger
+    ``gromov_gap`` of a' (from one ``packed_distances`` pass) and v·u (at
+    distance |u| from v), the two ends that ``check_ft`` reads.  Only the
+    violating rows become points and go through the checkers, so the entries
+    are the per-configuration ones."""
     eps = space.tol if tolerance is None else tolerance
     e = vertex("")
-    near = W.ball(space.rank, 2)
-    rhs = W.distance_matrix(near) + C
-    packed_near = W.pack(near)
+
+    def points(packed, rows):   # the vertices of the given rows
+        return [tree_point(w) for w in W.unpack((packed[0][rows], packed[1][rows]))]
+
+    near, segs = W.packed_ball(space.rank, 2), W.packed_ball(space.rank, 3)
+    n = len(near[1])
+    rhs = W.packed_distances(near, near) + C
     rows = []
-    for v in W.ball(space.rank, 3):
-        seg = space.geodesic(e, tree_point(v))
-        t, _ = space.vertex_projections(seg, packed_near)
-        bad = np.abs(t[:, None] - t[None, :]) >= rhs + eps
-        rows += [(seg, tree_point(near[i]), tree_point(near[j]))
-                 for i, j in zip(*np.nonzero(bad))]
+    for blk in _blocks(len(segs[1]), n * n):
+        v = segs[0][blk], segs[1][blk]
+        t = W.gromov_foot(near[1], W.packed_distances(v, near), v[1][:, None])
+        k, i, j = np.nonzero(np.abs(t[:, :, None] - t[:, None, :]) >= rhs + eps)
+        rows += zip((space.geodesic(e, w) for w in points(v, k)),
+                    points(near, i), points(near, j))
     dd = check_dd(space, rows, C, tolerance)
-    moves = W.ball(space.rank, 1)
-    lens = np.array([len(u) for u in moves], dtype=float)
-    allowed = C + np.maximum(lens[:, None], lens[None, :])
+
+    moves, ball = W.packed_ball(space.rank, 1), W.packed_ball(space.rank, ft_radius)
+    m, u_len = len(moves[1]), moves[1]
+    allowed = C + np.maximum(u_len[:, None], u_len[None, :])
     rows = []
-    for v in W.ball(space.rank, ft_radius):
-        ends = [W.multiply(v, u) for u in moves]
-        _, gap = space.vertex_projections(space.geodesic(e, tree_point(v)),
-                                          W.pack(moves + ends))
-        bad = np.maximum(gap[:len(moves), None], gap[None, len(moves):]) >= allowed + eps
-        rows += [(e, tree_point(v), tree_point(moves[i]), tree_point(ends[j]))
-                 for i, j in zip(*np.nonzero(bad))]
+    for blk in _blocks(len(ball[1]), m * m):
+        v = ball[0][blk], ball[1][blk]
+        ends = W.packed_products((np.repeat(v[0], m, axis=0), np.repeat(v[1], m)),
+                                 (np.tile(moves[0], (len(v[1]), 1)), np.tile(u_len, len(v[1]))))
+        gap_a = W.gromov_gap(u_len, W.packed_distances(v, moves), v[1][:, None])
+        gap_b = W.gromov_gap(ends[1].reshape(-1, m), u_len, v[1][:, None])
+        bad = np.maximum(gap_a[:, :, None], gap_b[:, None, :]) >= allowed + eps
+        k, i, j = np.nonzero(bad)
+        rows += zip([e] * len(k), points(v, k), points(moves, i), points(ends, k * m + j))
     return dd, check_ft(space, rows, C, tolerance)
 
 

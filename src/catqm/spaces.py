@@ -22,10 +22,14 @@ projects onto it as one point, so a tree contraction certificate measures
 a shadow only at B <= tol.  Each tree rule has one owner: ``_route`` (the
 exit options that join two points), ``_along`` (the walk of ``point_at``)
 and ``TreeSpace.packed_vertices_within`` (the vertices of a metric ball,
-which ``ball_points`` lists).  The tree's bulk work runs on packed word
-arrays (``words.pack``): ``vertex_projections`` projects packed vertices
-onto one segment; with it the exhaustive tree axioms decide ``check_ft``
-from the same two ends that ``check_ft`` reads.  Euclidean
+which ``ball_points`` lists, read off ``words.packed_ball``).  The tree's
+bulk work runs on packed word arrays (``words.pack``).  Between vertices
+every distance is an integer word length, so the exhaustive tree axioms
+(``runner._tree_axiom_violations``) read the projection of each vertex on
+each vertex-ended segment [e, v] from one Gromov pass over two packed
+balls (``words.gromov_foot``, ``words.gromov_gap``), exactly what
+``project`` returns there, and decide ``check_ft`` from the same two ends
+that ``check_ft`` reads.  Euclidean
 ``segment_distance`` is closed form too.  Golden-section search is kept
 where no closed form is used: projections on products, and the
 one-dimensional minimization over closed-form projections in half-plane
@@ -58,7 +62,6 @@ from .words import (
     common_prefix_length,
     distance_matrix,
     pack,
-    packed_distances,
     word_distance,
 )
 from . import words as W
@@ -112,7 +115,7 @@ def _projections_one_by_one(space, points, seg) -> tuple[np.ndarray, np.ndarray]
     """``project(p, seg)`` parameter and distance for every p in ``points``,
     one call per point: the ``projections`` of products, which have no
     closed form, and of the tree, whose bulk work runs on packed words
-    (``TreeSpace.vertex_projections``) instead."""
+    (``words.packed_ball`` and the Gromov products of ``words``) instead."""
     results = [space.project(p, seg) for p in points]
     return (np.array([r.parameter for r in results], dtype=np.float64),
             np.array([r.distance for r in results], dtype=np.float64))
@@ -273,9 +276,7 @@ class TreeSpace:
     kind = "tree"
 
     def __init__(self, rank: int = 2, dd_constant: float = 1.0, tol: float = 1e-9):
-        if rank < 1:
-            raise InputError("rank must be >= 1")
-        self.rank = rank
+        self.rank = W.checked_rank(rank, "tree rank")
         self.dd_constant = dd_constant
         self.tol = tol
 
@@ -317,29 +318,6 @@ class TreeSpace:
         point = seg.point_at(t)
         return ProjectionResult(point, self.distance(x, point), t)
 
-    def vertex_projections(self, seg: TreeSegment, xs) -> tuple[np.ndarray, np.ndarray]:
-        """``project(tree_point(w), seg)`` parameter and distance for every
-        word w of the packed array ``xs`` (``words.pack``), as two arrays
-        that agree with it bit for bit.  The parameter is the Gromov foot of
-        the distances to the ends.  Between vertices every distance is an
-        integer, so the Gromov gap is exact; otherwise the distance is
-        measured, as ``project`` does, to the point ``point_at`` gives each
-        distinct parameter (a segment end or a chain vertex)."""
-        def reach(points):   # word-to-point distances, as ``distance`` sums them
-            exits = [(o * 2)[:2] for o in map(_exit_options, points)]  # a vertex's twice
-            d = packed_distances(xs, pack([w for o in exits for w, _ in o]))
-            d = d + [c for o in exits for _, c in o]
-            return d.reshape(len(d), len(exits), 2).min(axis=2)
-
-        ends = reach([seg.start, seg.end])
-        t = W.gromov_foot(ends[:, 0], ends[:, 1], seg.length)
-        if seg.start.is_vertex and seg.end.is_vertex:
-            return t, W.gromov_gap(ends[:, 0], ends[:, 1], seg.length)
-        ts = t.tolist()
-        feet = {s: k for k, s in enumerate(dict.fromkeys(ts))}
-        d = reach([seg.point_at(s) for s in feet])
-        return t, d[np.arange(len(ts)), [feet[s] for s in ts]]
-
     def segment_distance(self, s1: TreeSegment, s2: TreeSegment) -> float:
         # d(., s2) is convex with unit slopes along s1 off the minimum set,
         # so the endpoint values pin the minimum exactly.
@@ -351,17 +329,18 @@ class TreeSpace:
     def packed_vertices_within(self, center: TreePoint, radius: float
                                ) -> tuple[np.ndarray, np.ndarray]:
         """The vertices within the radius of the center, as a packed word
-        array in (length, word) order: the w·u, u in ``W.ball(rank, rem)``,
-        for each exit option (w, c) of the center with rem = ⌊radius − c⌋ ≥ 0
-        (the 1e-9 keeps a vertex at distance exactly the radius).  ``W.ball``
-        lists words by length, so each of those balls is a prefix of the
-        largest, and one ``packed_products`` pass forms every w·u."""
+        array in (length, word) order: the w·u, u in
+        ``W.packed_ball(rank, rem)``, for each exit option (w, c) of the
+        center with rem = ⌊radius − c⌋ ≥ 0 (the 1e-9 keeps a vertex at
+        distance exactly the radius).  The ball lists words by length, so
+        each of those balls is a prefix of the largest, and one
+        ``packed_products`` pass forms every w·u."""
         exits = [(w, rem) for w, cost in _exit_options(center)
                  if (rem := math.floor(radius - cost + 1e-9)) >= 0]
         if not exits:
             return pack([])
         ws, rems = zip(*exits)
-        ball = pack(W.ball(self.rank, max(rems)))
+        ball = W.packed_ball(self.rank, max(rems))
         counts = np.searchsorted(ball[1], rems, side="right")
         # the k-th row of each exit's block multiplies the k-th ball word
         k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)

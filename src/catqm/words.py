@@ -10,6 +10,8 @@ zero-padded int16 letter rows with their lengths (``pack``), so that
 distances between whole lists of words are one numpy pass
 (``packed_distances``, ``distance_matrix``).  Tree segments [a, b] read
 off those distances as Gromov products (``gromov_foot``, ``gromov_gap``).
+``packed_ball`` builds a word ball in this format, level by level, and owns
+the ball's order: ``ball`` is its ``unpack``.
 
 The same rows multiply row by row (``packed_products``), cancelling at the
 junction; ``unpack`` turns rows back into words.  Each row also has an
@@ -30,7 +32,7 @@ from operator import eq, neg
 
 import numpy as np
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, checked_number
 
 Word = tuple  # tuple of nonzero ints, freely reduced
 
@@ -39,6 +41,19 @@ IDENTITY: Word = ()
 # Enumeration of free(2) words is capped here; the radius-12 ball already
 # holds about a million words.
 BALL_RADIUS_CAP = 12
+
+# Generators with a string form: a to z.
+MAX_RANK = 26
+
+
+def checked_rank(rank, what: str) -> int:
+    """``rank`` itself if it is an int (not a bool) from 1 to ``MAX_RANK``:
+    a rank past the alphabet has generators that no config, point or report
+    can name.  Otherwise ``InputError``."""
+    checked_number(rank, what, int)
+    if rank > MAX_RANK:
+        raise InputError(f"{what} must be at most {MAX_RANK}, got {rank!r}")
+    return rank
 
 
 def is_reduced(w) -> bool:
@@ -99,31 +114,36 @@ def power(w: Word, n: int) -> Word:
 
 
 def ball(rank: int, radius: int, cap: int = BALL_RADIUS_CAP) -> list[Word]:
-    """All reduced words of length <= radius, deterministic BFS order.
+    """All reduced words of length <= radius, in ``packed_ball`` order."""
+    return unpack(packed_ball(rank, radius, cap))
 
-    Letters are ordered ``1, -1, 2, -2, ...`` so the listing is stable
-    across runs.  Words appear by length, lexicographically within each
-    length.
+
+def packed_ball(rank: int, radius: int, cap: int = BALL_RADIUS_CAP
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """All reduced words of length <= radius as a packed array (``pack``),
+    in deterministic BFS order.
+
+    Letters are ordered ``1, -1, 2, -2, ...`` and each word's children
+    follow it in that order, so the listing is stable across runs: words
+    appear by length, lexicographically within each length.  Each level is
+    one numpy pass over the last: every row repeated once per letter that
+    does not cancel its last letter.
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
     if radius > cap:
         raise BudgetError(f"ball radius {radius} exceeds cap {cap}")
-    letters = []
-    for k in range(1, rank + 1):
-        letters.extend((k, -k))
-    out: list[Word] = [IDENTITY]
-    frontier: list[Word] = [IDENTITY]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            last = w[-1] if w else 0
-            for x in letters:
-                if x != -last:
-                    nxt.append(w + (x,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    letters = np.array([x for k in range(1, rank + 1) for x in (k, -k)], dtype=np.int16)
+    levels = [np.zeros((1, max(radius, 1)), dtype=np.int16)]
+    for n in range(radius):
+        last = levels[-1][:, n - 1]   # at n = 0, the identity's padding 0
+        # parent-major, then letter order: nonzero lists in C order
+        parent, letter = np.nonzero(letters[None, :] != -last[:, None])
+        child = levels[-1][parent]
+        child[:, n] = letters[letter]
+        levels.append(child)
+    lens = np.repeat(np.arange(len(levels), dtype=np.int64), [len(x) for x in levels])
+    return np.concatenate(levels), lens
 
 
 def common_prefix_length(u: Word, v: Word) -> int:

@@ -5,14 +5,15 @@ pairwise inequivalent elements.
 ``wpd_count`` and ``equiv_search`` walk a group ball.  When the free group
 acts on its own tree by left multiplication and the basepoint is a vertex v
 (``actions.is_exact_tree``), every orbit point is a vertex w·v, so they run
-as packed word passes over the ball in chunks (``_PACKED_CELLS``):
-``words.packed_products`` forms the moved vertices and
-``words.packed_distances`` reads their distances.  Between vertices every
+as packed word passes over slices of ``words.packed_ball`` in chunks
+(``_PACKED_CELLS``): ``words.packed_products`` forms the moved vertices and
+``words.packed_distances`` reads their distances; only the rows returned
+(the matching words, the witness γ) are unpacked.  Between vertices every
 distance is an integer word length, and the distance from a vertex to a
-segment is the Gromov gap of three of them, exactly what ``project``
-returns there (as in ``TreeSpace.vertex_projections``).  So the packed
-answers are bit-equal to the per-point route, which every other space and
-an edge-point basepoint keep.
+segment is the Gromov gap of three of them (``words.gromov_gap``), exactly
+what ``project`` returns there.  So the packed answers are bit-equal to
+the per-point route, which every other space and an edge-point basepoint
+keep.
 """
 
 from __future__ import annotations
@@ -63,18 +64,15 @@ def _packed_route(space, group: GroupModel, x0) -> bool:
     return is_exact_tree(group, x0) and group.rank <= space.rank
 
 
-def _moved_distances(words: list[Word], movers: list[Word],
-                     targets: list[Word]) -> np.ndarray:
+def _moved_distances(rows, movers, targets) -> np.ndarray:
     """Entry (i, j, k): the tree distance from the vertex w_i u_j to the
-    vertex t_k, for the words w_i, u_j of ``movers`` and t_k of
-    ``targets``, in one packed pass."""
-    letters, lens = W.pack(words)
-    by = W.pack(movers)
-    moved = W.packed_products(
-        (np.repeat(letters, len(movers), axis=0), np.repeat(lens, len(movers))),
-        (np.tile(by[0], (len(words), 1)), np.tile(by[1], len(words))))
-    return W.packed_distances(moved, W.pack(targets)).reshape(
-        len(words), len(movers), len(targets))
+    vertex t_k, for the rows w_i of ``rows``, u_j of ``movers`` and t_k of
+    ``targets`` (three packed word arrays), in one packed pass."""
+    (letters, lens), (by, by_lens) = rows, movers
+    n, m = len(lens), len(by_lens)
+    moved = W.packed_products((np.repeat(letters, m, axis=0), np.repeat(lens, m)),
+                              (np.tile(by, (n, 1)), np.tile(by_lens, n)))
+    return W.packed_distances(moved, targets).reshape(n, m, len(targets[1]))
 
 
 def wpd_count(space, group: GroupModel, g, c: float, M: int, radius: int,
@@ -87,9 +85,9 @@ def wpd_count(space, group: GroupModel, g, c: float, M: int, radius: int,
     interpretable.
 
     On the tree with a vertex basepoint v both displacements are word
-    lengths, d(v, w·v) and d(far, w·far), read for the ball in packed
-    chunks; the second only for the rows the first keeps.  The matching
-    words keep ball order.
+    lengths, d(v, w·v) and d(far, w·far), read for slices of the packed
+    ball in chunks; the second only for the rows the first keeps.  The
+    matching words keep ball order.
     """
     gi = group.from_word(g)
     x0 = space.validate_point(x0 if x0 is not None else space.basepoint())
@@ -97,13 +95,15 @@ def wpd_count(space, group: GroupModel, g, c: float, M: int, radius: int,
     far = act(space, group.power(gi, M), x0)
     if _packed_route(space, group, x0):
         def within(rows, p):   # the rows w with d(p, w·p) not above c + tol
-            d = _moved_distances(rows, [p], [p]).ravel()
-            return [rows[i] for i in np.flatnonzero(~(d > c + tol))]
+            keep = ~(_moved_distances(rows, p, p).ravel() > c + tol)
+            return rows[0][keep], rows[1][keep]
 
         matching = []
-        ws = W.ball(group.rank, radius)
-        for lo in range(0, len(ws), _PACKED_CELLS):
-            matching += within(within(ws[lo:lo + _PACKED_CELLS], x0.anchor), far.anchor)
+        letters, lens = W.packed_ball(group.rank, radius)
+        v, v_far = W.pack([x0.anchor]), W.pack([far.anchor])
+        for lo in range(0, len(lens), _PACKED_CELLS):
+            part = letters[lo:lo + _PACKED_CELLS], lens[lo:lo + _PACKED_CELLS]
+            matching += W.unpack(within(within(part, v), v_far))
         return WpdReport(gi.word, c, M, radius, tuple(matching), len(matching))
     matching = []
     for iso in group.ball(radius):
@@ -213,16 +213,18 @@ def _packed_equiv(rank: int, g_ends: list[Word], h_ends: list[Word],
                   bound: float, power_max: int, radius: int) -> EquivWitness | None:
     """``equiv_search`` on the tree, from the vertices g^m v and h^n v,
     m, n in 0..power_max, with ``bound`` = K + tol."""
-    ws = W.ball(rank, radius)   # first, so that its radius checks raise as per point
+    # first, so that its radius checks raise as per point
+    letters, lens = W.packed_ball(rank, radius)
     if power_max < 1:
         return None
     gap = W.gromov_gap
-    v = W.pack(g_ends[:1])
-    lg = W.packed_distances(v, W.pack(g_ends))[0]             # |[v, g^m v]|
-    lh = W.packed_distances(v, W.pack(h_ends))[0][:, None]    # |[γv, γh^n v]|
-    step = max(1, _PACKED_CELLS // len(h_ends) ** 2)
-    for lo in range(0, len(ws), step):
-        part = ws[lo:lo + step]
+    g_ends, h_ends = W.pack(g_ends), W.pack(h_ends)
+    v = g_ends[0][:1], g_ends[1][:1]
+    lg = W.packed_distances(v, g_ends)[0]             # |[v, g^m v]|
+    lh = W.packed_distances(v, h_ends)[0][:, None]    # |[γv, γh^n v]|
+    step = max(1, _PACKED_CELLS // len(lh) ** 2)
+    for lo in range(0, len(lens), step):
+        part = letters[lo:lo + step], lens[lo:lo + step]
         # d[i, n, m] = d(γ_i h^n v, g^m v); n = 0 is the moved start γ_i v
         d = _moved_distances(part, h_ends, g_ends)
         start, end = d[:, :1], d
@@ -235,7 +237,8 @@ def _packed_equiv(rank: int, g_ends: list[Word], h_ends: list[Word],
             hit = _first_persistent(lambda n, m: match[i, n, m], power_max)
             if hit is not None:
                 n, m = hit
-                return EquivWitness(part[i], m, n, float(hausdorff[i, n, m]))
+                gamma = W.unpack((part[0][i:i + 1], part[1][i:i + 1]))[0]
+                return EquivWitness(gamma, m, n, float(hausdorff[i, n, m]))
     return None
 
 

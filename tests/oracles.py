@@ -20,7 +20,9 @@ reference for the runner's batched axiom routes and distance-matrix
 tallies.  ``check_ft_per_sample``, ``sampled_hausdorff_per_sample`` and
 ``witness_confinement_per_sample`` walk every segment where the package
 reads its two ends, and ``conjugacy_rotation_oracle`` matches cyclic cores
-by rotation where the package compares conjugacy keys.
+by rotation where the package compares conjugacy keys, and ``ball_bfs``
+lists a word ball one word at a time where the package builds it packed,
+level by level.
 ``extension_defect_oracle`` forms the product of every pair of the
 extension ball, with no symmetry and no class cache, and evaluates the
 distinct products in one ``phi.packed`` pass; the packed chain itself is
@@ -57,7 +59,7 @@ from catqm.contraction import (
     phi_chain,
     projection_diameter_under_ball,
 )
-from catqm.errors import InputError
+from catqm.errors import BudgetError, InputError
 from catqm.expressway import Translate
 from catqm.spaces import _arclength_samples, tree_point, vertex
 from catqm.words import multiply, inverse, word_distance
@@ -496,6 +498,23 @@ def conjugacy_rotation_oracle(u: tuple, v: tuple) -> bool:
 
 def is_cyclically_reduced(w: tuple) -> bool:
     return len(w) < 2 or w[0] != -w[-1]
+
+
+def ball_bfs(rank: int, radius: int, cap: int = W.BALL_RADIUS_CAP) -> list[tuple]:
+    """All reduced words of length <= radius by a word-by-word BFS: each
+    word's children follow it in the letter order 1, -1, 2, -2, ..., the
+    reference for ``words.packed_ball``'s order and errors."""
+    if radius < 0:
+        raise InputError("radius must be >= 0")
+    if radius > cap:
+        raise BudgetError(f"ball radius {radius} exceeds cap {cap}")
+    letters = [x for k in range(1, rank + 1) for x in (k, -k)]
+    out = frontier = [()]
+    for _ in range(radius):
+        frontier = [w + (x,) for w in frontier for x in letters
+                    if not w or x != -w[-1]]
+        out = out + frontier
+    return out
 
 
 def ball_size(rank: int, radius: int) -> int:

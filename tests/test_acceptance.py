@@ -9,6 +9,7 @@ package and, where stated, re-validate against the oracle directly.
 import math
 import time
 
+import numpy as np
 import pytest
 
 from catqm import words as W
@@ -126,29 +127,32 @@ def test_criterion_2_defect_regression():
     assert report.pairs_checked == len(ws5) ** 2
     assert report.value == REGRESSION_DEFECT_RADIUS5
 
-    # radius-7 sweep through the same counting formula, string-specialized
-    # for the 19 million pairs
-    pattern = "aab"
-    anti = "BAA"
+    # radius-7 sweep through the same counting formula over the 19 million
+    # pairs, in packed chunks of their products: phi counts the windows aab
+    # less the windows BAA, and neither pattern overlaps itself, so a window
+    # count is str.count's
+    pattern, anti = W.from_string("aab"), W.from_string("BAA")
 
-    def phi_str(s: str) -> int:
-        return s.count(pattern) - s.count(anti)
+    def phi_rows(letters):
+        width = letters.shape[1]
+        padded = np.pad(letters, ((0, 0), (0, 2)))
+        return [np.logical_and.reduce([padded[:, o:o + width] == x
+                                       for o, x in enumerate(p)]).sum(axis=1)
+                for p in (pattern, anti)]
 
-    ws7 = [W.to_string(w) for w in W.ball(2, 7)]
-    vals = [phi_str(s) for s in ws7]
+    letters, lens = W.packed_ball(2, 7)
+    n = len(lens)
+    vals = np.subtract(*phi_rows(letters))
     worst = 0
-    for i, s in enumerate(ws7):
-        vs = vals[i]
-        ls = len(s)
-        for j, t in enumerate(ws7):
-            a = ls
-            b = 0
-            while a > 0 and b < len(t) and s[a - 1] == t[b].swapcase():
-                a -= 1
-                b += 1
-            d = abs(phi_str(s[:a] + t[b:]) - vs - vals[j])
-            if d > worst:
-                worst = d
+    for lo in range(0, n, 16):
+        left = letters[lo:lo + 16], lens[lo:lo + 16]
+        k = len(left[1])
+        products, _ = W.packed_products(
+            (np.repeat(left[0], n, axis=0), np.repeat(left[1], n)),
+            (np.tile(letters, (k, 1)), np.tile(lens, k)))
+        d = np.abs(np.subtract(*phi_rows(products)).reshape(k, n)
+                   - vals[lo:lo + k, None] - vals[None, :])
+        worst = max(worst, int(d.max()))
     elapsed = time.monotonic() - started
     ok = (worst <= REGRESSION_DEFECT_RADIUS5 + 1.0) and elapsed < 300.0
     announce(2, ok, f"defect(5) = {report.value} frozen, defect(7) = {worst}, "

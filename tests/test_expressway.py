@@ -174,6 +174,18 @@ def test_tree_lambda_overhang_examples():
         assert tree_lambda_candidate_graph(sys_a, a, b)[0] == pytest.approx(lam)
 
 
+def test_a_group_narrower_than_its_tree_keeps_the_candidate_graph():
+    # the closed form once rode the translate C of [c, abc] (sigma = ab from
+    # the basepoint c) for lambda(e, Cabc) = 3, though C is not in the
+    # rank-2 group; the group's own translates give the plain distance 4
+    narrow = ExpresswaySystem(TreeSpace(3), FREE, "ab", vertex("c"), ledger=LEDGER)
+    assert not narrow.is_exact_tree()
+    res = modified_length(narrow, vertex(""), vertex("Cabc"))
+    assert (res.value, res.expressways) == (4.0, 0)
+    assert ExpresswaySystem(TreeSpace(3), GroupModel.free(3), "ab", vertex("c"),
+                            ledger=LEDGER).is_exact_tree()
+
+
 @pytest.mark.parametrize("config", ["half_plane", "euclidean_control"])
 def test_ball_candidates_match_the_per_translate_filter(monkeypatch, config):
     # every query of the shipped qm cell, checked as the cell runs

@@ -14,12 +14,6 @@ from catqm import runner
 from catqm import words as W
 from catqm.actions import act
 from catqm.cli import main as cli_main
-from catqm.contraction import (
-    check_dichotomy,
-    check_reverse_triangle,
-    check_thin_triangle,
-    check_variation,
-)
 from catqm.errors import ConfigError, NumericError
 from catqm.expressway import tree_phi_exact
 from catqm.runner import (
@@ -522,6 +516,43 @@ def test_wpd_small_count_equals_a_direct_count(path):
     assert small == direct.to_json()
 
 
+# (id, where in the config, key, value): each loaded and was misread.  An
+# infinite or fractional tree rank and one past the alphabet loaded, a bool
+# group rank read as 1, and a config word was read letter by letter from
+# whatever iterated: "x" as letter 24 of the rank-2 group, a list of
+# characters as their word, {} as the identity and a string of
+# independence words as one word per character.
+BAD_RANKS_AND_WORDS = [
+    ("space-rank-inf", "space", "rank", INF),
+    ("space-rank-fraction", "space", "rank", 2.5),
+    ("space-rank-past-the-alphabet", "space", "rank", 27),
+    ("group-rank-bool", "group", "rank", True),
+    ("sigma-letter-outside-rank", None, "sigma_word", "x"),
+    ("sigma-letter-of-the-tree-not-the-group", None, "sigma_word", "abc"),
+    ("sigma-list", None, "sigma_word", ["a", "a", "b"]),
+    ("companion-object", None, "companion_word", {}),
+    ("companion-letter-outside-rank", None, "companion_word", "bbx"),
+    ("independence-string", None, "independence_words", "x"),
+    ("independence-letter-outside-rank", None, "independence_words", ["aab", "abc"]),
+    ("independence-entry-not-a-string", None, "independence_words", ["aab", ["a"]]),
+]
+
+
+@pytest.mark.parametrize("where,key,value", [c[1:] for c in BAD_RANKS_AND_WORDS],
+                         ids=[c[0] for c in BAD_RANKS_AND_WORDS])
+def test_config_ranks_and_words_are_checked_at_load(tmp_path, capsys, where, key, value):
+    data = json.loads(TREE_CONFIG.read_text())
+    data["space"]["rank"] = 3
+    config_from_json(data)
+    (data if where is None else data[where])[key] = value
+    with pytest.raises(ConfigError):
+        config_from_json(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli_main(["axioms", "--config", str(bad)]) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_a_free_group_wider_than_its_tree_is_a_config_error(tmp_path):
     # rank 3 on the rank-2 tree once counted words with the letter c (wpd,
     # exit 0) and stopped mid-search on one (equiv, exit 2)
@@ -533,9 +564,12 @@ def test_a_free_group_wider_than_its_tree_is_a_config_error(tmp_path):
     bad.write_text(json.dumps(data))
     for sub in ("wpd", "equiv"):
         assert cli_main([sub, "--config", str(bad)]) == EXIT_CONFIG
-    for rank in (1, 2):
-        data["group"]["rank"] = rank
-        assert config_from_json(data).group.rank == rank
+    data["group"]["rank"] = 2
+    assert config_from_json(data).group.rank == 2
+    # a rank-1 group takes words over its one letter
+    data.update(group={"kind": "free", "rank": 1}, sigma_word="aa", companion_word="a",
+                independence_words=["aa", "a"])
+    assert config_from_json(data).group.rank == 1
 
 
 @pytest.mark.parametrize("witness", [
@@ -711,16 +745,27 @@ def _per_config_tallies(space, ledger, tol, radius):
     triples = list(tree_triples_exhaustive(space, radius))
     dichotomies = list(tree_dichotomy_configs(space, small))
     variations = list(tree_variation_configs(space, small))
-    got = runner._lemma_suite(space, ledger, tol, triples, dichotomies, variations)
-    # the buckets against a count of the checkers' statuses that shares no
-    # code with the tally
-    for name, check, configs in (("thin_triangle", check_thin_triangle, triples),
-                                 ("near_collinearity", check_reverse_triangle, triples),
-                                 ("dichotomy", check_dichotomy, dichotomies),
-                                 ("variation", check_variation, variations)):
-        statuses = Counter(check(space, *c, ledger, tol).status for c in configs)
-        assert got[0][name] == {s: statuses[s] for s in ("holds", "skipped", "violated")}
-        assert sum(statuses.values()) == len(configs)
+    checks = (("thin_triangle", "check_thin_triangle", triples),
+              ("near_collinearity", "check_reverse_triangle", triples),
+              ("dichotomy", "check_dichotomy", dichotomies),
+              ("variation", "check_variation", variations))
+    # the statuses the checkers return within the one suite run, recorded
+    # by a wrapper around each
+    statuses = {attr: [] for _, attr, _ in checks}
+    with pytest.MonkeyPatch.context() as mp:
+        for attr, log in statuses.items():
+            def record(*args, check=getattr(runner, attr), log=log):
+                outcome = check(*args)
+                log.append(outcome.status)
+                return outcome
+            mp.setattr(runner, attr, record)
+        got = runner._lemma_suite(space, ledger, tol, triples, dichotomies, variations)
+    # the buckets against a count of those statuses that shares no code
+    # with the tally
+    for name, attr, configs in checks:
+        counts = Counter(statuses[attr])
+        assert got[0][name] == {s: counts[s] for s in ("holds", "skipped", "violated")}
+        assert len(statuses[attr]) == len(configs)
     return got
 
 

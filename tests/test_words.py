@@ -6,6 +6,7 @@ from catqm import words as W
 from catqm.errors import BudgetError, InputError
 
 from oracles import (
+    ball_bfs,
     ball_size,
     check_reduced_oracle,
     conjugacy_rotation_oracle,
@@ -140,6 +141,24 @@ def test_ball_deterministic_and_reduced():
     assert b1 == b2
     assert len(set(b1)) == len(b1)
     assert all(W.is_reduced(x) for x in b1)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_packed_ball_is_the_word_by_word_bfs_packed(rank):
+    for radius in range(9):
+        bfs = ball_bfs(rank, radius)
+        for got, want in zip(W.packed_ball(rank, radius), W.pack(bfs)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert np.array_equal(got, want)
+        assert W.ball(rank, radius) == bfs
+    for radius, cap, error in ((-1, 12, InputError), (13, 12, BudgetError),
+                               (5, 4, BudgetError)):
+        with pytest.raises(error) as want:
+            ball_bfs(rank, radius, cap)
+        for build in (W.packed_ball, W.ball):
+            with pytest.raises(error) as got:
+                build(rank, radius, cap)
+            assert str(got.value) == str(want.value)
 
 
 def test_ball_cap():
