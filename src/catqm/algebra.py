@@ -15,23 +15,37 @@ average, transfer) pass words down without checking them again.
 
 The defect certificate ``extension_defect`` is the supremum of
 |phi(gh) - phi(g) - phi(h)| over all pairs of an extension ball, computed
-in whole-array passes over packed words (``words.pack``).  The pairs'
-products come from ``words.packed_products``, with each right factor
-twisted by the left factor's letter map (a row of
-``FiniteExtension.letter_table``), in chunks of pairs; ``np.unique`` over
-their int64 codes (``words.packed_codes``) gives the distinct elements.
-When phi claims homogeneity (``Quasimorphism.homogeneous``) it is a class
-function, odd, and phi(g) = phi(g^N)/N with g^N in the base, so the
-defect takes one value on each orbit of the order-4N group generated by
-(g, h) -> (h, g), (h^-1, g^-1) and conjugation of both factors by a
-section; the ball is closed under all of these, since conjugation by a
-section maps the generating set onto itself.  phi is evaluated once per
-free-group conjugacy class of g^N up to inversion
-(``words.packed_class_codes``; a base element's class is read off its own
-code): the certificate visits one pair per orbit and shares each value,
-with its sign, over the class.  Otherwise it visits every pair and
-evaluates phi once per element.  Either way the supremum is the one over
-the whole grid.
+in whole-array passes in int64 code space.  Each element is a sigma and a
+code triple (own, anti, length) (``words.code_triples``): own is the
+big-endian base-b code of its word w, b = 2 rank + 1, and anti that of
+w^-1.  The ball's triples are read once under every section's letter map
+(a row of ``FiniteExtension.letter_table``), so the product (u, sigma)
+(v, tau) = (u v', sigma tau), v' = sigma(v), needs no letter row
+(``words.code_products``).  Its cancellation c = lcp(u^-1, v') is the
+number of t <= min(|u|, |v|) at which the leading t digits of anti(u) and
+of own(v') agree: agreement on t digits implies it on every shorter run,
+so the plain count is the lcp.  Then
+
+    own(u v')  = own(u) div b^c * b^(|v|-c) + own(v') mod b^(|v|-c),
+    anti(u v') = anti(v') div b^c * b^(|u|-c) + anti(u) mod b^(|u|-c),
+
+and every intermediate is below b^|u v'|.  g^N is formed by the same
+product on letter-mapped codes (``words.mapped_codes``), so every value
+fits in an int64 while 2 radius N is at most ``words.code_capacity``.
+``np.unique`` over the keys code N + sigma gives the distinct elements, in
+chunks of pairs.  When phi claims homogeneity
+(``Quasimorphism.homogeneous``) it is a class function, odd, and
+phi(g) = phi(g^N)/N with g^N in the base, so the defect takes one value on
+each orbit of the order-4N group generated by (g, h) -> (h, g),
+(h^-1, g^-1) and conjugation of both factors by a section; the ball is
+closed under all of these, since conjugation by a section maps the
+generating set onto itself.  phi is evaluated once per free-group
+conjugacy class of g^N up to inversion, keyed straight from the triples
+(``words.class_codes``; a base element's class is read off its own code):
+the certificate visits one pair per orbit and shares each value, with its
+sign, over the class.  Otherwise it visits every pair and evaluates phi
+once per element.  Either way the supremum is the one over the whole
+grid, and only the elements phi is evaluated on are unpacked to letters.
 
 Every quasimorphism evaluates whole packed word arrays,
 ``Quasimorphism.packed``, and every consumer calls that one route.  The
@@ -470,23 +484,44 @@ def _chunks(n: int):
     return (slice(lo, lo + _PAIR_CHUNK) for lo in range(0, n, _PAIR_CHUNK))
 
 
-def _orbit_representatives(ext: FiniteExtension, elements: list) -> tuple:
-    """Index pairs (i, j), one per orbit of the pairs of ``elements`` under
-    the group of order 4N generated by (g, h) -> (h, g), (h^-1, g^-1) and,
-    for each section k, (k g k^-1, k h k^-1): the lexicographically least
-    pair of each orbit, in row-major order.  ``elements`` must be closed
-    under inverses and under conjugation by sections."""
-    index = {g: i for i, g in enumerate(elements)}
-    inv = np.array([index[ext.inverse(g)] for g in elements])
+def _ball_codes(ext: FiniteExtension, elements: list) -> tuple:
+    """The code triples of ``elements``' words under every section's letter
+    map, and their sigmas: own and anti of shape (N, len(elements)), row k
+    holding the codes of the letter map of section k (row 0: the words
+    themselves), then the lengths and the sigmas."""
+    letters, lens = W.pack([g.word for g in elements])
+    mapped = ext.letter_table[:, letters + ext.rank].reshape(-1, letters.shape[1])
+    own, anti, _ = W.code_triples((mapped, np.tile(lens, ext.N)), ext.rank)
+    return (own.reshape(ext.N, -1), anti.reshape(ext.N, -1), lens,
+            np.array([g.sigma for g in elements]))
+
+
+def _orbit_representatives(ext: FiniteExtension, ball: tuple) -> tuple:
+    """Index pairs (i, j), one per orbit of the pairs of the elements whose
+    ``_ball_codes`` are ``ball`` under the group of order 4N generated by
+    (g, h) -> (h, g), (h^-1, g^-1) and, for each section k,
+    (k g k^-1, k h k^-1): the lexicographically least pair of each orbit,
+    in row-major order.  The elements must be closed under inverses and
+    under conjugation by sections."""
+    own, anti, _, sigmas = ball
+    # each element keyed by (code, sigma) as code N + sigma; an image is
+    # found by its key among the sorted keys
+    keys = own[0] * ext.N + sigmas
+    order = np.argsort(keys)
+    inv_sections = np.array(ext._inv)
+    # (w, sigma)^-1 = (sigma^-1(w^-1), sigma^-1), and the code of a letter
+    # map of w^-1 is the anti code of the same letter map of w
+    s = inv_sections[sigmas]
+    inv = anti[s, np.arange(len(keys))] * ext.N + s
     # conjugation by section k: its letter map on the word, k sigma k^-1
-    conj = np.array([[index[GElement(ext.apply_auto(k, g.word),
-                                     ext._mul[ext._mul[k][g.sigma]][ext._inv[k]])]
-                      for g in elements] for k in range(ext.N)])
+    conj = own * ext.N + ext.mul_table[ext.mul_table[:, sigmas], inv_sections[:, None]]
+    found = order[np.searchsorted(keys, np.vstack([conj, inv]), sorter=order)]
+    conj, inv = found[:-1], found[-1]
     # row m of moved sends each element to its image under the m-th map of
     # the group <inverse, sections>, which acts on both factors of a pair;
     # the orbit of (g, h) is every (m(g), m(h)) and (m(h), m(g))
     moved = np.concatenate([conj, conj[:, inv]])
-    n = len(elements)
+    n = len(keys)
     j = np.arange(n)
     # a representative's first element is least in its own orbit under moved
     rows = np.flatnonzero(moved.min(axis=0) == j)
@@ -525,28 +560,57 @@ def _packed_powers(ext: FiniteExtension, words, sigmas):
     return power, power_sigmas
 
 
-def _power_classes(ext: FiniteExtension, codes, sigmas):
-    """``words.packed_class_codes`` of g^N, which lies in the base, for the
-    elements g given by their word codes and sigmas.
+def _distinct_products(ext: FiniteExtension, ball: tuple, first, second) -> tuple:
+    """The distinct elements among the ball's (its ``_ball_codes``) and the
+    products of the pairs (first[k], second[k]), formed by
+    ``words.code_products`` in passes of ``_PAIR_CHUNK`` pairs: their keys
+    code N + sigma (N b^(2 radius) <= b^(2 radius N) fits) in ascending
+    order, their anti codes, and the index of each ball element, then each
+    product, among them."""
+    own, anti, lens, sigmas = ball
+    keys, antis = [own[0] * ext.N + sigmas], [anti[0]]
+    for part in _chunks(len(first)):
+        i, j = first[part], second[part]
+        s = sigmas[i]
+        product, product_anti, _ = W.code_products(
+            (own[0, i], anti[0, i], lens[i]), (own[s, j], anti[s, j], lens[j]), ext.rank)
+        keys.append(product * ext.N + ext.mul_table[s, sigmas[j]])
+        antis.append(product_anti)
+    distinct, at, which = np.unique(np.concatenate(keys), return_index=True,
+                                    return_inverse=True)
+    return distinct, np.concatenate(antis)[at], which
+
+
+def _power_class_codes(ext: FiniteExtension, keys, antis):
+    """``words.class_codes`` of g^N, which lies in the base, for the
+    elements g keyed code N + sigma, with the given anti codes.
 
     A base element g = c u c^-1, u cyclically reduced, has g^N = c u^N
     c^-1.  The least rotation of u^N is r^N, r the least rotation of u, and
     r^N against the inverse's r'^N compares as r against r', so the key of
     g^N is g's own key read N times over, with g's sign.  Only the other
-    rows form their powers."""
+    rows form their powers, as ``_packed_powers`` does on letters:
+    ``words.code_products`` of the power so far and g's letter-mapped codes
+    (``words.mapped_codes``)."""
+    codes, sigmas = keys // ext.N, keys % ext.N
+    triple = codes, antis, W.code_lengths(codes, ext.rank)
     base = sigmas == 0
-    keys, signs = np.empty((2, len(codes)), dtype=np.int64)
-    key, signs[base] = W.packed_class_codes(W.unpack_codes(codes[base], ext.rank),
-                                            ext.rank)
+    classes, signs = np.empty((2, len(keys)), dtype=np.int64)
+    key, signs[base] = W.class_codes([x[base] for x in triple], ext.rank)
     shift = np.int64(2 * ext.rank + 1) ** W.code_lengths(key, ext.rank)
     repeated = key
     for _ in range(ext.N - 1):
         repeated = repeated * shift + key
-    keys[base] = repeated
+    classes[base] = repeated
     off = ~base
-    power, _ = _packed_powers(ext, W.unpack_codes(codes[off], ext.rank), sigmas[off])
-    keys[off], signs[off] = W.packed_class_codes(power, ext.rank)
-    return keys, signs
+    g, g_sigmas = [x[off] for x in triple], sigmas[off]
+    power, power_sigmas = g, g_sigmas
+    for _ in range(ext.N - 1):
+        power = W.code_products(
+            power, W.mapped_codes(g, ext.letter_table[power_sigmas], ext.rank), ext.rank)
+        power_sigmas = ext.mul_table[power_sigmas, g_sigmas]
+    classes[off], signs[off] = W.class_codes(power, ext.rank)
+    return classes, signs
 
 
 def extension_defect(ext: FiniteExtension, phi: Quasimorphism, radius: int) -> float:
@@ -564,51 +628,43 @@ def extension_defect(ext: FiniteExtension, phi: Quasimorphism, radius: int) -> f
     orbit reaches every value of the full grid, and the supremum over the
     representatives is the supremum over the grid.  phi is evaluated once
     per free-group conjugacy class of g^N up to inversion
-    (``words.packed_class_codes``), and the value is shared with its sign;
-    only elements outside the base form their powers (``_power_classes``).
+    (``words.class_codes``), and the value is shared with its sign; only
+    elements outside the base form their powers (``_power_class_codes``).
     Without the flag, every pair is visited and phi is evaluated once per
     element.
 
-    Products are formed in packed passes of ``_PAIR_CHUNK`` pairs and keyed
-    by ``words.packed_codes``; nothing outlives the call.  The codes of g^N
-    must fit in an int64, so 2 radius N may not exceed
-    ``words.code_capacity(rank)`` (radius 6 at rank 2 with N = 2).
+    Every element is a sigma and a code triple (see the module docstring).
+    The ball's triples are read once under every section's letter map
+    (``_ball_codes``), and each product is ``words.code_products`` of the
+    triples of u and sigma(v).  Every intermediate, g^N's included, fits in
+    an int64 while 2 radius N is at most ``words.code_capacity(rank)``
+    (radius 6 at rank 2 with N = 2); a larger radius raises ``BudgetError``
+    before phi is evaluated.  Products are formed, and classes keyed, in
+    passes of ``_PAIR_CHUNK`` rows; only phi's class representatives are
+    unpacked to letters, and nothing outlives the call.
     """
     if 2 * radius * ext.N > W.code_capacity(ext.rank):
         raise BudgetError(f"extension defect radius {radius} exceeds the int64 "
                           f"word codes of rank {ext.rank}, index {ext.N}")
-    elements = ext.ball(radius)
-    n = len(elements)
-    letters, lens = packed = W.pack([g.word for g in elements])
-    sigmas = np.array([g.sigma for g in elements])
+    ball = _ball_codes(ext, ext.ball(radius))
+    n = len(ball[2])
     if phi.homogeneous:
-        first, second = _orbit_representatives(ext, elements)
+        first, second = _orbit_representatives(ext, ball)
     else:
         first, second = np.indices((n, n)).reshape(2, -1)
-    # the ball's elements, then one product per pair, keyed by (code, sigma)
-    # as code N + sigma: N b^(2 radius) <= b^(2 radius N) fits
-    keys = [W.packed_codes(packed, ext.rank) * ext.N + sigmas]
-    for part in _chunks(len(first)):
-        i, j = first[part], second[part]
-        products = _twisted_products(ext, (letters[i], lens[i]),
-                                     (letters[j], lens[j]), sigmas[i])
-        keys.append(W.packed_codes(products, ext.rank) * ext.N
-                    + ext.mul_table[sigmas[i], sigmas[j]])
-    distinct, which = np.unique(np.concatenate(keys), return_inverse=True)
-    element_codes, element_sigmas = distinct // ext.N, distinct % ext.N
+    keys, antis, which = _distinct_products(ext, ball, first, second)
     if phi.homogeneous:
         classes, signs = np.concatenate(
-            [_power_classes(ext, element_codes[part], element_sigmas[part])
-             for part in _chunks(len(distinct))], axis=1)
+            [_power_class_codes(ext, keys[part], antis[part])
+             for part in _chunks(len(keys))], axis=1)
     else:
-        classes, signs = distinct, np.ones(len(distinct), dtype=np.int64)
+        classes, signs = keys, np.ones(len(keys), dtype=np.int64)
     # phi once per class, on its first element, in one packed pass
     _, reps, of = np.unique(classes, return_index=True, return_inverse=True)
-    values = phi.packed(W.unpack_codes(element_codes[reps], ext.rank),
-                        element_sigmas[reps])
+    values = phi.packed(W.unpack_codes(keys[reps] // ext.N, ext.rank),
+                        keys[reps] % ext.N)
     values = (values[of] * (signs * signs[reps][of]))[which]
-    vg, vp = values[:n], values[n:]
-    return float(np.abs(vp - vg[first] - vg[second]).max())
+    return float(np.abs(values[n:] - values[first] - values[second]).max())
 
 
 def homogeneity_suite(phi: Quasimorphism, elements, n_max: int,

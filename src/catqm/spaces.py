@@ -70,6 +70,10 @@ GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 GOLDEN_MAX_ITER = 200
 
+# Euclidean dimensions a config may declare: every point and sampled ball
+# point carries dim coordinates, and the shipped control is the plane.
+MAX_DIM = 64
+
 
 def golden_section(f: Callable[[float], float], lo: float, hi: float,
                    tol: float = 1e-9) -> float:
@@ -592,8 +596,10 @@ class EuclideanSpace:
     kind = "euclidean"
 
     def __init__(self, dim: int = 2, dd_constant: float = 0.0, tol: float = 1e-9):
-        if dim < 1:
-            raise InputError("dim must be >= 1")
+        # checked before any point of dim coordinates is formed
+        checked_number(dim, "euclidean dim", int)
+        if dim > MAX_DIM:
+            raise InputError(f"euclidean dim must be at most {MAX_DIM}, got {dim!r}")
         self.dim = dim
         self.dd_constant = dd_constant
         self.tol = tol

@@ -23,6 +23,13 @@ length (``code_lengths``).
 ``packed_class_codes`` keys the conjugacy class of each row up to inversion:
 the least rotation code of its cyclic core or of the inverse core, and a
 sign saying which of the two gave it.
+
+The code arithmetic works on code triples (own, anti, length), the codes
+of w and of w^-1 and |w|, with no letter row formed: ``code_triples``
+reads them off packed rows, ``code_products`` multiplies two arrays of
+them row by row, ``mapped_codes`` applies a letter map to each digit, and
+``class_codes`` keys each triple's class as ``packed_class_codes`` keys a
+row.
 """
 
 from __future__ import annotations
@@ -296,8 +303,9 @@ def _code_tables(rank: int) -> tuple[np.ndarray, np.ndarray]:
     return digits, powers
 
 
-def _code_pair(packed, rank: int):
-    """int64 codes of each row w and of w^-1, the lengths and the powers."""
+def code_triples(packed, rank: int):
+    """The code triple (own, anti, length) of each packed row w: the int64
+    codes (``packed_codes``) of w and of w^-1, and |w|."""
     letters, lens = packed
     width = int(lens.max(initial=0))
     if width > code_capacity(rank):
@@ -310,7 +318,52 @@ def _code_pair(packed, rank: int):
     # least significant first
     own = digits[columns] @ powers[:width][::-1] // powers[width - lens]
     anti = digits[::-1][columns] @ powers[:width]
-    return own, anti, lens, powers
+    return own, anti, lens
+
+
+def code_products(left, right, rank: int):
+    """Row-by-row products u_i v_i of two arrays of code triples
+    (``code_triples``), cancelling at the junction only, as ``multiply``
+    does: the triples of the products, with no letter row formed.
+
+    The cancellation c is lcp(u^-1, v).  The leading t digits of anti(u)
+    and of own(v) agree for every t <= c and for no t beyond it, so c is
+    the number of t <= min(|u|, |v|) at which they agree.  With b the base,
+    own(uv) = own(u) div b^c * b^(|v|-c) + own(v) mod b^(|v|-c), and
+    anti(uv) = anti(v) div b^c * b^(|u|-c) + anti(u) mod b^(|u|-c); every
+    term is below b^|uv|, so a product whose word has an int64 code is
+    formed without overflow."""
+    (own_u, anti_u, len_u), (own_v, anti_v, len_v) = left, right
+    _, powers = _code_tables(rank)
+    reach = np.minimum(len_u, len_v)
+    c = np.zeros_like(len_u)
+    for t in range(1, int(reach.max(initial=0)) + 1):
+        c += (t <= reach) & (anti_u // powers[np.maximum(len_u - t, 0)]
+                             == own_v // powers[np.maximum(len_v - t, 0)])
+    cut, keep_u, keep_v = powers[c], powers[len_u - c], powers[len_v - c]
+    return (own_u // cut * keep_v + own_v % keep_v,
+            anti_v // cut * keep_u + anti_u % keep_u,
+            len_u + len_v - 2 * c)
+
+
+def mapped_codes(triple, letter_maps: np.ndarray, rank: int):
+    """The code triple of each row's word under its own letter map, read
+    digit by digit with no letter row formed: row i of ``letter_maps``
+    holds the image of letter x at column x + rank (0 for the padding
+    column), as the rows of ``algebra.FiniteExtension.letter_table`` do.  A
+    letter map commutes with inversion, so anti maps the same way."""
+    own, anti, lens = triple
+    digits, powers = _code_tables(rank)
+    # digit d stands for the letter at column ``column[d]``
+    column = np.argsort(digits)
+    rows = np.arange(len(lens))
+    rest = np.stack([own, anti])
+    mapped = np.zeros_like(rest)
+    # least significant digit first, one division by the base per place
+    for place in range(int(lens.max(initial=0))):
+        rest, digit = np.divmod(rest, 2 * rank + 1)
+        mapped += digits[letter_maps[rows, column[digit]] + rank] * powers[place]
+    return mapped[0], mapped[1], lens
 
 
 def packed_codes(packed: tuple[np.ndarray, np.ndarray], rank: int) -> np.ndarray:
@@ -318,7 +371,7 @@ def packed_codes(packed: tuple[np.ndarray, np.ndarray], rank: int) -> np.ndarray
     a big-endian base-(2 rank + 1) number, each digit nonzero, so the
     identity is 0.  Rows longer than ``code_capacity(rank)`` raise
     ``BudgetError``."""
-    return _code_pair(packed, rank)[0]
+    return code_triples(packed, rank)[0]
 
 
 def code_lengths(codes: np.ndarray, rank: int) -> np.ndarray:
@@ -342,24 +395,33 @@ def unpack_codes(codes: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _least_rotations(codes, lens, powers) -> np.ndarray:
-    """Least code over the rotations of each word; rotating an n-digit code
-    c left by i digits gives (c mod b^(n-i)) b^i + c div b^(n-i)."""
-    best = codes.copy()
-    for n in sorted(set(lens[lens > 1].tolist())):
-        rows = lens == n
-        c = codes[rows][:, None]
-        split, shift = powers[n - 1:0:-1], powers[1:n]
-        best[rows] = np.minimum(best[rows], (c % split * shift + c // split).min(axis=1))
+    """Least code over the rotations of each word.  Rotating an n-digit
+    code c left by one digit gives (c mod b^(n-1)) b + c div b^(n-1), so
+    n - 1 such steps visit every rotation; a shorter word's further steps
+    repeat its own rotations."""
+    top = powers[np.maximum(lens - 1, 0)]
+    best = rotated = codes
+    for _ in range(1, int(lens.max(initial=0))):
+        high, low = np.divmod(rotated, top)
+        rotated = low * powers[1] + high
+        best = np.minimum(best, rotated)
     return best
 
 
 def packed_class_codes(packed: tuple[np.ndarray, np.ndarray],
                        rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """(key, sign) for each packed row w: key is the least rotation code of
-    the cyclic core of w or of w^-1, whichever is smaller, and sign is +1
-    when w's own core gave it, -1 otherwise.  Two rows share a key exactly
-    when they are conjugate or each is conjugate to the other's inverse."""
-    own, anti, lens, powers = _code_pair(packed, rank)
+    """``class_codes`` of each packed row."""
+    return class_codes(code_triples(packed, rank), rank)
+
+
+def class_codes(triple, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """(key, sign) for each word w given by its code triple
+    (``code_triples``): key is the least rotation code of the cyclic core
+    of w or of w^-1, whichever is smaller, and sign is +1 when w's own core
+    gave it, -1 otherwise.  Two words share a key exactly when they are
+    conjugate or each is conjugate to the other's inverse."""
+    own, anti, lens = triple
+    _, powers = _code_tables(rank)
     # w = c u c^-1 with u cyclically reduced and w^-1 = c u^-1 c^-1: |c| is
     # the common prefix of w and w^-1, read as their equal leading digits
     trim = np.zeros_like(lens)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -8,9 +9,11 @@ from catqm.algebra import (
     FiniteExtension,
     GElement,
     Quasimorphism,
+    _ball_codes,
+    _distinct_products,
     _orbit_representatives,
     _packed_powers,
-    _power_classes,
+    _power_class_codes,
     _twisted_products,
     brooks_qm,
     check_sigma_invariance,
@@ -244,6 +247,8 @@ def test_extension_defect_matches_the_oracle_for_homogeneous_brooks(word):
 ROTATION = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
 # every permutation of three letters, a non-abelian group of order 6
 SYMMETRIC = sorted(permutations((1, 2, 3)))
+# a <-> b on the rank-3 free group, c fixed
+TRANSPOSITION = [(1, 2, 3), (2, 1, 3)]
 
 
 def _bits(values) -> bytes:
@@ -416,7 +421,7 @@ def test_homogeneous_route_evaluates_phi_once_per_class():
     # the classes of g^N up to inversion, over the ball and the products of
     # the orbit representatives
     ball = ext.ball(4)
-    first, second = _orbit_representatives(ext, ball)
+    first, second = _orbit_representatives(ext, _ball_codes(ext, ball))
     elements = set(ball) | {ext.multiply(ball[i], ball[j])
                             for i, j in zip(first.tolist(), second.tolist())}
     classes = set()
@@ -439,6 +444,21 @@ def test_extension_defect_refuses_radii_beyond_int64_codes():
             extension_defect(ext, Quasimorphism("never", never, homogeneous), 7)
 
 
+def test_extension_defect_traced_peak_stays_below_the_letter_route():
+    # the radius-5 certificate peaked at 6.83-6.88 MB of traced memory when
+    # it formed its products as letter rows; its passes of _PAIR_CHUNK rows
+    # keep it below that
+    ext = swap_extension()
+    phi = transfer_extend(ext, orbit_average(ext, homogeneous_brooks_qm("aab")))
+    tracemalloc.start()
+    try:
+        assert extension_defect(ext, phi, 5) == 2.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_800_000
+
+
 def test_twisted_products_match_extension_multiply():
     ext = swap_extension()
     ball = ext.ball(3)
@@ -450,11 +470,17 @@ def test_twisted_products_match_extension_multiply():
     assert got == [ext.multiply(g, h).word for g, h in pairs]
 
 
-def test_power_classes_key_the_nth_power_up_to_inversion():
+def _keys(ext, elements):
+    """The ``_power_class_codes`` arguments of extension elements: their
+    keys code N + sigma and their anti codes."""
+    own, anti, _ = W.code_triples(W.pack([g.word for g in elements]), ext.rank)
+    return own * ext.N + np.array([g.sigma for g in elements]), anti
+
+
+def test_power_class_codes_key_the_nth_power_up_to_inversion():
     ext = swap_extension()
     ball = ext.ball(4)
-    codes = W.packed_codes(W.pack([g.word for g in ball]), ext.rank)
-    keys, signs = _power_classes(ext, codes, np.array([g.sigma for g in ball]))
+    keys, signs = _power_class_codes(ext, *_keys(ext, ball))
     powers = [ext.power(g, ext.N) for g in ball]
     assert all(p.is_base() for p in powers)
     own = [W.conjugacy_key(p.word) for p in powers]
@@ -488,7 +514,7 @@ def _check_orbit_representatives(ext, radius):
                 ((c[i], c[j]), (c[j], c[i]), (c[inv[j]], c[inv[i]]),
                  (c[inv[i]], c[inv[j]]))}
 
-    first, second = _orbit_representatives(ext, ball)
+    first, second = _orbit_representatives(ext, _ball_codes(ext, ball))
     reps = list(zip(first.tolist(), second.tolist()))
     assert reps == sorted(reps)
     assert all(pair == min(orbit(*pair)) for pair in reps)
@@ -518,14 +544,14 @@ def test_balls_are_closed_under_conjugation_by_sections(rank, perms):
             assert set(_conjugates(ext, k, ball)) == ball
 
 
-def test_power_classes_of_base_rows_match_the_nth_power_route():
+def test_power_class_codes_of_base_rows_match_the_nth_power_route():
     # on the index-3 rotation, a base row's key is its own key read three
     # times over; the g^N route forms g^3 and keys that
     ext = FiniteExtension(3, ROTATION)
     ball = ext.ball(3)
     packed = W.pack([g.word for g in ball])
     sigmas = np.array([g.sigma for g in ball])
-    keys, signs = _power_classes(ext, W.packed_codes(packed, ext.rank), sigmas)
+    keys, signs = _power_class_codes(ext, *_keys(ext, ball))
     power, power_sigmas = _packed_powers(ext, packed, sigmas)
     assert not power_sigmas.any()
     want_keys, want_signs = W.packed_class_codes(power, ext.rank)
@@ -533,6 +559,74 @@ def test_power_classes_of_base_rows_match_the_nth_power_route():
     assert base.any() and (~base).any() and (signs[base] < 0).any()
     assert keys.tolist() == want_keys.tolist()
     assert signs.tolist() == want_signs.tolist()
+
+
+# the swap, the rank-3 rotation, a rank-3 transposition (c fixed) and the
+# full symmetric group on three letters, with a radius for each
+CODE_CASES = [
+    ([(1, 2), (2, 1)], 3),
+    (ROTATION, 3),
+    (TRANSPOSITION, 3),
+    (SYMMETRIC, 2),
+]
+
+
+def _letter_products(ext, ball, first, second):
+    """The packed words of the products of the pairs (first[k], second[k])
+    of the ball, by the letter route, and their sigmas."""
+    letters, lens = W.pack([g.word for g in ball])
+    sigmas = np.array([g.sigma for g in ball])
+    products = _twisted_products(ext, (letters[first], lens[first]),
+                                 (letters[second], lens[second]), sigmas[first])
+    return products, ext.mul_table[sigmas[first], sigmas[second]]
+
+
+def _check_code_products(ext, ball, first, second):
+    own, anti, lens, sigmas = _ball_codes(ext, ball)
+    s = sigmas[first]
+    got = W.code_products((own[0, first], anti[0, first], lens[first]),
+                          (own[s, second], anti[s, second], lens[second]), ext.rank)
+    products, _ = _letter_products(ext, ball, first, second)
+    want = W.code_triples(products, ext.rank)
+    assert all(x.dtype == np.int64 for x in got)
+    assert [x.tolist() for x in got] == [x.tolist() for x in want]
+
+
+@pytest.mark.parametrize("perms, radius", CODE_CASES)
+def test_code_products_match_the_letter_products_on_the_full_grid(perms, radius):
+    ext = FiniteExtension(len(perms[0]), perms)
+    ball = ext.ball(radius)
+    first, second = np.indices((len(ball), len(ball))).reshape(2, -1)
+    _check_code_products(ext, ball, first, second)
+
+
+def test_code_products_match_the_letter_products_on_the_radius_5_orbit_pairs():
+    ext = swap_extension()
+    ball = ext.ball(5)
+    first, second = _orbit_representatives(ext, _ball_codes(ext, ball))
+    assert len(first) == 52569
+    _check_code_products(ext, ball, first, second)
+
+
+@pytest.mark.parametrize("perms, radius", CODE_CASES[:3] + [(SYMMETRIC, 1)])
+def test_power_class_codes_of_products_match_the_nth_power_route(perms, radius):
+    # the ball and every product, sigma != 0 rows among them: the code route
+    # keys g^N as packed_class_codes keys the letter route's g^N (on the
+    # symmetric group, g^6 has a code only up to radius 1)
+    ext = FiniteExtension(len(perms[0]), perms)
+    ball = ext.ball(radius)
+    first, second = np.indices((len(ball), len(ball))).reshape(2, -1)
+    keys, antis, which = _distinct_products(ext, _ball_codes(ext, ball), first, second)
+    products, product_sigmas = _letter_products(ext, ball, first, second)
+    sigmas = np.concatenate([[g.sigma for g in ball], product_sigmas])
+    assert (keys[which] % ext.N).tolist() == sigmas.tolist()
+    letters, lens = W.unpack_codes(keys // ext.N, ext.rank)
+    power, power_sigmas = _packed_powers(ext, (letters, lens), keys % ext.N)
+    assert not power_sigmas.any() and (keys % ext.N).any()
+    want_keys, want_signs = W.packed_class_codes(power, ext.rank)
+    got_keys, got_signs = _power_class_codes(ext, keys, antis)
+    assert got_keys.tolist() == want_keys.tolist()
+    assert got_signs.tolist() == want_signs.tolist()
 
 
 def test_extension_rejects_letters_beyond_rank():

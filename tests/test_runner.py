@@ -454,6 +454,48 @@ def test_config_basepoint_is_validated(tmp_path, path, basepoint):
         assert cli_main([sub, "--config", str(bad)]) == EXIT_CONFIG
 
 
+# loads a Euclidean config with the dim given as JSON in argv[1] and the
+# default basepoint, under its own 1.5 GB address-space cap
+_DIM_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+from catqm.errors import ConfigError
+from catqm.runner import config_from_json
+data = json.loads(sys.argv[2])
+data["space"]["dim"], data["basepoint"] = json.loads(sys.argv[1]), "default"
+try:
+    config_from_json(data)
+except ConfigError as exc:
+    print("config error:", exc)
+"""
+
+
+@pytest.mark.parametrize("dim", [True, 2.5, 1e300, 0, -1, 65, "2"])
+def test_euclidean_dim_is_checked_at_load(tmp_path, capsys, dim):
+    # "dim": true loaded as a 1-dimensional space, and 2.5 and 1e300 were
+    # config errors only through a TypeError message
+    data = json.loads(EUCLID_CONFIG.read_text())
+    data["space"]["dim"], data["basepoint"] = dim, "default"
+    with pytest.raises(ConfigError, match="euclidean dim"):
+        config_from_json(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli_main(["axioms", "--config", str(bad)]) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", [2 ** 40, 2 ** 70])
+def test_a_huge_euclidean_dim_is_a_config_error_before_allocation(dim):
+    # 2^40 ended load in a MemoryError and 2^70 in an OverflowError, when
+    # the default basepoint formed dim coordinates; run only in a child
+    # with its own address-space cap
+    proc = subprocess.run([sys.executable, "-c", _DIM_CHILD, json.dumps(dim),
+                           EUCLID_CONFIG.read_text()],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("config error:") and "euclidean dim" in proc.stdout
+
+
 NAN, INF = float("nan"), float("inf")
 # (config, product space or None) for each space kind a config can declare;
 # the product takes the half-plane config's group, which load does not act

@@ -87,6 +87,42 @@ def test_packed_products_match_multiply_on_all_pairs_of_a_ball():
     assert not letters[np.arange(letters.shape[1]) >= lens[:, None]].any()
 
 
+def _triples(ws, rank):
+    return [x.tolist() for x in W.code_triples(W.pack(ws), rank)]
+
+
+def test_code_products_match_multiply_on_all_pairs_of_a_ball():
+    ball = W.ball(2, 3)
+    left = [u for u in ball for _ in ball]
+    right = [v for _ in ball for v in ball]
+    got = W.code_products(W.code_triples(W.pack(left), 2),
+                          W.code_triples(W.pack(right), 2), 2)
+    assert [x.tolist() for x in got] == _triples(list(map(W.multiply, left, right)), 2)
+
+
+def test_code_products_reach_the_int64_capacity():
+    # products of 27 letters at rank 2, the largest code 5^27 - 1 among them,
+    # with and without cancellation at the junction
+    left = [(-2,) * 14, (-2,) * 14 + (1,), (-2,) * 27, (1,)]
+    right = [(-2,) * 13, (-1,) + (-2,) * 13, (), (-1,)]
+    got = W.code_products(W.code_triples(W.pack(left), 2),
+                          W.code_triples(W.pack(right), 2), 2)
+    assert got[0].tolist()[:3] == [5 ** 27 - 1] * 3
+    assert [x.tolist() for x in got] == _triples(list(map(W.multiply, left, right)), 2)
+
+
+def test_mapped_codes_match_the_letter_maps():
+    # signed letter permutations of rank 3, one per row, as rows indexed by
+    # letter + rank: the identity, a <-> b, a -> b -> c -> a and a -> A
+    images = [(1, 2, 3), (2, 1, 3), (2, 3, 1), (-1, 2, 3)]
+    maps = np.array([[-x for x in p[::-1]] + [0] + list(p) for p in images])
+    ball = W.ball(3, 3)
+    which = np.arange(len(ball)) % len(images)
+    got = W.mapped_codes(W.code_triples(W.pack(ball), 3), maps[which], 3)
+    want = [tuple(maps[k][x + 3] for x in u) for u, k in zip(ball, which.tolist())]
+    assert [x.tolist() for x in got] == _triples(want, 3)
+
+
 @pytest.mark.parametrize("rank, radius", [(1, 6), (2, 5), (3, 3)])
 def test_packed_codes_are_injective_and_unpack(rank, radius):
     ball = W.ball(rank, radius)
