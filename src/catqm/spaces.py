@@ -21,9 +21,9 @@ once; the tree and products project their points one at a time
 projects onto it as one point, so a tree contraction certificate measures
 a shadow only at B <= tol.  Each tree rule has one owner: ``_route`` (the
 exit options that join two points), ``_along`` (the walk of ``point_at``)
-and ``TreeSpace.packed_vertices_within`` (the vertices of a metric ball,
-which ``ball_points`` lists, read off ``words.packed_ball``).  The tree's
-bulk work runs on packed word arrays (``words.pack``).  Between vertices
+and ``TreeSpace.ball_points`` (the vertices of a metric ball, the word
+balls through each exit option of the center).  The tree's bulk work runs
+on packed word arrays (``words.pack``).  Between vertices
 every distance is an integer word length, so the exhaustive tree axioms
 (``runner._tree_axiom_violations``) read the projection of each vertex on
 each vertex-ended segment [e, v] from one Gromov pass over two packed
@@ -61,7 +61,6 @@ from .words import (
     check_reduced,
     common_prefix_length,
     distance_matrix,
-    pack,
     word_distance,
 )
 from . import words as W
@@ -330,44 +329,19 @@ class TreeSpace:
         return max(0.0, W.gromov_gap(fa, fb, s1.length))
 
     # -- sampling ----------------------------------------------------------
-    def packed_vertices_within(self, center: TreePoint, radius: float
-                               ) -> tuple[np.ndarray, np.ndarray]:
-        """The vertices within the radius of the center, as a packed word
-        array in (length, word) order: the w·u, u in
-        ``W.packed_ball(rank, rem)``, for each exit option (w, c) of the
-        center with rem = ⌊radius − c⌋ ≥ 0 (the 1e-9 keeps a vertex at
-        distance exactly the radius).  The ball lists words by length, so
-        each of those balls is a prefix of the largest, and one
-        ``packed_products`` pass forms every w·u."""
-        exits = [(w, rem) for w, cost in _exit_options(center)
-                 if (rem := math.floor(radius - cost + 1e-9)) >= 0]
-        if not exits:
-            return pack([])
-        ws, rems = zip(*exits)
-        ball = W.packed_ball(self.rank, max(rems))
-        counts = np.searchsorted(ball[1], rems, side="right")
-        # the k-th row of each exit's block multiplies the k-th ball word
-        k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        left = pack(list(ws))
-        letters, lens = W.packed_products(
-            (np.repeat(left[0], counts, axis=0), np.repeat(left[1], counts)),
-            (ball[0][k], ball[1][k]))
-        # rows in (length, word) order; the two exits' balls overlap, so
-        # keep the first row of each run of equal letter rows
-        order = np.lexsort((*letters.T[::-1], lens))
-        rows = letters[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        return letters[order[new]], lens[order[new]]
-
     def ball_points(self, center: TreePoint, radius: float,
                     samples: int = 0) -> list[TreePoint]:
         """Every vertex within the radius of the center, in (length, word)
-        order, after an edge-point center itself: ball sampling is
-        exhaustive over vertices, and the tree needs nothing finer because
-        projections are determined at vertices."""
-        pts = [tree_point(w)
-               for w in W.unpack(self.packed_vertices_within(center, radius))]
+        order, after an edge-point center itself: the w·u, u in
+        ``W.ball(rank, rem)``, for each exit option (w, c) of the center
+        with rem = ⌊radius − c⌋ ≥ 0 (the 1e-9 keeps a vertex at distance
+        exactly the radius).  Ball sampling is exhaustive over vertices,
+        and the tree needs nothing finer because projections are
+        determined at vertices."""
+        words = {W.multiply(w, u) for w, cost in _exit_options(center)
+                 if (rem := math.floor(radius - cost + 1e-9)) >= 0
+                 for u in W.ball(self.rank, rem)}
+        pts = [tree_point(w) for w in sorted(words, key=lambda w: (len(w), w))]
         return pts if center.is_vertex else [center] + pts
 
     projections = _projections_one_by_one

@@ -14,22 +14,20 @@ off those distances as Gromov products (``gromov_foot``, ``gromov_gap``).
 the ball's order: ``ball`` is its ``unpack``.
 
 The same rows multiply row by row (``packed_products``), cancelling at the
-junction; ``unpack`` turns rows back into words.  Each row also has an
-int64 code (``packed_codes``, decoded by ``unpack_codes``): its letters as
-digits of a big-endian base-(2 rank + 1) number with nonzero digits, so
-distinct words have distinct codes as long as no word is longer than
+junction; ``unpack`` turns rows back into words.  Each word also has an
+int64 code (decoded by ``unpack_codes``): its letters as digits of a
+big-endian base-(2 rank + 1) number with nonzero digits, so distinct words
+have distinct codes as long as no word is longer than
 ``code_capacity(rank)`` letters, and a code's digit count is its word's
 length (``code_lengths``).
-``packed_class_codes`` keys the conjugacy class of each row up to inversion:
-the least rotation code of its cyclic core or of the inverse core, and a
-sign saying which of the two gave it.
 
 The code arithmetic works on code triples (own, anti, length), the codes
 of w and of w^-1 and |w|, with no letter row formed: ``code_triples``
 reads them off packed rows, ``code_products`` multiplies two arrays of
 them row by row, ``mapped_codes`` applies a letter map to each digit, and
-``class_codes`` keys each triple's class as ``packed_class_codes`` keys a
-row.
+``class_codes`` keys the conjugacy class of each triple's word up to
+inversion: the least rotation code of its cyclic core or of the inverse
+core, and a sign saying which of the two gave it.
 """
 
 from __future__ import annotations
@@ -187,7 +185,10 @@ def to_string(w: Word) -> str:
 
 def from_string(s: str) -> Word:
     """Parse the a/A serialization; '' is the identity ('e' is the fifth
-    generator)."""
+    generator).  Anything but a str is an ``InputError``, not a word read
+    off its items."""
+    if not isinstance(s, str):
+        raise InputError(f"a word must be a string, got {s!r}")
     try:
         letters = list(map(_CHAR_LETTERS.__getitem__, s))
     except KeyError as exc:
@@ -286,7 +287,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def code_capacity(rank: int) -> int:
-    """The longest word length whose ``packed_codes`` fit in an int64."""
+    """The longest word length whose codes fit in an int64."""
     base, digits = 2 * rank + 1, 0
     while base ** (digits + 1) <= _INT64_MAX:
         digits += 1
@@ -305,7 +306,10 @@ def _code_tables(rank: int) -> tuple[np.ndarray, np.ndarray]:
 
 def code_triples(packed, rank: int):
     """The code triple (own, anti, length) of each packed row w: the int64
-    codes (``packed_codes``) of w and of w^-1, and |w|."""
+    codes of w and of w^-1, and |w|.  A code is injective: the letters as
+    the digits of a big-endian base-(2 rank + 1) number, each digit
+    nonzero, so the identity is 0.  Rows longer than
+    ``code_capacity(rank)`` raise ``BudgetError``."""
     letters, lens = packed
     width = int(lens.max(initial=0))
     if width > code_capacity(rank):
@@ -366,24 +370,15 @@ def mapped_codes(triple, letter_maps: np.ndarray, rank: int):
     return mapped[0], mapped[1], lens
 
 
-def packed_codes(packed: tuple[np.ndarray, np.ndarray], rank: int) -> np.ndarray:
-    """Injective int64 code of each packed row: its letters as the digits of
-    a big-endian base-(2 rank + 1) number, each digit nonzero, so the
-    identity is 0.  Rows longer than ``code_capacity(rank)`` raise
-    ``BudgetError``."""
-    return code_triples(packed, rank)[0]
-
-
 def code_lengths(codes: np.ndarray, rank: int) -> np.ndarray:
-    """The length of the word of each ``packed_codes`` code: its number of
-    digits."""
+    """The length of the word of each code: its number of digits."""
     _, powers = _code_tables(rank)
     # a code of n digits is at least the repunit 1...1 of n digits
     return np.searchsorted((powers[1:] - 1) // (2 * rank), codes, side="right")
 
 
 def unpack_codes(codes: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """The packed words of ``packed_codes``."""
+    """The packed words of int64 codes (``code_triples``)."""
     digits, powers = _code_tables(rank)
     base = 2 * rank + 1
     lens = code_lengths(codes, rank)
@@ -406,12 +401,6 @@ def _least_rotations(codes, lens, powers) -> np.ndarray:
         rotated = low * powers[1] + high
         best = np.minimum(best, rotated)
     return best
-
-
-def packed_class_codes(packed: tuple[np.ndarray, np.ndarray],
-                       rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """``class_codes`` of each packed row."""
-    return class_codes(code_triples(packed, rank), rank)
 
 
 def class_codes(triple, rank: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,7 @@ unit tree edges plus one directed shortcut edge per translate inside the
 search region, and the projection oracle is brute-force minimization over
 enumerated candidates.  The per-ball certificate loop
 ``certify_contracting_per_ball`` is the reference for the lazy off-tree
-certificate; ``tree_vertices_within`` lists a tree ball one ``multiply``
-per word for the test of the tree's contraction theorem;
-the shortest path over the translates near a segment that
+certificate; the shortest path over the translates near a segment that
 ``tree_candidates_per_translate`` lists, ``tree_lambda_candidate_graph``,
 is the reference for the tree's closed-form modified length and
 ``ball_candidates_per_translate`` for the off-tree ball filter's one
@@ -168,18 +166,6 @@ def contraction_scale(space, seg, budget=None) -> float:
     diameter plus the space tolerance."""
     cert = certify_contracting(space, seg, B=float("inf"), budget=budget)
     return cert.max_diameter + space.tol
-
-
-def tree_vertices_within(space, p, radius: float) -> list:
-    """The vertices within the radius of the tree point p, one ``multiply``
-    per word, in (length, word) order: through each end of p's edge (p
-    itself for a vertex) at cost c, the words of the word ball of radius
-    ⌊radius − c⌋."""
-    exits = [(p.anchor, 0.0)] if p.is_vertex else list(zip(p.edge(), (p.t, 1.0 - p.t)))
-    out = dict.fromkeys(multiply(w, u) for w, cost in exits
-                        if (rem := math.floor(radius - cost + 1e-9)) >= 0
-                        for u in W.ball(space.rank, rem))
-    return [tree_point(w) for w in sorted(out, key=lambda w: (len(w), w))]
 
 
 def certify_contracting_per_ball(space, seg, B: float, budget=None

@@ -554,7 +554,7 @@ def test_power_class_codes_of_base_rows_match_the_nth_power_route():
     keys, signs = _power_class_codes(ext, *_keys(ext, ball))
     power, power_sigmas = _packed_powers(ext, packed, sigmas)
     assert not power_sigmas.any()
-    want_keys, want_signs = W.packed_class_codes(power, ext.rank)
+    want_keys, want_signs = W.class_codes(W.code_triples(power, ext.rank), ext.rank)
     base = sigmas == 0
     assert base.any() and (~base).any() and (signs[base] < 0).any()
     assert keys.tolist() == want_keys.tolist()
@@ -611,7 +611,7 @@ def test_code_products_match_the_letter_products_on_the_radius_5_orbit_pairs():
 @pytest.mark.parametrize("perms, radius", CODE_CASES[:3] + [(SYMMETRIC, 1)])
 def test_power_class_codes_of_products_match_the_nth_power_route(perms, radius):
     # the ball and every product, sigma != 0 rows among them: the code route
-    # keys g^N as packed_class_codes keys the letter route's g^N (on the
+    # keys g^N as class_codes keys the letter route's g^N (on the
     # symmetric group, g^6 has a code only up to radius 1)
     ext = FiniteExtension(len(perms[0]), perms)
     ball = ext.ball(radius)
@@ -623,7 +623,7 @@ def test_power_class_codes_of_products_match_the_nth_power_route(perms, radius):
     letters, lens = W.unpack_codes(keys // ext.N, ext.rank)
     power, power_sigmas = _packed_powers(ext, (letters, lens), keys % ext.N)
     assert not power_sigmas.any() and (keys % ext.N).any()
-    want_keys, want_signs = W.packed_class_codes(power, ext.rank)
+    want_keys, want_signs = W.class_codes(W.code_triples(power, ext.rank), ext.rank)
     got_keys, got_signs = _power_class_codes(ext, keys, antis)
     assert got_keys.tolist() == want_keys.tolist()
     assert got_signs.tolist() == want_signs.tolist()

@@ -44,7 +44,6 @@ from oracles import (
     tree_dichotomy_configs,
     tree_triples_exhaustive,
     tree_variation_configs,
-    tree_vertices_within,
 )
 
 TREE = TreeSpace(2)
@@ -181,7 +180,7 @@ def test_tree_balls_missing_a_segment_project_to_the_foot_of_the_center():
             foot = space.project(center, seg)
             for radius in (foot.distance - 1.0, foot.distance / 2.0,
                            0.999 * foot.distance):
-                ball = tree_vertices_within(space, center, radius)
+                ball = [p for p in space.ball_points(center, radius) if p.is_vertex]
                 if radius <= 0.0 or not ball:
                     continue
                 params = [space.project(p, seg).parameter for p in ball]

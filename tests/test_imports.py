@@ -1,6 +1,7 @@
 """Every name a catqm module or test file imports is used in that file,
-every private helper of a catqm module is used by the package itself, and
-loading the command line pulls in no heavy dependency."""
+every private helper and every public function of a catqm module is used
+by the package itself (but for a listed few), and loading the command line
+pulls in no heavy dependency."""
 
 import ast
 import os
@@ -66,15 +67,41 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return out
 
 
-def test_every_private_helper_has_a_caller_in_the_package():
-    # a helper that only tests reach is dead weight in the package
+def package_trees() -> tuple[dict[str, ast.Module], set[str]]:
+    """The parsed catqm modules by file name, and every name they read."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
-    used = set().union(*map(referenced_names, trees.values()))
+    return trees, set().union(*map(referenced_names, trees.values()))
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a helper that only tests reach is dead weight in the package
+    trees, used = package_trees()
     defined = {(name, module) for module, tree in trees.items()
                for name in private_definitions(tree)}
     assert len(defined) > 50
     assert sorted(d for d in defined if d[0] not in used) == []
+
+
+# public functions that the package itself never calls, with the reason
+# each one stays
+PUBLIC_WITHOUT_CALLER = {
+    ("canonical_body", "runner.py"):
+        "the canonical body form that the pinned BODY_DIGESTS hash",
+}
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    # a public function that only tests reach is dead weight too, unless it
+    # is listed above with its reason
+    trees, used = package_trees()
+    defined = {(node.name, module) for module, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not node.name.startswith("_")}
+    assert len(defined) > 50
+    uncalled = sorted(d for d in defined if d[0] not in used)
+    assert uncalled == sorted(PUBLIC_WITHOUT_CALLER)
 
 
 def _loaded(probe: str, package: str) -> str:

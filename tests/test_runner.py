@@ -437,13 +437,18 @@ def test_any_int_seed_loads():
     (HALFPLANE_CONFIG, [0.0, -1.0]),
     (EUCLID_CONFIG, "12"),
     (HALFPLANE_CONFIG, [0.5, 2.0, 9.0]),
+    (TREE_CONFIG, {"v": ["a", "b"]}),
+    (TREE_CONFIG, {"v": {"a": 1}}),
+    (TREE_CONFIG, {"v": "a", "edge": ["b"], "t": 0.5}),
 ], ids=["euclidean-nan", "half-plane-below-axis", "euclidean-string",
-        "half-plane-three-coordinates"])
+        "half-plane-three-coordinates", "tree-vertex-list", "tree-vertex-dict",
+        "tree-edge-list"])
 def test_config_basepoint_is_validated(tmp_path, path, basepoint):
     # a NaN basepoint once ended contract in a ValueError traceback, and a
     # basepoint below the real axis passed schottky with status ok; the
-    # string "12" once ran as (1.0, 2.0), and a third half-plane coordinate
-    # was dropped
+    # string "12" once ran as (1.0, 2.0), a third half-plane coordinate
+    # was dropped, and a tree vertex ["a", "b"] loaded as "ab", {"a": 1} as
+    # "a" and an edge ["b"] as the letter b
     data = json.loads(path.read_text())
     data["basepoint"] = basepoint
     with pytest.raises(ConfigError):

@@ -198,6 +198,33 @@ def test_tree_ball_on_its_floor_boundary():
                     max(per_point) - min(per_point)]
 
 
+@pytest.mark.parametrize("rank, center, top", [
+    (2, vertex(""), 3),
+    (2, vertex("aB"), 3),
+    (2, tree_point(W.from_string("a"), 2, 0.25), 3),
+    (2, tree_point(W.IDENTITY, -2, 0.5), 3),
+    (2, tree_point(W.from_string("Ba"), 1, 1.0 / 3.0), 2),
+    (3, vertex("c"), 2),
+    (3, tree_point(W.IDENTITY, 3, 0.3), 2),
+    (3, tree_point(W.from_string("C"), -2, 0.7), 2),
+], ids=["e", "aB", "a-b", "e-B", "Ba-a", "rank3-c", "rank3-e-c", "rank3-C-B"])
+def test_tree_ball_points_equal_a_brute_force_filter(rank, center, top):
+    # every vertex near the center, kept by its distance: the set, and the
+    # order (length, word) after an edge-point center
+    space = TreeSpace(rank)
+    costs = [0.0] if center.is_vertex else [center.t, 1.0 - center.t]
+    search = W.ball(rank, len(center.anchor) + top + 2)
+    dist = [space.distance(center, vertex(w)) for w in search]
+    for k in range(top + 1):
+        for radius in {r for cost in costs
+                       for r in (k + cost, k + cost - 1e-12, k + cost - 1e-6)}:
+            inside = [w for w, d in zip(search, dist) if d <= radius + 1e-9]
+            want = [vertex(w) for w in sorted(inside, key=lambda w: (len(w), w))]
+            if not center.is_vertex:
+                want.insert(0, center)
+            assert space.ball_points(center, radius) == want
+
+
 # ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------

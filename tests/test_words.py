@@ -126,7 +126,7 @@ def test_mapped_codes_match_the_letter_maps():
 @pytest.mark.parametrize("rank, radius", [(1, 6), (2, 5), (3, 3)])
 def test_packed_codes_are_injective_and_unpack(rank, radius):
     ball = W.ball(rank, radius)
-    codes = W.packed_codes(W.pack(ball), rank)
+    codes = W.code_triples(W.pack(ball), rank)[0]
     assert len(set(codes.tolist())) == len(ball)
     assert codes[0] == 0                     # the identity
     assert _rows(W.unpack_codes(codes, rank)) == ball
@@ -139,10 +139,10 @@ def test_packed_codes_refuse_words_beyond_int64():
     assert cap == 27
     # the largest code of cap letters is 5^cap - 1, still an int64
     longest = (-2,) * cap
-    assert W.packed_codes(W.pack([longest]), 2).tolist() == [5 ** cap - 1]
+    assert W.code_triples(W.pack([longest]), 2)[0].tolist() == [5 ** cap - 1]
     assert _rows(W.unpack_codes(np.array([5 ** cap - 1]), 2)) == [longest]
     with pytest.raises(BudgetError):
-        W.packed_codes(W.pack([(1,) * (cap + 1)]), 2)
+        W.code_triples(W.pack([(1,) * (cap + 1)]), 2)
 
 
 def test_class_codes_key_conjugacy_classes_up_to_inversion():
@@ -150,7 +150,7 @@ def test_class_codes_key_conjugacy_classes_up_to_inversion():
     conjugators = (w("a"), w("B"), w("ab"), w("Bab"))
     words_ = sample + [W.multiply(W.multiply(g, u), W.inverse(g))
                        for u in sample for g in conjugators]
-    keys, signs = W.packed_class_codes(W.pack(words_), 2)
+    keys, signs = W.class_codes(W.code_triples(W.pack(words_), 2), 2)
     own = [W.conjugacy_key(u) for u in words_]
     anti = [W.conjugacy_key(W.inverse(u)) for u in words_]
     for a in range(len(words_)):
@@ -219,6 +219,14 @@ def test_from_string_reads_only_the_letters_to_string_writes(s):
         W.from_string(s)
     alphabet = "".join(W.to_string((x,)) for x in range(-26, 27) if x)
     assert W.to_string(W.from_string(alphabet[::2])) == alphabet[::2]
+
+
+@pytest.mark.parametrize("value", [["a", "b"], ("a",), {"a": 1}, b"ab", None, 1])
+def test_from_string_takes_only_a_string(value):
+    # any iterable of characters once parsed: ["a", "b"] as "ab", {"a": 1}
+    # as "a"
+    with pytest.raises(InputError):
+        W.from_string(value)
 
 
 def test_gromov_products_of_a_tree_segment():
