@@ -7,6 +7,15 @@ space kind it acts on: ``WordShift`` (left multiplication on the tree),
 on the half-plane), ``Translation`` (Euclidean) and ``FactorPair`` (one
 action per factor of a product).  ``act`` is the one place that checks an
 action against the space it is applied to.
+
+A group ball's actions are built as rows of one float64 array
+(``GroupModel._packed_ball``): each action kind writes itself as a row
+(``row``), composes rows two arrays at a time by its own ``compose`` rule
+(``compose_rows``), reads actions back (``unstack``) and maps a point
+under every row at once (``images``), in the form that the space's
+``projections`` reads.  Every packed result is bit-equal to the per-action
+one: the same float operations in the same order, the Möbius image
+included, which spells out CPython's complex arithmetic.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Any
+
+import numpy as np
 
 from .errors import InputError, NumericError
 from .spaces import TreePoint, tree_point
@@ -74,6 +85,55 @@ class Mat2:
             raise NumericError("Mobius image at the pole")
         return (self.a * z + self.b) / den
 
+    # -- rows: a, b, c, d and the product counter ------------------------------
+    def row(self) -> tuple:
+        return (self.a, self.b, self.c, self.d, float(self.products))
+
+    def compose_rows(self, p: np.ndarray, o: np.ndarray) -> np.ndarray:
+        """``compose`` row by row, renormalization included."""
+        a, b, c, d, n = p.T
+        e, f, g, h, k = o.T
+        m = np.stack([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
+                      n + k + 1.0], axis=1)
+        a, b, c, d, n = m.T
+        ad, bc = a * d, b * c
+        det = ad - bc
+        redo = (n >= RENORM_EVERY) | (abs(det - 1.0) > DET_TOL)
+        if redo.any():
+            kept = redo & (det <= 0.0)
+            drift = kept & (abs(det - 1.0) > DET_TOL * np.maximum(abs(ad), abs(bc)))
+            if drift.any():
+                raise NumericError(f"matrix determinant drifted to {float(det[drift][0])}")
+            # 1/sqrt(det) on the rows that renormalize, exactly 1 elsewhere
+            scale = 1.0 / np.sqrt(np.where(redo & ~kept, det, 1.0))
+            m[:, :4] *= scale[:, None]
+            m[redo, 4] = 0.0
+        return m
+
+    def unstack(self, rows: np.ndarray, packed) -> list:
+        return [Mat2(a, b, c, d, int(n)) for a, b, c, d, n in rows.tolist()]
+
+    def images(self, rows: np.ndarray, packed, z) -> np.ndarray:
+        """``apply(z)`` for every row, as a complex array: c z + d and
+        a z + b formed as CPython forms them, with the real factor read as
+        the complex (c, 0), and their quotient by CPython's Smith form,
+        which divides where numpy's ``/`` multiplies by a reciprocal."""
+        z = complex(z)
+        x, y = z.real, z.imag
+        a, b, c, d = rows[:, :4].T
+        nr, ni = a * x - 0.0 * y + b, a * y + 0.0 * x + 0.0
+        dr, di = c * x - 0.0 * y + d, c * y + 0.0 * x + 0.0
+        if ((dr == 0.0) & (di == 0.0)).any():
+            raise NumericError("Mobius image at the pole")
+        by_re = abs(dr) >= abs(di)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(by_re, di / dr, dr / di)
+            den = np.where(by_re, dr + di * ratio, dr * ratio + di)
+            out = np.empty(len(rows), dtype=np.complex128)
+            out.real = np.where(by_re, nr + ni * ratio, nr * ratio + ni) / den
+            out.imag = np.where(by_re, ni - nr * ratio, ni * ratio - nr) / den
+        return out
+
 
 @dataclass(frozen=True, slots=True)
 class WordShift:
@@ -98,6 +158,19 @@ class WordShift:
             return tree_point(u, v[-1], p.t)
         return tree_point(v, u[-1], 1.0 - p.t)
 
+    # -- rows: none; the ball's own words are the actions ----------------------
+    def row(self) -> tuple:
+        return ()
+
+    def compose_rows(self, p: np.ndarray, o: np.ndarray) -> np.ndarray:
+        return p
+
+    def unstack(self, rows: np.ndarray, packed) -> list:
+        return [WordShift(w) for w in W.unpack(packed)]
+
+    def images(self, rows: np.ndarray, packed, p) -> list:
+        return [WordShift(w).apply(p) for w in W.unpack(packed)]
+
 
 @dataclass(frozen=True, slots=True)
 class Translation:
@@ -118,6 +191,23 @@ class Translation:
                              f"translation has dim {len(self.vector)}")
         return tuple(c + v for c, v in zip(x, self.vector))
 
+    # -- rows: the vector ------------------------------------------------------
+    def row(self) -> tuple:
+        return self.vector
+
+    def compose_rows(self, p: np.ndarray, o: np.ndarray) -> np.ndarray:
+        return p + o
+
+    def unstack(self, rows: np.ndarray, packed) -> list:
+        return [Translation(tuple(r)) for r in rows.tolist()]
+
+    def images(self, rows: np.ndarray, packed, x) -> np.ndarray:
+        """``apply(x)`` for every row, as an array of points."""
+        if len(x) != len(self.vector):
+            raise InputError(f"point {x!r} has dim {len(x)}, "
+                             f"translation has dim {len(self.vector)}")
+        return np.asarray(x, dtype=np.float64) + rows
+
 
 @dataclass(frozen=True, slots=True)
 class FactorPair:
@@ -135,6 +225,40 @@ class FactorPair:
 
     def apply(self, x: tuple) -> tuple:
         return (self.left.apply(x[0]), self.right.apply(x[1]))
+
+    # -- rows: the left factor's row, then the right's -------------------------
+    def row(self) -> tuple:
+        return self.left.row() + self.right.row()
+
+    def _split(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cut = len(self.left.row())
+        return rows[:, :cut], rows[:, cut:]
+
+    def compose_rows(self, p: np.ndarray, o: np.ndarray) -> np.ndarray:
+        (pl, pr), (ol, orr) = self._split(p), self._split(o)
+        return np.concatenate([self.left.compose_rows(pl, ol),
+                               self.right.compose_rows(pr, orr)], axis=1)
+
+    def unstack(self, rows: np.ndarray, packed) -> list:
+        left, right = self._split(rows)
+        return list(map(FactorPair, self.left.unstack(left, packed),
+                        self.right.unstack(right, packed)))
+
+    def images(self, rows: np.ndarray, packed, x) -> list:
+        left, right = self._split(rows)
+        return list(zip(image_points(self.left.images(left, packed, x[0])),
+                        image_points(self.right.images(right, packed, x[1]))))
+
+
+def image_points(images) -> list:
+    """Images (``GroupModel.ball_images``) as a list of points: a complex
+    array as Python complex numbers, an array of coordinate rows as
+    tuples."""
+    if not isinstance(images, np.ndarray):
+        return images
+    if images.ndim == 1:
+        return images.tolist()
+    return list(map(tuple, images.tolist()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,20 +354,56 @@ class GroupModel:
             out = self.multiply(out, g)
         return out
 
+    def _packed_ball(self, radius: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """The packed words of ``W.packed_ball(rank, radius)`` and their
+        actions as rows (``row``), built level by level: each word's row
+        is its parent's composed with its last letter's (``compose_rows``),
+        the order in which ``from_word`` composes.  A level lists its
+        parents' children parent by parent, the identity's 2 rank and every
+        other word's 2 rank - 1, so a child's parent is its position
+        divided by the level's fan-out."""
+        letters, lens = packed = W.packed_ball(self.rank, radius)
+        ident = self.identity_action
+        # the row of letter x at x + rank; the padding letter 0 never composes
+        table = np.array([self._letters.get(x, ident).row()
+                          for x in range(-self.rank, self.rank + 1)], dtype=np.float64)
+        rows = np.empty((len(lens), table.shape[1]))
+        rows[0] = ident.row()
+        bounds = np.searchsorted(lens, np.arange(radius + 2))
+        for n in range(1, radius + 1):
+            up, lo, hi = bounds[n - 1:n + 2]
+            parents = up + np.arange(hi - lo) // ((hi - lo) // (lo - up))
+            rows[lo:hi] = ident.compose_rows(rows[parents],
+                                             table[letters[lo:hi, n - 1] + self.rank])
+        return packed, rows
+
     def ball(self, radius: int) -> list[Isometry]:
-        """All isometries with word length <= radius, BFS order, actions
-        composed one letter at a time (on the tree each word is its own
-        action, so none is composed).  The radius cap is ``words.ball``'s."""
-        ws = W.ball(self.rank, radius)
-        if isinstance(self.identity_action, WordShift):
-            return [Isometry(w, WordShift(w)) for w in ws]
-        acts: dict[Word, Any] = {IDENTITY: self.identity_action}
-        out = []
-        for w in ws:
-            if w not in acts:
-                acts[w] = acts[w[:-1]].compose(self._letter(w[-1]))
-            out.append(Isometry(w, acts[w]))
-        return out
+        """All isometries with word length <= radius, in ``W.ball`` order,
+        each action bit-equal to ``from_word``'s (``_packed_ball``).  The
+        radius cap is ``words.ball``'s."""
+        packed, rows = self._packed_ball(radius)
+        return list(map(Isometry, W.unpack(packed),
+                        self.identity_action.unstack(rows, packed)))
+
+    def ball_images(self, space, radius: int, points: list, after: Isometry | None = None
+                    ) -> tuple[tuple[np.ndarray, np.ndarray], list]:
+        """The packed words g of ``ball(radius)`` and, for each of the
+        points x, its images g·x in ball order, or (g·after)·x with
+        ``after``, each bit-equal to ``act`` of ``multiply(g, after)``: a
+        complex array on the half-plane, an array of coordinate rows in
+        Euclidean space, a list of points on the tree and on products,
+        each the form that ``space.projections`` reads (``image_points``
+        lists them as points)."""
+        ident = self.identity_action
+        if not _acts_on(ident, space):
+            raise InputError(f"a {type(ident).__name__} action does not act "
+                             f"on {space.kind} points")
+        packed, rows = self._packed_ball(radius)
+        acting = packed
+        if after is not None:
+            rows = ident.compose_rows(rows, np.array([after.action.row()], dtype=np.float64))
+            acting = W.packed_products(packed, W.pack([after.word] * len(packed[1])))
+        return packed, [ident.images(rows, acting, x) for x in points]
 
 
 def act(space, g: Isometry, x):

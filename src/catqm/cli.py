@@ -27,25 +27,49 @@ from .runner import (
 )
 
 
+_CELL_OPTIONS = ("config", "seed", "budget_scale", "out")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the subcommand, an optional report path (replay's
+    only argument) and the cell options; ``parse_args`` checks which of
+    them the subcommand takes."""
     parser = argparse.ArgumentParser(prog="catqm", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} suite")
-        p.add_argument("--config", required=True, help="config JSON path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--budget-scale", type=float, default=None,
-                       help="multiply every budget")
-        p.add_argument("--out", default=None, help="report output path")
-    rp = sub.add_parser("replay", help="re-verify every witness in a report")
-    rp.add_argument("report", help="report JSON path")
+    parser.add_argument("subcommand", choices=[*SUBCOMMANDS, "replay"],
+                        help="a suite to run, or replay to re-verify every "
+                             "witness in a report")
+    parser.add_argument("report", nargs="?", help="report JSON path (replay)")
+    parser.add_argument("--config", help="config JSON path")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config seed")
+    parser.add_argument("--budget-scale", type=float, default=None,
+                        help="multiply every budget")
+    parser.add_argument("--out", default=None, help="report output path")
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """The parsed command line; a usage error exits 2, as argparse does."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    given = [f"--{name.replace('_', '-')}" for name in _CELL_OPTIONS
+             if getattr(args, name) is not None]
+    if args.subcommand == "replay":
+        if args.report is None:
+            parser.error("replay needs a report path")
+        if given:
+            parser.error(f"replay takes no {', '.join(given)}")
+    elif args.report is not None:
+        parser.error(f"{args.subcommand} takes no positional argument "
+                     f"{args.report!r}")
+    elif args.config is None:
+        parser.error(f"{args.subcommand} needs --config")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     if args.subcommand == "replay":
         try:
             ok = replay(args.report)

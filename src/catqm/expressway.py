@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .actions import GroupModel, act, is_exact_tree
+from .actions import GroupModel, act, image_points, is_exact_tree
 from .contraction import ConstantLedger
 from .errors import BudgetError, ConfigError, InputError
 from .spaces import tree_point
@@ -86,8 +86,11 @@ class ExpresswaySystem:
         # scale configurations rarely satisfy it, so it is reported, not
         # enforced
         self.meets_length_hypothesis = self.L > self.ledger.D
+        # the ball table (``_ball_table``), built on first use
         self._ball_translates: list[Translate] | None = None
-        self._ball_ends: list = []
+        self._ball_ends = None
+        self._key_ids: dict = {}
+        self._end_ids: dict[Word, tuple[int, int]] = {}
         # exact tree models: the letter sequence of sigma read from the
         # basepoint, and the strings of it and its inverse that phi counts
         self.sigma_edge_word: Word | None = None
@@ -140,22 +143,33 @@ def enumerate_relevant_expressways(sys: ExpresswaySystem, a, b) -> list[Translat
     return out
 
 
+def _ball_table(sys: ExpresswaySystem) -> None:
+    """Build the system's ball table once: the translates g·sigma of sigma
+    by the group ball, in ball order, with their ends g·x0 and
+    (g·sigma)·x0 from two whole-ball passes (``GroupModel.ball_images``);
+    the starts and then the ends as one input of ``projections``; and the
+    id of each end's ``point_key`` among the distinct keys, by word."""
+    space, group, x0 = sys.space, sys.group, sys.basepoint
+    _, (starts,) = group.ball_images(space, sys.enum_radius, [x0])
+    words, (ends,) = group.ball_images(space, sys.enum_radius, [x0], sys._sigma_iso)
+    sys._ball_ends = (starts + ends if isinstance(starts, list)
+                      else np.concatenate([starts, ends]))
+    starts, ends = image_points(starts), image_points(ends)
+    sys._ball_translates = list(map(Translate, W.unpack(words), starts, ends))
+    ids = [sys._key_ids.setdefault(space.point_key(p), len(sys._key_ids))
+           for p in starts + ends]
+    sys._end_ids = {t.g: (i, j) for t, i, j in
+                    zip(sys._ball_translates, ids, ids[len(starts):])}
+
+
 def _ball_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translate]:
     """The translates of sigma by the group ball whose two ends lie within
     the margin of ``seg``, in ball order: one ``projections`` pass per query
     over the starts and then the ends of every translate."""
-    space = sys.space
     if sys._ball_translates is None:
-        # the translates of sigma by the group ball and their ends, built
-        # once per system
-        sys._ball_translates = [
-            Translate(iso.word, act(space, iso, sys.basepoint),
-                      act(space, sys.group.multiply(iso, sys._sigma_iso), sys.basepoint))
-            for iso in sys.group.ball(sys.enum_radius)]
-        sys._ball_ends = ([t.start for t in sys._ball_translates]
-                          + [t.end for t in sys._ball_translates])
-    reach = margin + space.tol
-    _, dists = space.projections(sys._ball_ends, seg)
+        _ball_table(sys)
+    reach = margin + sys.space.tol
+    _, dists = sys.space.projections(sys._ball_ends, seg)
     n = len(sys._ball_translates)
     far = (dists[:n] > reach) | (dists[n:] > reach)
     return [t for t, out in zip(sys._ball_translates, far.tolist()) if not out]
@@ -196,23 +210,27 @@ def _dense_dijkstra(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entry an edge (zeros included), searched until node 1 is settled.
 
     The next node settled is the open node of least distance, the lowest
-    index on ties; a row relaxes only the distances it strictly improves.
-    Returns (dist, pred), where pred[v] is the node before v on its path.
+    index on ties: the least entry of ``key``, the distances with each
+    settled node's set to infinity.  A row relaxes only the distances it
+    strictly improves; with weights >= 0 that is never a settled node's,
+    so no mask of open nodes is needed.  Returns (dist, pred), where
+    pred[v] is the node before v on its path.
     """
     n = len(weights)
     dist = np.full(n, np.inf)
     dist[0] = 0.0
+    key = dist.copy()
     pred = np.full(n, -1, dtype=np.int64)
-    is_open = np.ones(n, dtype=bool)
     while True:
-        u = int(np.argmin(np.where(is_open, dist, np.inf)))
+        u = int(key.argmin())
         if u == 1:
             return dist, pred
-        is_open[u] = False
-        reach = dist[u] + weights[u]
-        better = is_open & (reach < dist)
-        dist[better] = reach[better]
-        pred[better] = u
+        key[u] = np.inf
+        reach = weights[u] + dist[u]
+        better = reach < dist
+        np.copyto(dist, reach, where=better)
+        np.copyto(key, reach, where=better)
+        np.copyto(pred, u, where=better)
 
 
 def modified_length(sys: ExpresswaySystem, a, b) -> ModifiedLengthResult:
@@ -221,34 +239,39 @@ def modified_length(sys: ExpresswaySystem, a, b) -> ModifiedLengthResult:
 
     The value never exceeds the plain distance (the direct free edge is in
     the graph) and equals the infimum of modified lengths of admissible
-    paths through the enumerated candidate set.  The graph is solved by a
-    dense O(n^2) Dijkstra in numpy (``_dense_dijkstra``): a zero-cost
-    shortcut (L = 1) is an edge like any other, relaxation is strict, ties
-    go to the lowest node index, and the search stops at b.
+    paths through the enumerated candidate set.  Nodes are a, b and the
+    distinct ``point_key``s of the candidates' ends, numbered in order of
+    first use, each with the first end that has it; the ends' keys are read
+    as ids from the system's ball table (``_ball_table``).  The graph is
+    solved by a dense O(n^2) Dijkstra in numpy (``_dense_dijkstra``): a
+    zero-cost shortcut (L = 1) is an edge like any other, relaxation is
+    strict, ties go to the lowest node index, and the search stops at b.
     """
     space = sys.space
     a = space.validate_point(a)
     b = space.validate_point(b)
-    if space.point_key(a) == space.point_key(b):
+    key_a, key_b = space.point_key(a), space.point_key(b)
+    if key_a == key_b:
         return ModifiedLengthResult(0.0, 0, (PathStep(a, None),), 0)
     if sys.is_exact_tree():
         return _tree_modified_length(sys, a, b)
     translates = enumerate_relevant_expressways(sys, a, b)
 
+    # node of each key id; -1 and -2 stand for keys that no end has
     points = [a, b]
-    index = {space.point_key(a): 0, space.point_key(b): 1}
+    index = {sys._key_ids.get(key_a, -1): 0, sys._key_ids.get(key_b, -2): 1}
 
-    def node_of(p):
-        key = space.point_key(p)
-        if key not in index:
-            index[key] = len(points)
+    def node_of(key_id, p):
+        if key_id not in index:
+            index[key_id] = len(points)
             points.append(p)
-        return index[key]
+        return index[key_id]
 
     shortcut: dict[tuple[int, int], Word] = {}
     for t in translates:
         # L >= 1, so the two ends of a translate are two nodes
-        shortcut.setdefault((node_of(t.start), node_of(t.end)), t.g)
+        i, j = sys._end_ids[t.g]
+        shortcut.setdefault((node_of(i, t.start), node_of(j, t.end)), t.g)
 
     weights = np.asarray(sys.space.pairwise_distances(points), dtype=np.float64)
     cost = sys.L - 1.0

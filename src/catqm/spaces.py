@@ -373,7 +373,8 @@ class TreeSpace:
         if "edge" not in data:
             return tree_point(anchor)
         (letter,) = W.from_string(data["edge"])
-        return tree_point(anchor, letter, data["t"])
+        return tree_point(anchor, letter,
+                          checked_number(data["t"], "tree edge offset t", zero_ok=True))
 
 
 def _json_coordinates(data, count: int, what: str) -> list[float]:

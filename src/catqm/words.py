@@ -220,9 +220,16 @@ def pack(ws: list[Word]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unpack(packed: tuple[np.ndarray, np.ndarray]) -> list[Word]:
-    """The words of a packed array, as letter tuples."""
+    """The words of a packed array, as letter tuples: each run of rows of
+    one length sliced as one block."""
     letters, lens = packed
-    return [tuple(row[:n]) for row, n in zip(letters.tolist(), lens.tolist())]
+    if not len(lens):
+        return []
+    cuts = (np.flatnonzero(lens[1:] != lens[:-1]) + 1).tolist()
+    out: list[Word] = []
+    for lo, hi in zip([0] + cuts, cuts + [len(lens)]):
+        out += map(tuple, letters[lo:hi, :lens[lo]].tolist())
+    return out
 
 
 def packed_distances(a: tuple[np.ndarray, np.ndarray],

@@ -12,8 +12,10 @@ as packed word passes over slices of ``words.packed_ball`` in chunks
 distance is an integer word length, and the distance from a vertex to a
 segment is the Gromov gap of three of them (``words.gromov_gap``), exactly
 what ``project`` returns there.  So the packed answers are bit-equal to
-the per-point route, which every other space and an edge-point basepoint
-keep.
+the per-point route.  Everywhere else ``wpd_count`` maps each of its two
+points p under the whole ball at once (``GroupModel.ball_images``) and
+reads the displacements d(p, w·p) from one ``projections`` pass onto the
+one-point segment [p, p]; ``equiv_search`` keeps its per-point route.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ def wpd_count(space, group: GroupModel, g, c: float, M: int, radius: int,
 
     On the tree with a vertex basepoint v both displacements are word
     lengths, d(v, w·v) and d(far, w·far), read for slices of the packed
-    ball in chunks; the second only for the rows the first keeps.  The
-    matching words keep ball order.
+    ball in chunks; the second only for the rows the first keeps.
+    Elsewhere each displacement is one ``projections`` pass over the
+    ball's images of its point.  The matching words keep ball order.
     """
     gi = group.from_word(g)
     x0 = space.validate_point(x0 if x0 is not None else space.basepoint())
@@ -105,14 +108,12 @@ def wpd_count(space, group: GroupModel, g, c: float, M: int, radius: int,
             part = letters[lo:lo + _PACKED_CELLS], lens[lo:lo + _PACKED_CELLS]
             matching += W.unpack(within(within(part, v), v_far))
         return WpdReport(gi.word, c, M, radius, tuple(matching), len(matching))
-    matching = []
-    for iso in group.ball(radius):
-        if space.distance(x0, act(space, iso, x0)) > c + tol:
-            continue
-        if space.distance(far, act(space, iso, far)) > c + tol:
-            continue
-        matching.append(iso.word)
-    return WpdReport(gi.word, c, M, radius, tuple(matching), len(matching))
+    words, images = group.ball_images(space, radius, [x0, far])
+    far_off = np.zeros(len(words[1]), dtype=bool)
+    for p, moved in zip((x0, far), images):
+        far_off |= space.projections(moved, space.geodesic(p, p))[1] > c + tol
+    matching = tuple(W.unpack((words[0][~far_off], words[1][~far_off])))
+    return WpdReport(gi.word, c, M, radius, matching, len(matching))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,12 @@ certificate; the shortest path over the translates near a segment that
 ``tree_candidates_per_translate`` lists, ``tree_lambda_candidate_graph``,
 is the reference for the tree's closed-form modified length and
 ``ball_candidates_per_translate`` for the off-tree ball filter's one
-projection pass; and the exhaustive tree families
+projection pass, and ``modified_length_per_point_key`` (nodes numbered by
+rounding each point's key per query, settled with a mask of open nodes)
+for the off-tree candidate graph; ``ball_per_letter`` composes a group
+ball one letter at a time, the reference for the packed ball builder, and
+``wpd_count_per_element`` measures each element's two displacements by
+its own ``act`` and ``distance`` calls; and the exhaustive tree families
 (``dd_triples_tree_exhaustive``, ``ft_quads_tree_exhaustive``,
 ``tree_triples_exhaustive``, ``tree_dichotomy_configs``,
 ``tree_variation_configs``) feed the per-configuration checkers, the
@@ -43,7 +48,7 @@ from typing import Iterator
 import numpy as np
 
 from catqm import words as W
-from catqm.actions import act
+from catqm.actions import Isometry, act
 from catqm.contraction import (
     CERTIFIED,
     MIN_GAP,
@@ -58,7 +63,13 @@ from catqm.contraction import (
     projection_diameter_under_ball,
 )
 from catqm.errors import BudgetError, InputError
-from catqm.expressway import Translate
+from catqm.expressway import (
+    ModifiedLengthResult,
+    PathStep,
+    Translate,
+    enumerate_relevant_expressways,
+)
+from catqm.wpd import WpdReport
 from catqm.spaces import _arclength_samples, tree_point, vertex
 from catqm.words import multiply, inverse, word_distance
 
@@ -301,6 +312,101 @@ def ball_candidates_per_translate(sys, seg, margin: float) -> list:
                 or space.project(end, seg).distance > reach):
             picked.append(Translate(iso.word, start, end))
     return picked
+
+
+def ball_per_letter(group, radius: int) -> list:
+    """``group.ball(radius)`` as a dict of prefixes: each word's action is
+    its parent's composed with its last letter's, one ``compose`` call per
+    word, in ``W.ball`` order."""
+    acts = {W.IDENTITY: group.identity_action}
+    out = []
+    for w in W.ball(group.rank, radius):
+        if w not in acts:
+            acts[w] = acts[w[:-1]].compose(group._letter(w[-1]))
+        out.append(Isometry(w, acts[w]))
+    return out
+
+
+def wpd_count_per_element(space, group, g, c: float, M: int, radius: int,
+                          x0=None) -> WpdReport:
+    """``wpd.wpd_count`` one ball element at a time: d(x0, w·x0) and then,
+    if that is within c, d(far, w·far), each by its own ``act`` and
+    ``distance`` call."""
+    gi = group.from_word(g)
+    x0 = space.validate_point(x0 if x0 is not None else space.basepoint())
+    far = act(space, group.power(gi, M), x0)
+    matching = []
+    for iso in ball_per_letter(group, radius):
+        if space.distance(x0, act(space, iso, x0)) > c + space.tol:
+            continue
+        if space.distance(far, act(space, iso, far)) > c + space.tol:
+            continue
+        matching.append(iso.word)
+    return WpdReport(gi.word, c, M, radius, tuple(matching), len(matching))
+
+
+def _dense_dijkstra_masked(weights):
+    """Dense Dijkstra from node 0 until node 1 is settled, with a mask of
+    open nodes: the least open distance next, the lowest index on ties,
+    and only open nodes relaxed, strictly."""
+    n = len(weights)
+    dist = np.full(n, np.inf)
+    dist[0] = 0.0
+    pred = np.full(n, -1, dtype=np.int64)
+    is_open = np.ones(n, dtype=bool)
+    while True:
+        u = int(np.argmin(np.where(is_open, dist, np.inf)))
+        if u == 1:
+            return dist, pred
+        is_open[u] = False
+        reach = dist[u] + weights[u]
+        better = is_open & (reach < dist)
+        dist[better] = reach[better]
+        pred[better] = u
+
+
+def modified_length_per_point_key(sys, a, b) -> ModifiedLengthResult:
+    """``expressway.modified_length`` off the tree with each node found by
+    rounding its point's ``point_key`` in the query: a, b and then the
+    candidates' ends in order, each new key a new node with that point."""
+    space = sys.space
+    a, b = space.validate_point(a), space.validate_point(b)
+    if space.point_key(a) == space.point_key(b):
+        return ModifiedLengthResult(0.0, 0, (PathStep(a, None),), 0)
+    translates = enumerate_relevant_expressways(sys, a, b)
+    points = [a, b]
+    index = {space.point_key(a): 0, space.point_key(b): 1}
+
+    def node_of(p):
+        key = space.point_key(p)
+        if key not in index:
+            index[key] = len(points)
+            points.append(p)
+        return index[key]
+
+    shortcut = {}
+    for t in translates:
+        shortcut.setdefault((node_of(t.start), node_of(t.end)), t.g)
+    weights = np.asarray(space.pairwise_distances(points), dtype=np.float64)
+    cost = sys.L - 1.0
+    for (i, j) in shortcut:
+        if cost < weights[i, j]:
+            weights[i, j] = cost
+    np.fill_diagonal(weights, 0.0)
+    dist, pred = _dense_dijkstra_masked(weights)
+    node_path = [1]
+    while node_path[-1] != 0:
+        node_path.append(int(pred[node_path[-1]]))
+    node_path.reverse()
+    steps = [PathStep(points[0], None)]
+    for u, v in zip(node_path, node_path[1:]):
+        g = shortcut.get((u, v))
+        if g is not None and abs(weights[u, v] - cost) <= 1e-12:
+            steps.append(PathStep(points[v], "expressway", g))
+        else:
+            steps.append(PathStep(points[v], "free"))
+    used = sum(s.edge == "expressway" for s in steps)
+    return ModifiedLengthResult(float(dist[1]), used, tuple(steps), len(translates))
 
 
 def tree_triples_exhaustive(space, radius: int) -> Iterator[tuple]:

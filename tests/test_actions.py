@@ -1,18 +1,29 @@
 import math
 import random
+import struct
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from catqm import words as W
-from catqm.actions import GroupModel, Mat2, act, orbit_points
+from catqm.actions import (
+    RENORM_EVERY,
+    DET_TOL,
+    FactorPair,
+    GroupModel,
+    Mat2,
+    Translation,
+    act,
+    image_points,
+    orbit_points,
+)
 from catqm.errors import InputError, NumericError
 from catqm.runner import load_config
 from catqm.samplers import random_point, rng_for
 from catqm.spaces import EuclideanSpace, HalfPlaneSpace, ProductSpace, TreeSpace, vertex
 
-from oracles import ball_size
+from oracles import ball_per_letter, ball_size
 
 TREE = TreeSpace(2)
 HP = HalfPlaneSpace()
@@ -20,6 +31,7 @@ LINE = EuclideanSpace(1)
 
 FREE = GroupModel.free(2)
 DIAG = GroupModel.matrix([[[2.0, 0.0], [0.0, 0.5]]])
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_tree_action_examples():
@@ -192,3 +204,130 @@ def test_translation_rejects_points_of_another_dimension():
 def test_translation_generators_share_one_dimension():
     with pytest.raises(InputError):
         GroupModel.translation([[1.0], [1.0, 2.0]])
+
+
+# -- the packed ball builder against per-letter composition -------------------
+
+def bits(x) -> tuple:
+    """The bit pattern of every float of a number or a point, so that -0.0
+    and 0.0 differ; anything else (a tree point) as it is."""
+    if isinstance(x, float):
+        return (struct.pack("<d", x),)
+    if isinstance(x, complex):
+        return bits(x.real) + bits(x.imag)
+    if isinstance(x, tuple):
+        return sum(map(bits, x), ())
+    return (x,)
+
+
+def action_bits(a) -> tuple:
+    """Every float of an action, bit for bit, and its product counters."""
+    if isinstance(a, Mat2):
+        assert type(a.products) is int
+        return bits((a.a, a.b, a.c, a.d)) + (a.products,)
+    if isinstance(a, Translation):
+        return bits(a.vector)
+    if isinstance(a, FactorPair):
+        return action_bits(a.left) + action_bits(a.right)
+    return (a.word,)
+
+
+def shipped_groups() -> list[GroupModel]:
+    hp, eu = (load_config(str(CONFIGS / f"{name}.json")).group
+              for name in ("half_plane", "euclidean_control"))
+    return [hp, eu, GroupModel.product(hp, eu), FREE]
+
+
+def rotated_pair(L: float, theta: float) -> list[Mat2]:
+    """diag(L, 1/L) and its conjugate by the rotation through theta: words
+    of both reach entries near L^radius, where ad - bc drifts."""
+    c, s = math.cos(theta), math.sin(theta)
+    off = c * s * (L - 1.0 / L)
+    return [Mat2(L, 0.0, 0.0, 1.0 / L),
+            Mat2(c * c * L + s * s / L, off, off, s * s * L + c * c / L)]
+
+
+def renormalizations(group: GroupModel, radius: int) -> set[str]:
+    """Which branches of ``Mat2.compose`` the per-letter ball takes: the
+    product count, a drifted determinant above 0, or one at most 0 that is
+    kept."""
+    seen = set()
+    acts = {g.word: g.action for g in ball_per_letter(group, radius)}
+    for w in acts:
+        if not w:
+            continue
+        p, o = acts[w[:-1]], group._letter(w[-1])
+        m = Mat2(p.a * o.a + p.b * o.c, p.a * o.b + p.b * o.d,
+                 p.c * o.a + p.d * o.c, p.c * o.b + p.d * o.d, p.products + o.products + 1)
+        if m.products >= RENORM_EVERY:
+            seen.add("count")
+        elif abs(m.det() - 1.0) > DET_TOL:
+            seen.add("drift" if m.det() > 0.0 else "kept")
+    return seen
+
+
+@pytest.mark.parametrize("radius", range(7))
+def test_packed_ball_is_the_per_letter_ball_bit_for_bit(radius):
+    for group in shipped_groups():
+        got, want = group.ball(radius), ball_per_letter(group, radius)
+        assert [g.word for g in got] == [g.word for g in want]
+        assert list(map(action_bits, (g.action for g in got))) == \
+            list(map(action_bits, (g.action for g in want)))
+
+
+def test_packed_ball_renormalizes_as_compose_does():
+    # entries near 100^5 make ad - bc drift both ways; letters that carry a
+    # product count reach RENORM_EVERY at the second letter
+    drifting = GroupModel(Mat2(1.0, 0.0, 0.0, 1.0), rotated_pair(100.0, 0.7))
+    counted = GroupModel(Mat2(1.0, 0.0, 0.0, 1.0),
+                         [Mat2(m.a, m.b, m.c, m.d, 10) for m in rotated_pair(1.5, 0.3)])
+    assert renormalizations(drifting, 5) == {"drift", "kept"}
+    assert "count" in renormalizations(counted, 3)
+    for group, radius in ((drifting, 6), (counted, 6)):
+        got, want = group.ball(radius), ball_per_letter(group, radius)
+        assert list(map(action_bits, (g.action for g in got))) == \
+            list(map(action_bits, (g.action for g in want)))
+
+
+def test_packed_ball_raises_where_compose_raises():
+    # a determinant -1 letter: its first product is no renormalizable matrix
+    flip = GroupModel(Mat2(1.0, 0.0, 0.0, 1.0), rotated_pair(2.0, 0.3)[:1]
+                      + [Mat2(0.0, 1.0, 1.0, 0.0)])
+    with pytest.raises(NumericError) as want:
+        ball_per_letter(flip, 2)
+    with pytest.raises(NumericError) as got:
+        flip.ball(2)
+    assert str(got.value) == str(want.value)
+
+
+def test_ball_images_are_act_bit_for_bit():
+    rng = random.Random(30)
+    spaces = [HP, EuclideanSpace(2), ProductSpace(HP, EuclideanSpace(2)), TREE]
+    for group, space in zip(shipped_groups(), spaces):
+        ball = ball_per_letter(group, 5)
+        sigma = group.from_word("aB")
+        points = [space.basepoint()] + [random_point(space, rng) for _ in range(6)]
+        if space is HP:
+            # points on the imaginary axis and far out, where signs of zero show
+            points += [0.5j, complex(-0.0, 3.0), complex(1e6, 1e-6)]
+        words, images = group.ball_images(space, 5, points)
+        assert W.unpack(words) == [g.word for g in ball]
+        _, after = group.ball_images(space, 5, points, sigma)
+        for x, moved, moved_after in zip(points, images, after):
+            assert list(map(bits, image_points(moved))) == \
+                [bits(act(space, g, x)) for g in ball]
+            assert list(map(bits, image_points(moved_after))) == \
+                [bits(act(space, group.multiply(g, sigma), x)) for g in ball]
+
+
+def test_ball_images_check_the_space_and_the_pole():
+    with pytest.raises(InputError):
+        DIAG.ball_images(TREE, 2, [vertex("")])
+    with pytest.raises(InputError):
+        GroupModel.translation([[1.0]]).ball_images(EuclideanSpace(2), 1, [(0.0, 0.0)])
+    # the pole of z -> 1 / (-z + 1), like apply
+    pole = GroupModel(Mat2(1.0, 0.0, 0.0, 1.0), [Mat2(0.0, 1.0, -1.0, 1.0)])
+    with pytest.raises(NumericError):
+        pole.from_word("a").action.apply(1.0)
+    with pytest.raises(NumericError):
+        pole.ball_images(HP, 1, [1.0])

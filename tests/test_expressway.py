@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catqm import expressway as E
 from catqm import words as W
@@ -39,6 +40,7 @@ from catqm.spaces import (
 from oracles import (
     ball_candidates_per_translate,
     floyd_warshall,
+    modified_length_per_point_key,
     tree_lambda_candidate_graph,
     tree_lambda_exact,
     tree_lambda_oracle,
@@ -218,6 +220,44 @@ def test_ball_candidates_on_a_product_match_the_per_translate_filter():
             assert got == ball_candidates_per_translate(sys_p, seg, margin)
             sizes.add(len(got))
     assert 0 in sizes and max(sizes) > 1
+
+
+def _off_tree_systems() -> list[ExpresswaySystem]:
+    """The shipped half-plane and Euclidean systems and a product one."""
+    P = ProductSpace(HalfPlaneSpace(), EuclideanSpace(1))
+    group = GroupModel.product(
+        GroupModel.matrix([[[2.0, 0.0], [0.0, 0.5]],
+                           [[1.25, -0.75], [-0.75, 1.25]]]),
+        GroupModel.translation([[1.0], [0.5]]))
+    product = ExpresswaySystem(P, group, "a", (1j, (0.0,)), ledger=ConstantLedger(1.0, 5.0),
+                               margin=3.0, enum_radius=2)
+    return [load_config(str(REPO / "configs" / f"{name}.json")).system()
+            for name in ("half_plane", "euclidean_control")] + [product]
+
+
+OFF_TREE = _off_tree_systems()
+coordinate = st.floats(-4.0, 4.0)
+height = st.floats(0.05, 6.0)
+# an orbit point g x0 (often an end of a candidate), or any point
+query_point = st.one_of(st.tuples(st.just("orbit"), st.sampled_from(W.ball(2, 3))),
+                        st.tuples(st.just("point"), st.tuples(coordinate, coordinate, height)))
+
+
+def _query(sys_q, drawn):
+    kind, value = drawn
+    if kind == "orbit":
+        return act(sys_q.space, sys_q.group.from_word(value), sys_q.basepoint)
+    x, y, h = value
+    return {"half-plane": complex(x, h), "euclidean": (x, y),
+            "product": (complex(x, h), (y,))}[sys_q.space.kind]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(OFF_TREE))), query_point, query_point)
+def test_modified_length_matches_the_per_point_key_graph(which, a, b):
+    sys_q = OFF_TREE[which]
+    a, b = _query(sys_q, a), _query(sys_q, b)
+    assert modified_length(sys_q, a, b) == modified_length_per_point_key(sys_q, a, b)
 
 
 def test_short_base_segment_rejected():

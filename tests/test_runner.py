@@ -28,7 +28,7 @@ from catqm.runner import (
     run,
 )
 
-from catqm.spaces import check_dd, check_ft
+from catqm.spaces import check_dd, check_ft, tree_point
 from catqm.wpd import wpd_count
 
 from oracles import (
@@ -459,6 +459,25 @@ def test_config_basepoint_is_validated(tmp_path, path, basepoint):
         assert cli_main([sub, "--config", str(bad)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("t", [True, False, "0.5", None, float("nan"), 1.5],
+                         ids=["true", "false", "string", "null", "nan", "past-the-edge"])
+def test_tree_edge_offset_must_be_a_number_in_the_edge(tmp_path, t):
+    # true once loaded as the vertex ab and false as a
+    data = json.loads(TREE_CONFIG.read_text())
+    data["basepoint"] = {"v": "a", "edge": "b", "t": t}
+    with pytest.raises(ConfigError):
+        config_from_json(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli_main(["axioms", "--config", str(bad)]) == EXIT_CONFIG
+
+
+def test_tree_edge_offset_loads():
+    data = json.loads(TREE_CONFIG.read_text())
+    data["basepoint"] = {"v": "a", "edge": "b", "t": 0.5}
+    assert config_from_json(data).basepoint == tree_point((1,), 2, 0.5)
+
+
 # loads a Euclidean config with the dim given as JSON in argv[1] and the
 # default basepoint, under its own 1.5 GB address-space cap
 _DIM_CHILD = """
@@ -764,6 +783,20 @@ def test_euclidean_axioms_exit_zero():
     cfg.C = 0.0
     report, code = run("axioms", cfg)
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["qm"],
+    ["qm", "report.json", "--config", str(TREE_CONFIG)],
+    ["replay"],
+    ["replay", "report.json", "--config", str(TREE_CONFIG)],
+], ids=["cell-without-config", "cell-with-a-positional", "replay-without-report",
+        "replay-with-a-cell-option"])
+def test_cli_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        cli_main(argv)
+    assert stop.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_console_script_help():

@@ -197,6 +197,21 @@ def test_packed_ball_is_the_word_by_word_bfs_packed(rank):
             assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unpack_slices_runs_of_one_length_as_the_rows_would(seed):
+    # a shuffled pack has runs of every length, one row long ones included
+    rng = np.random.default_rng(seed)
+    letters, lens = W.packed_ball(3, 4)
+    order = rng.permutation(len(lens))
+    order[:40].sort()
+    packed = letters[order], lens[order]
+    want = [tuple(row[:n]) for row, n in zip(packed[0].tolist(), packed[1].tolist())]
+    got = W.unpack(packed)
+    assert got == want
+    assert all(type(x) is int for word in got for x in word)
+    assert W.unpack((letters[:0], lens[:0])) == []
+
+
 def test_ball_cap():
     with pytest.raises(BudgetError):
         W.ball(2, 13)

@@ -8,7 +8,7 @@ from catqm.actions import GroupModel, act
 from catqm.errors import BudgetError, InputError
 from catqm import wpd
 from catqm.runner import load_config, run
-from catqm.spaces import TreeSpace, tree_point, vertex
+from catqm.spaces import EuclideanSpace, HalfPlaneSpace, ProductSpace, TreeSpace, tree_point, vertex
 from catqm.wpd import (
     build_family,
     conjugate_power_test,
@@ -17,7 +17,7 @@ from catqm.wpd import (
     wpd_count,
 )
 
-from oracles import conjugacy_rotation_oracle, is_cyclically_reduced
+from oracles import conjugacy_rotation_oracle, is_cyclically_reduced, wpd_count_per_element
 
 TREE = TreeSpace(2)
 EXACT_TREE = TreeSpace(2, tol=0.0)
@@ -182,6 +182,31 @@ def test_packed_routes_keep_the_ball_radius_cap():
     with pytest.raises(BudgetError):
         equiv_search(TREE, FREE, "aab", "BAA", K=2.0, power_max=4,
                      radius=W.BALL_RADIUS_CAP + 1)
+
+
+def _off_tree_cases():
+    """(space, group, g, x0): the shipped half-plane and Euclidean groups,
+    their product, and the free group from an edge point of its tree."""
+    hp = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "half_plane.json"))
+    eu = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "euclidean_control.json"))
+    product = ProductSpace(HalfPlaneSpace(), EuclideanSpace(2))
+    return [(hp.space, hp.group, "a", 0.5 + 1.5j),
+            (eu.space, eu.group, "ab", (1.0, -0.5)),
+            (product, GroupModel.product(hp.group, eu.group), "a", None),
+            (TREE, FREE, "aab", tree_point((1,), 2, 0.25))]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_wpd_count_matches_the_per_element_loop(case):
+    space, group, g, x0 = _off_tree_cases()[case]
+    assert not wpd._packed_route(space, group, x0 if x0 is not None else space.basepoint())
+    sizes = set()
+    for c in (0.0, 0.5, 1.0, 3.0):
+        for radius in range(7):
+            got = wpd_count(space, group, g, c, 1, radius, x0)
+            assert got == wpd_count_per_element(space, group, g, c, 1, radius, x0)
+            sizes.add(got.count)
+    assert min(sizes) <= 1 < max(sizes)
 
 
 @pytest.mark.parametrize("subcommand", ["wpd", "equiv"])
