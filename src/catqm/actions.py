@@ -21,13 +21,11 @@ included, which spells out CPython's complex arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from .errors import InputError, NumericError
-from .spaces import TreePoint, tree_point
+from .spaces import TreePoint, _json_coordinates, tree_point
 from .words import Word, IDENTITY, inverse as word_inverse, multiply as word_multiply
 from . import words as W
 
@@ -37,16 +35,13 @@ RENORM_EVERY = 16
 DET_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
 class Mat2:
     """Real 2x2 matrix with a product counter driving renormalization."""
-    a: float
-    b: float
-    c: float
-    d: float
-    products: int = 0
-
+    __slots__ = ("a", "b", "c", "d", "products")
     space_kind = "half-plane"
+
+    def __init__(self, a: float, b: float, c: float, d: float, products: int = 0):
+        self.a, self.b, self.c, self.d, self.products = a, b, c, d, products
 
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
@@ -135,12 +130,13 @@ class Mat2:
         return out
 
 
-@dataclass(frozen=True, slots=True)
 class WordShift:
     """Left multiplication by a reduced word on the Cayley tree."""
-    word: Word
-
+    __slots__ = ("word",)
     space_kind = "tree"
+
+    def __init__(self, word: Word):
+        self.word = word
 
     def compose(self, o: "WordShift") -> "WordShift":
         return WordShift(word_multiply(self.word, o.word))
@@ -172,12 +168,13 @@ class WordShift:
         return [WordShift(w).apply(p) for w in W.unpack(packed)]
 
 
-@dataclass(frozen=True, slots=True)
 class Translation:
     """Translation of Euclidean space by a vector."""
-    vector: tuple
-
+    __slots__ = ("vector",)
     space_kind = "euclidean"
+
+    def __init__(self, vector: tuple):
+        self.vector = vector
 
     def compose(self, o: "Translation") -> "Translation":
         return Translation(tuple(u + v for u, v in zip(self.vector, o.vector)))
@@ -209,13 +206,13 @@ class Translation:
         return np.asarray(x, dtype=np.float64) + rows
 
 
-@dataclass(frozen=True, slots=True)
 class FactorPair:
     """One action on each factor of a product space."""
-    left: Any
-    right: Any
-
+    __slots__ = ("left", "right")
     space_kind = "product"
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
 
     def compose(self, o: "FactorPair") -> "FactorPair":
         return FactorPair(self.left.compose(o.left), self.right.compose(o.right))
@@ -261,10 +258,17 @@ def image_points(images) -> list:
     return list(map(tuple, images.tolist()))
 
 
-@dataclass(frozen=True, slots=True)
 class Isometry:
-    word: Word
-    action: Any   # WordShift | Mat2 | Translation | FactorPair
+    """A reduced word and its action; two are equal when their words are and
+    their actions are of one kind with equal rows (``row``)."""
+    __slots__ = ("word", "action")
+
+    def __init__(self, word: Word, action):   # WordShift | Mat2 | Translation | FactorPair
+        self.word, self.action = word, action
+
+    def __eq__(self, o):
+        return (type(o) is Isometry and self.word == o.word
+                and type(o.action) is type(self.action) and o.action.row() == self.action.row())
 
     def __repr__(self):  # pragma: no cover
         return f"Isometry({W.to_string(self.word) or 'e'})"
@@ -296,21 +300,26 @@ class GroupModel:
 
     @staticmethod
     def matrix(mats: list) -> "GroupModel":
+        """Matrix generators, each a list of two rows of two finite numbers
+        with determinant 1 within 1e-6."""
         actions = []
         for m in mats:
-            mm = Mat2(float(m[0][0]), float(m[0][1]), float(m[1][0]), float(m[1][1]))
-            if abs(mm.det() - 1.0) > 1e-6:
+            if not isinstance(m, list) or len(m) != 2:
+                raise InputError(f"a matrix generator must be a list of 2 rows: {m!r}")
+            mm = Mat2(*(c for row in m for c in _json_coordinates(row, 2, "a matrix row")))
+            if not abs(mm.det() - 1.0) <= 1e-6:
                 raise InputError(f"generator determinant {mm.det()} != 1")
             actions.append(mm.renormalized())
         return GroupModel(Mat2(1.0, 0.0, 0.0, 1.0), actions)
 
     @staticmethod
     def translation(vectors: list) -> "GroupModel":
-        actions = [Translation(tuple(float(c) for c in v)) for v in vectors]
-        dim = len(actions[0].vector) if actions else 0
-        if any(len(t.vector) != dim for t in actions):
-            raise InputError("translation generators must share one dimension")
-        return GroupModel(Translation((0.0,) * dim), actions)
+        """Translation generators, each a list of finite numbers, all of the
+        first one's dimension."""
+        dim = len(vectors[0]) if vectors else 0
+        return GroupModel(Translation((0.0,) * dim),
+                          [Translation(tuple(_json_coordinates(v, dim, "a translation vector")))
+                           for v in vectors])
 
     @staticmethod
     def product(left: "GroupModel", right: "GroupModel") -> "GroupModel":

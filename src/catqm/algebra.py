@@ -60,8 +60,7 @@ swap extension).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,7 +76,6 @@ from .words import (
 from . import words as W
 
 
-@dataclass(frozen=True)
 class Quasimorphism:
     """An evaluator with provenance: name, and whether it claims
     homogeneity (evaluator(e) = 0 and phi(g^n) = n phi(g)).
@@ -97,14 +95,11 @@ class Quasimorphism:
     packed passes.  The counting chain passes its numpy kernels; left None,
     it becomes a loop that calls phi on each row's word, or on
     ``GElement(word, sigma)`` when sigmas are given."""
-    name: str
-    evaluator: Callable
-    homogeneous: bool = False
-    packed: Callable | None = None
 
-    def __post_init__(self):
-        if self.packed is None:
-            object.__setattr__(self, "packed", _row_loop(self))
+    def __init__(self, name: str, evaluator: Callable, homogeneous: bool = False,
+                 packed: Callable | None = None):
+        self.name, self.evaluator, self.homogeneous = name, evaluator, homogeneous
+        self.packed = _row_loop(self) if packed is None else packed
 
     def __call__(self, g):
         return self.evaluator(g)
@@ -239,11 +234,19 @@ def _perm_inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class GElement:
-    """Element of the extension: a base word and a permutation index."""
-    word: Word
-    sigma: int
+    """Element of the extension: a base word and a permutation index; equal
+    elements hash alike."""
+    __slots__ = ("word", "sigma")
+
+    def __init__(self, word: Word, sigma: int):
+        self.word, self.sigma = word, sigma
+
+    def __eq__(self, o):
+        return type(o) is GElement and self.word == o.word and self.sigma == o.sigma
+
+    def __hash__(self):
+        return hash((self.word, self.sigma))
 
     def is_base(self) -> bool:
         return self.sigma == 0
@@ -449,8 +452,7 @@ def transfer_extend(ext: FiniteExtension, phi: Quasimorphism) -> Quasimorphism:
                          homogeneous=phi.homogeneous, packed=packed)
 
 
-@dataclass(frozen=True)
-class RestrictionReport:
+class RestrictionReport(NamedTuple):
     words_checked: int
     max_restriction_gap: float
     defects: dict                # radius -> sampled defect over extension pairs

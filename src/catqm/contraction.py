@@ -30,8 +30,7 @@ fixed once per experiment, with ``table()`` for reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -147,28 +146,19 @@ def phi_chain(B: float, C: float) -> float:
     return 2.0 * s + C + n0
 
 
-@dataclass(frozen=True)
 class ConstantLedger:
     """A base pair (C, B) with the downstream values B' (subsegments of B),
     D (confinement), S (stability at D), S' (subsegments of S), and T
     (dichotomy at S' plus D) fixed once per experiment.  ``table()`` lists
     every derived constant, each from its ``phi_*`` formula."""
-    C: float
-    B: float
-    B_prime: float = field(init=False)
-    D: float = field(init=False)
-    S: float = field(init=False)
-    S_prime: float = field(init=False)
-    T: float = field(init=False)
 
-    def __post_init__(self):
-        checked_number(self.C, "ledger C")
-        checked_number(self.B, "ledger B")
-        object.__setattr__(self, "B_prime", phi_subsegment(self.B, self.C))
-        object.__setattr__(self, "D", phi_confinement(self.B, self.C))
-        object.__setattr__(self, "S", phi_stability(self.B, self.C, self.D))
-        object.__setattr__(self, "S_prime", phi_subsegment(self.S, self.C))
-        object.__setattr__(self, "T", phi_dichotomy(self.S_prime, self.C) + self.D)
+    def __init__(self, C: float, B: float):
+        self.C, self.B = checked_number(C, "ledger C"), checked_number(B, "ledger B")
+        self.B_prime = phi_subsegment(B, C)
+        self.D = phi_confinement(B, C)
+        self.S = phi_stability(B, C, self.D)
+        self.S_prime = phi_subsegment(self.S, C)
+        self.T = phi_dichotomy(self.S_prime, C) + self.D
 
     def table(self) -> dict:
         B, C = self.B, self.C
@@ -194,16 +184,14 @@ class ConstantLedger:
 # Certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BallWitness:
+class BallWitness(NamedTuple):
     center: Any
     radius: float
     diameter: float
     samples: int
 
 
-@dataclass(frozen=True)
-class ContractionCertificate:
+class ContractionCertificate(NamedTuple):
     segment: tuple          # (start, end) points
     B: float
     status: str             # CERTIFIED, EXACT or REFUTED
@@ -234,8 +222,7 @@ class ContractionCertificate:
         return out
 
 
-@dataclass(frozen=True)
-class CertBudget:
+class CertBudget(NamedTuple):
     """Deterministic ball family for certification runs.
 
     ``center_radius`` bounds how far ball centers stray from the segment;
@@ -358,8 +345,7 @@ VIOLATED = "violated"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class LemmaOutcome:
+class LemmaOutcome(NamedTuple):
     lemma: str
     status: str             # HOLDS / VIOLATED / SKIPPED
     value: float | None = None

@@ -33,8 +33,7 @@ search stops once b is settled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -46,8 +45,7 @@ from .words import Word, inverse as word_inverse, multiply as word_multiply
 from . import words as W
 
 
-@dataclass(frozen=True)
-class Translate:
+class Translate(NamedTuple):
     """One oriented candidate expressway g.sigma."""
     g: Word
     start: Any
@@ -179,15 +177,13 @@ def _ball_candidates(sys: ExpresswaySystem, seg, margin: float) -> list[Translat
 # Modified length
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
     point: Any
     edge: str | None          # None for the first node, else "free"/"expressway"
     translate: Word | None = None
 
 
-@dataclass(frozen=True)
-class ModifiedLengthResult:
+class ModifiedLengthResult(NamedTuple):
     value: float
     expressways: int
     path: tuple
@@ -384,8 +380,7 @@ def phi_evaluator(sys: ExpresswaySystem) -> Callable[[Word], float]:
 # Property suites and derived quantities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LambdaSamples:
+class LambdaSamples(NamedTuple):
     pairs: tuple = ()                # (a, b)
     endpoint_moves: tuple = ()       # (a, b, a2, b2)
     group_elements: tuple = ()       # words applied to the pairs
@@ -444,8 +439,7 @@ def check_lambda_properties(sys: ExpresswaySystem, samples: LambdaSamples,
     return violations
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     value: float
     pair: tuple | None
     pairs_checked: int

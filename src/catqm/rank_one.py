@@ -11,7 +11,7 @@ projections are as wide as desired.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .actions import GroupModel, act, orbit_points
 from .contraction import CertBudget, ContractionCertificate, certify_contracting
@@ -20,16 +20,14 @@ from .spaces import _arclength_samples
 from . import words as W
 
 
-@dataclass(frozen=True)
-class PowerEvidence:
+class PowerEvidence(NamedTuple):
     n: int
     orbit_to_geodesic: float     # max over orbit points of d(x_k, [x0, x_n])
     geodesic_to_orbit: float     # max over samples of d(point, orbit set)
     certificate: ContractionCertificate
 
 
-@dataclass(frozen=True)
-class RankOneCertificate:
+class RankOneCertificate(NamedTuple):
     word: W.Word
     B: float
     n_max: int
@@ -41,8 +39,7 @@ class RankOneCertificate:
         return True
 
 
-@dataclass(frozen=True)
-class RankOneRefutation:
+class RankOneRefutation(NamedTuple):
     word: W.Word
     B: float
     n: int
@@ -101,8 +98,7 @@ def rank_one_test(space, group: GroupModel, g, x0, B: float, n_max: int,
     return RankOneCertificate(iso.word, B, n_max, floor, tuple(evidence))
 
 
-@dataclass(frozen=True)
-class IndependenceProfile:
+class IndependenceProfile(NamedTuple):
     values: tuple                 # values[R] = min distance at grid radius R
     grid_max: int
     threshold: float
@@ -139,8 +135,7 @@ def independence_test(space, group: GroupModel, g, h, x0, grid_max: int,
     return IndependenceProfile(tuple(values), grid_max, threshold, tail, passed)
 
 
-@dataclass(frozen=True)
-class SchottkyResult:
+class SchottkyResult(NamedTuple):
     N: int
     E: float
     word_len_max: int
@@ -184,7 +179,6 @@ def half_flat_control(space, seg, B_sweep, budget: CertBudget | None = None
     refuted with a replayable witness ball.  One certificate per scale."""
     certs = []
     for B in B_sweep:
-        probe = replace(budget or CertBudget(),
-                        probe_heights=(B / 2.0 + 2.0, B + 2.0))
+        probe = (budget or CertBudget())._replace(probe_heights=(B / 2.0 + 2.0, B + 2.0))
         certs.append(certify_contracting(space, seg, B, probe))
     return certs

@@ -21,12 +21,12 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import words as W
-from .actions import FactorPair, GroupModel, WordShift, act, group_from_json
+from .actions import FactorPair, GroupModel, Translation, WordShift, act, group_from_json
 from .algebra import (
     brooks_qm,
     check_sigma_invariance,
@@ -98,8 +98,7 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 
 
-@dataclass
-class Budgets:
+class Budgets(NamedTuple):
     ball_radius: int = 5
     ball_samples: int = 64
     n_max: int = 6
@@ -118,40 +117,36 @@ class Budgets:
     family_count: int = 2
 
     def validate(self):
-        """Each int field must be a positive integer and each float field a
-        positive finite number; bools are neither."""
-        for f in fields(self):
-            checked_number(getattr(self, f.name), f"budget {f.name}",
-                           int if f.type == "int" else (int, float), error=ConfigError)
+        """Each int field (one with an int default) must be a positive
+        integer and each float field a positive finite number; bools are
+        neither."""
+        for name, value in zip(self._fields, self):
+            kinds = int if type(self._field_defaults[name]) is int else (int, float)
+            checked_number(value, f"budget {name}", kinds, error=ConfigError)
 
     def scaled(self, factor: float) -> "Budgets":
         """Every budget times ``factor``, int fields rounded (at least 1)."""
         if not 0 < factor < math.inf:
             raise ConfigError(f"budget scale must be positive and finite, got {factor}")
         data = {}
-        for f in fields(self):
-            value = getattr(self, f.name) * factor
-            data[f.name] = (max(1, round(value))
-                            if f.type == "int" and value < math.inf else value)
+        for name, value in zip(self._fields, self):
+            value *= factor
+            data[name] = (max(1, round(value)) if type(self._field_defaults[name]) is int
+                          and value < math.inf else value)
         out = Budgets(**data)
         out.validate()
         return out
 
 
-@dataclass
 class ExperimentConfig:
-    space: object
-    group: GroupModel
-    sigma_word: W.Word
-    basepoint: object
-    C: float
-    B: float
-    budgets: Budgets
-    seed: int
-    tolerance: float
-    independence_words: list = field(default_factory=list)
-    companion_word: W.Word | None = None
-    raw: dict = field(default_factory=dict)
+    def __init__(self, space, group: GroupModel, sigma_word: W.Word, basepoint, C: float,
+                 B: float, budgets: Budgets, seed: int, tolerance: float,
+                 independence_words: list | None = None,
+                 companion_word: W.Word | None = None, raw: dict | None = None):
+        self.space, self.group, self.sigma_word, self.basepoint = space, group, sigma_word, basepoint
+        self.C, self.B, self.budgets, self.seed, self.tolerance = C, B, budgets, seed, tolerance
+        self.independence_words = [] if independence_words is None else independence_words
+        self.companion_word, self.raw = companion_word, {} if raw is None else raw
 
     @property
     def ledger(self) -> ConstantLedger:
@@ -176,23 +171,31 @@ class ExperimentConfig:
             candidate_cap=self.budgets.candidate_cap)
 
 
-@dataclass
 class Cell:
     """One subcommand's result: its report section, its untagged
     violations and its witnesses."""
-    section: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-    witnesses: list = field(default_factory=list)
+
+    def __init__(self, section: dict | None = None, violations: list | None = None,
+                 witnesses: list | None = None):
+        self.section = {} if section is None else section
+        self.violations = [] if violations is None else violations
+        self.witnesses = [] if witnesses is None else witnesses
 
 
-def _letters_fit(space, action, rank: int) -> bool:
-    """Whether each letter of a rank-``rank`` group whose action (or a
-    factor of it) is left multiplication on a tree is a letter of that
-    tree: a wider free group would move the basepoint off the tree."""
+def _misfit(space, action, rank: int) -> str | None:
+    """Why a rank-``rank`` group's action (or a factor of it) does not fit
+    the space of its kind, or None: a free group wider than its tree would
+    move the basepoint off the tree, and a translation of another dimension
+    acts on no point of the Euclidean space."""
     if isinstance(action, FactorPair) and space.kind == "product":
-        return (_letters_fit(space.left, action.left, rank)
-                and _letters_fit(space.right, action.right, rank))
-    return not (isinstance(action, WordShift) and space.kind == "tree") or rank <= space.rank
+        return (_misfit(space.left, action.left, rank)
+                or _misfit(space.right, action.right, rank))
+    if isinstance(action, WordShift) and space.kind == "tree" and rank > space.rank:
+        return f"a free group of rank {rank} is wider than the tree it acts on"
+    if (isinstance(action, Translation) and space.kind == "euclidean"
+            and len(action.vector) != space.dim):
+        return f"translations of dim {len(action.vector)} do not act on R^{space.dim}"
+    return None
 
 
 def _config_word(value, group: GroupModel, what: str) -> W.Word:
@@ -211,9 +214,9 @@ def config_from_json(data: dict) -> ExperimentConfig:
     try:
         space = space_from_json(data["space"])
         group = group_from_json(data["group"])
-        if not _letters_fit(space, group.identity_action, group.rank):
-            raise ConfigError(f"a free group of rank {group.rank} is wider "
-                              f"than the tree it acts on")
+        misfit = _misfit(space, group.identity_action, group.rank)
+        if misfit:
+            raise ConfigError(misfit)
         sigma = _config_word(data["sigma_word"], group, "sigma_word")
         if "basepoint" in data and data["basepoint"] != "default":
             basepoint = space.validate_point(space.point_from_json(data["basepoint"]))
@@ -772,8 +775,7 @@ def run_wpd(cfg: ExperimentConfig) -> Cell:
     # the ball lists words by length (W.ball, GroupModel.ball), so the
     # radius-r matches are the grown count's matches of length <= r, in order
     matching = tuple(w for w in bigger.matching if len(w) <= radius)
-    small = replace(bigger, radius=radius, matching=matching,
-                    count=len(matching))
+    small = bigger._replace(radius=radius, matching=matching, count=len(matching))
     cell.section["count_small"] = small.to_json()
     cell.section["count_small_radius_grown"] = bigger.to_json()
     stable = small.count == bigger.count

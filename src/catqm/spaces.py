@@ -49,9 +49,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -105,8 +105,7 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (a + b)
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(NamedTuple):
     """Nearest point of a segment: the point, its distance to the query,
     and its arclength position on the segment."""
     point: Any
@@ -136,18 +135,26 @@ def _clamped(s: float, length: float, eps: float = 1e-9) -> float:
 # Tree
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TreePoint:
     """A point of the Cayley tree of a free group.
 
     ``anchor`` is a vertex (reduced word).  Vertices have ``letter is
     None``.  An interior edge point sits at distance ``t`` in (0, 1) from
     ``anchor`` along the edge toward ``anchor + (letter,)``; the canonical
-    form anchors at the shorter endpoint of the edge.
+    form anchors at the shorter endpoint of the edge.  Points are equal when
+    their fields are, and hash alike; a point is never a tuple.
     """
-    anchor: Word
-    letter: int | None = None
-    t: float = 0.0
+    __slots__ = ("anchor", "letter", "t")
+
+    def __init__(self, anchor: Word, letter: int | None = None, t: float = 0.0):
+        self.anchor, self.letter, self.t = anchor, letter, t
+
+    def __eq__(self, o):
+        return (type(o) is TreePoint
+                and (self.anchor, self.letter, self.t) == (o.anchor, o.letter, o.t))
+
+    def __hash__(self):
+        return hash((self.anchor, self.letter, self.t))
 
     @property
     def is_vertex(self) -> bool:
@@ -378,17 +385,15 @@ class TreeSpace:
 
 
 def _json_coordinates(data, count: int, what: str) -> list[float]:
-    """The coordinates of a JSON point as floats: ``data`` must be a list of
-    exactly ``count`` numbers.  A string, a bool or a list of another length
-    is an ``InputError``, not a point read in some other way."""
+    """The coordinates of a JSON point, matrix row or translation vector as
+    floats: ``data`` must be a list of exactly ``count`` finite numbers.  A
+    string, a bool, NaN, an infinity or a list of another length is an
+    ``InputError``, not a value read in some other way."""
     if (isinstance(data, list) and len(data) == count
             and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                    for c in data)):
-        try:
-            return [float(c) for c in data]
-        except OverflowError:
-            pass
-    raise InputError(f"{what} must be a list of {count} numbers: {data!r}")
+                    and abs(c) <= sys.float_info.max for c in data)):
+        return [float(c) for c in data]
+    raise InputError(f"{what} must be a list of {count} finite numbers: {data!r}")
 
 
 # ---------------------------------------------------------------------------

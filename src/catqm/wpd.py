@@ -20,7 +20,7 @@ one-point segment [p, p]; ``equiv_search`` keeps its per-point route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ from .words import (
 from . import words as W
 
 
-@dataclass(frozen=True)
-class WpdReport:
+class WpdReport(NamedTuple):
     g: Word
     c: float
     M: int
@@ -116,8 +115,7 @@ def wpd_count(space, group: GroupModel, g, c: float, M: int, radius: int,
     return WpdReport(gi.word, c, M, radius, matching, len(matching))
 
 
-@dataclass(frozen=True)
-class EquivWitness:
+class EquivWitness(NamedTuple):
     gamma: Word
     m: int
     n: int
@@ -258,8 +256,7 @@ def conjugate_power_test(g, h, power_max: int) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     members: tuple               # words
     exponent: int                # Schottky power N used in the patterns
     checked_power_max: int

@@ -18,10 +18,12 @@ from catqm.actions import (
     image_points,
     orbit_points,
 )
+from catqm.algebra import GElement
 from catqm.errors import InputError, NumericError
 from catqm.runner import load_config
 from catqm.samplers import random_point, rng_for
-from catqm.spaces import EuclideanSpace, HalfPlaneSpace, ProductSpace, TreeSpace, vertex
+from catqm.spaces import (EuclideanSpace, HalfPlaneSpace, ProductSpace, TreeSpace, tree_point,
+                          vertex)
 
 from oracles import ball_per_letter, ball_size
 
@@ -204,6 +206,32 @@ def test_translation_rejects_points_of_another_dimension():
 def test_translation_generators_share_one_dimension():
     with pytest.raises(InputError):
         GroupModel.translation([[1.0], [1.0, 2.0]])
+
+
+def test_tree_points_are_equal_by_value_and_never_tuples():
+    # a tree point keys sets and dicts, whichever route built it: the same
+    # vertex or edge point from vertex and from a word's action is one key
+    ab = vertex("ab")
+    moved = act(TREE, FREE.from_word("a"), vertex("b"))
+    assert moved == ab and hash(moved) == hash(ab) and len({moved, ab}) == 1
+    edge = tree_point(W.from_string("ab"), 1, 0.25)
+    back = act(TREE, FREE.from_word("a"), tree_point(W.from_string("b"), 1, 0.25))
+    assert back == edge and hash(back) == hash(edge)
+    assert back != vertex("ab") and edge != tree_point(W.from_string("ab"), 1, 0.5)
+    fields = (ab.anchor, ab.letter, ab.t)
+    assert ab != fields and fields != ab
+
+
+def test_product_points_are_no_group_elements_or_actions():
+    # a 2-tuple record would pass the pair check of a product of lines
+    space = ProductSpace(LINE, LINE)
+    assert space.validate_point(((1.0,), (0.0,))) == ((1.0,), (0.0,))
+    shifts = GroupModel.translation([[1.0]])
+    pair = FactorPair(Translation((1.0,)), Translation((2.0,)))
+    for record in (GElement((1,), 0), shifts.from_word("a"), pair,
+                   GroupModel.product(shifts, shifts).from_word("a")):
+        with pytest.raises(InputError, match="must be a pair"):
+            space.validate_point(record)
 
 
 # -- the packed ball builder against per-letter composition -------------------

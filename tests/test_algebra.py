@@ -411,6 +411,21 @@ def test_extension_defect_on_a_non_abelian_extension():
     assert extension_defect(ext, hom, 1) == extension_defect_oracle(ext, hom, 1) == 2.0
 
 
+def test_a_quasimorphism_without_a_kernel_packs_a_loop_of_its_own_calls(monkeypatch):
+    # the row loop calls the quasimorphism itself, so a wrapper of __call__
+    # (the benchmark tracer's) counts every packed evaluation
+    phi = Quasimorphism("length", lambda w: float(len(w)))
+    calls = []
+    call = Quasimorphism.__call__
+    monkeypatch.setattr(Quasimorphism, "__call__", lambda self, g: calls.append(g) or call(self, g))
+    words = [W.from_string(s) for s in ("", "a", "abA", "bb")]
+    assert phi.packed(W.pack(words)).tolist() == [0.0, 1.0, 3.0, 2.0]
+    assert calls == words
+    on_ext = Quasimorphism("sigma", lambda g: float(g.sigma))
+    rows = on_ext.packed(W.pack(words[:2]), np.array([1, 0]))
+    assert rows.tolist() == [1.0, 0.0] and calls[4:] == [GElement((), 1), GElement((1,), 0)]
+
+
 def test_homogeneous_route_evaluates_phi_once_per_class():
     ext = swap_extension()
     phi = transfer_extend(ext, orbit_average(ext, homogeneous_brooks_qm("aab")))

@@ -131,6 +131,15 @@ def test_ledger_rejects_nan_and_infinite(C, B):
         ConstantLedger(C, B)
 
 
+@pytest.mark.parametrize("bad", [0, 0.0, math.nan, True], ids=["int-0", "0", "nan", "bool"])
+@pytest.mark.parametrize("which", ["C", "B"])
+def test_ledger_checks_both_constants_before_deriving(which, bad):
+    # the ledger derives B', D, S, S' and T from C and B as it is built
+    with pytest.raises(InputError, match=f"ledger {which} must be"):
+        ConstantLedger(**{"C": 1.0, "B": 1.0, which: bad})
+    assert ConstantLedger(C=1.0, B=2.0).D == ConstantLedger(1.0, 2.0).table()["confinement"]
+
+
 # ---------------------------------------------------------------------------
 # projection diameters and certificates
 # ---------------------------------------------------------------------------

@@ -119,6 +119,12 @@ def test_cli_and_runner_load_without_scipy():
     assert _loaded("import sys, catqm.cli, catqm.runner", "scipy") == "[]"
 
 
+def test_cli_and_runner_load_without_dataclasses():
+    # each dataclass definition execs its generated methods at import, which
+    # every command line call pays; records are NamedTuples or plain classes
+    assert _loaded("import sys, catqm.cli, catqm.runner", "dataclasses") == "[]"
+
+
 def test_algebra_cell_runs_without_numpy_ma():
     probe = ("import sys; from catqm.runner import load_config, run; "
              "run('algebra', load_config('configs/tree_aab.json'))")

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import json
 import subprocess
@@ -184,8 +183,7 @@ def test_qm_reports_a_modified_length_above_the_distance(monkeypatch):
     real = runner.modified_length
 
     def inflated(sys_obj, a, b):
-        return dataclasses.replace(real(sys_obj, a, b),
-                                   value=sys_obj.space.distance(a, b) + 1.0)
+        return real(sys_obj, a, b)._replace(value=sys_obj.space.distance(a, b) + 1.0)
 
     monkeypatch.setattr(runner, "modified_length", inflated)
     cfg = small_tree_config()
@@ -776,6 +774,58 @@ def test_cli_budget_scale_echoes_the_budgets_it_ran_with(tmp_path):
     again, _ = run("wpd", config_from_json(report["body"]["config"]))
     assert canonical_body(again) == canonical_body(report)
     assert replay(str(out)) is True
+
+
+def test_cli_budget_scale_echo_keeps_each_budget_and_its_type(tmp_path):
+    # the echo is part of the pinned body: an int budget stays an int
+    out = tmp_path / "scaled.json"
+    assert cli_main(["wpd", "--config", str(TREE_CONFIG),
+                     "--budget-scale", "0.5", "--out", str(out)]) == 0
+    echo = json.loads(out.read_text())["body"]["config"]["budgets"]
+    assert [(k, type(v).__name__, v) for k, v in sorted(echo.items())] == [
+        ("ball_radius", "int", 2), ("ball_samples", "int", 32),
+        ("candidate_cap", "int", 10000), ("center_radius", "float", 2.0),
+        ("defect_radius", "int", 2), ("enum_margin", "float", 1.0),
+        ("equiv_k", "float", 1.0), ("family_count", "int", 1), ("grid_max", "int", 4),
+        ("n_max", "int", 3), ("power_max", "int", 2), ("sample_count", "int", 100),
+        ("schottky_cap", "int", 4), ("schottky_e", "float", 0.5),
+        ("word_len_max", "int", 2), ("wpd_c", "float", 1.0)]
+
+
+# (id, config, generators): each ended in a traceback or loaded and was
+# misread.  A half-plane generator [] or row [] ended in an IndexError with
+# exit 1, a third row entry was ignored, and a NaN entry, or entries whose
+# determinant overflows to inf - inf = NaN, passed the determinant test.  A
+# Euclidean NaN entry ended contract in a ValueError traceback, true was read
+# as 1.0, and vectors of dim 1 or 3 loaded on the plane, where contract then
+# failed at run time.
+HALFPLANE_B = [[1.25, -0.75], [-0.75, 1.25]]   # the shipped second generator
+BAD_GENERATORS = [
+    ("matrix-empty", HALFPLANE_CONFIG, [[], HALFPLANE_B]),
+    ("matrix-row-empty", HALFPLANE_CONFIG, [[[], [0.0, 0.5]], HALFPLANE_B]),
+    ("matrix-row-of-three", HALFPLANE_CONFIG, [[[2, 0, 1], [0.0, 0.5]], HALFPLANE_B]),
+    ("matrix-nan", HALFPLANE_CONFIG, [[[2.0, NAN], [0.0, 0.5]], HALFPLANE_B]),
+    ("matrix-determinant-nan", HALFPLANE_CONFIG, [[[1e200, 1e200], [1e200, 1e200]],
+                                                  HALFPLANE_B]),
+    ("translation-nan", EUCLID_CONFIG, [[NAN, 0], [0.0, 3.0]]),
+    ("translation-bool", EUCLID_CONFIG, [[True, 0], [0.0, 3.0]]),
+    ("translation-dim-1", EUCLID_CONFIG, [[3.0], [1.0]]),
+    ("translation-dim-3", EUCLID_CONFIG, [[3.0, 0.0, 0.0], [0.0, 3.0, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("path,generators", [c[1:] for c in BAD_GENERATORS],
+                         ids=[c[0] for c in BAD_GENERATORS])
+def test_group_generators_are_checked_at_load(tmp_path, capsys, path, generators):
+    data = json.loads(path.read_text())
+    config_from_json(data)
+    data["group"]["generators"] = generators
+    with pytest.raises(ConfigError):
+        config_from_json(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli_main(["contract", "--config", str(bad)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_euclidean_axioms_exit_zero():
