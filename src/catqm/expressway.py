@@ -33,7 +33,8 @@ search stops once b is settled.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, NamedTuple
+import functools
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -89,15 +90,12 @@ class ExpresswaySystem:
         self._ball_ends = None
         self._key_ids: dict = {}
         self._end_ids: dict[Word, tuple[int, int]] = {}
-        # exact tree models: the letter sequence of sigma read from the
-        # basepoint, and the strings of it and its inverse that phi counts
+        # exact tree models: the letter sequence of sigma read from the basepoint
         self.sigma_edge_word: Word | None = None
         if self.is_exact_tree():
             x0 = self.basepoint.anchor
             self.sigma_edge_word = word_multiply(word_inverse(x0),
                                                  word_multiply(self.sigma_word, x0))
-            self._patterns = (W.to_string(self.sigma_edge_word),
-                              W.to_string(word_inverse(self.sigma_edge_word)))
 
     # -- structural helpers -------------------------------------------------
     def is_exact_tree(self) -> bool:
@@ -316,11 +314,15 @@ def phi_sigma(sys: ExpresswaySystem, g) -> float:
 #                                base letter sequence in the geodesic word)
 #
 # and the greedy left-to-right count (str.count) realizes the maximum for
-# fixed-length patterns.  The depth k counts whole edges: an occurrence from
-# the far vertex of an end's edge, at distance f from the end, overhangs it
-# for 2f and saves 1 - 2f (1 - 2f_a - 2f_b past both ends), so
-# ``_tree_modified_length`` reads the word widened by those vertices.  The
-# tests check both against the candidate graph and a regional oracle.
+# fixed-length patterns; a window count does not, for a sequence that
+# overlaps itself (aba).  ``_tree_phi_rows`` takes phi = forward less
+# backward counts for a whole packed array of words in one pass, so
+# ``tree_phi_exact`` and the defect grid share one counting rule.  The depth
+# k counts whole edges: an occurrence from the far vertex of an end's edge,
+# at distance f from the end, overhangs it for 2f and saves 1 - 2f
+# (1 - 2f_a - 2f_b past both ends), so ``_tree_modified_length`` reads the
+# word widened by those vertices.  The tests check both against the
+# candidate graph and a regional oracle.
 
 def _tree_modified_length(sys: ExpresswaySystem, a, b) -> ModifiedLengthResult:
     """lambda(a, b) on an exact tree by one left-to-right pass over the
@@ -335,8 +337,8 @@ def _tree_modified_length(sys: ExpresswaySystem, a, b) -> ModifiedLengthResult:
     qa, qb = behind(a, b), behind(b, a)
     fa, fb = space.distance(qa, a), space.distance(qb, b)
     u = word_multiply(word_inverse(qa.anchor), qb.anchor)
-    s, n = W.to_string(u), len(u)
-    ends = {k for k in range(L, n + 1) if s.startswith(sys._patterns[0], k - L)}
+    n = len(u)
+    ends = {k for k in range(L, n + 1) if u[k - L:k] == sys.sigma_edge_word}
     best = [(0.0, ())] * (n + 1)   # the largest saving (>= 0) in u[:k], its starts
     for k in range(1, n + 1):
         gain = (best[k - L][0] + 1.0 - 2.0 * fa * (k == L) - 2.0 * fb * (k == n)
@@ -356,24 +358,31 @@ def _tree_modified_length(sys: ExpresswaySystem, a, b) -> ModifiedLengthResult:
     return ModifiedLengthResult(value, len(best[n][1]), tuple(steps), len(ends))
 
 
+def _tree_phi_rows(sys: ExpresswaySystem, conjugated) -> np.ndarray:
+    """phi on an exact tree of each word w, from the packed rows of its
+    conjugates x0^-1 w x0: the greedy counts of the base letter sequence
+    less those of its inverse (no padding letter 0 matches), by one loop
+    over the start columns with each row's next free column."""
+    letters, lens = conjugated
+    sigma, phi = sys.sigma_edge_word, np.zeros_like(lens)
+    starts = max(letters.shape[1] - len(sigma) + 1, 0)
+    for sign, pattern in ((1, sigma), (-1, word_inverse(sigma))):
+        hit = np.logical_and.reduce([letters[:, k:k + starts] == x for k, x in enumerate(pattern)])
+        free = np.zeros_like(lens)
+        for j in np.flatnonzero(hit.any(axis=0)).tolist():
+            take = hit[:, j] & (free <= j)
+            phi += sign * take
+            free[take] = j + len(sigma)
+    return phi
+
+
 def tree_phi_exact(sys: ExpresswaySystem, g: Word) -> float:
-    """Exact phi on tree models: forward minus backward greedy-disjoint
-    occurrence counts of the base letter sequence in the geodesic word."""
+    """Exact phi on tree models: the one-row case of ``_tree_phi_rows``."""
     if not sys.is_exact_tree():
         raise InputError("exact evaluation needs a free group on its tree")
     x0 = sys.basepoint.anchor
     u = word_multiply(word_inverse(x0), word_multiply(g, x0))
-    s = W.to_string(u)
-    pattern, anti = sys._patterns
-    return float(s.count(pattern) - s.count(anti))
-
-
-def phi_evaluator(sys: ExpresswaySystem) -> Callable[[Word], float]:
-    """Word-level evaluator for phi; exact closed form on tree models,
-    candidate-graph shortest paths elsewhere."""
-    if sys.is_exact_tree():
-        return lambda w: tree_phi_exact(sys, w)
-    return lambda w: phi_sigma(sys, w)
+    return float(_tree_phi_rows(sys, W.pack([u]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -445,28 +454,41 @@ class DefectReport(NamedTuple):
     pairs_checked: int
 
 
-def defect_estimate(sys: ExpresswaySystem, pairs: Iterable[tuple[Word, Word]]
-                    ) -> DefectReport:
-    """max |phi(g g') - phi(g) - phi(g')| over the sampled pairs; a lower
-    bound for the true defect that never decreases as the sample grows.
-    A caller passes the value to ``homogenize`` as its ``defect_bound``."""
-    phi = phi_evaluator(sys)
-    cache: dict[Word, float] = {}
+# Pairs (g, h) per packed pass of the tree defect grid
+_GRID_CELLS = 1 << 14
 
-    def ev(w: Word) -> float:
-        if w not in cache:
-            cache[w] = phi(w)
-        return cache[w]
 
-    best = 0.0
-    arg = None
-    count = 0
-    for g, h in pairs:
-        count += 1
-        d = abs(ev(word_multiply(g, h)) - ev(g) - ev(h))
-        if d > best:
-            best, arg = d, (g, h)
-    return DefectReport(best, arg, count)
+def defect_estimate(sys: ExpresswaySystem, left, right) -> DefectReport:
+    """max |phi(g h) - phi(g) - phi(h)| over the pairs of a row g of the
+    packed word array ``left`` and a row h of ``right``, g-major (a lower
+    bound for ``homogenize``'s ``defect_bound``), and the first pair whose
+    defect beats every earlier one (None at 0).  On an exact tree phi(g h)
+    is ``_tree_phi_rows`` of (x0^-1 g x0)(x0^-1 h x0), in blocks of rows of
+    ``left`` so that memory grows with a block, not the grid; every defect
+    is an integer.  Elsewhere phi runs once per word."""
+    n = len(right[1])
+    if sys.is_exact_tree():
+        x0 = sys.basepoint.anchor
+        lhs, rhs = (W.grid_products(W.grid_products(W.pack([word_inverse(x0)]), rows),
+                                    W.pack([x0])) for rows in (left, right))
+        phi_g, phi_h = _tree_phi_rows(sys, lhs), _tree_phi_rows(sys, rhs)
+        step = max(1, _GRID_CELLS // n)
+        blocks = ((lo, _tree_phi_rows(sys, W.grid_products(
+                       (lhs[0][lo:lo + step], lhs[1][lo:lo + step]), rhs)).reshape(-1, n)
+                   - phi_g[lo:lo + step, None] - phi_h)
+                  for lo in range(0, len(phi_g), step))
+    else:
+        phi, words = functools.cache(lambda w: phi_sigma(sys, w)), W.unpack(right)
+        blocks = [(0, np.array([[phi(word_multiply(g, h)) - phi(g) - phi(h) for h in words]
+                                for g in W.unpack(left)]).reshape(-1, n))]
+    best, arg = 0.0, None
+    for lo, defects in blocks:
+        defects = np.fmax(np.abs(defects), 0.0)   # a NaN defect beats nothing
+        if defects.size and defects.max() > best:
+            i, j = divmod(int(np.argmax(defects)), n)
+            best, arg = float(defects[i, j]), (lo + i, j)
+    pairs = None if arg is None else (W.unpack(left)[arg[0]], W.unpack(right)[arg[1]])
+    return DefectReport(best, pairs, len(left[1]) * n)
 
 
 def homogenize(sys: ExpresswaySystem, g, n_max: int,
@@ -476,7 +498,8 @@ def homogenize(sys: ExpresswaySystem, g, n_max: int,
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     g = W.as_word(g)
-    value = phi_evaluator(sys)(W.power(g, n_max)) / n_max
+    phi = tree_phi_exact if sys.is_exact_tree() else phi_sigma
+    value = phi(sys, W.power(g, n_max)) / n_max
     return value, (None if defect_bound is None else defect_bound / n_max)
 
 

@@ -17,7 +17,6 @@ tags each violation with its subcommand and concatenates the witnesses in
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
@@ -184,10 +183,12 @@ class Cell:
 
 def _misfit(space, action, rank: int) -> str | None:
     """Why a rank-``rank`` group's action (or a factor of it) does not fit
-    the space of its kind, or None: a free group wider than its tree would
-    move the basepoint off the tree, and a translation of another dimension
-    acts on no point of the Euclidean space."""
-    if isinstance(action, FactorPair) and space.kind == "product":
+    the space, or None: an action acts only on its own space kind, a free
+    group wider than its tree would move the basepoint off the tree, and a
+    translation of another dimension acts on no point of the space."""
+    if action.space_kind != space.kind:
+        return f"a {type(action).__name__} action does not act on {space.kind} points"
+    if isinstance(action, FactorPair):
         return (_misfit(space.left, action.left, rank)
                 or _misfit(space.right, action.right, rank))
     if isinstance(action, WordShift) and space.kind == "tree" and rank > space.rank:
@@ -323,8 +324,7 @@ def _tree_axiom_violations(space, C: float, tolerance: float | None,
     rows = []
     for blk in _blocks(len(ball[1]), m * m):
         v = ball[0][blk], ball[1][blk]
-        ends = W.packed_products((np.repeat(v[0], m, axis=0), np.repeat(v[1], m)),
-                                 (np.tile(moves[0], (len(v[1]), 1)), np.tile(u_len, len(v[1]))))
+        ends = W.grid_products(v, moves)
         gap_a = W.gromov_gap(u_len, W.packed_distances(v, moves), v[1][:, None])
         gap_b = W.gromov_gap(ends[1].reshape(-1, m), u_len, v[1][:, None])
         bad = np.maximum(gap_a[:, :, None], gap_b[:, None, :]) >= allowed + eps
@@ -651,12 +651,11 @@ def run_qm(cfg: ExperimentConfig) -> Cell:
 
     # defect, homogenization, independence
     if sys_obj.is_exact_tree():
-        pairs_iter = itertools.product(
-            W.ball(cfg.group.rank, cfg.budgets.defect_radius), repeat=2)
+        left = right = W.packed_ball(cfg.group.rank, cfg.budgets.defect_radius)
     else:
         ws = random_words(cfg.group.rank, cfg.seed, 12, 3)
-        pairs_iter = [(g, h) for g in ws[:6] for h in ws[6:]]
-    report = defect_estimate(sys_obj, pairs_iter)
+        left, right = W.pack(ws[:6]), W.pack(ws[6:])
+    report = defect_estimate(sys_obj, left, right)
     cell.section["defect"] = {"value": report.value, "pairs": report.pairs_checked,
                               "argmax": None if report.pair is None else
                               [W.to_string(report.pair[0]), W.to_string(report.pair[1])]}

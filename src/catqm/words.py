@@ -13,7 +13,8 @@ off those distances as Gromov products (``gromov_foot``, ``gromov_gap``).
 ``packed_ball`` builds a word ball in this format, level by level, and owns
 the ball's order: ``ball`` is its ``unpack``.
 
-The same rows multiply row by row (``packed_products``), cancelling at the
+The same rows multiply row by row (``packed_products``), or every row of
+one array by every row of another (``grid_products``), cancelling at the
 junction; ``unpack`` turns rows back into words.  Each word also has an
 int64 code (decoded by ``unpack_codes``): its letters as digits of a
 big-endian base-(2 rank + 1) number with nonzero digits, so distinct words
@@ -288,6 +289,13 @@ def packed_products(a: tuple[np.ndarray, np.ndarray],
     out = np.where(col < keep[:, None], left, right)
     out[col >= lens[:, None]] = 0
     return out, lens
+
+
+def grid_products(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Every product u_i v_j of rows of ``a`` and ``b``, i-major."""
+    (la, na), (lb, nb) = a, b
+    return packed_products((np.repeat(la, len(nb), axis=0), np.repeat(na, len(nb))),
+                           (np.tile(lb, (len(na), 1)), np.tile(nb, len(na))))
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)

@@ -12,10 +12,13 @@ as packed word passes over slices of ``words.packed_ball`` in chunks
 distance is an integer word length, and the distance from a vertex to a
 segment is the Gromov gap of three of them (``words.gromov_gap``), exactly
 what ``project`` returns there.  So the packed answers are bit-equal to
-the per-point route.  Everywhere else ``wpd_count`` maps each of its two
-points p under the whole ball at once (``GroupModel.ball_images``) and
-reads the displacements d(p, w·p) from one ``projections`` pass onto the
-one-point segment [p, p]; ``equiv_search`` keeps its per-point route.
+the per-point route.  The packed ``equiv_search`` drops each γ whose
+moved start γ·v is farther than K from every [v, g^m v], m >= 1, a filter
+that is exact: every Hausdorff distance it reads is a max that includes
+that distance.  Everywhere else ``wpd_count`` maps each of its two points
+p under the whole ball at once (``GroupModel.ball_images``) and reads the
+displacements d(p, w·p) from one ``projections`` pass onto the one-point
+segment [p, p]; ``equiv_search`` keeps its per-point route.
 """
 
 from __future__ import annotations
@@ -69,11 +72,9 @@ def _moved_distances(rows, movers, targets) -> np.ndarray:
     """Entry (i, j, k): the tree distance from the vertex w_i u_j to the
     vertex t_k, for the rows w_i of ``rows``, u_j of ``movers`` and t_k of
     ``targets`` (three packed word arrays), in one packed pass."""
-    (letters, lens), (by, by_lens) = rows, movers
-    n, m = len(lens), len(by_lens)
-    moved = W.packed_products((np.repeat(letters, m, axis=0), np.repeat(lens, m)),
-                              (np.tile(by, (n, 1)), np.tile(by_lens, n)))
-    return W.packed_distances(moved, targets).reshape(n, m, len(targets[1]))
+    moved = W.grid_products(rows, movers)
+    return W.packed_distances(moved, targets).reshape(len(rows[1]), len(movers[1]),
+                                                      len(targets[1]))
 
 
 def wpd_count(space, group: GroupModel, g, c: float, M: int, radius: int,
@@ -166,10 +167,11 @@ def equiv_search(space, group: GroupModel, g, h, K: float, power_max: int,
     grid.  Per point, the moved segment's own ends are pruned first, so most
     candidates stop after one or two projections, and each (n, m) is
     measured once per gamma.  On the tree with a vertex basepoint v, each
-    chunk of the ball takes one packed pass for the distances d(gamma h^n v,
-    g^m v), n, m in 0..power_max; the four end-to-segment distances of
-    every (gamma, n, m) are their Gromov gaps, and the search stops at the
-    first chunk with a persistent match.
+    chunk of the ball takes one packed pass for d(gamma v, g^m v), which
+    drops the gamma that cannot match (see the module docstring), and one
+    for the d(gamma h^n v, g^m v), n, m in 0..power_max, of the rest.  The
+    four end-to-segment distances of every (gamma, n, m) are their Gromov
+    gaps, and the search stops at the first chunk with a persistent match.
     """
     gi, hi = group.from_word(g), group.from_word(h)
     x0 = space.validate_point(x0 if x0 is not None else space.basepoint())
@@ -211,7 +213,9 @@ def equiv_search(space, group: GroupModel, g, h, K: float, power_max: int,
 def _packed_equiv(rank: int, g_ends: list[Word], h_ends: list[Word],
                   bound: float, power_max: int, radius: int) -> EquivWitness | None:
     """``equiv_search`` on the tree, from the vertices g^m v and h^n v,
-    m, n in 0..power_max, with ``bound`` = K + tol."""
+    m, n in 0..power_max, with ``bound`` = K + tol.  The start filter is
+    exact: ``hausdorff[i, n, m]`` takes the max with gap(γ_i v, [v, g^m v]),
+    and ``_first_persistent`` reads only n, m >= 1."""
     # first, so that its radius checks raise as per point
     letters, lens = W.packed_ball(rank, radius)
     if power_max < 1:
@@ -221,23 +225,29 @@ def _packed_equiv(rank: int, g_ends: list[Word], h_ends: list[Word],
     v = g_ends[0][:1], g_ends[1][:1]
     lg = W.packed_distances(v, g_ends)[0]             # |[v, g^m v]|
     lh = W.packed_distances(v, h_ends)[0][:, None]    # |[γv, γh^n v]|
-    step = max(1, _PACKED_CELLS // len(lh) ** 2)
-    for lo in range(0, len(lens), step):
-        part = letters[lo:lo + step], lens[lo:lo + step]
-        # d[i, n, m] = d(γ_i h^n v, g^m v); n = 0 is the moved start γ_i v
-        d = _moved_distances(part, h_ends, g_ends)
-        start, end = d[:, :1], d
-        # the moved ends to [v, g^m v], then v and g^m v to the moved segment
-        hausdorff = np.maximum(
-            np.maximum(gap(start[:, :, :1], start, lg), gap(end[:, :, :1], end, lg)),
-            np.maximum(gap(start[:, :, :1], end[:, :, :1], lh), gap(start, end, lh)))
-        match = hausdorff <= bound
-        for i in np.flatnonzero(match[:, 1:, 1:].any(axis=(1, 2))):
-            hit = _first_persistent(lambda n, m: match[i, n, m], power_max)
-            if hit is not None:
-                n, m = hit
-                gamma = W.unpack((part[0][i:i + 1], part[1][i:i + 1]))[0]
-                return EquivWitness(gamma, m, n, float(hausdorff[i, n, m]))
+    wide, step = (max(1, _PACKED_CELLS // len(lg) ** k) for k in (1, 2))
+    for lo in range(0, len(lens), wide):
+        part = letters[lo:lo + wide], lens[lo:lo + wide]
+        # the start filter: γ_i v within the bound of some [v, g^m v], m >= 1
+        start = _moved_distances(part, v, g_ends)
+        keep = (gap(start[:, :, :1], start, lg)[:, 0, 1:] <= bound).any(axis=1)
+        near = part[0][keep], part[1][keep]
+        for at in range(0, len(near[1]), step):
+            part = near[0][at:at + step], near[1][at:at + step]
+            # d[i, n, m] = d(γ_i h^n v, g^m v); n = 0 is the moved start γ_i v
+            d = _moved_distances(part, h_ends, g_ends)
+            start, end = d[:, :1], d
+            # the moved ends to [v, g^m v], then v and g^m v to the moved segment
+            hausdorff = np.maximum(
+                np.maximum(gap(start[:, :, :1], start, lg), gap(end[:, :, :1], end, lg)),
+                np.maximum(gap(start[:, :, :1], end[:, :, :1], lh), gap(start, end, lh)))
+            match = hausdorff <= bound
+            for i in np.flatnonzero(match[:, 1:, 1:].any(axis=(1, 2))):
+                hit = _first_persistent(lambda n, m: match[i, n, m], power_max)
+                if hit is not None:
+                    n, m = hit
+                    gamma = W.unpack((part[0][i:i + 1], part[1][i:i + 1]))[0]
+                    return EquivWitness(gamma, m, n, float(hausdorff[i, n, m]))
     return None
 
 

@@ -32,7 +32,10 @@ distinct products in one ``phi.packed`` pass; the packed chain itself is
 pinned to the scalar one by its own test.
 ``sigma_invariance_oracle`` lists the invariance witnesses word by word,
 the reference for their order.  ``floyd_warshall`` is the all-pairs
-reference for the candidate graph's dense Dijkstra.  Three helpers only
+reference for the candidate graph's dense Dijkstra, and
+``defect_estimate_per_pair`` walks a defect grid one pair at a time, the
+reference for the package's packed grid scan, with ``tree_phi_str_count``
+counting each word's occurrences by ``str.count``.  Three helpers only
 the tests need sit here as well: the closed-form tree modified length
 ``tree_lambda_exact``, the search helper ``contraction_scale`` over the
 package's certificate, and the contracting-chain check ``chain_check``.
@@ -64,6 +67,7 @@ from catqm.contraction import (
 )
 from catqm.errors import BudgetError, InputError
 from catqm.expressway import (
+    DefectReport,
     ModifiedLengthResult,
     PathStep,
     Translate,
@@ -170,6 +174,36 @@ def tree_lambda_exact(sys, u: tuple, v: tuple) -> float:
     x0 = sys.basepoint.anchor
     geo = W.to_string(multiply(inverse(multiply(u, x0)), multiply(v, x0)))
     return float(len(geo) - geo.count(W.to_string(sys.sigma_edge_word)))
+
+
+def tree_phi_str_count(sys, g: tuple) -> float:
+    """phi of g on an exact tree by ``str.count`` on the string of
+    x0^-1 g x0: the base letter sequence's count less its inverse's, one
+    word at a time, where the package counts packed rows."""
+    x0 = sys.basepoint.anchor
+    s = W.to_string(multiply(inverse(x0), multiply(g, x0)))
+    return float(s.count(W.to_string(sys.sigma_edge_word))
+                 - s.count(W.to_string(inverse(sys.sigma_edge_word))))
+
+
+def defect_estimate_per_pair(phi, pairs) -> DefectReport:
+    """max |phi(g h) - phi(g) - phi(h)| over the pairs one at a time, with
+    phi evaluated once per word: the reference for ``defect_estimate``'s
+    value, its first strictly best pair and its pair count."""
+    cache: dict = {}
+
+    def ev(w):
+        if w not in cache:
+            cache[w] = phi(w)
+        return cache[w]
+
+    best, arg, count = 0.0, None, 0
+    for g, h in pairs:
+        count += 1
+        d = abs(ev(multiply(g, h)) - ev(g) - ev(h))
+        if d > best:
+            best, arg = d, (g, h)
+    return DefectReport(best, arg, count)
 
 
 def contraction_scale(space, seg, budget=None) -> float:

@@ -123,7 +123,7 @@ def test_criterion_2_defect_regression():
         assert exact == tree_phi_oracle(SIGMA, g)
 
     ws5 = W.ball(2, 5)
-    report = defect_estimate(sys_t, ((g, h) for g in ws5 for h in ws5))
+    report = defect_estimate(sys_t, W.pack(ws5), W.pack(ws5))
     assert report.pairs_checked == len(ws5) ** 2
     assert report.value == REGRESSION_DEFECT_RADIUS5
 

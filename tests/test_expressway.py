@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from pathlib import Path
@@ -22,7 +23,6 @@ from catqm.expressway import (
     homogenize,
     independence_matrix,
     modified_length,
-    phi_evaluator,
     phi_sigma,
     tree_phi_exact,
 )
@@ -39,12 +39,14 @@ from catqm.spaces import (
 
 from oracles import (
     ball_candidates_per_translate,
+    defect_estimate_per_pair,
     floyd_warshall,
     modified_length_per_point_key,
     tree_lambda_candidate_graph,
     tree_lambda_exact,
     tree_lambda_oracle,
     tree_phi_oracle,
+    tree_phi_str_count,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -434,28 +436,80 @@ def test_additivity_example():
 
 def test_defect_basics():
     sys_t = tree_system()
-    # phi(e) = 0 pairs contribute nothing
-    report = defect_estimate(sys_t, [(W.IDENTITY, g) for g in W.ball(2, 3)])
-    assert report.value == 0.0
-    # inverse pairs contribute |phi(g) + phi(g^-1)|
-    report = defect_estimate(sys_t, [(g, W.inverse(g)) for g in W.ball(2, 3)])
-    assert report.value == 0.0   # the counting difference is antisymmetric
+    ball = W.packed_ball(2, 3)
+    # phi(e) = 0 pairs contribute nothing, and a grid of zeros names no pair
+    assert defect_estimate(sys_t, W.pack([W.IDENTITY]), ball) == (0.0, None, 53)
+    # the counting difference is antisymmetric: phi(g^-1) = -phi(g)
+    for g in W.unpack(ball):
+        assert tree_phi_exact(sys_t, W.inverse(g)) == -tree_phi_exact(sys_t, g)
 
 
 def test_defect_frozen_at_radius3():
     sys_t = tree_system()
-    pairs = [(g, h) for g in W.ball(2, 3) for h in W.ball(2, 3)]
-    report = defect_estimate(sys_t, pairs)
+    ball = W.packed_ball(2, 3)
+    report = defect_estimate(sys_t, ball, ball)
     assert report.value == 1.0
 
 
 def test_defect_monotone_in_sample():
     sys_t = tree_system()
-    small = defect_estimate(sys_t, [(g, h) for g in W.ball(2, 2)
-                                    for h in W.ball(2, 2)]).value
-    large = defect_estimate(sys_t, [(g, h) for g in W.ball(2, 3)
-                                    for h in W.ball(2, 3)]).value
-    assert large >= small
+    small, large = W.packed_ball(2, 2), W.packed_ball(2, 3)
+    assert (defect_estimate(sys_t, large, large).value
+            >= defect_estimate(sys_t, small, small).value)
+
+
+# base words that overlap themselves (aba, abab, aa, aaa) and ones that
+# do not, at vertex basepoints that conjugate the counted letter sequence
+PHI_CASES = [(sigma, x0) for sigma in ("aab", "aba", "abab", "aa", "abA", "aBab", "aaa")
+             for x0 in ("", "b", "aB")]
+
+
+@pytest.mark.parametrize("sigma,x0", PHI_CASES)
+def test_packed_tree_phi_and_defect_grid_match_the_per_pair_route(sigma, x0):
+    sys_t = ExpresswaySystem(TREE, FREE, sigma, basepoint=vertex(x0), ledger=LEDGER)
+    phi = lambda w: tree_phi_str_count(sys_t, w)
+    ball = W.packed_ball(2, 3)
+    ws = W.unpack(ball)
+    products = [W.multiply(g, h) for g in ws for h in ws]
+    v = vertex(x0).anchor
+    conjugates = W.pack([W.multiply(W.inverse(v), W.multiply(w, v)) for w in products])
+    assert E._tree_phi_rows(sys_t, conjugates).tolist() == list(map(phi, products))
+    assert [tree_phi_exact(sys_t, g) for g in ws] == list(map(phi, ws))
+    assert (defect_estimate(sys_t, ball, ball)
+            == defect_estimate_per_pair(phi, itertools.product(ws, ws)))
+
+
+def test_defect_grid_of_zeros_names_no_pair():
+    # phi((aab)^(m + n)) = m + n on the powers of sigma, so every defect is 0;
+    # at the basepoint e each word is its own conjugate
+    sys_t = tree_system()
+    powers = W.pack([W.power(SIGMA, n) for n in range(6)])
+    assert E._tree_phi_rows(sys_t, powers).tolist() == list(range(6))
+    assert defect_estimate(sys_t, powers, powers) == (0.0, None, 36)
+
+
+def test_defect_grid_keeps_the_first_best_pair_across_blocks(monkeypatch):
+    # the radius-3 grid reaches its maximum 1 at many pairs: the first one
+    # in g-major order is kept, also when each row of left is its own block
+    sys_t = tree_system()
+    ball = W.packed_ball(2, 3)
+    pairs = list(itertools.product(W.unpack(ball), repeat=2))
+    phi = lambda w: tree_phi_str_count(sys_t, w)
+    ties = [(g, h) for g, h in pairs if abs(phi(W.multiply(g, h)) - phi(g) - phi(h)) == 1.0]
+    assert len(ties) > 1
+    for cells in (E._GRID_CELLS, 60, 1):
+        monkeypatch.setattr(E, "_GRID_CELLS", cells)
+        assert defect_estimate(sys_t, ball, ball) == (1.0, ties[0], len(pairs))
+
+
+def test_defect_off_the_tree_matches_the_per_pair_route():
+    cfg = load_config(str(REPO / "configs" / "half_plane.json"))
+    sys_h = cfg.system()
+    ws = random_words(2, 5, 6, 2)
+    report = defect_estimate(sys_h, W.pack(ws[:3]), W.pack(ws[3:]))
+    oracle = defect_estimate_per_pair(lambda w: phi_sigma(sys_h, w),
+                                      itertools.product(ws[:3], ws[3:]))
+    assert report == oracle and report.value > 0.0
 
 
 def test_homogenize_examples():
@@ -511,4 +565,4 @@ def test_halfplane_system_smoke():
     assert res.expressways >= 1     # axis translates align with the geodesic
     value = phi_sigma(sys_h, "aa")
     assert value == pytest.approx(2.0 * (hp.distance(a, b) / 3.0) - res.value, abs=10)
-    assert phi_evaluator(sys_h)(W.from_string("a")) == phi_sigma(sys_h, "a")
+    assert homogenize(sys_h, "a", 1)[0] == phi_sigma(sys_h, "a")

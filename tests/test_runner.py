@@ -519,15 +519,20 @@ def test_a_huge_euclidean_dim_is_a_config_error_before_allocation(dim):
 
 
 NAN, INF = float("nan"), float("inf")
-# (config, product space or None) for each space kind a config can declare;
-# the product takes the half-plane config's group, which load does not act
-# by, at the default basepoint
+# (config, keys it replaces or None) for each space kind a config can
+# declare; the product pairs the half-plane config's group with translations
+# of the line, at the default basepoint
+PRODUCT = {"space": {"kind": "product", "left": {"kind": "half-plane"},
+                     "right": {"kind": "euclidean", "dim": 1}},
+           "group": {"kind": "product",
+                     "left": json.loads(HALFPLANE_CONFIG.read_text())["group"],
+                     "right": {"kind": "translation", "generators": [[1.0], [0.5]]}},
+           "basepoint": "default"}
 SPACE_KINDS = {
     "tree": (TREE_CONFIG, None),
     "half-plane": (HALFPLANE_CONFIG, None),
     "euclidean": (EUCLID_CONFIG, None),
-    "product": (HALFPLANE_CONFIG, {"kind": "product", "left": {"kind": "half-plane"},
-                                   "right": {"kind": "euclidean", "dim": 1}}),
+    "product": (HALFPLANE_CONFIG, PRODUCT),
 }
 # (id, config, product space, where in the config, key, bad value): each
 # loaded before.  The tree, half-plane and Euclidean spaces already refused a
@@ -546,16 +551,16 @@ BAD_NUMBERS = (
        if kind == "product" or key == "tolerance" or tag in ("nan", "inf")])
 
 
-@pytest.mark.parametrize("path,space,where,key,value", [c[1:] for c in BAD_NUMBERS],
+@pytest.mark.parametrize("path,replaced,where,key,value", [c[1:] for c in BAD_NUMBERS],
                          ids=[c[0] for c in BAD_NUMBERS])
-def test_config_numbers_are_checked_at_load(tmp_path, capsys, path, space, where,
+def test_config_numbers_are_checked_at_load(tmp_path, capsys, path, replaced, where,
                                             key, value):
     # "B": NaN once ran contract to 12,512 violations of bound NaN beside a
     # certified certificate, a space "tolerance": "x" ended it in a TypeError
     # traceback with exit 1, and "tolerance": -1 reported dd/ft violations
     data = json.loads(path.read_text())
-    if space is not None:
-        data.update(space=copy.deepcopy(space), basepoint="default")
+    if replaced is not None:
+        data.update(copy.deepcopy(replaced))
     config_from_json(data)
     (data if where is None else data[where])[key] = value
     with pytest.raises(ConfigError, match=f"{key} must be"):
@@ -825,6 +830,35 @@ def test_group_generators_are_checked_at_load(tmp_path, capsys, path, generators
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert cli_main(["contract", "--config", str(bad)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+# (id, config, keys it replaces): each loaded, and its group acted on no
+# point of the space at run time.  The half-plane group on the plane let
+# axioms exit 0 and ended contract in a run-time error report.
+SPACE_MISFITS = [
+    ("matrix-on-euclidean", HALFPLANE_CONFIG,
+     {"space": {"kind": "euclidean", "dim": 2}, "basepoint": "default"}),
+    ("translation-on-tree", TREE_CONFIG,
+     {"group": {"kind": "translation", "generators": [[1.0], [0.5]]}}),
+    ("matrix-on-product", HALFPLANE_CONFIG, {**PRODUCT, "group": PRODUCT["group"]["left"]}),
+    ("product-factors-swapped", HALFPLANE_CONFIG,
+     {**PRODUCT, "group": {"kind": "product", "left": PRODUCT["group"]["right"],
+                           "right": PRODUCT["group"]["left"]}}),
+]
+
+
+@pytest.mark.parametrize("path,replaced", [c[1:] for c in SPACE_MISFITS],
+                         ids=[c[0] for c in SPACE_MISFITS])
+def test_a_group_that_does_not_act_on_the_space_is_a_config_error(tmp_path, capsys,
+                                                                   path, replaced):
+    data = json.loads(path.read_text())
+    data.update(copy.deepcopy(replaced))
+    with pytest.raises(ConfigError, match="action does not act on"):
+        config_from_json(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli_main(["axioms", "--config", str(bad)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
 

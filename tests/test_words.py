@@ -85,6 +85,8 @@ def test_packed_products_match_multiply_on_all_pairs_of_a_ball():
     assert _rows(product) == [W.multiply(u, v) for u, v in zip(left, right)]
     # padding stays zero past each product's length
     assert not letters[np.arange(letters.shape[1]) >= lens[:, None]].any()
+    # the same grid, u-major, from the ball itself
+    assert _rows(W.grid_products(W.pack(ball), W.pack(ball))) == _rows(product)
 
 
 def _triples(ws, rank):

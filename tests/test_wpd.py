@@ -145,6 +145,30 @@ def test_packed_tree_routes_equal_the_per_point_routes(monkeypatch):
         hits += packed is not None
     assert hits >= 20
 
+    # the start filter at chunk edges: with 8 cells a filter pass takes
+    # 8 // (power_max + 1) rows, so it empties whole chunks, and the witness
+    # comes after the first chunk, at K = 0 as well
+    moved, passes = wpd._moved_distances, []
+
+    def counted(rows, movers, targets):
+        passes.append(len(movers[1]))
+        return moved(rows, movers, targets)
+
+    monkeypatch.setattr(wpd, "_moved_distances", counted)
+    monkeypatch.setattr(wpd, "_PACKED_CELLS", 8)
+    ball = W.ball(2, 3)
+    for g, h, K, power_max, index, emptied in (("aab", "BAA", 0.0, 1, 18, True),
+                                               ("aab", "bbaaBB", 2.0, 2, 19, False),
+                                               ("ab", "Bab", 1.0, 2, None, True)):
+        passes.clear()
+        args = (TREE, FREE, g, h, K, power_max, 3, vertex(""))
+        packed = equiv_search(*args)
+        assert packed == _per_point(monkeypatch, equiv_search, *args), args
+        assert (None if packed is None else ball.index(packed.gamma)) == index
+        assert index is None or index >= 8 // (power_max + 1)
+        # a filter pass (one mover) with no scan pass (power_max + 1) after it
+        assert ((1, 1) in zip(passes, passes[1:] + [1])) == emptied, passes
+
 
 def test_edge_point_basepoint_keeps_the_per_point_route(monkeypatch):
     def refuse(*args):
